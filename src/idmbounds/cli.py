@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .credible import CredibleSpec, robust_credible_mi
+from .credible import CredibleSpec, credible_mi_interval
 from .exact_extrema import (
     entropy_interval_exact,
     entropy_interval_rational,
@@ -27,6 +27,7 @@ from .exact_extrema import (
 )
 from .mutual_info import (
     ContingencyCounts,
+    mi_estimate,
     mi_interval_bounds,
     mi_interval_crude,
     mi_variance_leading,
@@ -39,7 +40,7 @@ from .oracle import (
     lattice_entropy_objective,
     lattice_mi_objective,
 )
-from .simplex_core import CountVector, IdmConfig, Interval, sigma_of
+from .simplex_core import CountVector, IdmConfig, Interval, SimplexPoint, sigma_of
 from .special_fn import EntropyKernel, h
 from .taylor_bounds import concave_remainder_bounds
 
@@ -185,8 +186,6 @@ def _config(args) -> IdmConfig:
 def _base_result(command: str, args, inputs: dict) -> dict:
     inputs = dict(inputs)
     inputs["s"] = _round12(args.s)
-    if getattr(args, "seed", None) is not None:
-        inputs["seed"] = args.seed
     if getattr(args, "grid_check", None) is not None:
         inputs["grid_check"] = args.grid_check
     return {"schema": SCHEMA, "command": command, "inputs": inputs}
@@ -255,11 +254,11 @@ def run_mutinfo(args) -> dict:
         "sigma": _round12(sigma_of(counts, cfg)),
     }
 
+    bounds = mi_interval_bounds(tbl, cfg) if args.mode != "exact" else None
     if args.mode in ("exact", "both"):
-        intervals["crude"] = _interval_payload(mi_interval_crude(tbl, cfg))
-    bounds = None
-    if args.mode in ("approx", "both"):
-        bounds = mi_interval_bounds(tbl, cfg)
+        crude_iv = bounds.crude if bounds is not None else mi_interval_crude(tbl, cfg)
+        intervals["crude"] = _interval_payload(crude_iv)
+    if bounds is not None:
         intervals["conservative"] = _interval_payload(bounds.conservative_interval())
         intervals["inner"] = _interval_payload(bounds.inner_interval())
         diagnostics["cell_upper"] = list(bounds.cell1)
@@ -275,7 +274,6 @@ def run_mutinfo(args) -> dict:
             raise CliError("GRID_OVERFLOW", str(exc)) from exc
         intervals["oracle"] = _interval_payload(oracle_iv)
         if "crude" in intervals:
-            crude_iv = Interval(intervals["crude"]["lower"], intervals["crude"]["upper"])
             diagnostics["oracle_within_crude"] = crude_iv.contains_interval(oracle_iv, 1e-9)
         if bounds is not None:
             diagnostics["oracle_within_conservative"] = (
@@ -298,32 +296,25 @@ def run_credible(args) -> dict:
     if not 0.0 < args.alpha < 1.0:
         raise CliError("ALPHA_OUT_OF_RANGE", "alpha must lie strictly between 0 and 1")
     spec = CredibleSpec(args.alpha)
-    bounds = mi_interval_bounds(tbl, cfg)
+    est = mi_estimate(tbl, cfg)
     try:
-        variance = mi_variance_leading(tbl, cfg, _uniform_cells(tbl))
+        variance = mi_variance_leading(tbl, cfg, SimplexPoint.uniform(tbl.cells))
     except ValueError as exc:
         raise CliError("ZERO_CELL", str(exc)) from exc
-    credible_iv = robust_credible_mi(tbl, cfg, spec)
 
     result = _base_result("credible", args, {"table": tbl.table.tolist(), "alpha": args.alpha})
     result["diagnostics"] = {
         "n": _round12(tbl.total),
         "shape": list(tbl.shape),
-        "sigma": _round12(bounds.sigma),
+        "sigma": _round12(est.sigma),
         "kappa": _round12(spec.kappa),
         "mi_variance": _round12(variance),
     }
     result["intervals"] = {
-        "conservative": _interval_payload(bounds.conservative_interval()),
-        "credible": _interval_payload(credible_iv),
+        "conservative": _interval_payload(est.conservative_interval()),
+        "credible": _interval_payload(credible_mi_interval(est, variance, spec)),
     }
     return result
-
-
-def _uniform_cells(tbl: ContingencyCounts):
-    from .simplex_core import SimplexPoint
-
-    return SimplexPoint.uniform(tbl.cells)
 
 
 def _entropy_points(counts: CountVector) -> tuple[float, float, float]:
@@ -429,7 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--format", choices=("json", "csv"), default=default_format, help="output format"
         )
-        p.add_argument("--seed", type=int, default=None, help="seed for sampling-based checks")
         p.add_argument(
             "--grid-check",
             type=int,

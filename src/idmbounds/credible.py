@@ -18,10 +18,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-
-from .mutual_info import ContingencyCounts, mi_interval_bounds, mi_variance_leading
+from .mutual_info import ContingencyCounts, mi_estimate, mi_variance_leading
 from .simplex_core import IdmConfig, Interval, SimplexPoint
 from .special_fn import kappa_from_alpha
+from .taylor_bounds import RobustEstimate
 
 
 @dataclass(frozen=True)
@@ -136,6 +136,12 @@ def one_sided_robust_bound(per_t_lower: Callable, t_grid: Sequence[float]) -> fl
     return min(values)
 
 
+def credible_mi_interval(est: RobustEstimate, variance: float, spec: CredibleSpec) -> Interval:
+    """Widen the conservative MI interval by ``kappa * sqrt(variance)`` on both sides."""
+    spread = spec.kappa * math.sqrt(variance)
+    return Interval(est.f0 + est.r_lb - spread, est.f0 + est.r_ub + spread)
+
+
 def robust_credible_mi(
     tbl: ContingencyCounts,
     cfg: IdmConfig,
@@ -150,9 +156,7 @@ def robust_credible_mi(
     higher order).  Not strictly conservative: both the Gaussian shape and
     the leading-order variance ignore higher-order terms.
     """
-    d1, d2 = tbl.shape
     if t_star is None:
-        t_star = SimplexPoint.uniform(d1 * d2)
-    bounds = mi_interval_bounds(tbl, cfg)
-    spread = spec.kappa * math.sqrt(mi_variance_leading(tbl, cfg, t_star))
-    return Interval(bounds.i0 + bounds.r_lb - spread, bounds.i0 + bounds.r_ub + spread)
+        t_star = SimplexPoint.uniform(tbl.cells)
+    est = mi_estimate(tbl, cfg)
+    return credible_mi_interval(est, mi_variance_leading(tbl, cfg, t_star), spec)

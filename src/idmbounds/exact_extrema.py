@@ -142,11 +142,15 @@ def max_concave_sum(counts: CountVector, cfg: IdmConfig, f: ConcaveSummand) -> E
 
     u0 = counts.counts / denom
     u_vec = np.maximum(u0, u_tilde)
-    if cfg.s == 0:
-        # Degenerate limit: u == u0 for every t; any witness is valid.
+    # t* = (u* (n+s) - n) / s loses digits when s << n: clip and renormalise
+    # so the witness is on the simplex by construction.
+    t = np.maximum(u_vec * denom - counts.counts, 0.0)
+    if cfg.s == 0 or not t.any():
+        # Degenerate limit, or s too small to move u in floating point:
+        # u == u0 for every t; any witness is valid.
         t_star = SimplexPoint.vertex(d, int(order[0]))
     else:
-        t_star = SimplexPoint((u_vec * denom - counts.counts) / cfg.s)
+        t_star = SimplexPoint(t / t.sum())
     u_star = u_from_t(counts, cfg, t_star)
     value = float(np.sum(f.fn(u_star.u)))
     vertex_index = int(order[0]) if m_star == 1 else None
@@ -189,14 +193,8 @@ def entropy_interval_rational(
     if not 1 <= total <= RATIONAL_TOTAL_LIMIT:
         return None
 
-    # Lower endpoint: vertex at the most-observed category.
-    i_star = int(np.argmax(counts.counts))
-    lower = sum(
-        (h_fraction(c + (s if i == i_star else 0), total) for i, c in enumerate(ints)),
-        Fraction(0),
-    )
-
-    # Upper endpoint: leveling value over sorted counts.
+    # Upper endpoint first: the leveling value over sorted counts must put
+    # every coordinate on the grid before any Fraction is summed.
     ordered = sorted(ints)
     prefix = 0
     u_tilde = None
@@ -212,5 +210,12 @@ def entropy_interval_rational(
         if scaled.denominator != 1:
             return None
         numers.append(int(scaled))
+
+    # Lower endpoint: vertex at the most-observed category.
+    i_star = int(np.argmax(counts.counts))
+    lower = sum(
+        (h_fraction(c + (s if i == i_star else 0), total) for i, c in enumerate(ints)),
+        Fraction(0),
+    )
     upper = sum((h_fraction(k, total) for k in numers), Fraction(0))
     return lower, upper

@@ -18,9 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact_extrema import entropy_interval_exact
+from .exact_extrema import entropy_interval_exact, entropy_summand
+from .oracle import GridSpec, product_grid_extrema
 from .simplex_core import CountVector, IdmConfig, Interval, SimplexPoint
-from .special_fn import EntropyKernel, h, h_prime
+from .special_fn import EntropyKernel, h
+from .taylor_bounds import RobustEstimate, concave_remainder_bounds, lift, negate, propagate_sum
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,33 +68,32 @@ class ContingencyCounts:
         return CountVector(self.col_sums)
 
 
-@dataclass(frozen=True, eq=False)
-class MiBounds:
+@dataclass(frozen=True, eq=False, kw_only=True)
+class MiBounds(RobustEstimate):
     """Conservative, inner, and crude interval data for the expected MI.
 
-    The sandwich ``i0 + r_lb <= inner_lower <= inner_upper <= i0 + r_ub``
-    always holds; the crude interval need not contain the conservative one
-    (or vice versa), but both individually contain the true robust
-    interval.
+    A :class:`RobustEstimate` over the ``d1*d2`` cells in row-major order,
+    with the sandwich ``i0 + r_lb <= inner_lower <= inner_upper <= i0 +
+    r_ub``.  The crude interval need not contain the conservative one (or
+    vice versa), but both individually contain the true robust interval.
     """
 
-    i0: float
-    r_ub_per_ij: np.ndarray
-    r_lb_per_ij: np.ndarray
-    r_ub: float
-    r_lb: float
-    inner_upper: float
-    inner_lower: float
-    cell1: tuple[int, int]
-    cell2: tuple[int, int]
     crude: Interval
-    sigma: float
+    shape: tuple[int, int]
 
-    def conservative_interval(self) -> Interval:
-        return Interval(self.i0 + self.r_lb, self.i0 + self.r_ub)
+    @property
+    def i0(self) -> float:
+        return self.f0
 
-    def inner_interval(self) -> Interval:
-        return Interval(self.inner_lower, self.inner_upper)
+    @property
+    def cell1(self) -> tuple[int, int]:
+        """The cell whose vertex gives the inner upper bound."""
+        return divmod(self.i1, self.shape[1])
+
+    @property
+    def cell2(self) -> tuple[int, int]:
+        """The cell whose vertex gives the inner lower bound."""
+        return divmod(self.i2, self.shape[1])
 
 
 def _cell_means(tbl: ContingencyCounts, cfg: IdmConfig, t: SimplexPoint) -> np.ndarray:
@@ -105,6 +106,15 @@ def _cell_means(tbl: ContingencyCounts, cfg: IdmConfig, t: SimplexPoint) -> np.n
     return (tbl.table + cfg.s * t.t.reshape(d1, d2)) / denom
 
 
+def _three_entropies(u: np.ndarray, kernel: EntropyKernel) -> np.ndarray:
+    """Row plus column minus cell entropy of posterior means ``u[..., d1, d2]``."""
+    return (
+        h(u.sum(axis=-1), kernel).sum(axis=-1)
+        + h(u.sum(axis=-2), kernel).sum(axis=-1)
+        - h(u, kernel).sum(axis=(-2, -1))
+    )
+
+
 def expected_mi(tbl: ContingencyCounts, cfg: IdmConfig, t: SimplexPoint) -> float:
     """Expected mutual information at cell hyperparameter ``t``.
 
@@ -113,12 +123,7 @@ def expected_mi(tbl: ContingencyCounts, cfg: IdmConfig, t: SimplexPoint) -> floa
     means, all with kernel ``n + s``.
     """
     u = _cell_means(tbl, cfg, t)
-    kernel = EntropyKernel(tbl.total + cfg.s)
-    return float(
-        h(u.sum(axis=1), kernel).sum()
-        + h(u.sum(axis=0), kernel).sum()
-        - h(u, kernel).sum()
-    )
+    return float(_three_entropies(u, EntropyKernel(tbl.total + cfg.s)))
 
 
 def mi_interval_crude(tbl: ContingencyCounts, cfg: IdmConfig) -> Interval:
@@ -138,60 +143,36 @@ def mi_interval_crude(tbl: ContingencyCounts, cfg: IdmConfig) -> Interval:
     )
 
 
-def mi_interval_bounds(tbl: ContingencyCounts, cfg: IdmConfig) -> MiBounds:
-    """O(sigma^2)-tight conservative bounds on the expected MI.
+def mi_estimate(tbl: ContingencyCounts, cfg: IdmConfig) -> RobustEstimate:
+    """O(sigma^2)-tight remainder bounds on the expected MI, per cell.
 
-    Per-cell remainder vectors combine the row, column, and (negated)
-    joint entropy remainders before any aggregation; the extremizing cells
-    then give inner bounds by direct evaluation at the corresponding
-    vertex hyperparameters.  Row-major order breaks ties.
+    The row, column, and cell entropies each get the concave-summand
+    remainder bounds.  The row and column estimates are lifted to the
+    ``d1*d2`` cells in row-major order and the cell estimate is negated,
+    so the three combine per cell before any aggregation; the vertex
+    values at the extremizing cells are the inner bounds.
     """
     d1, d2 = tbl.shape
-    denom = tbl.total + cfg.s
-    sigma = cfg.s / denom
-    kernel = EntropyKernel(denom)
-
-    u0_cells = tbl.table / denom
-    u0_rows = tbl.row_sums / denom
-    u0_cols = tbl.col_sums / denom
-
-    i0 = float(
-        h(u0_rows, kernel).sum() + h(u0_cols, kernel).sum() - h(u0_cells, kernel).sum()
+    f = entropy_summand(EntropyKernel(tbl.total + cfg.s))
+    rows = concave_remainder_bounds(tbl.row_counts(), cfg, f)
+    cols = concave_remainder_bounds(tbl.col_counts(), cfg, f)
+    cells = concave_remainder_bounds(tbl.joint_counts(), cfg, f)
+    marginals = propagate_sum(
+        lift(rows, np.repeat(np.arange(d1), d2)), lift(cols, np.tile(np.arange(d2), d1))
     )
+    return propagate_sum(marginals, negate(cells))
 
-    hp_rows = np.asarray(h_prime(u0_rows, kernel))
-    hp_cols = np.asarray(h_prime(u0_cols, kernel))
-    hp_cells = np.asarray(h_prime(u0_cells, kernel))
-    hp_rows_s = np.asarray(h_prime(u0_rows + sigma, kernel))
-    hp_cols_s = np.asarray(h_prime(u0_cols + sigma, kernel))
-    hp_cells_s = np.asarray(h_prime(u0_cells + sigma, kernel))
 
-    r_ub = sigma * (hp_rows[:, None] + hp_cols[None, :] - hp_cells_s)
-    r_lb = sigma * (hp_rows_s[:, None] + hp_cols_s[None, :] - hp_cells)
+def mi_interval_bounds(tbl: ContingencyCounts, cfg: IdmConfig) -> MiBounds:
+    """Conservative, inner, and crude bounds on the expected MI.
 
-    flat1 = int(np.argmax(r_ub))
-    flat2 = int(np.argmin(r_lb))
-    cell1 = tuple(int(v) for v in np.unravel_index(flat1, r_ub.shape))
-    cell2 = tuple(int(v) for v in np.unravel_index(flat2, r_lb.shape))
-
-    inner_upper = expected_mi(tbl, cfg, SimplexPoint.vertex(d1 * d2, flat1))
-    inner_lower = expected_mi(tbl, cfg, SimplexPoint.vertex(d1 * d2, flat2))
-
-    r_ub.flags.writeable = False
-    r_lb.flags.writeable = False
-    return MiBounds(
-        i0=i0,
-        r_ub_per_ij=r_ub,
-        r_lb_per_ij=r_lb,
-        r_ub=float(r_ub.ravel()[flat1]),
-        r_lb=float(r_lb.ravel()[flat2]),
-        inner_upper=inner_upper,
-        inner_lower=inner_lower,
-        cell1=cell1,
-        cell2=cell2,
-        crude=mi_interval_crude(tbl, cfg),
-        sigma=sigma,
-    )
+    The remainder and inner bounds are those of :func:`mi_estimate`.  The
+    upper witness ``cell1`` is the first row-major cell attaining the float
+    maximum of the per-cell upper remainders, and ``cell2`` the first one
+    attaining the float minimum of the lower remainders.
+    """
+    est = mi_estimate(tbl, cfg)
+    return MiBounds(**vars(est), crude=mi_interval_crude(tbl, cfg), shape=tbl.shape)
 
 
 def mi_variance_leading(tbl: ContingencyCounts, cfg: IdmConfig, t: SimplexPoint) -> float:
@@ -217,40 +198,21 @@ def product_idm_check(
     """Exhaustively verify the MI bounds over outer-product hyperparameters.
 
     Enumerates ``t = v (x) w`` for ``(v, w)`` on the factor-simplex
-    lattices (``t_ij = v_i * w_j``) and returns True iff every lattice MI
-    value lies inside the conservative interval *and* the inner bounds are
-    attained within lattice tolerance.  The factor-simplex vertices map to
-    the full-simplex vertices, so attainment holds exactly up to float
-    noise.
+    lattices (``t_ij = v_i * w_j``, see :func:`product_grid_extrema`) and
+    returns True iff every lattice MI value lies inside the conservative
+    interval *and* the inner bounds are attained within lattice tolerance.
+    The factor-simplex vertices map to the full-simplex vertices, so
+    attainment holds exactly up to float noise.
     """
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
-    from .oracle import compositions  # local import; oracle depends on this module
-
-    d1, d2 = tbl.shape
-    denom = tbl.total + cfg.s
-    kernel = EntropyKernel(denom)
-    v = compositions(resolution, d1).astype(float) / resolution
-    w = compositions(resolution, d2).astype(float) / resolution
-
-    lo = bounds.i0 + bounds.r_lb
-    hi = bounds.i0 + bounds.r_ub
-    vmin = np.inf
-    vmax = -np.inf
-    chunk = max(1, 2**17 // max(1, w.shape[0]))
-    for start in range(0, v.shape[0], chunk):
-        vc = v[start : start + chunk]
-        t = vc[:, None, :, None] * w[None, :, None, :]
-        u = (tbl.table + cfg.s * t) / denom
-        vals = (
-            h(u.sum(axis=3), kernel).sum(axis=2)
-            + h(u.sum(axis=2), kernel).sum(axis=2)
-            - h(u, kernel).sum(axis=(2, 3))
-        )
-        vmin = min(vmin, float(vals.min()))
-        vmax = max(vmax, float(vals.max()))
-
+    kernel = EntropyKernel(tbl.total + cfg.s)
+    lattice = product_grid_extrema(
+        lambda u: _three_entropies(u, kernel), tbl, cfg, GridSpec(resolution)
+    )
     tol = 1e-9
-    contained = lo - tol <= vmin and vmax <= hi + tol
-    attained = vmax >= bounds.inner_upper - tol and vmin <= bounds.inner_lower + tol
+    contained = bounds.conservative_interval().contains_interval(lattice, tol)
+    attained = (
+        lattice.upper >= bounds.inner_upper - tol and lattice.lower <= bounds.inner_lower + tol
+    )
     return contained and attained

@@ -290,7 +290,8 @@ def dirichlet_draws(u_params, mc: McSpec) -> np.ndarray:
 
     Samples are normalized independent Gamma variates generated from a
     single seeded uniform stream, so fixed seeds give bitwise-identical
-    output.  Every row is a valid simplex point.
+    output.  Every row is a valid simplex point; parameters so small that
+    all of a draw's gamma variates underflow raise ``ValueError``.
     """
     params = np.asarray(u_params, dtype=float)
     if params.ndim != 1 or params.size == 0:
@@ -308,6 +309,11 @@ def dirichlet_draws(u_params, mc: McSpec) -> np.ndarray:
             g = gamma(rng, shapes[j])
             row[j] = g
             total += g
+        if total == 0.0:
+            raise ValueError(
+                "every gamma variate of a draw underflowed to 0: "
+                "Dirichlet parameters too small to sample"
+            )
         row /= total
     return out
 

@@ -119,6 +119,39 @@ def _assemble(
     )
 
 
+def negate(est: RobustEstimate) -> RobustEstimate:
+    """Remainder bounds for ``-F``: the bounds and witnesses swap sides."""
+    return _assemble(
+        -est.f0,
+        -est.r_lb_per_i,
+        -est.r_ub_per_i,
+        -est.vertex_values,
+        est.sigma,
+        nonneg=False,
+        box_enlarged=est.box_enlarged,
+    )
+
+
+def lift(est: RobustEstimate, index: np.ndarray) -> RobustEstimate:
+    """Remainder bounds for ``F`` read on a finer simplex.
+
+    Component ``k`` of the finer simplex feeds component ``index[k]`` of
+    ``F``'s argument (a marginal sum), so moving prior weight onto ``k``
+    moves ``F`` exactly as moving it onto ``index[k]`` does: the
+    per-component remainders and vertex values are gathered, and the
+    extremizing components re-chosen with the usual smallest-index rule.
+    """
+    return _assemble(
+        est.f0,
+        est.r_ub_per_i[index],
+        est.r_lb_per_i[index],
+        est.vertex_values[index],
+        est.sigma,
+        nonneg=est.nonneg,
+        box_enlarged=est.box_enlarged,
+    )
+
+
 def concave_remainder_bounds(counts: CountVector, cfg: IdmConfig, f) -> RobustEstimate:
     """Remainder bounds for a separable estimator with concave summand.
 
@@ -130,22 +163,7 @@ def concave_remainder_bounds(counts: CountVector, cfg: IdmConfig, f) -> RobustEs
     silently emitting an infinite bound.
     """
     if f.curvature == "convex":
-        est = concave_remainder_bounds(counts, cfg, f.negated())
-        return RobustEstimate(
-            f0=-est.f0,
-            r_ub_per_i=_readonly(-est.r_lb_per_i),
-            r_lb_per_i=_readonly(-est.r_ub_per_i),
-            r_ub=-est.r_lb,
-            r_lb=-est.r_ub,
-            inner_upper=-est.inner_lower,
-            inner_lower=-est.inner_upper,
-            i1=est.i2,
-            i2=est.i1,
-            vertex_values=_readonly(-est.vertex_values),
-            sigma=est.sigma,
-            nonneg=False,
-            box_enlarged=est.box_enlarged,
-        )
+        return negate(concave_remainder_bounds(counts, cfg, f.negated()))
     denom = counts.total + cfg.s
     if denom <= 0:
         raise ValueError("n + s must be positive")

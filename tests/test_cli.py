@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from idmbounds import ContingencyCounts, CredibleSpec, IdmConfig, robust_credible_mi
 from idmbounds.cli import SWEEP_COLUMNS, main
 
 
@@ -107,6 +108,11 @@ class TestErrorCodes:
         assert status == 1
         assert result["error"]["code"] == code
 
+    def test_seed_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["entropy", "--inline", "3,6", "--seed", "1"])
+        capsys.readouterr()
+
     def test_input_conflict(self, capsys, tmp_path):
         path = tmp_path / "c.txt"
         path.write_text("1,2")
@@ -155,6 +161,15 @@ class TestCredibleCommand:
         assert cred["lower"] <= cons["lower"]
         assert cred["upper"] >= cons["upper"]
         assert result["diagnostics"]["kappa"] == pytest.approx(1.96, abs=1e-2)
+
+    def test_matches_library_interval(self, capsys):
+        _, result = run_json(
+            capsys, "credible", "--inline", "5,1\n1,5", "--alpha", "0.9", "--s", "2"
+        )
+        tbl = ContingencyCounts([[5, 1], [1, 5]])
+        iv = robust_credible_mi(tbl, IdmConfig(2.0), CredibleSpec(0.9))
+        assert result["intervals"]["credible"]["lower"] == pytest.approx(iv.lower, abs=1e-11)
+        assert result["intervals"]["credible"]["upper"] == pytest.approx(iv.upper, abs=1e-11)
 
 
 class TestSweepCommand:

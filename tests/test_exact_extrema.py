@@ -1,5 +1,6 @@
 """Closed-form extrema of concave separable estimators vs the grid oracle."""
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +21,8 @@ from idmbounds import (
     min_concave_sum,
     sigma_of,
 )
+from idmbounds import exact_extrema
+from idmbounds.cli import main as cli_main
 from _helpers import entropy_objective_direct
 
 
@@ -228,6 +231,48 @@ class TestEntropyInterval:
         # Leveling value 3/10 puts (n+s)*u at 1.5: no rational closed form.
         assert entropy_interval_rational(CountVector([1, 1, 2]), IdmConfig(1.0)) is None
         assert entropy_interval_rational(CountVector([1.5, 2.0]), IdmConfig(1.0)) is None
+
+    def test_rational_path_declines_before_summing_fractions(self, monkeypatch):
+        # Leveling value 20/1000 puts (n+s)*u at 20/19 for the nineteen 1s.
+        calls = []
+        original = exact_extrema.h_fraction
+        monkeypatch.setattr(
+            exact_extrema, "h_fraction", lambda *a: calls.append(a) or original(*a)
+        )
+        counts = CountVector([1.0] * 19 + [980.0])
+        assert entropy_interval_rational(counts, IdmConfig(1.0)) is None
+        assert calls == []
+
+
+class TestTinyStrength:
+    COUNTS = [21.2, 29.1, 21.4]
+
+    def test_upper_witness_is_a_simplex_point(self):
+        # The witness t* = (u*(n+s) - n)/s loses digits when s << n.
+        counts, cfg = CountVector(self.COUNTS), IdmConfig(1e-6)
+        iv = entropy_interval_exact(counts, cfg)
+        f = entropy_summand(EntropyKernel(counts.total + cfg.s))
+        res = max_concave_sum(counts, cfg, f)
+        assert res.t_star.t.sum() == pytest.approx(1.0, abs=1e-15)
+        assert iv.upper == res.value
+        assert 0.0 <= iv.width <= sigma_of(counts, cfg)
+
+    def test_randomized_small_strengths(self):
+        rng = np.random.default_rng(1200)
+        for s in (1e-6, 1e-5, 1.0):
+            cfg = IdmConfig(s)
+            for _ in range(100):
+                counts = CountVector(np.round(rng.uniform(1, 50, size=3), 1))
+                iv = entropy_interval_exact(counts, cfg)
+                assert iv.lower <= iv.upper
+
+    def test_cli_answers_with_result_json(self, capsys):
+        code = cli_main(["entropy", "--inline", "21.2,29.1,21.4", "--s", "1e-6"])
+        result = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert result["command"] == "entropy"
+        exact = result["intervals"]["exact"]
+        assert exact["lower"] <= exact["upper"]
 
 
 def u_center_value(counts, cfg):

@@ -134,6 +134,17 @@ class TestConservativeBounds:
             assert bounds.inner_upper <= bounds.i0 + bounds.r_ub + 1e-12
             assert bounds.crude.upper >= bounds.inner_upper - 1e-12
 
+    def test_every_cell_vertex_value_is_the_mi_there(self):
+        tbl = ContingencyCounts([[4, 0, 2], [1, 7, 3]])
+        bounds = mi_interval_bounds(tbl, CFG)
+        for k in range(tbl.cells):
+            vertex = SimplexPoint.vertex(tbl.cells, k)
+            assert bounds.vertex_values[k] == pytest.approx(
+                expected_mi(tbl, CFG, vertex), abs=1e-13
+            )
+        assert bounds.cell1 == divmod(bounds.i1, 3)
+        assert bounds.inner_upper == bounds.vertex_values[bounds.i1]
+
     def test_tie_break_is_row_major(self):
         tbl = ContingencyCounts([[2, 2], [2, 2]])
         bounds = mi_interval_bounds(tbl, CFG)

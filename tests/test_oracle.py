@@ -183,6 +183,11 @@ class TestDirichletDraws:
         with pytest.raises(ValueError):
             McSpec(draws=0, seed=1)
 
+    def test_gamma_underflow_raises_instead_of_nan_rows(self):
+        # Both variates of some draws underflow to 0 at these tiny shapes.
+        with pytest.raises(ValueError, match="underflow"):
+            dirichlet_draws([1e-3, 1e-3], McSpec(draws=2000, seed=1))
+
 
 class TestMcStats:
     def test_expected_entropy_recovered(self):

@@ -23,6 +23,8 @@ from idmbounds import (
     grid_extrema,
     h,
     h_prime,
+    lift,
+    negate,
     propagate_product,
     propagate_sum,
 )
@@ -204,6 +206,30 @@ class TestPropagateSum:
         other = _entropy_estimate(CountVector([1, 2, 3]), CFG)
         with pytest.raises(ValueError, match="dimension"):
             propagate_sum(g, other)
+
+
+class TestLiftAndNegate:
+    def test_negate_mirrors_the_sandwich(self):
+        est = _entropy_estimate()
+        neg = negate(est)
+        assert neg.conservative_interval().lower == -est.conservative_interval().upper
+        assert neg.conservative_interval().upper == -est.conservative_interval().lower
+        assert neg.inner_interval().lower == -est.inner_upper
+        assert (neg.i1, neg.i2) == (est.i2, est.i1)
+        twice = negate(neg)
+        np.testing.assert_array_equal(twice.r_ub_per_i, est.r_ub_per_i)
+        np.testing.assert_array_equal(twice.vertex_values, est.vertex_values)
+
+    def test_lift_keeps_intervals_and_gathers_components(self):
+        est = _entropy_estimate()
+        lifted = lift(est, np.array([1, 0, 1, 0]))
+        assert lifted.dim == 4
+        assert lifted.conservative_interval() == est.conservative_interval()
+        assert lifted.inner_interval() == est.inner_interval()
+        np.testing.assert_array_equal(lifted.vertex_values, est.vertex_values[[1, 0, 1, 0]])
+        # Smallest finer index among the tied copies of the extremizer.
+        assert lifted.i1 == [1, 0].index(est.i1)
+        assert lifted.i2 == [1, 0].index(est.i2)
 
 
 class TestPropagateProduct:
