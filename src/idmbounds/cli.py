@@ -59,6 +59,7 @@ ERROR_CODES = (
     "ALPHA_OUT_OF_RANGE",
     "BAD_SWEEP_SPEC",
     "GRID_OVERFLOW",
+    "BAD_GRID_SPEC",
     "ZERO_CELL",
 )
 
@@ -183,6 +184,18 @@ def _config(args) -> IdmConfig:
         raise CliError("BAD_STRENGTH", str(exc)) from exc
 
 
+def _grid_spec(args, minimum: int = 1) -> Optional[GridSpec]:
+    """The ``--grid-check`` lattice, validated before any estimator runs."""
+    if args.grid_check is None:
+        return None
+    if args.grid_check < minimum:
+        raise CliError("BAD_GRID_SPEC", f"--grid-check must be >= {minimum}")
+    try:
+        return GridSpec(args.grid_check)
+    except ValueError as exc:
+        raise CliError("BAD_GRID_SPEC", f"--grid-check: {exc}") from exc
+
+
 def _base_result(command: str, args, inputs: dict) -> dict:
     inputs = dict(inputs)
     inputs["s"] = _round12(args.s)
@@ -194,6 +207,7 @@ def _base_result(command: str, args, inputs: dict) -> dict:
 def run_entropy(args) -> dict:
     counts = parse_counts(_read_input(args))
     cfg = _config(args)
+    grid = _grid_spec(args)
     result = _base_result("entropy", args, {"counts": counts.counts.tolist(), "mode": args.mode})
     intervals: dict = {}
     diagnostics = {
@@ -217,8 +231,7 @@ def run_entropy(args) -> dict:
         diagnostics["vertex_upper"] = est.i1
         diagnostics["vertex_lower"] = est.i2
 
-    if args.grid_check is not None:
-        grid = GridSpec(args.grid_check)
+    if grid is not None:
         try:
             oracle_iv = grid_extrema(
                 lattice_entropy_objective(counts, cfg, grid),
@@ -245,6 +258,8 @@ def run_entropy(args) -> dict:
 def run_mutinfo(args) -> dict:
     tbl = parse_table(_read_input(args))
     cfg = _config(args)
+    # The outer-product check needs at least two steps per factor simplex.
+    grid = _grid_spec(args, minimum=2)
     result = _base_result("mutinfo", args, {"table": tbl.table.tolist(), "mode": args.mode})
     counts = tbl.joint_counts()
     intervals: dict = {}
@@ -264,8 +279,7 @@ def run_mutinfo(args) -> dict:
         diagnostics["cell_upper"] = list(bounds.cell1)
         diagnostics["cell_lower"] = list(bounds.cell2)
 
-    if args.grid_check is not None:
-        grid = GridSpec(args.grid_check)
+    if grid is not None:
         try:
             oracle_iv = grid_extrema(
                 lattice_mi_objective(tbl, cfg, grid), counts, cfg, grid, on_lattice=True
@@ -420,6 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--format", choices=("json", "csv"), default=default_format, help="output format"
         )
+
+    def grid_check(p):
         p.add_argument(
             "--grid-check",
             type=int,
@@ -430,11 +446,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_entropy = sub.add_parser("entropy", help="robust expected-entropy intervals")
     common(p_entropy, "json")
+    grid_check(p_entropy)
     p_entropy.add_argument("--mode", choices=("exact", "approx", "both"), default="both")
     p_entropy.set_defaults(handler=run_entropy)
 
     p_mi = sub.add_parser("mutinfo", help="robust expected-mutual-information intervals")
     common(p_mi, "json")
+    grid_check(p_mi)
     p_mi.add_argument("--mode", choices=("exact", "approx", "both"), default="both")
     p_mi.set_defaults(handler=run_mutinfo)
 

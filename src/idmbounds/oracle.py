@@ -2,17 +2,19 @@
 
 The estimators in this package come with closed-form extrema or
 conservative bounds; this module provides the independent machinery that
-desk-scale tests check them against.  Lattice extremization enumerates
+desk-scale tests check them against.  Lattice extremization covers
 *every* composition of the grid resolution (no continuous optimizer, no
-early exit), and the Dirichlet sampler builds its variates from a seeded
-uniform stream so runs are bitwise reproducible across platforms.
+early exit): the separable entropy lattice is reduced by an exact
+(min,+)/(max,+) convolution of its per-coordinate tables, and every other
+objective is enumerated point by point.  The Dirichlet sampler builds its
+variates from a seeded uniform stream so runs are bitwise reproducible
+across platforms.
 """
 
 from __future__ import annotations
 
 import math
 import random
-import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
@@ -126,7 +128,9 @@ def grid_extrema(
     be vectorized: it receives an ``(N, dim)`` array of ``u`` rows and
     returns ``N`` values.  With ``on_lattice=True`` it instead receives the
     raw integer composition rows, which lets table-backed objectives (see
-    :func:`lattice_entropy_objective`) skip the float mapping entirely.
+    :func:`lattice_entropy_objective`) skip the float mapping entirely; an
+    objective that carries its per-coordinate ``tables`` is reduced over
+    every composition without enumerating them, to the same bits.
 
     Deterministic; refuses lattices larger than ``grid.max_points``.
     """
@@ -136,6 +140,9 @@ def grid_extrema(
         raise GridOverflowError(
             f"lattice has {npoints} points, above the cap of {grid.max_points}"
         )
+    tables = getattr(objective, "tables", None) if on_lattice else None
+    if tables is not None:
+        return _separable_extrema(tables, grid.resolution, d)
     lattice = compositions(grid.resolution, d)
     denom = counts.total + cfg.s
     vmin = math.inf
@@ -155,6 +162,46 @@ def grid_extrema(
     return Interval(vmin, vmax)
 
 
+def _window_reduce(prev: np.ndarray, table_rev: np.ndarray, pad: float, reduce) -> np.ndarray:
+    # out[t] = reduce_k(prev[t - k] + table[k]) over 0 <= k <= t.  Row t of
+    # the sliding window over the padded ``prev`` holds prev[t - R .. t], so
+    # column j pairs with table[R - j]; padding entries never win.  Rows are
+    # taken in blocks of at most _CHUNK_ROWS sums.
+    size = prev.size
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate((np.full(size - 1, pad), prev)), size
+    )
+    out = np.empty(size)
+    block = max(1, _CHUNK_ROWS // size)
+    for start in range(0, size, block):
+        stop = min(size, start + block)
+        # Rows below ``stop`` see padding in their first size - stop columns.
+        skip = size - stop
+        reduce(windows[start:stop, skip:] + table_rev[skip:], axis=1, out=out[start:stop])
+    return out
+
+
+def _separable_extrema(tables, resolution: int, dim: int) -> Interval:
+    """``[min, max]`` of ``sum_i tables[i][k_i]`` over compositions ``k`` of
+    ``resolution``, by a (min,+)/(max,+) convolution in O(dim * R^2)."""
+    if len(tables) != dim or any(t.shape != (resolution + 1,) for t in tables):
+        raise ValueError("objective tables do not match the lattice")
+    # lo[t] / hi[t]: extrema of T0[k0] + ... + Ti[ki] over k0 + ... + ki = t.
+    # Tables are added in the enumeration's order, and fl(a + b) is monotone
+    # in a, so each extremum of the rounded partial sums is the rounded sum of
+    # the previous extremum: the result equals enumeration bit for bit.
+    lo = hi = tables[0]
+    for table in tables[1:-1]:
+        rev = table[::-1]
+        lo = _window_reduce(lo, rev, math.inf, np.min)
+        hi = _window_reduce(hi, rev, -math.inf, np.max)
+    if dim == 1:
+        return Interval(float(lo[resolution]), float(hi[resolution]))
+    # The last coordinate only needs the row t = R: k_{d-1} = k, prefix R - k.
+    last = tables[-1]
+    return Interval(float((lo[::-1] + last).min()), float((hi[::-1] + last).max()))
+
+
 def lattice_entropy_objective(
     counts: CountVector, cfg: IdmConfig, grid: GridSpec
 ) -> Callable:
@@ -163,6 +210,8 @@ def lattice_entropy_objective(
     Each coordinate of a lattice point takes one of ``resolution + 1``
     values, so the entropy summand is precomputed per coordinate and the
     objective reduces to table gathers.  Use with ``on_lattice=True``.
+    The tables ride on the callable as ``objective.tables``, so
+    :func:`grid_extrema` reduces them without enumerating the lattice.
     """
     denom = counts.total + cfg.s
     kernel = EntropyKernel(denom)
@@ -177,6 +226,7 @@ def lattice_entropy_objective(
             vals += tables[i].take(rows[:, i].astype(np.intp))
         return vals
 
+    objective.tables = tables
     return objective
 
 
@@ -204,17 +254,23 @@ def lattice_mi_objective(
         np.ascontiguousarray(h((c + cfg.s * steps) / denom, kernel)) for c in tbl.col_sums
     ]
 
+    def marginal(cols: np.ndarray, cells: range) -> np.ndarray:
+        total = cols[cells[0]].copy()
+        for c in cells[1:]:
+            total += cols[c]
+        return total
+
     def objective(rows: np.ndarray) -> np.ndarray:
-        cells = rows.reshape(rows.shape[0], d1, d2)
-        row_ints = cells.sum(axis=2, dtype=np.int64)
-        col_ints = cells.sum(axis=1, dtype=np.int64)
-        vals = row_tables[0].take(row_ints[:, 0])
+        # One transpose to contiguous per-cell index columns; integer
+        # marginals are exact, so only the float order below matters.
+        cols = rows.T.astype(np.intp)
+        vals = row_tables[0].take(marginal(cols, range(0, d2)))
         for i in range(1, d1):
-            vals += row_tables[i].take(row_ints[:, i])
+            vals += row_tables[i].take(marginal(cols, range(i * d2, (i + 1) * d2)))
         for j in range(d2):
-            vals += col_tables[j].take(col_ints[:, j])
+            vals += col_tables[j].take(marginal(cols, range(j, d1 * d2, d2)))
         for c in range(d1 * d2):
-            vals -= cell_tables[c].take(rows[:, c].astype(np.intp))
+            vals -= cell_tables[c].take(cols[c])
         return vals
 
     return objective

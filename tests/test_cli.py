@@ -100,6 +100,11 @@ class TestErrorCodes:
         (("sweep", "--inline", "3,6", "--sweep", "bogus"), "BAD_SWEEP_SPEC"),
         (("sweep", "--inline", "3,6", "--sweep", "n:5:2"), "BAD_SWEEP_SPEC"),
         (("entropy", "--inline", "1,2,1,2,1,2", "--grid-check", "3000"), "GRID_OVERFLOW"),
+        (("mutinfo", "--inline", "1,2\n3,4", "--grid-check", "1"), "BAD_GRID_SPEC"),
+        (("entropy", "--inline", "1,2", "--grid-check", "0"), "BAD_GRID_SPEC"),
+        (("entropy", "--inline", "1,2", "--grid-check", "40000"), "BAD_GRID_SPEC"),
+        # s * t underflows to 0, so the posterior mean of the empty cell is 0.
+        (("credible", "--inline", "0,1\n1,1", "--alpha", "0.9", "--s", "5e-324"), "ZERO_CELL"),
     )
 
     @pytest.mark.parametrize("argv,code", CASES, ids=[c for _, c in CASES])
@@ -107,6 +112,14 @@ class TestErrorCodes:
         status, result = run_json(capsys, *argv)
         assert status == 1
         assert result["error"]["code"] == code
+
+    @pytest.mark.parametrize("command", ["credible", "sweep"])
+    def test_grid_check_only_where_an_oracle_runs(self, capsys, command):
+        extra = ("--alpha", "0.9") if command == "credible" else ("--sweep", "n:9:9")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--inline", "1,2\n3,4", *extra, "--grid-check", "20"])
+        assert exc.value.code == 2
+        assert "--grid-check" in capsys.readouterr().err
 
     def test_seed_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit):

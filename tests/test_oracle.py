@@ -1,13 +1,19 @@
 """Lattice enumeration, Monte-Carlo sampling, and their reduction helpers."""
 
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from idmbounds import oracle
 from idmbounds import (
     ContingencyCounts,
     CountVector,
+    EntropyKernel,
     GridOverflowError,
     GridSpec,
     IdmConfig,
@@ -16,6 +22,7 @@ from idmbounds import (
     compositions,
     dirichlet_draws,
     grid_extrema,
+    h,
     h_fraction,
     jackknife_variance_stderr,
     lattice_entropy_objective,
@@ -114,6 +121,110 @@ class TestGridExtrema:
         a = grid_extrema(objective, counts, CFG, GridSpec(100))
         b = grid_extrema(objective, counts, CFG, GridSpec(100))
         assert (a.lower, a.upper) == (b.lower, b.upper)
+
+
+@st.composite
+def entropy_lattices(draw):
+    d = draw(st.integers(1, 5))
+    count = st.one_of(
+        st.just(0.0),
+        st.integers(0, 40).map(float),
+        st.floats(0.0, 40.0, allow_nan=False).map(lambda x: round(x, 2)),
+    )
+    counts = draw(st.lists(count, min_size=d, max_size=d))
+    resolution = draw(st.integers(1, 60 if d <= 4 else 30))
+    s = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    return CountVector(counts), IdmConfig(s), GridSpec(resolution)
+
+
+class TestSeparableEntropyLattice:
+    @settings(max_examples=150, deadline=None)
+    @given(entropy_lattices())
+    def test_equals_full_enumeration_bit_for_bit(self, case):
+        counts, cfg, grid = case
+        objective = lattice_entropy_objective(counts, cfg, grid)
+        iv = grid_extrema(objective, counts, cfg, grid, on_lattice=True)
+        vals = objective(compositions(grid.resolution, counts.dim))
+        assert iv.lower == vals.min()
+        assert iv.upper == vals.max()
+
+    def test_does_not_enumerate(self, monkeypatch):
+        def refuse(total, parts):
+            raise AssertionError("the entropy lattice must not be enumerated")
+
+        counts, grid = CountVector([3, 0, 7, 1]), GridSpec(400)
+        monkeypatch.setattr(oracle, "compositions", refuse)
+        iv = grid_extrema(
+            lattice_entropy_objective(counts, CFG, grid), counts, CFG, grid, on_lattice=True
+        )
+        assert iv.lower < iv.upper
+
+    def test_overflow_guard_still_applies(self):
+        counts, grid = CountVector([1, 1, 1, 1]), GridSpec(400, max_points=1000)
+        with pytest.raises(GridOverflowError):
+            grid_extrema(
+                lattice_entropy_objective(counts, CFG, grid), counts, CFG, grid, on_lattice=True
+            )
+
+    def test_two_categories_at_top_resolution_stay_linear(self):
+        counts, grid = CountVector([3, 6]), GridSpec(32000)
+        objective = lattice_entropy_objective(counts, CFG, grid)
+        tracemalloc.start()
+        t0 = time.perf_counter()
+        try:
+            iv = grid_extrema(objective, counts, CFG, grid, on_lattice=True)
+            elapsed = time.perf_counter() - t0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # An (R+1)^2 array would be 8 GB; a few table-sized arrays are ~1 MB.
+        assert peak < 4 * 8 * (grid.resolution + 1)
+        assert elapsed < 0.5
+        first, second = objective.tables
+        vals = first[::-1] + second
+        assert (iv.lower, iv.upper) == (vals.min(), vals.max())
+
+    def test_mismatched_tables_are_rejected(self):
+        counts = CountVector([1, 2, 3])
+        objective = lattice_entropy_objective(counts, CFG, GridSpec(20))
+        with pytest.raises(ValueError):
+            grid_extrema(objective, counts, CFG, GridSpec(30), on_lattice=True)
+
+
+class TestMiObjective:
+    @staticmethod
+    def _naive(tbl, cfg, grid, rows):
+        d1, d2 = tbl.shape
+        denom = tbl.total + cfg.s
+        kernel = EntropyKernel(denom)
+        steps = np.arange(grid.resolution + 1) / grid.resolution
+
+        def table(c):
+            return h((c + cfg.s * steps) / denom, kernel)
+
+        cells = rows.reshape(rows.shape[0], d1, d2).astype(np.int64)
+        row_ints, col_ints = cells.sum(axis=2), cells.sum(axis=1)
+        vals = table(tbl.row_sums[0])[row_ints[:, 0]]
+        for i in range(1, d1):
+            vals += table(tbl.row_sums[i])[row_ints[:, i]]
+        for j in range(d2):
+            vals += table(tbl.col_sums[j])[col_ints[:, j]]
+        for c, count in enumerate(tbl.table.ravel()):
+            vals -= table(count)[rows[:, c]]
+        return vals
+
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    def test_matches_naive_marginal_sums(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        grid = GridSpec(12)
+        for table in (
+            rng.integers(0, 9, size=shape).astype(float),
+            np.round(rng.uniform(0, 9, size=shape), 2),
+        ):
+            tbl = ContingencyCounts(table)
+            rows = compositions(grid.resolution, tbl.cells)
+            got = lattice_mi_objective(tbl, CFG, grid)(rows)
+            assert np.array_equal(got, self._naive(tbl, CFG, grid, rows))
 
 
 class TestProductGrid:

@@ -1,10 +1,19 @@
-"""Property tests of the MI bounds on random tables (hypothesis)."""
+"""Property tests of the entropy and MI bounds on random inputs (hypothesis)."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idmbounds import ContingencyCounts, IdmConfig, mi_interval_bounds
+from idmbounds import (
+    ContingencyCounts,
+    CountVector,
+    EntropyKernel,
+    IdmConfig,
+    concave_remainder_bounds,
+    entropy_interval_exact,
+    entropy_summand,
+    mi_interval_bounds,
+)
 
 TOL = 1e-12
 
@@ -24,6 +33,22 @@ def tables(draw):
 strengths = st.sampled_from([0.5, 1.0, 2.0, 10.0])
 
 
+@st.composite
+def count_vectors(draw):
+    d = draw(st.integers(1, 11))
+    count = st.one_of(
+        st.integers(0, 60).map(float),
+        st.floats(0.0, 60.0, allow_nan=False).map(lambda x: round(x, 2)),
+    )
+    return np.array(draw(st.lists(count, min_size=d, max_size=d)))
+
+
+def _entropy_intervals(counts, s):
+    cv, cfg = CountVector(counts), IdmConfig(s)
+    est = concave_remainder_bounds(cv, cfg, entropy_summand(EntropyKernel(cv.total + cfg.s)))
+    return entropy_interval_exact(cv, cfg), est.conservative_interval(), est.inner_interval()
+
+
 def _conservative(table, s):
     return mi_interval_bounds(ContingencyCounts(table), IdmConfig(s)).conservative_interval()
 
@@ -31,6 +56,31 @@ def _conservative(table, s):
 def _assert_same_interval(a, b):
     assert abs(a.lower - b.lower) <= TOL
     assert abs(a.upper - b.upper) <= TOL
+
+
+@settings(max_examples=150, deadline=None)
+@given(count_vectors(), strengths)
+def test_entropy_exact_within_conservative(counts, s):
+    exact, cons, _ = _entropy_intervals(counts, s)
+    assert cons.contains_interval(exact, TOL)
+
+
+@settings(max_examples=150, deadline=None)
+@given(count_vectors(), strengths)
+def test_entropy_inner_within_exact(counts, s):
+    exact, _, inner = _entropy_intervals(counts, s)
+    assert exact.contains_interval(inner, TOL)
+
+
+@settings(max_examples=100, deadline=None)
+@given(count_vectors(), strengths, st.randoms(use_true_random=False))
+def test_entropy_permutation_invariance(counts, s, rnd):
+    order = list(range(counts.size))
+    rnd.shuffle(order)
+    exact, cons, _ = _entropy_intervals(counts, s)
+    exact_p, cons_p, _ = _entropy_intervals(counts[order], s)
+    _assert_same_interval(exact, exact_p)
+    _assert_same_interval(cons, cons_p)
 
 
 @settings(max_examples=150, deadline=None)
