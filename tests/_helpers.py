@@ -5,6 +5,7 @@ special functions, plain numpy formulas, and exact Fraction arithmetic act
 as the second route that the package's closed forms are checked against.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,43 @@ def harmonic_exact(k: int) -> Fraction:
 def inverse_squares_exact(k: int) -> Fraction:
     """Exact partial sum of 1/i^2."""
     return sum((Fraction(1, i * i) for i in range(1, k + 1)), Fraction(0))
+
+
+def _adaptive_simpson(f, a, b, tol, fa, fm, fb, whole, depth):
+    m = 0.5 * (a + b)
+    lm = 0.5 * (a + m)
+    rm = 0.5 * (m + b)
+    flm = f(lm)
+    frm = f(rm)
+    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+    if depth <= 0 or abs(left + right - whole) <= 15.0 * tol:
+        return left + right + (left + right - whole) / 15.0
+    return _adaptive_simpson(f, a, m, tol / 2.0, fa, flm, fm, left, depth - 1) + _adaptive_simpson(
+        f, m, b, tol / 2.0, fm, frm, fb, right, depth - 1
+    )
+
+
+def adaptive_simpson(f, a: float, b: float, tol: float = 1e-11) -> float:
+    """Adaptive Simpson quadrature of ``f`` on ``[a, b]``."""
+    if b < a:
+        raise ValueError("integration bounds out of order")
+    fa, fb = f(a), f(b)
+    m = 0.5 * (a + b)
+    fm = f(m)
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    return _adaptive_simpson(f, a, b, tol, fa, fm, fb, whole, depth=48)
+
+
+def erf_by_quadrature(y: float) -> float:
+    """Error function by adaptive Simpson integration of exp(-t^2), to ~1e-13."""
+    if y == 0.0:
+        return 0.0
+    if y < 0.0:
+        return -erf_by_quadrature(-y)
+    if y >= 6.0:
+        return 1.0
+    return 2.0 / math.sqrt(math.pi) * adaptive_simpson(lambda t: math.exp(-t * t), 0.0, y, 1e-13)
 
 
 def h_scipy(u, total):

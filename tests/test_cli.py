@@ -50,6 +50,12 @@ class TestEntropyCommand:
         assert exact["lower"] == 0.0
         assert exact["upper"] == 0.0
 
+    def test_huge_count(self, capsys):
+        code, result = run_json(capsys, "entropy", "--inline", "1000000000000,1", "--s", "1")
+        assert code == 0
+        exact = result["intervals"]["exact"]
+        assert 0.0 < exact["lower"] < exact["upper"] < 1e-10
+
     def test_mode_exact_omits_conservative(self, capsys):
         _, result = run_json(capsys, "entropy", "--inline", "3,6", "--mode", "exact")
         assert "conservative" not in result["intervals"]

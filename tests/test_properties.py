@@ -1,5 +1,8 @@
-"""Property tests of the entropy and MI bounds on random inputs (hypothesis)."""
+"""Property tests of the special functions and the entropy and MI bounds (hypothesis)."""
 
+import math
+
+import mpmath
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,9 +13,11 @@ from idmbounds import (
     EntropyKernel,
     IdmConfig,
     concave_remainder_bounds,
+    digamma,
     entropy_interval_exact,
     entropy_summand,
     mi_interval_bounds,
+    trigamma,
 )
 
 TOL = 1e-12
@@ -107,3 +112,19 @@ def test_row_and_column_permutation_invariance(table, s, rnd):
     rnd.shuffle(rows)
     rnd.shuffle(cols)
     _assert_same_interval(_conservative(table, s), _conservative(table[rows][:, cols], s))
+
+
+special_fn_args = st.one_of(
+    st.floats(math.log(1e-8), math.log(1e15)).map(math.exp),
+    st.integers(1, 10**7).map(float),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(special_fn_args)
+def test_digamma_trigamma_against_mpmath(x):
+    for got, expected in (
+        (digamma(x), mpmath.digamma(mpmath.mpf(x))),
+        (trigamma(x), mpmath.polygamma(1, mpmath.mpf(x))),
+    ):
+        assert abs(got - float(expected)) <= 2e-15 * max(1.0, abs(float(expected)))

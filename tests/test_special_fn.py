@@ -8,20 +8,30 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import idmbounds.special_fn as special_fn
 from idmbounds import (
     EULER_GAMMA,
     EntropyKernel,
     digamma,
-    digamma_asymptotic,
-    erf_by_quadrature,
     h,
     h_fraction,
     h_prime,
-    harmonic_fraction,
     kappa_from_alpha,
     trigamma,
 )
-from _helpers import harmonic_exact, inverse_squares_exact
+from _helpers import erf_by_quadrature, harmonic_exact, inverse_squares_exact
+
+
+def _mp_digamma(x):
+    return float(mpmath.digamma(mpmath.mpf(x)))
+
+
+def _mp_trigamma(x):
+    return float(mpmath.polygamma(1, mpmath.mpf(x)))
+
+
+def _assert_close_to(got, expected, tol=2e-15):
+    assert abs(got - expected) <= tol * max(1.0, abs(expected))
 
 
 class TestDigamma:
@@ -48,14 +58,32 @@ class TestDigamma:
         xs = np.concatenate(
             [rng.uniform(0.01, 2.0, 40), rng.uniform(2.0, 60.0, 40), rng.uniform(60, 500, 20)]
         )
-        xs += 0.123456e-3  # keep away from the integer snap window
+        xs += 0.123456e-3
         got = digamma(xs)
         expected = np.array([float(mpmath.digamma(x)) for x in xs])
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
     def test_near_integer_snap(self):
-        # Float round-trips like 0.3 * 10 land within 1e-9 of the integer.
+        # Float round-trips like 0.3 * 10 land an ulp away from the integer.
         assert digamma(10 * 0.3 + 1.0) == pytest.approx(digamma(4.0), abs=1e-15)
+
+    @pytest.mark.parametrize("x", [1.0 + 5e-10, 1.0 - 9e-10, 4.0 + 1e-9, 7.0 - 3e-10])
+    def test_near_integer_against_mpmath(self, x):
+        _assert_close_to(digamma(x), _mp_digamma(x))
+
+    @pytest.mark.parametrize("x", [1e-300, 1e-10, 1e12, 1e15, 1e300])
+    def test_extreme_argument_against_mpmath(self, x):
+        _assert_close_to(digamma(x), _mp_digamma(x))
+
+    def test_recurrence_reconstruction_of_psi_one(self):
+        # psi(1) = psi(6) - sum_{x=1..5} 1/x, both sides from the package.
+        reconstructed = digamma(6.0) - sum(1.0 / x for x in range(1, 6))
+        assert reconstructed == pytest.approx(-EULER_GAMMA, abs=1e-15)
+        assert digamma(1.0 + 1e-7) == pytest.approx(-EULER_GAMMA, abs=1e-6)
+
+    def test_leading_term_dominates(self):
+        for z in (1e4, 1e6, 1e8):
+            assert abs(digamma(z + 1.0) - math.log(z)) <= 1.0 / z
 
     def test_rejects_poles(self):
         with pytest.raises(ValueError):
@@ -69,6 +97,24 @@ class TestDigamma:
         out = digamma(np.array([[1.0, 2.0], [3.0, 4.5]]))
         assert out.shape == (2, 2)
         assert out[0, 0] == pytest.approx(-EULER_GAMMA, abs=1e-15)
+
+
+@pytest.mark.parametrize("fn", [digamma, trigamma])
+def test_elementwise_independence(fn):
+    # Each array element equals the scalar call bit for bit, whatever its
+    # neighbours; h(1) = 0 exactly relies on it.
+    xs = np.random.default_rng(11).uniform(0.01, 60.0, 2000)
+    got = fn(xs)
+    assert all(got[i] == fn(float(x)) for i, x in enumerate(xs))
+
+
+@pytest.mark.parametrize("fn", [digamma, trigamma])
+def test_shift_grid_blocks(fn, monkeypatch):
+    # Arrays longer than one row block give the same values as one block.
+    xs = np.random.default_rng(12).uniform(1e-3, 12.0, 500)
+    whole = fn(xs)
+    monkeypatch.setattr(special_fn, "_BLOCK_ROWS", 7)
+    np.testing.assert_array_equal(fn(xs), whole)
 
 
 class TestTrigamma:
@@ -100,23 +146,13 @@ class TestTrigamma:
         with pytest.raises(ValueError):
             trigamma(0.0)
 
+    @pytest.mark.parametrize("x", [1.0 + 5e-10, 1.0 - 9e-10, 5.0 + 2e-10])
+    def test_near_integer_against_mpmath(self, x):
+        _assert_close_to(trigamma(x), _mp_trigamma(x))
 
-class TestDigammaAsymptotic:
-    def test_matches_closed_form_at_ten(self):
-        assert digamma_asymptotic(10.0) == pytest.approx(digamma(11.0), abs=1e-5)
-
-    def test_leading_term_dominates(self):
-        for z in (1e4, 1e6, 1e8):
-            assert abs(digamma_asymptotic(z) - math.log(z)) <= 1.0 / z
-
-    def test_recurrence_reconstruction_of_psi_one(self):
-        # psi(1) = psi(6) - sum_{x=1..5} 1/x, with psi(6) from the series at
-        # z = 5.  The three-term tail is only O(z^-4) there, so the honest
-        # bound is ~1.4e-5; the production digamma (extra term, deeper
-        # shift) is far tighter.
-        reconstructed = digamma_asymptotic(5.0) - sum(1.0 / x for x in range(1, 6))
-        assert reconstructed == pytest.approx(-EULER_GAMMA, abs=2e-5)
-        assert digamma(1.0 + 1e-7) == pytest.approx(-EULER_GAMMA, abs=1e-6)
+    @pytest.mark.parametrize("x", [1e-5, 1e12, 1e15])
+    def test_extreme_argument_against_mpmath(self, x):
+        _assert_close_to(trigamma(x), _mp_trigamma(x))
 
 
 class TestEntropySummand:
@@ -169,16 +205,18 @@ class TestEntropySummand:
             second = h(u + eps, k) - 2 * h(u, k) + h(u - eps, k)
             assert second < 0
 
+    def test_kernel_caches_psi_of_total(self):
+        k = EntropyKernel(12.5)
+        assert k.psi_total == digamma(13.5)
+        assert h(1.0, k) == 0.0
+        assert h(np.array([0.2, 1.0]), k)[1] == 0.0
+
     def test_large_sample_limit_is_plugin_entropy(self):
         for total in (1e3, 1e4):
             k = EntropyKernel(total)
             u = np.linspace(0.1, 0.9, 17)
             gap = np.abs(h(u, k) + u * np.log(u))
             assert np.all(gap <= 1.0 / total)
-
-    def test_harmonic_fraction_matches_oracle(self):
-        for k in (0, 1, 5, 20):
-            assert harmonic_fraction(k) == harmonic_exact(k)
 
 
 class TestKappa:
@@ -205,6 +243,12 @@ class TestKappa:
         for bad in (0.0, 1.0, -0.5, 1.5):
             with pytest.raises(ValueError):
                 kappa_from_alpha(bad)
+
+    def test_inverts_quadrature_erf(self):
+        # Oracle: the package's kappa pushed back through an independent erf.
+        for alpha in np.linspace(0.05, 0.999, 20):
+            kappa = kappa_from_alpha(float(alpha))
+            assert erf_by_quadrature(kappa / math.sqrt(2.0)) == pytest.approx(alpha, abs=1e-12)
 
     def test_erf_against_stdlib(self):
         for y in np.linspace(0.0, 5.5, 23):
