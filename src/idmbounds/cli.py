@@ -149,7 +149,10 @@ def parse_counts(text: str) -> CountVector:
         values = _parse_reals(text.replace("\r\n", "\n").strip().split(","), "counts")
     if any(v < 0 for v in values):
         raise CliError("NEGATIVE_COUNTS", "counts must be non-negative")
-    return CountVector(values)
+    try:
+        return CountVector(values)
+    except ValueError as exc:
+        raise CliError("PARSE_FAILURE", str(exc)) from exc
 
 
 def parse_table(text: str) -> ContingencyCounts:
@@ -169,12 +172,17 @@ def parse_table(text: str) -> ContingencyCounts:
     else:
         lines = [ln for ln in text.replace("\r\n", "\n").split("\n") if ln.strip()]
         rows = [_parse_reals(ln.split(","), "table row") for ln in lines]
+    if not all(rows):
+        raise CliError("PARSE_FAILURE", "table rows must be non-empty")
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise CliError("RAGGED_TABLE", f"rows have differing lengths {sorted(widths)}")
     if any(v < 0 for row in rows for v in row):
         raise CliError("NEGATIVE_COUNTS", "table entries must be non-negative")
-    return ContingencyCounts(rows)
+    try:
+        return ContingencyCounts(rows)
+    except ValueError as exc:
+        raise CliError("PARSE_FAILURE", str(exc)) from exc
 
 
 def _config(args) -> IdmConfig:
@@ -182,6 +190,12 @@ def _config(args) -> IdmConfig:
         return IdmConfig(args.s)
     except ValueError as exc:
         raise CliError("BAD_STRENGTH", str(exc)) from exc
+
+
+def _check_total(total: float, cfg: IdmConfig) -> None:
+    """Refuse an ``s`` whose posterior weight ``n + s`` overflows."""
+    if not math.isfinite(total + cfg.s):
+        raise CliError("BAD_STRENGTH", f"n + s overflows (n = {total:g}, s = {cfg.s:g})")
 
 
 def _grid_spec(args, minimum: int = 1) -> Optional[GridSpec]:
@@ -207,6 +221,7 @@ def _base_result(command: str, args, inputs: dict) -> dict:
 def run_entropy(args) -> dict:
     counts = parse_counts(_read_input(args))
     cfg = _config(args)
+    _check_total(counts.total, cfg)
     grid = _grid_spec(args)
     result = _base_result("entropy", args, {"counts": counts.counts.tolist(), "mode": args.mode})
     intervals: dict = {}
@@ -258,6 +273,7 @@ def run_entropy(args) -> dict:
 def run_mutinfo(args) -> dict:
     tbl = parse_table(_read_input(args))
     cfg = _config(args)
+    _check_total(tbl.total, cfg)
     # The outer-product check needs at least two steps per factor simplex.
     grid = _grid_spec(args, minimum=2)
     result = _base_result("mutinfo", args, {"table": tbl.table.tolist(), "mode": args.mode})
@@ -305,6 +321,7 @@ def run_mutinfo(args) -> dict:
 def run_credible(args) -> dict:
     tbl = parse_table(_read_input(args))
     cfg = _config(args)
+    _check_total(tbl.total, cfg)
     if args.alpha is None:
         raise CliError("ALPHA_REQUIRED", "the credible command requires --alpha")
     if not 0.0 < args.alpha < 1.0:
@@ -380,6 +397,7 @@ def _sweep_rows(args, cfg: IdmConfig) -> tuple[list[list[float]], dict]:
     rows = []
     for x, raw in axis:
         counts = CountVector(raw)
+        _check_total(counts.total, cfg)
         exact_iv = entropy_interval_exact(counts, cfg)
         kernel = EntropyKernel(counts.total + cfg.s)
         est = concave_remainder_bounds(counts, cfg, entropy_summand(kernel))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .mutual_info import ContingencyCounts, mi_estimate, mi_variance_leading
 from .simplex_core import IdmConfig, Interval, SimplexPoint
@@ -35,17 +35,6 @@ class CredibleSpec:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie strictly between 0 and 1")
         object.__setattr__(self, "kappa", kappa_from_alpha(self.alpha))
-
-
-@dataclass(frozen=True)
-class TriangularFamily:
-    """Unit triangular densities translated over ``t in [-gamma, gamma]``."""
-
-    gamma: float
-
-    def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError("gamma must be positive")
 
 
 def _triangle_cdf_centered(z: float) -> float:
@@ -125,7 +114,8 @@ def one_sided_robust_bound(per_t_lower: Callable, t_grid: Sequence[float]) -> fl
     For one-sided intervals the minimal robust set *is* the union of the
     per-member minimal sets, so the robust endpoint is the pointwise
     minimum of the per-member endpoints over the grid.  Refining the grid
-    can only lower (never raise) the result, keeping it conservative.
+    can only lower (never raise) the result, keeping it conservative.  It
+    backs the README's one-sided reduction claim.
     """
     grid = list(t_grid)
     if not grid:
@@ -142,21 +132,15 @@ def credible_mi_interval(est: RobustEstimate, variance: float, spec: CredibleSpe
     return Interval(est.f0 + est.r_lb - spread, est.f0 + est.r_ub + spread)
 
 
-def robust_credible_mi(
-    tbl: ContingencyCounts,
-    cfg: IdmConfig,
-    spec: CredibleSpec,
-    t_star: Optional[SimplexPoint] = None,
-) -> Interval:
+def robust_credible_mi(tbl: ContingencyCounts, cfg: IdmConfig, spec: CredibleSpec) -> Interval:
     """Gaussian-approximation robust credible interval for the expected MI.
 
     Upper endpoint ``i0 + r_ub + kappa * sqrt(Var)`` and mirrored lower
-    endpoint, with the variance evaluated at a single ``t_star`` (default:
-    the uniform cell hyperparameter; the variance varies with ``t`` only at
+    endpoint, with the variance evaluated at the uniform cell
+    hyperparameter, as the CLI does (the variance varies with ``t`` only at
     higher order).  Not strictly conservative: both the Gaussian shape and
     the leading-order variance ignore higher-order terms.
     """
-    if t_star is None:
-        t_star = SimplexPoint.uniform(tbl.cells)
     est = mi_estimate(tbl, cfg)
-    return credible_mi_interval(est, mi_variance_leading(tbl, cfg, t_star), spec)
+    variance = mi_variance_leading(tbl, cfg, SimplexPoint.uniform(tbl.cells))
+    return credible_mi_interval(est, variance, spec)

@@ -10,7 +10,7 @@ extrema are closed-form; the expected entropy is the flagship instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -62,6 +62,13 @@ class ConcaveSummand:
         )
 
 
+class _EntropySummand(ConcaveSummand):
+    """``h`` is concave by theorem, so its curvature is not spot-checked."""
+
+    def __post_init__(self):
+        pass
+
+
 @dataclass(frozen=True, eq=False)
 class ExtremumResult:
     """An extremum value together with a canonical witness.
@@ -80,8 +87,12 @@ class ExtremumResult:
 
 
 def entropy_summand(kernel: EntropyKernel) -> ConcaveSummand:
-    """The expected-entropy summand ``h`` as a :class:`ConcaveSummand`."""
-    return ConcaveSummand(
+    """The expected-entropy summand ``h`` as a :class:`ConcaveSummand`.
+
+    Built without the curvature spot-check: ``h`` is concave for every
+    ``kernel.total > 0``.
+    """
+    return _EntropySummand(
         fn=lambda u: h(u, kernel),
         deriv=lambda u: h_prime(u, kernel),
         curvature="concave",
@@ -97,13 +108,7 @@ def min_concave_sum(counts: CountVector, cfg: IdmConfig, f: ConcaveSummand) -> E
     """
     if f.curvature == "convex":
         res = max_concave_sum(counts, cfg, f.negated())
-        return ExtremumResult(
-            value=-res.value,
-            u_star=res.u_star,
-            t_star=res.t_star,
-            vertex_index=res.vertex_index,
-            m_star=res.m_star,
-        )
+        return replace(res, value=-res.value)
     i_star = int(np.argmax(counts.counts))
     t_star = SimplexPoint.vertex(counts.dim, i_star)
     u_star = u_from_t(counts, cfg, t_star)
@@ -123,17 +128,9 @@ def max_concave_sum(counts: CountVector, cfg: IdmConfig, f: ConcaveSummand) -> E
     """
     if f.curvature == "convex":
         res = min_concave_sum(counts, cfg, f.negated())
-        return ExtremumResult(
-            value=-res.value,
-            u_star=res.u_star,
-            t_star=res.t_star,
-            vertex_index=res.vertex_index,
-            m_star=res.m_star,
-        )
+        return replace(res, value=-res.value)
     d = counts.dim
     denom = counts.total + cfg.s
-    if denom <= 0:
-        raise ValueError("n + s must be positive")
     order = np.argsort(counts.counts, kind="stable")
     prefix = np.cumsum(counts.counts[order])
     candidates = (cfg.s + prefix) / (np.arange(1, d + 1) * denom)
@@ -145,9 +142,9 @@ def max_concave_sum(counts: CountVector, cfg: IdmConfig, f: ConcaveSummand) -> E
     # t* = (u* (n+s) - n) / s loses digits when s << n: clip and renormalise
     # so the witness is on the simplex by construction.
     t = np.maximum(u_vec * denom - counts.counts, 0.0)
-    if cfg.s == 0 or not t.any():
-        # Degenerate limit, or s too small to move u in floating point:
-        # u == u0 for every t; any witness is valid.
+    if not t.any():
+        # s too small to move u in floating point: u == u0 for every t; any
+        # witness is valid.
         t_star = SimplexPoint.vertex(d, int(order[0]))
     else:
         t_star = SimplexPoint(t / t.sum())
@@ -165,12 +162,13 @@ def entropy_interval_exact(counts: CountVector, cfg: IdmConfig) -> Interval:
     f = entropy_summand(kernel)
     lower = min_concave_sum(counts, cfg, f).value
     upper = max_concave_sum(counts, cfg, f).value
-    return Interval(lower, upper)
+    # The minimiser is feasible too, so the maximum is at least its value;
+    # with huge counts and a tiny s, rounding alone can cross the two.
+    return Interval(lower, max(lower, upper))
 
 
 def _integral(x: float) -> Optional[int]:
-    r = round(x)
-    return r if abs(x - r) <= 1e-9 else None
+    return int(x) if x.is_integer() else None
 
 
 def entropy_interval_rational(
@@ -178,13 +176,13 @@ def entropy_interval_rational(
 ) -> Optional[tuple[Fraction, Fraction]]:
     """Exact rational endpoints of the entropy interval, when they exist.
 
-    Requires integral counts and ``s`` with ``n + s`` at most
+    Requires exactly integral counts and ``s`` with ``n + s`` at most
     :data:`RATIONAL_TOTAL_LIMIT`, and an upper extremum whose leveled
     coordinates stay on the ``1/(n+s)`` grid.  Returns ``None`` whenever
     any of that fails; the float interval is always available instead.
     """
     s = _integral(cfg.s)
-    if s is None or s < 0:
+    if s is None:
         return None
     ints = [_integral(c) for c in counts.counts]
     if any(c is None for c in ints):

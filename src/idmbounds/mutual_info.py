@@ -20,14 +20,14 @@ import numpy as np
 
 from .exact_extrema import entropy_interval_exact, entropy_summand
 from .oracle import GridSpec, product_grid_extrema
-from .simplex_core import CountVector, IdmConfig, Interval, SimplexPoint
+from .simplex_core import CountVector, IdmConfig, Interval, SimplexPoint, _finite_total
 from .special_fn import EntropyKernel, h
 from .taylor_bounds import RobustEstimate, concave_remainder_bounds, lift, negate, propagate_sum
 
 
 @dataclass(frozen=True, eq=False)
 class ContingencyCounts:
-    """Joint category counts ``n_ij`` with cached marginals."""
+    """Joint category counts ``n_ij`` with cached marginals; the total must be finite."""
 
     table: np.ndarray
 
@@ -39,6 +39,7 @@ class ContingencyCounts:
             raise ValueError("table entries must be finite")
         if np.any(arr < 0):
             raise ValueError("table entries must be non-negative")
+        total = _finite_total(arr)
         arr.flags.writeable = False
         row_sums = arr.sum(axis=1)
         col_sums = arr.sum(axis=0)
@@ -47,7 +48,7 @@ class ContingencyCounts:
         object.__setattr__(self, "table", arr)
         object.__setattr__(self, "row_sums", row_sums)
         object.__setattr__(self, "col_sums", col_sums)
-        object.__setattr__(self, "total", float(arr.sum()))
+        object.__setattr__(self, "total", total)
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -28,6 +28,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 _CHUNK_ROWS = 1 << 21
 
+#: Largest lattice, in points, that the grid oracles enumerate.
+MAX_GRID_POINTS = 20_000_000
+
 
 class GridOverflowError(ValueError):
     """The requested lattice exceeds the enumeration safety cap."""
@@ -35,18 +38,15 @@ class GridOverflowError(ValueError):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Lattice denominator and a safety cap on enumerated points."""
+    """Lattice denominator, from 1 to 32000."""
 
     resolution: int
-    max_points: int = 20_000_000
 
     def __post_init__(self):
         if self.resolution < 1:
             raise ValueError("resolution must be >= 1")
         if self.resolution > 32000:
             raise ValueError("resolution above 32000 is not supported")
-        if self.max_points < 1:
-            raise ValueError("max_points must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -132,13 +132,13 @@ def grid_extrema(
     objective that carries its per-coordinate ``tables`` is reduced over
     every composition without enumerating them, to the same bits.
 
-    Deterministic; refuses lattices larger than ``grid.max_points``.
+    Deterministic; refuses lattices larger than :data:`MAX_GRID_POINTS`.
     """
     d = counts.dim
     npoints = composition_count(grid.resolution, d)
-    if npoints > grid.max_points:
+    if npoints > MAX_GRID_POINTS:
         raise GridOverflowError(
-            f"lattice has {npoints} points, above the cap of {grid.max_points}"
+            f"lattice has {npoints} points, above the cap of {MAX_GRID_POINTS}"
         )
     tables = getattr(objective, "tables", None) if on_lattice else None
     if tables is not None:
@@ -202,6 +202,15 @@ def _separable_extrema(tables, resolution: int, dim: int) -> Interval:
     return Interval(float((lo[::-1] + last).min()), float((hi[::-1] + last).max()))
 
 
+def _summand_tables(counts, total: float, cfg: IdmConfig, grid: GridSpec) -> list:
+    """Per-count tables of ``h`` at the ``resolution + 1`` lattice steps of
+    ``t``, all on the kernel ``total + s``."""
+    denom = total + cfg.s
+    kernel = EntropyKernel(denom)
+    steps = np.arange(grid.resolution + 1) / grid.resolution
+    return [np.ascontiguousarray(h((c + cfg.s * steps) / denom, kernel)) for c in counts]
+
+
 def lattice_entropy_objective(
     counts: CountVector, cfg: IdmConfig, grid: GridSpec
 ) -> Callable:
@@ -213,12 +222,7 @@ def lattice_entropy_objective(
     The tables ride on the callable as ``objective.tables``, so
     :func:`grid_extrema` reduces them without enumerating the lattice.
     """
-    denom = counts.total + cfg.s
-    kernel = EntropyKernel(denom)
-    steps = np.arange(grid.resolution + 1) / grid.resolution
-    tables = [
-        np.ascontiguousarray(h((c + cfg.s * steps) / denom, kernel)) for c in counts.counts
-    ]
+    tables = _summand_tables(counts.counts, counts.total, cfg, grid)
 
     def objective(rows: np.ndarray) -> np.ndarray:
         vals = tables[0].take(rows[:, 0].astype(np.intp))
@@ -240,19 +244,9 @@ def lattice_mi_objective(
     tables.  Use with ``on_lattice=True`` on the flattened joint counts.
     """
     d1, d2 = tbl.shape
-    denom = tbl.total + cfg.s
-    kernel = EntropyKernel(denom)
-    steps = np.arange(grid.resolution + 1) / grid.resolution
-    cell_tables = [
-        np.ascontiguousarray(h((c + cfg.s * steps) / denom, kernel))
-        for c in tbl.table.ravel()
-    ]
-    row_tables = [
-        np.ascontiguousarray(h((c + cfg.s * steps) / denom, kernel)) for c in tbl.row_sums
-    ]
-    col_tables = [
-        np.ascontiguousarray(h((c + cfg.s * steps) / denom, kernel)) for c in tbl.col_sums
-    ]
+    cell_tables = _summand_tables(tbl.table.ravel(), tbl.total, cfg, grid)
+    row_tables = _summand_tables(tbl.row_sums, tbl.total, cfg, grid)
+    col_tables = _summand_tables(tbl.col_sums, tbl.total, cfg, grid)
 
     def marginal(cols: np.ndarray, cells: range) -> np.ndarray:
         total = cols[cells[0]].copy()
@@ -292,9 +286,9 @@ def product_grid_extrema(
     d1, d2 = tbl.shape
     n1 = composition_count(grid.resolution, d1)
     n2 = composition_count(grid.resolution, d2)
-    if n1 > grid.max_points or n2 > grid.max_points or n1 * n2 > grid.max_points:
+    if n1 * n2 > MAX_GRID_POINTS:
         raise GridOverflowError(
-            f"product lattice has {n1} x {n2} points, above the cap of {grid.max_points}"
+            f"product lattice has {n1} x {n2} points, above the cap of {MAX_GRID_POINTS}"
         )
     v = compositions(grid.resolution, d1).astype(float) / grid.resolution
     w = compositions(grid.resolution, d2).astype(float) / grid.resolution

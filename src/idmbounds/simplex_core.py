@@ -24,6 +24,15 @@ import numpy as np
 SIMPLEX_TOL = 1e-9
 
 
+def _finite_total(arr: np.ndarray) -> float:
+    """The sum of ``arr``; raises, without an overflow warning, if it is not finite."""
+    with np.errstate(over="ignore"):
+        total = float(arr.sum())
+    if not np.isfinite(total):
+        raise ValueError("the total of the counts must be finite")
+    return total
+
+
 def _readonly_1d(values, name: str) -> np.ndarray:
     arr = np.array(values, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
@@ -39,8 +48,8 @@ class CountVector:
     """Observed category counts ``n_i``.
 
     Counts are non-negative reals; fractional values are legal (sweeps over
-    continuously scaled samples use them).  The dimension is implied by the
-    length.
+    continuously scaled samples use them).  Their total must be finite.  The
+    dimension is implied by the length.
     """
 
     counts: np.ndarray
@@ -49,6 +58,7 @@ class CountVector:
         arr = _readonly_1d(self.counts, "counts")
         if np.any(arr < 0):
             raise ValueError("counts must be non-negative")
+        _finite_total(arr)
         object.__setattr__(self, "counts", arr)
 
     @property
@@ -63,23 +73,15 @@ class CountVector:
 
 @dataclass(frozen=True)
 class IdmConfig:
-    """Prior strength ``s`` (total virtual-observation count).
-
-    ``s`` must be strictly positive.  ``allow_zero=True`` admits ``s == 0``
-    for limit-taking tests only; production callers should not set it.
-    """
+    """Prior strength ``s`` (total virtual-observation count), finite and ``> 0``."""
 
     s: float
-    allow_zero: bool = False
 
     def __post_init__(self):
         s = float(self.s)
         if not np.isfinite(s):
             raise ValueError("s must be finite")
-        if self.allow_zero:
-            if s < 0:
-                raise ValueError("s must be non-negative")
-        elif s <= 0:
+        if s <= 0:
             raise ValueError("s must be strictly positive")
         object.__setattr__(self, "s", s)
 
@@ -147,6 +149,9 @@ class PosteriorMean:
     Valid points satisfy ``u_i >= u0_i`` and ``sum(u) == 1`` within
     tolerance (the sum-relaxed extension used for remainder bounds admits
     ``sum(u) <= 1`` and is never materialized as a type).
+
+    The type of the ``u_star`` witness of the exact extrema, which demo
+    ``01`` prints; :func:`u_from_t` builds it.
     """
 
     u: np.ndarray
@@ -203,10 +208,7 @@ class Interval:
 
 def sigma_of(counts: CountVector, cfg: IdmConfig) -> float:
     """The expansion parameter ``sigma = s / (n + s) = 1 - sum(u0)``."""
-    denom = counts.total + cfg.s
-    if denom <= 0:
-        raise ValueError("n + s must be positive")
-    return cfg.s / denom
+    return cfg.s / (counts.total + cfg.s)
 
 
 def u_from_t(counts: CountVector, cfg: IdmConfig, t: SimplexPoint) -> PosteriorMean:
@@ -219,8 +221,6 @@ def u_from_t(counts: CountVector, cfg: IdmConfig, t: SimplexPoint) -> PosteriorM
     if t.dim != counts.dim:
         raise ValueError(f"dimension mismatch: counts has {counts.dim}, t has {t.dim}")
     denom = counts.total + cfg.s
-    if denom <= 0:
-        raise ValueError("n + s must be positive")
     u = (counts.counts + cfg.s * t.t) / denom
     u0 = counts.counts / denom
     return PosteriorMean(u=u, u0=u0, sigma=cfg.s / denom)

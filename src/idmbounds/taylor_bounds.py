@@ -36,16 +36,18 @@ class DerivativeBoundProvider:
     ``fn(u)`` evaluates ``F`` at a posterior-mean vector; ``upper_i(i)`` and
     ``lower_i(i)`` return max/min of ``∂_i F`` over the sum-relaxed region
     (the caller may legally enlarge it to the bounding box
-    ``u0_i <= u_i <= u0_i + sigma``; set ``box_enlarged`` so results record
-    the choice).  ``nonneg`` certifies ``F >= 0`` with ``∂_i F >= 0``
-    everywhere, the admission ticket for product propagation.
+    ``u0_i <= u_i <= u0_i + sigma``).  ``nonneg`` certifies ``F >= 0`` with
+    ``∂_i F >= 0`` everywhere, the admission ticket for product propagation.
+
+    The input of :func:`approx_interval_general`, which backs the README's
+    claim that the remainder bounds cover general Lipschitz-differentiable
+    estimators, not only sums of concave summands.
     """
 
     fn: Callable
     upper_i: Callable
     lower_i: Callable
     nonneg: bool = False
-    box_enlarged: bool = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,7 +74,6 @@ class RobustEstimate:
     vertex_values: np.ndarray
     sigma: float
     nonneg: bool = False
-    box_enlarged: bool = False
 
     @property
     def dim(self) -> int:
@@ -82,7 +83,9 @@ class RobustEstimate:
         return Interval(self.f0 + self.r_lb, self.f0 + self.r_ub)
 
     def inner_interval(self) -> Interval:
-        return Interval(self.inner_lower, self.inner_upper)
+        # Both ends are values at feasible points, so their hull lies inside
+        # the robust interval in whichever order rounding leaves them.
+        return Interval(*sorted((self.inner_lower, self.inner_upper)))
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -98,7 +101,6 @@ def _assemble(
     vertex_values: np.ndarray,
     sigma: float,
     nonneg: bool,
-    box_enlarged: bool,
 ) -> RobustEstimate:
     i1 = int(np.argmax(r_ub_per_i))
     i2 = int(np.argmin(r_lb_per_i))
@@ -115,7 +117,6 @@ def _assemble(
         vertex_values=_readonly(vertex_values),
         sigma=float(sigma),
         nonneg=nonneg,
-        box_enlarged=box_enlarged,
     )
 
 
@@ -128,7 +129,6 @@ def negate(est: RobustEstimate) -> RobustEstimate:
         -est.vertex_values,
         est.sigma,
         nonneg=False,
-        box_enlarged=est.box_enlarged,
     )
 
 
@@ -148,7 +148,6 @@ def lift(est: RobustEstimate, index: np.ndarray) -> RobustEstimate:
         est.vertex_values[index],
         est.sigma,
         nonneg=est.nonneg,
-        box_enlarged=est.box_enlarged,
     )
 
 
@@ -165,8 +164,6 @@ def concave_remainder_bounds(counts: CountVector, cfg: IdmConfig, f) -> RobustEs
     if f.curvature == "convex":
         return negate(concave_remainder_bounds(counts, cfg, f.negated()))
     denom = counts.total + cfg.s
-    if denom <= 0:
-        raise ValueError("n + s must be positive")
     sigma = cfg.s / denom
     u0 = counts.counts / denom
 
@@ -178,6 +175,9 @@ def concave_remainder_bounds(counts: CountVector, cfg: IdmConfig, f) -> RobustEs
             f"summand derivative is non-finite at baseline component(s) "
             f"{np.flatnonzero(bad).tolist()}; the remainder bound would be infinite"
         )
+    # f' is non-increasing; with huge counts and a tiny s, u0 + sigma is an
+    # ulp from u0 and rounding alone can put f' there above f'(u0).
+    deriv_high = np.minimum(deriv_high, deriv_low)
     f_low = np.asarray(f.fn(u0), dtype=float)
     f_high = np.asarray(f.fn(u0 + sigma), dtype=float)
     f0 = float(f_low.sum())
@@ -190,7 +190,6 @@ def concave_remainder_bounds(counts: CountVector, cfg: IdmConfig, f) -> RobustEs
         vertex_values,
         sigma,
         nonneg=False,
-        box_enlarged=False,
     )
 
 
@@ -202,11 +201,12 @@ def approx_interval_general(
     The caller supplies per-coordinate derivative extremes through a
     :class:`DerivativeBoundProvider`; this routine assembles the
     conservative and inner bounds.  Non-finite provider output is rejected.
+    It backs the README's claim that the first-order bounds hold for general
+    Lipschitz-differentiable estimators; the package's own estimators all
+    go through :func:`concave_remainder_bounds`.
     """
     d = counts.dim
     denom = counts.total + cfg.s
-    if denom <= 0:
-        raise ValueError("n + s must be positive")
     sigma = cfg.s / denom
     u0 = counts.counts / denom
 
@@ -232,7 +232,6 @@ def approx_interval_general(
         vertex_values,
         sigma,
         nonneg=provider.nonneg,
-        box_enlarged=provider.box_enlarged,
     )
 
 
@@ -256,7 +255,6 @@ def propagate_sum(
         alpha * g.vertex_values + beta * h_est.vertex_values,
         g.sigma,
         nonneg=g.nonneg and h_est.nonneg,
-        box_enlarged=g.box_enlarged or h_est.box_enlarged,
     )
 
 
@@ -265,7 +263,9 @@ def propagate_product(g: RobustEstimate, h_est: RobustEstimate) -> RobustEstimat
 
     Both operands must carry the non-negativity certification (``F >= 0``
     and ``∂_i F >= 0``); that analytic knowledge belongs to whoever built
-    the estimate and is not re-derivable from the numbers here.
+    the estimate and is not re-derivable from the numbers here.  It backs
+    the README's product-propagation claim; no estimator in the package
+    multiplies estimates today.
     """
     if not (g.nonneg and h_est.nonneg):
         raise ValueError(
@@ -283,5 +283,4 @@ def propagate_product(g: RobustEstimate, h_est: RobustEstimate) -> RobustEstimat
         g.vertex_values * h_est.vertex_values,
         g.sigma,
         nonneg=True,
-        box_enlarged=g.box_enlarged or h_est.box_enlarged,
     )

@@ -84,6 +84,13 @@ class TestEntropyCommand:
         kinds = {ln.split(",")[0] for ln in lines[1:]}
         assert {"exact", "conservative", "inner"} <= kinds
 
+    def test_near_integer_counts_get_no_rational_endpoints(self, capsys):
+        _, result = run_json(
+            capsys, "entropy", "--inline", "3.0000000005,6", "--mode", "exact"
+        )
+        assert "lower_rational" not in result["intervals"]["exact"]
+        assert "upper_rational" not in result["intervals"]["exact"]
+
     def test_file_input_with_crlf(self, capsys, tmp_path):
         path = tmp_path / "counts.txt"
         path.write_bytes(b"3,6\r\n")
@@ -111,9 +118,26 @@ class TestErrorCodes:
         (("entropy", "--inline", "1,2", "--grid-check", "40000"), "BAD_GRID_SPEC"),
         # s * t underflows to 0, so the posterior mean of the empty cell is 0.
         (("credible", "--inline", "0,1\n1,1", "--alpha", "0.9", "--s", "5e-324"), "ZERO_CELL"),
+        # Rows with a third element take it as their test id.
+        (("mutinfo", "--inline", '{"table": [[], []]}'), "PARSE_FAILURE", "mutinfo-empty-rows"),
+        (
+            ("credible", "--inline", '{"table": [[], []]}', "--alpha", "0.9"),
+            "PARSE_FAILURE",
+            "credible-empty-rows",
+        ),
+        (("entropy", "--inline", "1e308,1e308"), "PARSE_FAILURE", "entropy-total-overflow"),
+        (("mutinfo", "--inline", "1e308,1\n1e308,1"), "PARSE_FAILURE", "mutinfo-total-overflow"),
+        (("entropy", "--inline", "1e308,1", "--s", "1e308"), "BAD_STRENGTH", "entropy-n+s-overflow"),
+        (("mutinfo", "--inline", "1e308,1\n1,1", "--s", "1e308"), "BAD_STRENGTH", "mutinfo-n+s-overflow"),
+        (
+            ("credible", "--inline", "1e308,1\n1,1", "--alpha", "0.9", "--s", "1e308"),
+            "BAD_STRENGTH",
+            "credible-n+s-overflow",
+        ),
+        (("sweep", "--sweep", "ratio:1e308", "--s", "1e308"), "BAD_STRENGTH", "sweep-n+s-overflow"),
     )
 
-    @pytest.mark.parametrize("argv,code", CASES, ids=[c for _, c in CASES])
+    @pytest.mark.parametrize("argv,code", [c[:2] for c in CASES], ids=[c[-1] for c in CASES])
     def test_documented_code_and_nonzero_exit(self, capsys, argv, code):
         status, result = run_json(capsys, *argv)
         assert status == 1

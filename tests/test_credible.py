@@ -11,7 +11,6 @@ from idmbounds import (
     CredibleSpec,
     IdmConfig,
     McSpec,
-    TriangularFamily,
     dirichlet_draws,
     kappa_from_alpha,
     mi_interval_bounds,
@@ -145,10 +144,11 @@ class TestRobustFamily:
             rhs, abs=1e-15
         )
 
-    def test_family_type_validates(self):
-        assert TriangularFamily(0.5).gamma == 0.5
-        with pytest.raises(ValueError):
-            TriangularFamily(0.0)
+    def test_non_positive_gamma_rejected(self):
+        for fn in (triangular_robust_union, triangular_minimal_robust):
+            for gamma in (0.0, -0.5):
+                with pytest.raises(ValueError, match="gamma"):
+                    fn(gamma, 0.9)
 
 
 class TestOneSided:

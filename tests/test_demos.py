@@ -1,4 +1,8 @@
-"""Every demo script runs to completion as a separate process."""
+"""Every demo script runs to completion as a separate process.
+
+Like the suite (see ``filterwarnings`` in ``pyproject.toml``), a demo fails on
+any ``RuntimeWarning``.
+"""
 
 import os
 import subprocess
@@ -16,6 +20,10 @@ def test_demo_exits_cleanly(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, str(demo)], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

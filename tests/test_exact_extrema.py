@@ -43,6 +43,21 @@ class TestSummandContract:
         with pytest.raises(ValueError):
             ConcaveSummand(fn=lambda u: u, deriv=lambda u: np.ones_like(u), curvature="linear")
 
+    def test_entropy_summand_is_built_without_the_spot_check(self, monkeypatch):
+        calls = []
+        original = exact_extrema.h_prime
+        monkeypatch.setattr(
+            exact_extrema, "h_prime", lambda *a: calls.append(a) or original(*a)
+        )
+        f = entropy_summand(EntropyKernel(10.0))
+        assert f.curvature == "concave"
+        assert calls == []
+        assert f.deriv(0.5) == original(0.5, EntropyKernel(10.0))
+        assert len(calls) == 1
+        # Its negation is an ordinary summand, so the check runs again.
+        f.negated()
+        assert len(calls) > 1
+
     def test_negation_flips_curvature(self):
         f = ConcaveSummand(fn=lambda u: -(u**2), deriv=lambda u: -2 * u, curvature="concave")
         g = f.negated()
@@ -231,6 +246,13 @@ class TestEntropyInterval:
         # Leveling value 3/10 puts (n+s)*u at 1.5: no rational closed form.
         assert entropy_interval_rational(CountVector([1, 1, 2]), IdmConfig(1.0)) is None
         assert entropy_interval_rational(CountVector([1.5, 2.0]), IdmConfig(1.0)) is None
+
+    def test_rational_path_needs_exactly_integral_inputs(self):
+        # Reals within 1e-9 of an integer are not that integer: [3, 6] has
+        # rational endpoints, its neighbours do not.
+        assert entropy_interval_rational(CountVector([3, 6]), IdmConfig(1.0)) is not None
+        assert entropy_interval_rational(CountVector([3.0000000005, 6]), IdmConfig(1.0)) is None
+        assert entropy_interval_rational(CountVector([3, 6]), IdmConfig(1.0000000004)) is None
 
     def test_rational_path_declines_before_summing_fractions(self, monkeypatch):
         # Leveling value 20/1000 puts (n+s)*u at 20/19 for the nineteen 1s.

@@ -47,6 +47,10 @@ class TestContingencyCounts:
         with pytest.raises(ValueError):
             ContingencyCounts([1, 2, 3])
 
+    def test_overflowing_total_rejected_without_warning(self):
+        with pytest.raises(ValueError, match="finite"):
+            ContingencyCounts([[1e308, 1.0], [1e308, 1.0]])
+
     def test_flattening_is_row_major(self):
         tbl = ContingencyCounts([[1, 2], [3, 4]])
         np.testing.assert_array_equal(tbl.joint_counts().counts, [1, 2, 3, 4])
@@ -102,7 +106,8 @@ class TestCrudeInterval:
 
 class TestConservativeBounds:
     def test_zero_strength_limit_collapses(self):
-        cfg = IdmConfig(0.0, allow_zero=True)
+        # sigma = s / (n + s) underflows to exactly 0 at the smallest strength.
+        cfg = IdmConfig(5e-324)
         tbl = ContingencyCounts([[5, 1], [1, 5]])
         bounds = mi_interval_bounds(tbl, cfg)
         assert bounds.r_ub == 0.0 and bounds.r_lb == 0.0

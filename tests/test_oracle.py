@@ -109,11 +109,10 @@ class TestGridExtrema:
         assert fine.upper - coarse.upper <= slack
 
     def test_overflow_guard(self):
+        # C(503, 3) = 21.1 M points, above the 20 M cap.
         counts = CountVector([1, 1, 1, 1])
         with pytest.raises(GridOverflowError):
-            grid_extrema(
-                lambda u: u.sum(axis=1), counts, CFG, GridSpec(400, max_points=1000)
-            )
+            grid_extrema(lambda u: u.sum(axis=1), counts, CFG, GridSpec(500))
 
     def test_deterministic(self):
         counts = CountVector([2, 5])
@@ -160,7 +159,7 @@ class TestSeparableEntropyLattice:
         assert iv.lower < iv.upper
 
     def test_overflow_guard_still_applies(self):
-        counts, grid = CountVector([1, 1, 1, 1]), GridSpec(400, max_points=1000)
+        counts, grid = CountVector([1, 1, 1, 1]), GridSpec(500)
         with pytest.raises(GridOverflowError):
             grid_extrema(
                 lattice_entropy_objective(counts, CFG, grid), counts, CFG, grid, on_lattice=True
@@ -261,7 +260,7 @@ class TestProductGrid:
                 mi_objective_direct(self.TBL, CFG),
                 self.TBL,
                 CFG,
-                GridSpec(300, max_points=10_000),
+                GridSpec(5000),  # 5001 x 5001 = 25 M pairs, above the 20 M cap
             )
 
 

@@ -94,7 +94,8 @@ class TestConcaveRemainderBounds:
         assert exact.lower - (est.f0 + est.r_lb) == pytest.approx(0.0074, abs=2e-4)
 
     def test_zero_strength_limit_collapses(self):
-        cfg = IdmConfig(0.0, allow_zero=True)
+        # sigma = s / (n + s) underflows to exactly 0 at the smallest strength.
+        cfg = IdmConfig(5e-324)
         kernel = EntropyKernel(COUNTS.total)
         est = concave_remainder_bounds(COUNTS, cfg, entropy_summand(kernel))
         assert est.sigma == 0.0
