@@ -63,6 +63,9 @@ ERROR_CODES = (
     "ZERO_CELL",
 )
 
+#: Most rows an ``n:<min>:<max>`` sweep may ask for.
+MAX_SWEEP_ROWS = 10_000
+
 SWEEP_COLUMNS = (
     "x",
     "H_exact_lo",
@@ -370,6 +373,11 @@ def _sweep_rows(args, cfg: IdmConfig) -> tuple[list[list[float]], dict]:
             raise CliError("BAD_SWEEP_SPEC", f"bad n-sweep bounds in {spec!r}") from exc
         if lo < 1 or hi < lo:
             raise CliError("BAD_SWEEP_SPEC", "need 1 <= n_min <= n_max")
+        if hi - lo + 1 > MAX_SWEEP_ROWS:
+            raise CliError(
+                "BAD_SWEEP_SPEC",
+                f"n-sweep spans {hi - lo + 1} rows, above the cap of {MAX_SWEEP_ROWS}",
+            )
         counts = parse_counts(_read_input(args))
         if counts.total <= 0:
             raise CliError("BAD_SWEEP_SPEC", "n-sweep needs counts with a positive total")

@@ -5,10 +5,13 @@ conservative bounds; this module provides the independent machinery that
 desk-scale tests check them against.  Lattice extremization covers
 *every* composition of the grid resolution (no continuous optimizer, no
 early exit): the separable entropy lattice is reduced by an exact
-(min,+)/(max,+) convolution of its per-coordinate tables, and every other
-objective is enumerated point by point.  The Dirichlet sampler builds its
-variates from a seeded uniform stream so runs are bitwise reproducible
-across platforms.
+(min,+)/(max,+) convolution of its per-coordinate tables; the mutual
+information lattice visits every point, with its row and column part
+computed once per pair of margin compositions and gathered from a cached
+index; every other objective is enumerated point by point.  The first two
+give the same bits as calling the objective on every point.  The Dirichlet
+sampler builds its variates from a seeded uniform stream so runs are
+bitwise reproducible across platforms.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .special_fn import EntropyKernel, h
 if TYPE_CHECKING:  # pragma: no cover
     from .mutual_info import ContingencyCounts
 
-_CHUNK_ROWS = 1 << 21
+_CHUNK_ROWS = 1 << 16
 
 #: Largest lattice, in points, that the grid oracles enumerate.
 MAX_GRID_POINTS = 20_000_000
@@ -71,7 +74,7 @@ def composition_count(total: int, parts: int) -> int:
 
 
 _COMP_CACHE: dict[tuple[int, int], np.ndarray] = {}
-_COMP_CACHE_LIMIT = 3
+_CACHE_LIMIT = 3
 
 
 def compositions(total: int, parts: int) -> np.ndarray:
@@ -107,10 +110,16 @@ def compositions(total: int, parts: int) -> np.ndarray:
         level = nxt
     out = level[total]
     out.flags.writeable = False
-    if len(_COMP_CACHE) >= _COMP_CACHE_LIMIT:
-        _COMP_CACHE.pop(next(iter(_COMP_CACHE)))
-    _COMP_CACHE[key] = out
+    _remember(_COMP_CACHE, key, out)
     return out
+
+
+def _remember(cache: dict, key, value) -> None:
+    # Bounded first-in, first-out memo: the oldest key goes first.  A
+    # concurrent caller may have evicted it already.
+    if len(cache) >= _CACHE_LIMIT:
+        cache.pop(next(iter(cache)), None)
+    cache[key] = value
 
 
 def grid_extrema(
@@ -128,9 +137,11 @@ def grid_extrema(
     be vectorized: it receives an ``(N, dim)`` array of ``u`` rows and
     returns ``N`` values.  With ``on_lattice=True`` it instead receives the
     raw integer composition rows, which lets table-backed objectives (see
-    :func:`lattice_entropy_objective`) skip the float mapping entirely; an
-    objective that carries its per-coordinate ``tables`` is reduced over
-    every composition without enumerating them, to the same bits.
+    :func:`lattice_entropy_objective`) skip the float mapping entirely.  An
+    objective that carries its ``tables`` is reduced from them, to the same
+    bits, without being called: per-coordinate entropy tables by
+    convolution, the row, column and cell tables of
+    :func:`lattice_mi_objective` through the margin-pair index.
 
     Deterministic; refuses lattices larger than :data:`MAX_GRID_POINTS`.
     """
@@ -142,7 +153,8 @@ def grid_extrema(
         )
     tables = getattr(objective, "tables", None) if on_lattice else None
     if tables is not None:
-        return _separable_extrema(tables, grid.resolution, d)
+        reduce = _mi_extrema if isinstance(tables, _MiTables) else _separable_extrema
+        return reduce(tables, grid.resolution, d)
     lattice = compositions(grid.resolution, d)
     denom = counts.total + cfg.s
     vmin = math.inf
@@ -234,6 +246,110 @@ def lattice_entropy_objective(
     return objective
 
 
+class _MiTables(NamedTuple):
+    rows: list
+    cols: list
+    cells: list
+
+
+class _MiIndex(NamedTuple):
+    cells: np.ndarray  # (d1*d2, N) cell values of every lattice point, narrow ints
+    pairs: np.ndarray  # (N,) int32 margin-pair id: row-margin rank * nc + column-margin rank
+    row_margins: np.ndarray  # (d1, nr) row-margin compositions in colex order
+    col_margins: np.ndarray  # (d2, nc) column-margin compositions in colex order
+
+
+_MI_INDEX_CACHE: dict[tuple[int, int, int], _MiIndex] = {}
+
+
+def _columns(rows: np.ndarray, resolution: int) -> np.ndarray:
+    # Column-major copy in the narrowest type that holds 0..resolution.
+    return np.ascontiguousarray(rows.T, dtype=np.uint8 if resolution < 256 else np.int16)
+
+
+def _colex_ranks(parts: list, resolution: int) -> np.ndarray:
+    # Position of each composition in :func:`compositions` order, from its
+    # parts as index columns.  With S_j the prefix sums, the compositions
+    # before it that agree above part j are those of S_j into j + 1 parts
+    # whose last part is below k_j: C(S_j + j, j) - C(S_{j-1} + j, j).
+    prefix = parts[0]
+    ranks = np.zeros(prefix.size, dtype=np.intp)
+    for j in range(1, len(parts)):
+        binom = np.array([math.comb(t + j, j) for t in range(resolution + 1)], dtype=np.intp)
+        nxt = prefix + parts[j]
+        ranks += binom.take(nxt)
+        ranks -= binom.take(prefix)
+        prefix = nxt
+    return ranks
+
+
+def _mi_index(resolution: int, d1: int, d2: int) -> _MiIndex:
+    """Cached cell columns and margin-pair ids of the ``d1 x d2`` lattice.
+
+    Every pair of row- and column-margin compositions of ``resolution`` is
+    the margin pair of some table, so there are ``nr * nc`` pair ids, never
+    more than the lattice has points.
+    """
+    key = (resolution, d1, d2)
+    cached = _MI_INDEX_CACHE.get(key)
+    if cached is not None:
+        return cached
+    cells = _columns(compositions(resolution, d1 * d2), resolution)
+    nc = composition_count(resolution, d2)
+    pairs = np.empty(cells.shape[1], dtype=np.int32)
+    for start in range(0, pairs.size, _CHUNK_ROWS):
+        block = cells[:, start : start + _CHUNK_ROWS]
+        rows = [block[i * d2 : (i + 1) * d2].sum(axis=0, dtype=np.intp) for i in range(d1)]
+        cols = [block[j::d2].sum(axis=0, dtype=np.intp) for j in range(d2)]
+        pairs[start : start + block.shape[1]] = (
+            _colex_ranks(rows, resolution) * nc + _colex_ranks(cols, resolution)
+        )
+    index = _MiIndex(
+        cells,
+        pairs,
+        _columns(compositions(resolution, d1), resolution),
+        _columns(compositions(resolution, d2), resolution),
+    )
+    _remember(_MI_INDEX_CACHE, key, index)
+    return index
+
+
+def _mi_extrema(tables: _MiTables, resolution: int, dim: int) -> Interval:
+    """``[min, max]`` of the MI objective over every composition of
+    ``resolution`` into its cells, bit for bit as the objective computes it.
+
+    The objective adds the row summands, then the column summands, then
+    subtracts the cell summands in row-major order.  Everything before the
+    first cell depends only on the point's margin pair, so it is computed
+    once per pair, with the same adds in the same order, and gathered.
+    """
+    d1, d2 = len(tables.rows), len(tables.cols)
+    if (
+        d1 * d2 != dim
+        or len(tables.cells) != dim
+        or any(t.shape != (resolution + 1,) for t in (*tables.rows, *tables.cols, *tables.cells))
+    ):
+        raise ValueError("objective tables do not match the lattice")
+    index = _mi_index(resolution, d1, d2)
+    head = tables.rows[0].take(index.row_margins[0])
+    for i in range(1, d1):
+        head += tables.rows[i].take(index.row_margins[i])
+    pair = head[:, None] + tables.cols[0].take(index.col_margins[0])
+    for j in range(1, d2):
+        pair += tables.cols[j].take(index.col_margins[j])
+    pair = pair.ravel()
+    vmin = math.inf
+    vmax = -math.inf
+    for start in range(0, index.pairs.size, _CHUNK_ROWS):
+        stop = start + _CHUNK_ROWS
+        vals = pair.take(index.pairs[start:stop])
+        for c, table in enumerate(tables.cells):
+            vals -= table.take(index.cells[c, start:stop])
+        vmin = min(vmin, float(vals.min()))
+        vmax = max(vmax, float(vals.max()))
+    return Interval(vmin, vmax)
+
+
 def lattice_mi_objective(
     tbl: ContingencyCounts, cfg: IdmConfig, grid: GridSpec
 ) -> Callable:
@@ -242,6 +358,10 @@ def lattice_mi_objective(
     Lattice points are compositions over the ``d1*d2`` cells in row-major
     order; marginal sums of lattice integers index precomputed row/column
     tables.  Use with ``on_lattice=True`` on the flattened joint counts.
+    The row, column and cell tables ride on the callable as
+    ``objective.tables``, so :func:`grid_extrema` computes the row and
+    column part once per pair of margins instead of once per point, and
+    still visits every point, to the same bits as calling the objective.
     """
     d1, d2 = tbl.shape
     cell_tables = _summand_tables(tbl.table.ravel(), tbl.total, cfg, grid)
@@ -267,6 +387,7 @@ def lattice_mi_objective(
             vals -= cell_tables[c].take(cols[c])
         return vals
 
+    objective.tables = _MiTables(row_tables, col_tables, cell_tables)
     return objective
 
 

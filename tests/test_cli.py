@@ -5,7 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from idmbounds import ContingencyCounts, CredibleSpec, IdmConfig, robust_credible_mi
+from idmbounds import (
+    ContingencyCounts,
+    CredibleSpec,
+    GridSpec,
+    IdmConfig,
+    compositions,
+    lattice_mi_objective,
+    robust_credible_mi,
+)
 from idmbounds.cli import SWEEP_COLUMNS, main
 
 
@@ -55,6 +63,14 @@ class TestEntropyCommand:
         assert code == 0
         exact = result["intervals"]["exact"]
         assert 0.0 < exact["lower"] < exact["upper"] < 1e-10
+
+    def test_total_near_the_float_maximum(self, capsys):
+        # The maximiser's m (n+s) overflows here; the suite turns the
+        # overflow warning into an error.
+        code, result = run_json(capsys, "entropy", "--inline", "1e308,1")
+        assert code == 0
+        exact = result["intervals"]["exact"]
+        assert 0.0 < exact["lower"] < exact["upper"] < 1e-300
 
     def test_mode_exact_omits_conservative(self, capsys):
         _, result = run_json(capsys, "entropy", "--inline", "3,6", "--mode", "exact")
@@ -135,6 +151,13 @@ class TestErrorCodes:
             "credible-n+s-overflow",
         ),
         (("sweep", "--sweep", "ratio:1e308", "--s", "1e308"), "BAD_STRENGTH", "sweep-n+s-overflow"),
+        (("sweep", "--inline", "1,2", "--sweep", "n:1:100000"), "BAD_SWEEP_SPEC", "sweep-row-cap"),
+        # The cap is checked before the input is read: the missing file is never opened.
+        (
+            ("sweep", "/nonexistent/path.txt", "--sweep", "n:1:100000"),
+            "BAD_SWEEP_SPEC",
+            "sweep-row-cap-before-input",
+        ),
     )
 
     @pytest.mark.parametrize("argv,code", [c[:2] for c in CASES], ids=[c[-1] for c in CASES])
@@ -185,6 +208,16 @@ class TestMutinfoCommand:
         assert diag["oracle_within_conservative"] is True
         assert diag["oracle_within_crude"] is True
         assert diag["product_idm_ok"] is True
+
+    def test_grid_check_prints_the_lattice_interval(self, capsys):
+        _, result = run_json(
+            capsys, "mutinfo", "--inline", "3,1,2\n0,4,1", "--grid-check", "40"
+        )
+        tbl, grid = ContingencyCounts([[3, 1, 2], [0, 4, 1]]), GridSpec(40)
+        vals = lattice_mi_objective(tbl, IdmConfig(1.0), grid)(compositions(40, 6))
+        emitted = [float(f"{x:.12g}") for x in (vals.min(), vals.max())]
+        oracle = result["intervals"]["oracle"]
+        assert [oracle["lower"], oracle["upper"]] == emitted
 
     def test_json_table_input(self, capsys):
         _, result = run_json(

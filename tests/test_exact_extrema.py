@@ -123,6 +123,15 @@ class TestMaximum:
         )
         assert res.value == pytest.approx(oracle.upper, abs=1e-3)
 
+    def test_total_near_the_float_maximum(self):
+        # m (n+s) overflows for m = 2; that candidate is 0.5, not x / inf = 0.
+        counts = CountVector([1e308, 1.0])
+        cfg, f = _entropy(counts)
+        res = max_concave_sum(counts, cfg, f)
+        assert res.m_star == 1
+        assert res.vertex_index == 1
+        assert res.value == entropy_interval_exact(counts, cfg).upper
+
     def test_leveling_candidates_are_unimodal(self):
         # The greedy rule (stop at the first non-decrease) must agree with
         # full enumeration over m; the implementation enumerates anyway, so

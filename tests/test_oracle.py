@@ -226,6 +226,98 @@ class TestMiObjective:
             assert np.array_equal(got, self._naive(tbl, CFG, grid, rows))
 
 
+@st.composite
+def mi_lattices(draw):
+    d1, d2 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    count = st.one_of(
+        st.just(0.0),
+        st.integers(0, 40).map(float),
+        st.floats(0.0, 40.0, allow_nan=False).map(lambda x: round(x, 2)),
+    )
+    table = [[draw(count) for _ in range(d2)] for _ in range(d1)]
+    # Keep every lattice within 50 000 points (3x3 tables up to R = 11).
+    top = max(r for r in range(1, 61) if composition_count(r, d1 * d2) <= 50_000)
+    resolution = draw(st.integers(1, top))
+    s = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    return ContingencyCounts(table), IdmConfig(s), GridSpec(resolution)
+
+
+def _mi_lattice_check(tbl, cfg, grid):
+    objective = lattice_mi_objective(tbl, cfg, grid)
+    iv = grid_extrema(objective, tbl.joint_counts(), cfg, grid, on_lattice=True)
+    vals = objective(compositions(grid.resolution, tbl.cells))
+    assert iv.lower == vals.min()
+    assert iv.upper == vals.max()
+
+
+class TestMiLatticeReduction:
+    @settings(max_examples=150, deadline=None)
+    @given(mi_lattices())
+    def test_equals_full_enumeration_bit_for_bit(self, case):
+        _mi_lattice_check(*case)
+
+    @settings(max_examples=60, deadline=None)
+    @given(mi_lattices(), st.integers(1, 300))
+    def test_any_block_size(self, case, rows):
+        # A fresh index cache, so the index is also built in these blocks.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "_CHUNK_ROWS", rows)
+            mp.setattr(oracle, "_MI_INDEX_CACHE", {})
+            _mi_lattice_check(*case)
+
+    def test_does_not_call_the_objective(self):
+        tbl, grid = ContingencyCounts([[3, 0, 2], [1, 4, 0]]), GridSpec(20)
+        objective = lattice_mi_objective(tbl, CFG, grid)
+
+        def refuse(rows):
+            raise AssertionError("the MI lattice must be reduced without the closure")
+
+        refuse.tables = objective.tables
+        iv = grid_extrema(refuse, tbl.joint_counts(), CFG, grid, on_lattice=True)
+        vals = objective(compositions(grid.resolution, tbl.cells))
+        assert (iv.lower, iv.upper) == (vals.min(), vals.max())
+
+    def test_wide_table_stays_proportional_to_its_points(self, monkeypatch):
+        # A dense radix over the 18 free margins would have 3**18 = 387 M
+        # entries (3 GB of floats); the lattice has 5050 points of 100 cells,
+        # and building it takes about 3 MB.
+        tbl, grid = ContingencyCounts(np.arange(100.0).reshape(10, 10) % 7), GridSpec(2)
+        npoints = composition_count(2, 100)
+        monkeypatch.setattr(oracle, "_MI_INDEX_CACHE", {})
+        monkeypatch.setattr(oracle, "_COMP_CACHE", {})
+        objective = lattice_mi_objective(tbl, CFG, grid)
+        tracemalloc.start()
+        try:
+            iv = grid_extrema(objective, tbl.joint_counts(), CFG, grid, on_lattice=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * tbl.cells * npoints
+        index = oracle._MI_INDEX_CACHE[(2, 10, 10)]
+        assert int(index.pairs.max()) < composition_count(2, 10) ** 2 <= npoints
+        vals = objective(compositions(2, 100))
+        assert (iv.lower, iv.upper) == (vals.min(), vals.max())
+
+    def test_overflow_raises_before_any_index_is_built(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("nothing may be built for an oversized lattice")
+
+        monkeypatch.setattr(oracle, "_mi_index", refuse)
+        monkeypatch.setattr(oracle, "compositions", refuse)
+        # C(205, 5) = 2.9 G points, far above the cap.
+        tbl, grid = ContingencyCounts(np.ones((2, 3))), GridSpec(200)
+        with pytest.raises(GridOverflowError):
+            grid_extrema(
+                lattice_mi_objective(tbl, CFG, grid), tbl.joint_counts(), CFG, grid, on_lattice=True
+            )
+
+    def test_mismatched_tables_are_rejected(self):
+        tbl = ContingencyCounts([[1, 2], [3, 4]])
+        objective = lattice_mi_objective(tbl, CFG, GridSpec(20))
+        with pytest.raises(ValueError):
+            grid_extrema(objective, tbl.joint_counts(), CFG, GridSpec(30), on_lattice=True)
+
+
 class TestProductGrid:
     TBL = ContingencyCounts([[3, 1], [1, 3]])
 
