@@ -10,7 +10,6 @@ extrema are closed-form; the expected entropy is the flagship instance.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional
@@ -135,16 +134,13 @@ def max_concave_sum(counts: CountVector, cfg: IdmConfig, f: ConcaveSummand) -> E
     order = np.argsort(counts.counts, kind="stable")
     prefix = np.cumsum(counts.counts[order])
     m = np.arange(1, d + 1)
-    if d * denom < math.inf:
-        candidates = (cfg.s + prefix) / (m * denom)
-    else:
-        # m (n+s) overflows when n + s is within a factor m of the float
-        # maximum: divide in two steps there instead of by infinity.
-        with np.errstate(over="ignore"):
-            scale = m * denom
-        big = np.isinf(scale)
-        candidates = (cfg.s + prefix) / scale
-        candidates[big] = (cfg.s + prefix[big]) / m[big] / denom
+    # m (n+s) overflows when n + s is within a factor m of the float
+    # maximum: divide in two steps there instead of by infinity.
+    with np.errstate(over="ignore"):
+        scale = m * denom
+    candidates = (cfg.s + prefix) / scale
+    big = np.isinf(scale)
+    candidates[big] = (cfg.s + prefix[big]) / m[big] / denom
     m_star = int(np.argmin(candidates)) + 1
     u_tilde = float(candidates[m_star - 1])
 

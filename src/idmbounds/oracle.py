@@ -86,14 +86,22 @@ def compositions(total: int, parts: int) -> np.ndarray:
     tests may reference rows by position.  The returned int16 array is
     cached and read-only.
     """
-    if total < 0 or parts < 1:
-        raise ValueError("need total >= 0 and parts >= 1")
-    if total > 32000:
-        raise ValueError("total above 32000 is not supported")
     key = (total, parts)
     cached = _COMP_CACHE.get(key)
     if cached is not None:
         return cached
+    out = _build_compositions(total, parts)
+    out.flags.writeable = False
+    _remember(_COMP_CACHE, key, out)
+    return out
+
+
+def _build_compositions(total: int, parts: int) -> np.ndarray:
+    # Uncached body of :func:`compositions`.
+    if total < 0 or parts < 1:
+        raise ValueError("need total >= 0 and parts >= 1")
+    if total > 32000:
+        raise ValueError("total above 32000 is not supported")
     level = {t: np.array([[t]], dtype=np.int16) for t in range(total + 1)}
     for p in range(2, parts + 1):
         targets = range(total + 1) if p < parts else (total,)
@@ -108,10 +116,7 @@ def compositions(total: int, parts: int) -> np.ndarray:
                 blocks.append(blk)
             nxt[t] = np.concatenate(blocks, axis=0)
         level = nxt
-    out = level[total]
-    out.flags.writeable = False
-    _remember(_COMP_CACHE, key, out)
-    return out
+    return level[total]
 
 
 def _remember(cache: dict, key, value) -> None:
@@ -288,13 +293,16 @@ def _mi_index(resolution: int, d1: int, d2: int) -> _MiIndex:
 
     Every pair of row- and column-margin compositions of ``resolution`` is
     the margin pair of some table, so there are ``nr * nc`` pair ids, never
-    more than the lattice has points.
+    more than the lattice has points.  A cached index holds about
+    ``(d1*d2 + 4) * N`` bytes for ``N`` points (uint8 cells below
+    ``resolution`` 256, int32 pair ids); the int16 lattice it is built from
+    is not cached.
     """
     key = (resolution, d1, d2)
     cached = _MI_INDEX_CACHE.get(key)
     if cached is not None:
         return cached
-    cells = _columns(compositions(resolution, d1 * d2), resolution)
+    cells = _columns(_build_compositions(resolution, d1 * d2), resolution)
     nc = composition_count(resolution, d2)
     pairs = np.empty(cells.shape[1], dtype=np.int32)
     for start in range(0, pairs.size, _CHUNK_ROWS):

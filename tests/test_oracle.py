@@ -294,6 +294,8 @@ class TestMiLatticeReduction:
             tracemalloc.stop()
         assert peak < 16 * tbl.cells * npoints
         index = oracle._MI_INDEX_CACHE[(2, 10, 10)]
+        # The int16 lattice the index was built from is not kept beside it.
+        assert (2, 100) not in oracle._COMP_CACHE
         assert int(index.pairs.max()) < composition_count(2, 10) ** 2 <= npoints
         vals = objective(compositions(2, 100))
         assert (iv.lower, iv.upper) == (vals.min(), vals.max())
@@ -304,6 +306,7 @@ class TestMiLatticeReduction:
 
         monkeypatch.setattr(oracle, "_mi_index", refuse)
         monkeypatch.setattr(oracle, "compositions", refuse)
+        monkeypatch.setattr(oracle, "_build_compositions", refuse)
         # C(205, 5) = 2.9 G points, far above the cap.
         tbl, grid = ContingencyCounts(np.ones((2, 3))), GridSpec(200)
         with pytest.raises(GridOverflowError):
