@@ -173,7 +173,8 @@ def mi_interval_bounds(tbl: ContingencyCounts, cfg: IdmConfig) -> MiBounds:
     attaining the float minimum of the lower remainders.
     """
     est = mi_estimate(tbl, cfg)
-    return MiBounds(**vars(est), crude=mi_interval_crude(tbl, cfg), shape=tbl.shape)
+    primaries = (est.f0, est.r_ub_per_i, est.r_lb_per_i, est.vertex_values, est.sigma, est.nonneg)
+    return MiBounds(*primaries, crude=mi_interval_crude(tbl, cfg), shape=tbl.shape)
 
 
 def mi_variance_leading(tbl: ContingencyCounts, cfg: IdmConfig, t: SimplexPoint) -> float:
@@ -181,14 +182,15 @@ def mi_variance_leading(tbl: ContingencyCounts, cfg: IdmConfig, t: SimplexPoint)
 
     ``Var[I] ~ (1/(n+s)) * Var_u[log(u_ij / (u_i+ u_+j))]`` where the inner
     variance is taken cellwise with weights ``u``.  Computed in centered
-    form, so the result is non-negative down to the last bit.  Higher-order
+    form, so the result is non-negative down to the last bit, and as a
+    difference of logs, since ``u_i+ u_+j`` can underflow.  Higher-order
     terms are omitted; at small ``n`` they are material.  Zero cells are
     rejected (the log diverges).
     """
     u = _cell_means(tbl, cfg, t)
     if np.any(u <= 0):
         raise ValueError("zero cell in the posterior mean; variance needs positive logs")
-    ratios = np.log(u / np.outer(u.sum(axis=1), u.sum(axis=0)))
+    ratios = np.log(u) - np.log(u.sum(axis=1))[:, None] - np.log(u.sum(axis=0))
     center = float((u * ratios).sum())
     return float((u * (ratios - center) ** 2).sum() / (tbl.total + cfg.s))
 

@@ -140,13 +140,14 @@ def grid_extrema(
     parts (colex order), maps ``t = k / resolution`` to the posterior mean
     ``u``, and reduces the objective over all points.  ``objective`` must
     be vectorized: it receives an ``(N, dim)`` array of ``u`` rows and
-    returns ``N`` values.  With ``on_lattice=True`` it instead receives the
-    raw integer composition rows, which lets table-backed objectives (see
-    :func:`lattice_entropy_objective`) skip the float mapping entirely.  An
-    objective that carries its ``tables`` is reduced from them, to the same
-    bits, without being called: per-coordinate entropy tables by
-    convolution, the row, column and cell tables of
-    :func:`lattice_mi_objective` through the margin-pair index.
+    returns ``N`` values.
+
+    ``on_lattice=True`` takes a table-backed objective from
+    :func:`lattice_entropy_objective` or :func:`lattice_mi_objective` and
+    reduces its ``objective.tables`` without calling it, to the same bits
+    as calling it on every point: per-coordinate entropy tables by
+    convolution, the row, column and cell tables through the margin-pair
+    index.  A callable without ``tables`` raises ``ValueError`` there.
 
     Deterministic; refuses lattices larger than :data:`MAX_GRID_POINTS`.
     """
@@ -156,8 +157,10 @@ def grid_extrema(
         raise GridOverflowError(
             f"lattice has {npoints} points, above the cap of {MAX_GRID_POINTS}"
         )
-    tables = getattr(objective, "tables", None) if on_lattice else None
-    if tables is not None:
+    if on_lattice:
+        tables = getattr(objective, "tables", None)
+        if tables is None:
+            raise ValueError("on_lattice=True needs an objective that carries its tables")
         reduce = _mi_extrema if isinstance(tables, _MiTables) else _separable_extrema
         return reduce(tables, grid.resolution, d)
     lattice = compositions(grid.resolution, d)
@@ -166,12 +169,9 @@ def grid_extrema(
     vmax = -math.inf
     for start in range(0, npoints, _CHUNK_ROWS):
         rows = lattice[start : start + _CHUNK_ROWS]
-        if on_lattice:
-            vals = np.asarray(objective(rows), dtype=float)
-        else:
-            t = rows.astype(float) / grid.resolution
-            u = (counts.counts + cfg.s * t) / denom
-            vals = np.asarray(objective(u), dtype=float)
+        t = rows.astype(float) / grid.resolution
+        u = (counts.counts + cfg.s * t) / denom
+        vals = np.asarray(objective(u), dtype=float)
         if vals.shape != (rows.shape[0],):
             raise ValueError("objective must return one value per lattice point")
         vmin = min(vmin, float(vals.min()))
@@ -364,35 +364,29 @@ def lattice_mi_objective(
     """Table-backed expected-mutual-information objective over cell lattices.
 
     Lattice points are compositions over the ``d1*d2`` cells in row-major
-    order; marginal sums of lattice integers index precomputed row/column
-    tables.  Use with ``on_lattice=True`` on the flattened joint counts.
-    The row, column and cell tables ride on the callable as
-    ``objective.tables``, so :func:`grid_extrema` computes the row and
-    column part once per pair of margins instead of once per point, and
-    still visits every point, to the same bits as calling the objective.
+    order; called on ``(N, d1*d2)`` integer rows, the closure gathers row,
+    column and cell summands from precomputed tables.  Use with
+    ``on_lattice=True`` on the flattened joint counts.  The tables ride on
+    the callable as ``objective.tables``, so :func:`grid_extrema` computes
+    the row and column part once per pair of margins instead of once per
+    point, and still visits every point, to the same bits as the closure.
     """
     d1, d2 = tbl.shape
     cell_tables = _summand_tables(tbl.table.ravel(), tbl.total, cfg, grid)
     row_tables = _summand_tables(tbl.row_sums, tbl.total, cfg, grid)
     col_tables = _summand_tables(tbl.col_sums, tbl.total, cfg, grid)
 
-    def marginal(cols: np.ndarray, cells: range) -> np.ndarray:
-        total = cols[cells[0]].copy()
-        for c in cells[1:]:
-            total += cols[c]
-        return total
-
     def objective(rows: np.ndarray) -> np.ndarray:
-        # One transpose to contiguous per-cell index columns; integer
-        # marginals are exact, so only the float order below matters.
-        cols = rows.T.astype(np.intp)
-        vals = row_tables[0].take(marginal(cols, range(0, d2)))
+        cells = rows.reshape(-1, d1, d2)
+        row_ints = cells.sum(axis=2, dtype=np.intp)
+        col_ints = cells.sum(axis=1, dtype=np.intp)
+        vals = row_tables[0].take(row_ints[:, 0])
         for i in range(1, d1):
-            vals += row_tables[i].take(marginal(cols, range(i * d2, (i + 1) * d2)))
+            vals += row_tables[i].take(row_ints[:, i])
         for j in range(d2):
-            vals += col_tables[j].take(marginal(cols, range(j, d1 * d2, d2)))
+            vals += col_tables[j].take(col_ints[:, j])
         for c in range(d1 * d2):
-            vals -= cell_tables[c].take(cols[c])
+            vals -= cell_tables[c].take(rows[:, c])
         return vals
 
     objective.tables = _MiTables(row_tables, col_tables, cell_tables)

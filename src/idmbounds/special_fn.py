@@ -187,9 +187,12 @@ def h_fraction(numer: int, total: int) -> Fraction:
 def kappa_from_alpha(alpha: float) -> float:
     """Gaussian credible multiplier: the ``kappa`` with erf(kappa/sqrt 2) = alpha.
 
-    The standard normal quantile at ``(1 + alpha) / 2``.  Monotone in
-    ``alpha``; ``alpha`` near 0.9545 gives ``kappa`` near 2.
+    Minus the standard normal quantile ``q`` at ``(1 - alpha) / 2``: the
+    upper tail, whose argument is exact for ``alpha >= 1/2``, so ``alpha``
+    up to the last double below 1 keeps every digit.  Taken as ``0.0 - q``
+    so that ``kappa`` is never ``-0.0``.  Monotone in ``alpha``; ``alpha``
+    near 0.9545 gives ``kappa`` near 2.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
-    return _STANDARD_NORMAL.inv_cdf((1.0 + alpha) / 2.0)
+    return 0.0 - _STANDARD_NORMAL.inv_cdf((1.0 - alpha) / 2.0)

@@ -17,7 +17,7 @@ losing the O(sigma^2) tightness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -54,26 +54,41 @@ class DerivativeBoundProvider:
 class RobustEstimate:
     """Baseline value, remainder bounds, and inner bounds for one estimator.
 
-    The defining sandwich is ``f0 + r_lb <= inner_lower <= inner_upper <=
-    f0 + r_ub``; the conservative interval ``[f0 + r_lb, f0 + r_ub]``
-    contains the true robust interval, and the inner interval is contained
-    in it.  ``vertex_values[k]`` stores ``F`` at the image of the ``k``-th
-    vertex, which is what makes sum/product propagation exact for the inner
-    bounds.
+    Built from the baseline ``f0``, the per-component remainder vectors and
+    ``vertex_values[k]``, ``F`` at the image of the ``k``-th vertex, which
+    is what makes sum/product propagation exact for the inner bounds.  The
+    aggregates are derived from them: ``i1`` is the first index of the
+    largest upper remainder ``r_ub`` and ``i2`` the first index of the
+    smallest lower remainder ``r_lb``; ``inner_upper`` and ``inner_lower``
+    are the vertex values there.  The defining sandwich is ``f0 + r_lb <=
+    inner_lower <= inner_upper <= f0 + r_ub``; the conservative interval
+    ``[f0 + r_lb, f0 + r_ub]`` contains the true robust interval, and the
+    inner interval is contained in it.
     """
 
     f0: float
     r_ub_per_i: np.ndarray
     r_lb_per_i: np.ndarray
-    r_ub: float
-    r_lb: float
-    inner_upper: float
-    inner_lower: float
-    i1: int
-    i2: int
     vertex_values: np.ndarray
     sigma: float
     nonneg: bool = False
+    r_ub: float = field(init=False)
+    r_lb: float = field(init=False)
+    inner_upper: float = field(init=False)
+    inner_lower: float = field(init=False)
+    i1: int = field(init=False)
+    i2: int = field(init=False)
+
+    def __post_init__(self):
+        def put(**values):
+            for name, value in values.items():
+                object.__setattr__(self, name, value)
+
+        r_ub, r_lb, vertex = map(_readonly, (self.r_ub_per_i, self.r_lb_per_i, self.vertex_values))
+        i1, i2 = int(np.argmax(r_ub)), int(np.argmin(r_lb))
+        put(f0=float(self.f0), r_ub_per_i=r_ub, r_lb_per_i=r_lb, vertex_values=vertex)
+        put(sigma=float(self.sigma), i1=i1, i2=i2, r_ub=float(r_ub[i1]), r_lb=float(r_lb[i2]))
+        put(inner_upper=float(vertex[i1]), inner_lower=float(vertex[i2]))
 
     @property
     def dim(self) -> int:
@@ -94,35 +109,9 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _assemble(
-    f0: float,
-    r_ub_per_i: np.ndarray,
-    r_lb_per_i: np.ndarray,
-    vertex_values: np.ndarray,
-    sigma: float,
-    nonneg: bool,
-) -> RobustEstimate:
-    i1 = int(np.argmax(r_ub_per_i))
-    i2 = int(np.argmin(r_lb_per_i))
-    return RobustEstimate(
-        f0=float(f0),
-        r_ub_per_i=_readonly(r_ub_per_i),
-        r_lb_per_i=_readonly(r_lb_per_i),
-        r_ub=float(r_ub_per_i[i1]),
-        r_lb=float(r_lb_per_i[i2]),
-        inner_upper=float(vertex_values[i1]),
-        inner_lower=float(vertex_values[i2]),
-        i1=i1,
-        i2=i2,
-        vertex_values=_readonly(vertex_values),
-        sigma=float(sigma),
-        nonneg=nonneg,
-    )
-
-
 def negate(est: RobustEstimate) -> RobustEstimate:
     """Remainder bounds for ``-F``: the bounds and witnesses swap sides."""
-    return _assemble(
+    return RobustEstimate(
         -est.f0,
         -est.r_lb_per_i,
         -est.r_ub_per_i,
@@ -141,7 +130,7 @@ def lift(est: RobustEstimate, index: np.ndarray) -> RobustEstimate:
     per-component remainders and vertex values are gathered, and the
     extremizing components re-chosen with the usual smallest-index rule.
     """
-    return _assemble(
+    return RobustEstimate(
         est.f0,
         est.r_ub_per_i[index],
         est.r_lb_per_i[index],
@@ -183,7 +172,7 @@ def concave_remainder_bounds(counts: CountVector, cfg: IdmConfig, f) -> RobustEs
     f0 = float(f_low.sum())
     # F at the k-th vertex differs from F(u0) only in coordinate k.
     vertex_values = f0 - f_low + f_high
-    return _assemble(
+    return RobustEstimate(
         f0,
         sigma * deriv_low,
         sigma * deriv_high,
@@ -225,7 +214,7 @@ def approx_interval_general(
         vertex_values[k] = provider.fn(u)
     if not (np.isfinite(f0) and np.all(np.isfinite(vertex_values))):
         raise ValueError("provider returned non-finite values")
-    return _assemble(
+    return RobustEstimate(
         f0,
         sigma * upper,
         sigma * lower,
@@ -235,24 +224,20 @@ def approx_interval_general(
     )
 
 
-def propagate_sum(
-    g: RobustEstimate, h_est: RobustEstimate, alpha: float = 1.0, beta: float = 1.0
-) -> RobustEstimate:
-    """Remainder bounds for ``alpha*G + beta*H`` with ``alpha, beta >= 0``.
+def propagate_sum(g: RobustEstimate, h_est: RobustEstimate) -> RobustEstimate:
+    """Remainder bounds for ``G + H``.
 
     Propagation happens on the per-component vectors; the aggregates are
     re-extremized afterwards.  Aggregating first loses O(sigma): a linear
     summand and its negation cancel per component but not per aggregate.
     """
-    if alpha < 0 or beta < 0:
-        raise ValueError("alpha and beta must be non-negative")
     if g.dim != h_est.dim:
         raise ValueError("mismatched dimensions")
-    return _assemble(
-        alpha * g.f0 + beta * h_est.f0,
-        alpha * g.r_ub_per_i + beta * h_est.r_ub_per_i,
-        alpha * g.r_lb_per_i + beta * h_est.r_lb_per_i,
-        alpha * g.vertex_values + beta * h_est.vertex_values,
+    return RobustEstimate(
+        g.f0 + h_est.f0,
+        g.r_ub_per_i + h_est.r_ub_per_i,
+        g.r_lb_per_i + h_est.r_lb_per_i,
+        g.vertex_values + h_est.vertex_values,
         g.sigma,
         nonneg=g.nonneg and h_est.nonneg,
     )
@@ -276,7 +261,7 @@ def propagate_product(g: RobustEstimate, h_est: RobustEstimate) -> RobustEstimat
         raise ValueError("mismatched dimensions")
     r_ub = g.r_ub_per_i * (h_est.f0 + h_est.r_ub) + (g.f0 + g.r_ub) * h_est.r_ub_per_i
     r_lb = g.r_lb_per_i * (h_est.f0 + h_est.r_lb) + (g.f0 + g.r_lb) * h_est.r_lb_per_i
-    return _assemble(
+    return RobustEstimate(
         g.f0 * h_est.f0,
         r_ub,
         r_lb,

@@ -238,6 +238,20 @@ class TestCredibleCommand:
         assert cred["upper"] >= cons["upper"]
         assert result["diagnostics"]["kappa"] == pytest.approx(1.96, abs=1e-2)
 
+    def test_alpha_at_the_last_double_below_one(self, capsys):
+        code, result = run_json(
+            capsys, "credible", "--inline", "1,2\n3,4", "--alpha", "0.9999999999999999"
+        )
+        assert code == 0
+        assert result["diagnostics"]["kappa"] == pytest.approx(8.29236107581, abs=1e-11)
+
+    def test_underflowing_margin_product(self, capsys):
+        code, result = run_json(
+            capsys, "credible", "--inline", "0,0\n0,1e200", "--alpha", "0.9"
+        )
+        assert code == 0
+        assert result["diagnostics"]["mi_variance"] >= 0.0
+
     def test_matches_library_interval(self, capsys):
         _, result = run_json(
             capsys, "credible", "--inline", "5,1\n1,5", "--alpha", "0.9", "--s", "2"

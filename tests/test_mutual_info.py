@@ -1,5 +1,8 @@
 """Expected mutual information: decomposition, bounds, variance, product IDM."""
 
+import math
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -30,6 +33,21 @@ def _mi_grid_interval(tbl, cfg, resolution):
         GridSpec(resolution),
         on_lattice=True,
     )
+
+
+def _variance_mpmath(table, s):
+    """The leading-order variance at the uniform ``t``, in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        d1, d2 = table.shape
+        total = mpmath.fsum(mpmath.mpf(x) for x in table.ravel()) + s
+        u = [[(mpmath.mpf(table[i, j]) + mpmath.mpf(s) / (d1 * d2)) / total for j in range(d2)]
+             for i in range(d1)]
+        rows = [mpmath.fsum(u[i]) for i in range(d1)]
+        cols = [mpmath.fsum(u[i][j] for i in range(d1)) for j in range(d2)]
+        cells = [(u[i][j], mpmath.log(u[i][j] / (rows[i] * cols[j])))
+                 for i in range(d1) for j in range(d2)]
+        center = mpmath.fsum(w * r for w, r in cells)
+        return float(mpmath.fsum(w * (r - center) ** 2 for w, r in cells) / total)
 
 
 class TestContingencyCounts:
@@ -185,6 +203,28 @@ class TestVarianceLeading:
             mc = float(values.var(ddof=1))
             gaps.append(abs(lead - mc) / mc)
         assert gaps[1] <= 0.45 * gaps[0]
+
+    def test_underflowing_margin_product_against_mpmath(self):
+        # Each zero cell's row and column masses are 5e-171; their product
+        # is below the float range.
+        tbl, cfg = ContingencyCounts([[0, 0], [0, 1]]), IdmConfig(1e-170)
+        got = mi_variance_leading(tbl, cfg, SimplexPoint.uniform(4))
+        assert got == pytest.approx(_variance_mpmath(tbl.table, 1e-170), rel=1e-12)
+        assert got == pytest.approx(3.8306454074713385e-166, rel=1e-12)
+
+    def test_huge_count_beside_zero_cells_stays_finite(self):
+        # The true value, 5.3e-396, rounds to 0.
+        tbl = ContingencyCounts([[0, 0], [0, 1e200]])
+        got = mi_variance_leading(tbl, CFG, SimplexPoint.uniform(4))
+        assert math.isfinite(got) and got >= 0.0
+
+    def test_ordinary_tables_against_mpmath(self):
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            table = rng.integers(0, 15, size=tuple(rng.integers(2, 4, size=2))).astype(float)
+            tbl = ContingencyCounts(table)
+            got = mi_variance_leading(tbl, CFG, SimplexPoint.uniform(tbl.cells))
+            assert got == pytest.approx(_variance_mpmath(table, 1.0), rel=1e-12)
 
     def test_zero_cell_rejected(self):
         tbl = ContingencyCounts([[0, 1], [1, 1]])

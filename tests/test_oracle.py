@@ -1,5 +1,6 @@
 """Lattice enumeration, Monte-Carlo sampling, and their reduction helpers."""
 
+import functools
 import math
 import time
 import tracemalloc
@@ -113,6 +114,35 @@ class TestGridExtrema:
         counts = CountVector([1, 1, 1, 1])
         with pytest.raises(GridOverflowError):
             grid_extrema(lambda u: u.sum(axis=1), counts, CFG, GridSpec(500))
+
+    def test_on_lattice_needs_tables(self):
+        counts, grid = CountVector([2, 0, 7]), GridSpec(10)
+        objective = lattice_entropy_objective(counts, CFG, grid)
+
+        def bare(rows):
+            return objective(rows)
+
+        with pytest.raises(ValueError, match="tables"):
+            grid_extrema(bare, counts, CFG, grid, on_lattice=True)
+
+    @pytest.mark.parametrize("kind", ["entropy", "mi"])
+    def test_wrapped_objective_keeps_its_tables(self, kind):
+        # A functools.wraps wrapper, as a tracer installs, copies the
+        # callable's attributes, so it is reduced exactly as the bare one.
+        tbl, grid = ContingencyCounts([[3, 0, 2], [1, 4, 0]]), GridSpec(12)
+        counts = tbl.joint_counts()
+        if kind == "entropy":
+            objective = lattice_entropy_objective(counts, CFG, grid)
+        else:
+            objective = lattice_mi_objective(tbl, CFG, grid)
+
+        @functools.wraps(objective)
+        def traced(rows):
+            return objective(rows)
+
+        bare = grid_extrema(objective, counts, CFG, grid, on_lattice=True)
+        wrapped = grid_extrema(traced, counts, CFG, grid, on_lattice=True)
+        assert (wrapped.lower, wrapped.upper) == (bare.lower, bare.upper)
 
     def test_deterministic(self):
         counts = CountVector([2, 5])

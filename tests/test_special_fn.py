@@ -244,6 +244,29 @@ class TestKappa:
             with pytest.raises(ValueError):
                 kappa_from_alpha(bad)
 
+    @pytest.mark.parametrize(
+        "alpha",
+        sorted(
+            {0.6827, 0.9, 0.95, 0.9545, 0.99, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12, 0.9999999999999999}
+            | {float(a) for a in 1 - 0.5 * np.logspace(0, -15.5, 40)}
+        ),
+    )
+    def test_every_digit_up_to_the_last_double_below_one(self, alpha):
+        # Oracle: kappa = sqrt(2) erfinv(alpha), in 50-digit arithmetic.
+        with mpmath.workdps(50):
+            expected = float(mpmath.sqrt(2) * mpmath.erfinv(mpmath.mpf(alpha)))
+        assert kappa_from_alpha(alpha) == pytest.approx(expected, rel=1e-13)
+
+    def test_last_double_below_one(self):
+        assert kappa_from_alpha(0.9999999999999999) == pytest.approx(
+            8.2923610758135955, rel=1e-13
+        )
+
+    def test_never_negative_zero(self):
+        # 1 - 1e-17 rounds to 1, so the quantile is taken at exactly 1/2.
+        kappa = kappa_from_alpha(1e-17)
+        assert kappa == 0.0 and math.copysign(1.0, kappa) == 1.0
+
     def test_inverts_quadrature_erf(self):
         # Oracle: the package's kappa pushed back through an independent erf.
         for alpha in np.linspace(0.05, 0.999, 20):

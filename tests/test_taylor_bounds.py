@@ -1,11 +1,14 @@
 """First-order conservative bounds, inner bounds, and error propagation."""
 
+import inspect
 import math
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idmbounds import (
     ConcaveSummand,
@@ -164,16 +167,41 @@ class TestGeneralProvider:
             approx_interval_general(COUNTS, CFG, provider)
 
 
-class TestPropagateSum:
-    def test_identity_weights_return_operand(self):
-        g = _entropy_estimate()
-        zero = propagate_sum(g, g, alpha=1.0, beta=0.0)
-        assert zero.f0 == g.f0
-        np.testing.assert_array_equal(zero.r_ub_per_i, g.r_ub_per_i)
-        np.testing.assert_array_equal(zero.r_lb_per_i, g.r_lb_per_i)
-        assert (zero.i1, zero.i2) == (g.i1, g.i2)
-        assert zero.inner_upper == g.inner_upper
+@st.composite
+def _primary_vectors(draw):
+    # Upper remainders, lower remainders and vertex values of one length,
+    # drawn from a few values so that ties are common.
+    d = draw(st.integers(1, 6))
+    vector = st.lists(st.sampled_from((-2.0, -0.5, 0.0, 0.5, 1.0, 3.0)), min_size=d, max_size=d)
+    return tuple(np.array(draw(vector)) for _ in range(3))
 
+
+class TestDerivedAggregates:
+    def test_replace_recomputes_the_extremes(self):
+        est = _entropy_estimate()
+        moved = replace(est, r_ub_per_i=np.array([-1.0, 5.0]))
+        assert (moved.r_ub, moved.i1) == (5.0, 1)
+        assert moved.inner_upper == est.vertex_values[1]
+        assert (moved.r_lb, moved.i2, moved.inner_lower) == (est.r_lb, est.i2, est.inner_lower)
+
+    def test_constructor_takes_only_the_primaries(self):
+        assert list(inspect.signature(RobustEstimate).parameters) == [
+            "f0", "r_ub_per_i", "r_lb_per_i", "vertex_values", "sigma", "nonneg"
+        ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(_primary_vectors())
+    def test_first_extremizing_index_wins(self, vectors):
+        r_ub, r_lb, vertex = vectors
+        est = RobustEstimate(0.5, r_ub, r_lb, vertex, 0.1)
+        i1 = next(i for i, v in enumerate(r_ub) if v == r_ub.max())
+        i2 = next(i for i, v in enumerate(r_lb) if v == r_lb.min())
+        assert (est.i1, est.i2) == (i1, i2)
+        assert (est.r_ub, est.r_lb) == (r_ub.max(), r_lb.min())
+        assert (est.inner_upper, est.inner_lower) == (vertex[i1], vertex[i2])
+
+
+class TestPropagateSum:
     def test_cancellation_needs_per_component_propagation(self):
         g = _coordinate_estimate(COUNTS, CFG, 0)
         neg = DerivativeBoundProvider(
@@ -190,17 +218,12 @@ class TestPropagateSum:
 
     def test_doubling_scales_every_field(self):
         g = _entropy_estimate()
-        double = propagate_sum(g, g, alpha=1.0, beta=1.0)
+        double = propagate_sum(g, g)
         assert double.f0 == pytest.approx(2 * g.f0, abs=1e-15)
         np.testing.assert_allclose(double.r_ub_per_i, 2 * g.r_ub_per_i, atol=1e-15)
         np.testing.assert_allclose(double.vertex_values, 2 * g.vertex_values, atol=1e-15)
         assert double.r_ub == pytest.approx(2 * g.r_ub, abs=1e-15)
         assert _sandwich_holds(double)
-
-    def test_negative_weights_rejected(self):
-        g = _entropy_estimate()
-        with pytest.raises(ValueError):
-            propagate_sum(g, g, alpha=-1.0, beta=0.0)
 
     def test_dimension_mismatch_rejected(self):
         g = _entropy_estimate()
@@ -240,12 +263,6 @@ class TestPropagateProduct:
             f0=1.0,
             r_ub_per_i=np.zeros(2),
             r_lb_per_i=np.zeros(2),
-            r_ub=0.0,
-            r_lb=0.0,
-            inner_upper=1.0,
-            inner_lower=1.0,
-            i1=0,
-            i2=0,
             vertex_values=np.ones(2),
             sigma=g.sigma,
             nonneg=True,
@@ -275,10 +292,6 @@ class TestPropagateProduct:
             base,
             r_ub_per_i=np.zeros(2),
             r_lb_per_i=np.zeros(2),
-            r_ub=0.0,
-            r_lb=0.0,
-            inner_upper=base.f0,
-            inner_lower=base.f0,
             vertex_values=np.full(2, base.f0),
             nonneg=True,
         )
