@@ -111,10 +111,12 @@ def _read_input(args) -> str:
         return args.inline
     if args.input is not None:
         try:
-            with open(args.input, "r", encoding="utf-8") as fh:
+            with open(args.input, "r", encoding="utf-8-sig") as fh:
                 return fh.read()
         except OSError as exc:
             raise CliError("FILE_NOT_FOUND", f"cannot read input file: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise CliError("PARSE_FAILURE", f"input file is not UTF-8: {exc}") from exc
     raise CliError("EMPTY_INPUT", "no input given (use a path argument or --inline)")
 
 
@@ -359,7 +361,8 @@ def _entropy_points(counts: CountVector) -> tuple[float, float, float]:
     ml = float(np.sum(h(freq, EntropyKernel(n))))
     half = float(np.sum(h((counts.counts + 0.5) / (n + 1.0), EntropyKernel(n + 1.0))))
     pos = freq[freq > 0]
-    plugin = float(-(pos * np.log(pos)).sum())
+    # 0 - sum, not -sum: a single category gives +0.0, not -0.0.
+    plugin = float(0.0 - (pos * np.log(pos)).sum())
     return ml, half, plugin
 
 

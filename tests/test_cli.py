@@ -1,6 +1,7 @@
 """Command-line interface: golden runs, formats, and error codes."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -112,6 +113,20 @@ class TestEntropyCommand:
         path.write_bytes(b"3,6\r\n")
         _, result = run_json(capsys, "entropy", str(path))
         assert result["intervals"]["exact"]["lower_rational"] == "7106/12600"
+
+    def test_file_with_utf8_bom(self, capsys, tmp_path):
+        path = tmp_path / "counts.txt"
+        path.write_bytes(b"\xef\xbb\xbf3,6\r\n")
+        code, result = run_json(capsys, "entropy", str(path))
+        assert code == 0
+        assert result["inputs"]["counts"] == [3.0, 6.0]
+
+    def test_undecodable_file_is_a_parse_failure(self, capsys, tmp_path):
+        path = tmp_path / "counts.txt"
+        path.write_bytes(b"\xff\xfe3,6")
+        code, result = run_json(capsys, "entropy", str(path))
+        assert code == 1
+        assert result["error"]["code"] == "PARSE_FAILURE"
 
 
 class TestErrorCodes:
@@ -296,6 +311,20 @@ class TestSweepCommand:
             parts = [float(v) for v in ln.split(",")]
             widths.append(parts[4] - parts[3])
         assert all(b < a for a, b in zip(widths, widths[1:]))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("--sweep", "ratio:9"), ("--inline", "0,5", "--sweep", "n:1:1", "--format", "json")],
+    )
+    def test_single_category_plugin_entropy_is_positive_zero(self, capsys, argv):
+        code, out = run_cli(capsys, "sweep", *argv)
+        assert code == 0
+        if argv[-1] == "json":
+            first = json.loads(out)["rows"][0]
+        else:
+            first = [float(v) for v in out.splitlines()[1].split(",")]
+        assert first[-1] == 0.0
+        assert math.copysign(1.0, first[-1]) == 1.0
 
     def test_json_format_carries_columns(self, capsys):
         _, result = run_json(
