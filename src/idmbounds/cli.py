@@ -6,16 +6,21 @@ credible interval for the MI), and ``sweep`` (plot-data series over a
 sample-size or ratio axis).  Results go to stdout, human diagnostics to
 stderr; every failure carries a stable machine-readable error code and a
 nonzero exit status.
+
+Every request takes one path.  ``main`` parses the arguments with a parser
+built once at import from one table of subcommands; ``_read_input`` reads
+and strips the input; the subcommand's handler builds the config, computes
+and returns ``(inputs, body)``; and ``main`` alone adds the schema, the
+command, ``s`` and ``grid_check`` to the result and writes it.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import sys
-from typing import Optional
+from typing import Optional, TextIO
 
 import numpy as np
 
@@ -105,19 +110,25 @@ def _interval_payload(iv: Interval, rational=None) -> dict:
 
 
 def _read_input(args) -> str:
+    """The request's input, stripped; refuses a conflict and empty input."""
     if args.inline is not None and args.input is not None:
         raise CliError("INPUT_CONFLICT", "give either an input path or --inline, not both")
     if args.inline is not None:
-        return args.inline
-    if args.input is not None:
+        text = args.inline
+    elif args.input is not None:
         try:
             with open(args.input, "r", encoding="utf-8-sig") as fh:
-                return fh.read()
+                text = fh.read()
         except OSError as exc:
             raise CliError("FILE_NOT_FOUND", f"cannot read input file: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise CliError("PARSE_FAILURE", f"input file is not UTF-8: {exc}") from exc
-    raise CliError("EMPTY_INPUT", "no input given (use a path argument or --inline)")
+    else:
+        raise CliError("EMPTY_INPUT", "no input given (use a path argument or --inline)")
+    text = text.strip()
+    if not text:
+        raise CliError("EMPTY_INPUT", "input is empty")
+    return text
 
 
 def _parse_reals(tokens, what: str) -> list[float]:
@@ -136,47 +147,46 @@ def _parse_reals(tokens, what: str) -> list[float]:
     return values
 
 
-def parse_counts(text: str) -> CountVector:
-    """Counts from comma-separated reals or ``{"counts": [...]}`` JSON."""
-    text = text.strip()
-    if not text:
-        raise CliError("EMPTY_INPUT", "input is empty")
-    if text.startswith("{"):
-        try:
-            payload = json.loads(text)
-            raw = payload["counts"]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise CliError("PARSE_FAILURE", f"bad JSON counts input: {exc}") from exc
-        if not isinstance(raw, list) or not raw:
-            raise CliError("PARSE_FAILURE", '"counts" must be a non-empty list')
-        values = _parse_reals([str(v) for v in raw], "counts")
-    else:
-        values = _parse_reals(text.replace("\r\n", "\n").strip().split(","), "counts")
-    if any(v < 0 for v in values):
-        raise CliError("NEGATIVE_COUNTS", "counts must be non-negative")
+def _json_field(text: str, field: str):
     try:
-        return CountVector(values)
+        return json.loads(text)[field]
+    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        raise CliError("PARSE_FAILURE", f"bad JSON {field} input: {exc}") from exc
+
+
+def _construct(cls, values):
+    """``cls(values)``, its ``ValueError`` reported as ``PARSE_FAILURE``."""
+    try:
+        return cls(values)
     except ValueError as exc:
         raise CliError("PARSE_FAILURE", str(exc)) from exc
 
 
-def parse_table(text: str) -> ContingencyCounts:
-    """A table from CSV rows or ``{"table": [[...]]}`` JSON."""
-    text = text.strip()
-    if not text:
-        raise CliError("EMPTY_INPUT", "input is empty")
+def parse_counts(text: str) -> CountVector:
+    """Counts from stripped, non-empty text: comma-separated reals or ``{"counts": [...]}`` JSON."""
     if text.startswith("{"):
-        try:
-            payload = json.loads(text)
-            raw = payload["table"]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise CliError("PARSE_FAILURE", f"bad JSON table input: {exc}") from exc
+        raw = _json_field(text, "counts")
+        if not isinstance(raw, list) or not raw:
+            raise CliError("PARSE_FAILURE", '"counts" must be a non-empty list')
+        tokens = [str(v) for v in raw]
+    else:
+        tokens = text.replace("\r\n", "\n").split(",")
+    values = _parse_reals(tokens, "counts")
+    if any(v < 0 for v in values):
+        raise CliError("NEGATIVE_COUNTS", "counts must be non-negative")
+    return _construct(CountVector, values)
+
+
+def parse_table(text: str) -> ContingencyCounts:
+    """A table from stripped, non-empty text: CSV rows or ``{"table": [[...]]}`` JSON."""
+    if text.startswith("{"):
+        raw = _json_field(text, "table")
         if not isinstance(raw, list) or not raw or not all(isinstance(r, list) for r in raw):
             raise CliError("PARSE_FAILURE", '"table" must be a non-empty list of rows')
-        rows = [_parse_reals([str(v) for v in row], "table row") for row in raw]
+        rows = [[str(v) for v in row] for row in raw]
     else:
-        lines = [ln for ln in text.replace("\r\n", "\n").split("\n") if ln.strip()]
-        rows = [_parse_reals(ln.split(","), "table row") for ln in lines]
+        rows = [ln.split(",") for ln in text.replace("\r\n", "\n").split("\n") if ln.strip()]
+    rows = [_parse_reals(row, "table row") for row in rows]
     if not all(rows):
         raise CliError("PARSE_FAILURE", "table rows must be non-empty")
     widths = {len(r) for r in rows}
@@ -184,23 +194,18 @@ def parse_table(text: str) -> ContingencyCounts:
         raise CliError("RAGGED_TABLE", f"rows have differing lengths {sorted(widths)}")
     if any(v < 0 for row in rows for v in row):
         raise CliError("NEGATIVE_COUNTS", "table entries must be non-negative")
-    try:
-        return ContingencyCounts(rows)
-    except ValueError as exc:
-        raise CliError("PARSE_FAILURE", str(exc)) from exc
+    return _construct(ContingencyCounts, rows)
 
 
-def _config(args) -> IdmConfig:
+def _config(args, total: float = 0.0) -> IdmConfig:
+    """``--s`` as a config; refuses an ``n + s`` that overflows for ``n = total``."""
     try:
-        return IdmConfig(args.s)
+        cfg = IdmConfig(args.s)
     except ValueError as exc:
         raise CliError("BAD_STRENGTH", str(exc)) from exc
-
-
-def _check_total(total: float, cfg: IdmConfig) -> None:
-    """Refuse an ``s`` whose posterior weight ``n + s`` overflows."""
     if not math.isfinite(total + cfg.s):
         raise CliError("BAD_STRENGTH", f"n + s overflows (n = {total:g}, s = {cfg.s:g})")
+    return cfg
 
 
 def _grid_spec(args, minimum: int = 1) -> Optional[GridSpec]:
@@ -215,118 +220,84 @@ def _grid_spec(args, minimum: int = 1) -> Optional[GridSpec]:
         raise CliError("BAD_GRID_SPEC", f"--grid-check: {exc}") from exc
 
 
-def _base_result(command: str, args, inputs: dict) -> dict:
-    inputs = dict(inputs)
-    inputs["s"] = _round12(args.s)
-    if getattr(args, "grid_check", None) is not None:
-        inputs["grid_check"] = args.grid_check
-    return {"schema": SCHEMA, "command": command, "inputs": inputs}
+def _grid_check(objective, counts, cfg, grid, checked: dict, body: dict) -> None:
+    """Add the lattice interval to ``body`` and, for every interval in
+    ``checked``, an ``oracle_within_<kind>`` containment verdict."""
+    try:
+        oracle_iv = grid_extrema(objective, counts, cfg, grid, on_lattice=True)
+    except GridOverflowError as exc:
+        raise CliError("GRID_OVERFLOW", str(exc)) from exc
+    body["intervals"]["oracle"] = _interval_payload(oracle_iv)
+    for kind, iv in checked.items():
+        body["diagnostics"][f"oracle_within_{kind}"] = iv.contains_interval(oracle_iv, 1e-9)
 
 
-def run_entropy(args) -> dict:
+def _entropy_estimate(counts: CountVector, cfg: IdmConfig):
+    kernel = EntropyKernel(counts.total + cfg.s)
+    return concave_remainder_bounds(counts, cfg, entropy_summand(kernel))
+
+
+def run_entropy(args) -> tuple[dict, dict]:
     counts = parse_counts(_read_input(args))
-    cfg = _config(args)
-    _check_total(counts.total, cfg)
+    cfg = _config(args, counts.total)
     grid = _grid_spec(args)
-    result = _base_result("entropy", args, {"counts": counts.counts.tolist(), "mode": args.mode})
-    intervals: dict = {}
     diagnostics = {
         "n": _round12(counts.total),
         "d": counts.dim,
         "sigma": _round12(sigma_of(counts, cfg)),
     }
-
-    exact_iv = None
+    body = {"diagnostics": diagnostics, "intervals": {}}
+    checked = {}
     if args.mode in ("exact", "both"):
-        exact_iv = entropy_interval_exact(counts, cfg)
-        intervals["exact"] = _interval_payload(
-            exact_iv, entropy_interval_rational(counts, cfg)
+        checked["exact"] = entropy_interval_exact(counts, cfg)
+        body["intervals"]["exact"] = _interval_payload(
+            checked["exact"], entropy_interval_rational(counts, cfg)
         )
-    est = None
     if args.mode in ("approx", "both"):
-        kernel = EntropyKernel(counts.total + cfg.s)
-        est = concave_remainder_bounds(counts, cfg, entropy_summand(kernel))
-        intervals["conservative"] = _interval_payload(est.conservative_interval())
-        intervals["inner"] = _interval_payload(est.inner_interval())
+        est = _entropy_estimate(counts, cfg)
+        checked["conservative"] = est.conservative_interval()
+        body["intervals"]["conservative"] = _interval_payload(checked["conservative"])
+        body["intervals"]["inner"] = _interval_payload(est.inner_interval())
         diagnostics["vertex_upper"] = est.i1
         diagnostics["vertex_lower"] = est.i2
-
     if grid is not None:
-        try:
-            oracle_iv = grid_extrema(
-                lattice_entropy_objective(counts, cfg, grid),
-                counts,
-                cfg,
-                grid,
-                on_lattice=True,
-            )
-        except GridOverflowError as exc:
-            raise CliError("GRID_OVERFLOW", str(exc)) from exc
-        intervals["oracle"] = _interval_payload(oracle_iv)
-        if exact_iv is not None:
-            diagnostics["oracle_within_exact"] = exact_iv.contains_interval(oracle_iv, 1e-9)
-        if est is not None:
-            diagnostics["oracle_within_conservative"] = est.conservative_interval().contains_interval(
-                oracle_iv, 1e-9
-            )
-
-    result["diagnostics"] = diagnostics
-    result["intervals"] = intervals
-    return result
+        _grid_check(lattice_entropy_objective(counts, cfg, grid), counts, cfg, grid, checked, body)
+    return {"counts": counts.counts.tolist(), "mode": args.mode}, body
 
 
-def run_mutinfo(args) -> dict:
+def run_mutinfo(args) -> tuple[dict, dict]:
     tbl = parse_table(_read_input(args))
-    cfg = _config(args)
-    _check_total(tbl.total, cfg)
+    cfg = _config(args, tbl.total)
     # The outer-product check needs at least two steps per factor simplex.
     grid = _grid_spec(args, minimum=2)
-    result = _base_result("mutinfo", args, {"table": tbl.table.tolist(), "mode": args.mode})
     counts = tbl.joint_counts()
-    intervals: dict = {}
     diagnostics = {
         "n": _round12(tbl.total),
         "shape": list(tbl.shape),
         "sigma": _round12(sigma_of(counts, cfg)),
     }
-
+    body = {"diagnostics": diagnostics, "intervals": {}}
+    checked = {}
     bounds = mi_interval_bounds(tbl, cfg) if args.mode != "exact" else None
     if args.mode in ("exact", "both"):
-        crude_iv = bounds.crude if bounds is not None else mi_interval_crude(tbl, cfg)
-        intervals["crude"] = _interval_payload(crude_iv)
+        checked["crude"] = bounds.crude if bounds is not None else mi_interval_crude(tbl, cfg)
+        body["intervals"]["crude"] = _interval_payload(checked["crude"])
     if bounds is not None:
-        intervals["conservative"] = _interval_payload(bounds.conservative_interval())
-        intervals["inner"] = _interval_payload(bounds.inner_interval())
+        checked["conservative"] = bounds.conservative_interval()
+        body["intervals"]["conservative"] = _interval_payload(checked["conservative"])
+        body["intervals"]["inner"] = _interval_payload(bounds.inner_interval())
         diagnostics["cell_upper"] = list(bounds.cell1)
         diagnostics["cell_lower"] = list(bounds.cell2)
-
     if grid is not None:
-        try:
-            oracle_iv = grid_extrema(
-                lattice_mi_objective(tbl, cfg, grid), counts, cfg, grid, on_lattice=True
-            )
-        except GridOverflowError as exc:
-            raise CliError("GRID_OVERFLOW", str(exc)) from exc
-        intervals["oracle"] = _interval_payload(oracle_iv)
-        if "crude" in intervals:
-            diagnostics["oracle_within_crude"] = crude_iv.contains_interval(oracle_iv, 1e-9)
+        _grid_check(lattice_mi_objective(tbl, cfg, grid), counts, cfg, grid, checked, body)
         if bounds is not None:
-            diagnostics["oracle_within_conservative"] = (
-                bounds.conservative_interval().contains_interval(oracle_iv, 1e-9)
-            )
-            diagnostics["product_idm_ok"] = product_idm_check(
-                tbl, cfg, bounds, args.grid_check
-            )
-
-    result["diagnostics"] = diagnostics
-    result["intervals"] = intervals
-    return result
+            diagnostics["product_idm_ok"] = product_idm_check(tbl, cfg, bounds, args.grid_check)
+    return {"table": tbl.table.tolist(), "mode": args.mode}, body
 
 
-def run_credible(args) -> dict:
+def run_credible(args) -> tuple[dict, dict]:
     tbl = parse_table(_read_input(args))
-    cfg = _config(args)
-    _check_total(tbl.total, cfg)
+    cfg = _config(args, tbl.total)
     if args.alpha is None:
         raise CliError("ALPHA_REQUIRED", "the credible command requires --alpha")
     if not 0.0 < args.alpha < 1.0:
@@ -337,26 +308,23 @@ def run_credible(args) -> dict:
         variance = mi_variance_leading(tbl, cfg, SimplexPoint.uniform(tbl.cells))
     except ValueError as exc:
         raise CliError("ZERO_CELL", str(exc)) from exc
-
-    result = _base_result("credible", args, {"table": tbl.table.tolist(), "alpha": args.alpha})
-    result["diagnostics"] = {
+    diagnostics = {
         "n": _round12(tbl.total),
         "shape": list(tbl.shape),
         "sigma": _round12(est.sigma),
         "kappa": _round12(spec.kappa),
         "mi_variance": _round12(variance),
     }
-    result["intervals"] = {
+    intervals = {
         "conservative": _interval_payload(est.conservative_interval()),
         "credible": _interval_payload(credible_mi_interval(est, variance, spec)),
     }
-    return result
+    inputs = {"table": tbl.table.tolist(), "alpha": args.alpha}
+    return inputs, {"diagnostics": diagnostics, "intervals": intervals}
 
 
 def _entropy_points(counts: CountVector) -> tuple[float, float, float]:
     n = counts.total
-    if n <= 0:
-        raise CliError("BAD_SWEEP_SPEC", "point estimates need a positive sample size")
     freq = counts.counts / n
     ml = float(np.sum(h(freq, EntropyKernel(n))))
     half = float(np.sum(h((counts.counts + 0.5) / (n + 1.0), EntropyKernel(n + 1.0))))
@@ -366,7 +334,8 @@ def _entropy_points(counts: CountVector) -> tuple[float, float, float]:
     return ml, half, plugin
 
 
-def _sweep_rows(args, cfg: IdmConfig) -> tuple[list[list[float]], dict]:
+def run_sweep(args) -> tuple[dict, dict]:
+    _config(args)  # a bad --s is reported before a bad --sweep
     spec = args.sweep
     parts = spec.split(":")
     if parts[0] == "n" and len(parts) == 3:
@@ -395,10 +364,7 @@ def _sweep_rows(args, cfg: IdmConfig) -> tuple[list[list[float]], dict]:
         if not math.isfinite(n_fixed) or n_fixed < 1:
             raise CliError("BAD_SWEEP_SPEC", "ratio sweep needs fixed n >= 1")
         # Step 1/60 keeps simple rational ratios (1/3, 1/4, ...) on the grid.
-        axis = []
-        for i in range(31):
-            x = i / 60.0
-            axis.append((x, np.array([x * n_fixed, (1.0 - x) * n_fixed])))
+        axis = [(x, np.array([x * n_fixed, (1.0 - x) * n_fixed])) for x in np.arange(31) / 60.0]
         inputs = {"sweep": spec, "n": _round12(n_fixed)}
     else:
         raise CliError(
@@ -408,37 +374,15 @@ def _sweep_rows(args, cfg: IdmConfig) -> tuple[list[list[float]], dict]:
     rows = []
     for x, raw in axis:
         counts = CountVector(raw)
-        _check_total(counts.total, cfg)
-        exact_iv = entropy_interval_exact(counts, cfg)
-        kernel = EntropyKernel(counts.total + cfg.s)
-        est = concave_remainder_bounds(counts, cfg, entropy_summand(kernel))
-        cons = est.conservative_interval()
-        ml, half, plugin = _entropy_points(counts)
-        rows.append(
-            [
-                _round12(x),
-                _round12(exact_iv.lower),
-                _round12(exact_iv.upper),
-                _round12(cons.lower),
-                _round12(cons.upper),
-                _round12(ml),
-                _round12(half),
-                _round12(plugin),
-            ]
-        )
-    return rows, inputs
+        cfg = _config(args, counts.total)
+        exact = entropy_interval_exact(counts, cfg)
+        cons = _entropy_estimate(counts, cfg).conservative_interval()
+        row = (x, exact.lower, exact.upper, cons.lower, cons.upper, *_entropy_points(counts))
+        rows.append([_round12(v) for v in row])
+    return inputs, {"columns": list(SWEEP_COLUMNS), "rows": rows}
 
 
-def run_sweep(args) -> dict:
-    cfg = _config(args)
-    rows, inputs = _sweep_rows(args, cfg)
-    result = _base_result("sweep", args, inputs)
-    result["columns"] = list(SWEEP_COLUMNS)
-    result["rows"] = rows
-    return result
-
-
-def _emit_csv(result: dict, out: io.TextIOBase) -> None:
+def _emit_csv(result: dict, out: TextIO) -> None:
     if result["command"] == "sweep":
         out.write(",".join(result["columns"]) + "\n")
         for row in result["rows"]:
@@ -449,78 +393,74 @@ def _emit_csv(result: dict, out: io.TextIOBase) -> None:
         out.write(f"{kind},{payload['lower']:.12g},{payload['upper']:.12g}\n")
 
 
+#: The arguments that only some subcommands take.
+_OWN_ARGUMENTS = {
+    "--grid-check": {
+        "type": int,
+        "metavar": "RESOLUTION",
+        "help": "append a brute-force lattice interval and containment verdicts",
+    },
+    "--mode": {"choices": ("exact", "approx", "both"), "default": "both"},
+    "--alpha": {"type": float, "help": "coverage level in (0, 1)"},
+    "--sweep": {
+        "required": True,
+        "metavar": "SPEC",
+        "help": "axis spec: n:<min>:<max> (fixed ratios) or ratio:<n> (fixed n)",
+    },
+}
+#: entropy and mutinfo take the lattice check and the estimator mode.
+_GRID_FLAGS = ("--grid-check", "--mode")
+
+#: Subcommand: help, default format, handler and its own arguments.
+_SUBCOMMANDS = {
+    "entropy": ("robust expected-entropy intervals", "json", run_entropy, _GRID_FLAGS),
+    "mutinfo": ("robust expected-mutual-information intervals", "json", run_mutinfo, _GRID_FLAGS),
+    "credible": ("robust credible interval for the MI", "json", run_credible, ("--alpha",)),
+    "sweep": ("entropy-interval series for plotting", "csv", run_sweep, ("--sweep",)),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="idmbounds",
         description="Robust interval estimators under the imprecise Dirichlet model.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, default_format):
+    for name, (help_text, default_format, handler, own_flags) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("input", nargs="?", help="input file (counts or CSV table)")
         p.add_argument("--inline", help="inline input data instead of a file")
         p.add_argument("--s", type=float, default=1.0, help="prior strength (default 1)")
         p.add_argument(
             "--format", choices=("json", "csv"), default=default_format, help="output format"
         )
-
-    def grid_check(p):
-        p.add_argument(
-            "--grid-check",
-            type=int,
-            default=None,
-            metavar="RESOLUTION",
-            help="append a brute-force lattice interval and containment verdicts",
-        )
-
-    p_entropy = sub.add_parser("entropy", help="robust expected-entropy intervals")
-    common(p_entropy, "json")
-    grid_check(p_entropy)
-    p_entropy.add_argument("--mode", choices=("exact", "approx", "both"), default="both")
-    p_entropy.set_defaults(handler=run_entropy)
-
-    p_mi = sub.add_parser("mutinfo", help="robust expected-mutual-information intervals")
-    common(p_mi, "json")
-    grid_check(p_mi)
-    p_mi.add_argument("--mode", choices=("exact", "approx", "both"), default="both")
-    p_mi.set_defaults(handler=run_mutinfo)
-
-    p_cred = sub.add_parser("credible", help="robust credible interval for the MI")
-    common(p_cred, "json")
-    p_cred.add_argument("--alpha", type=float, default=None, help="coverage level in (0, 1)")
-    p_cred.set_defaults(handler=run_credible)
-
-    p_sweep = sub.add_parser("sweep", help="entropy-interval series for plotting")
-    common(p_sweep, "csv")
-    p_sweep.add_argument(
-        "--sweep",
-        required=True,
-        metavar="SPEC",
-        help="axis spec: n:<min>:<max> (fixed ratios) or ratio:<n> (fixed n)",
-    )
-    p_sweep.set_defaults(handler=run_sweep)
+        for flag in own_flags:
+            p.add_argument(flag, **_OWN_ARGUMENTS[flag])
+        p.set_defaults(handler=handler)
     return parser
 
 
+# Built once; parse_args only reads it, so main is safe to call from threads.
+_PARSER = build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
-        result = args.handler(args)
+        inputs, body = args.handler(args)
     except CliError as exc:
-        json.dump(
-            {"schema": SCHEMA, "error": {"code": exc.code, "message": exc.message}},
-            sys.stdout,
-        )
-        sys.stdout.write("\n")
+        print(json.dumps({"schema": SCHEMA, "error": {"code": exc.code, "message": exc.message}}))
         print(f"error [{exc.code}]: {exc.message}", file=sys.stderr)
         return 1
+    inputs["s"] = _round12(args.s)
+    if getattr(args, "grid_check", None) is not None:
+        inputs["grid_check"] = args.grid_check
+    result = {"schema": SCHEMA, "command": args.command, "inputs": inputs, **body}
     if args.format == "csv":
         _emit_csv(result, sys.stdout)
     else:
-        json.dump(result, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
-    print(f"ok: {result['command']} completed", file=sys.stderr)
+        print(json.dumps(result, indent=2, sort_keys=True))
+    print(f"ok: {args.command} completed", file=sys.stderr)
     return 0
 
 

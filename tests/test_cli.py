@@ -1,7 +1,10 @@
 """Command-line interface: golden runs, formats, and error codes."""
 
+import argparse
 import json
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -15,6 +18,7 @@ from idmbounds import (
     lattice_mi_objective,
     robust_credible_mi,
 )
+import idmbounds.cli as cli
 from idmbounds.cli import SWEEP_COLUMNS, main
 
 
@@ -332,3 +336,47 @@ class TestSweepCommand:
         )
         assert result["columns"] == list(SWEEP_COLUMNS)
         assert len(result["rows"]) == 2
+
+
+class TestParser:
+    def test_built_once_per_process(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert main(["entropy", "--inline", "3,6"]) == 0
+        assert main(["sweep", "--inline", "3,6", "--sweep", "n:9:9"]) == 0
+        capsys.readouterr()
+        assert built == []
+
+    def test_shared_parser_under_threads(self):
+        argvs = [
+            ["entropy", "--inline", "3,6", "--mode", "exact", "--grid-check", "5"],
+            ["mutinfo", "--inline", "1,2\n3,4", "--format", "csv"],
+            ["credible", "--inline", "1,2\n3,4", "--alpha", "0.9", "--s", "2"],
+            ["sweep", "--sweep", "ratio:9"],
+        ]
+        expected = [vars(cli._PARSER.parse_args(argv)) for argv in argvs]
+        matches = []
+
+        def worker(offset):
+            for i in range(200):
+                k = (i + offset) % len(argvs)
+                matches.append(vars(cli._PARSER.parse_args(argvs[k])) == expected[k])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(t,)) for t in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(matches) == 8 * 200 and all(matches)
