@@ -19,12 +19,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
-from typing import Optional, TextIO
+from typing import Optional
 
 import numpy as np
 
-from .credible import CredibleSpec, credible_mi_interval
+from .credible import CredibleSpec, robust_credible_mi_parts
 from .exact_extrema import (
     entropy_interval_exact,
     entropy_interval_rational,
@@ -32,10 +33,8 @@ from .exact_extrema import (
 )
 from .mutual_info import (
     ContingencyCounts,
-    mi_estimate,
     mi_interval_bounds,
     mi_interval_crude,
-    mi_variance_leading,
     product_idm_check,
 )
 from .oracle import (
@@ -45,7 +44,7 @@ from .oracle import (
     lattice_entropy_objective,
     lattice_mi_objective,
 )
-from .simplex_core import CountVector, IdmConfig, Interval, SimplexPoint, sigma_of
+from .simplex_core import CountVector, IdmConfig, Interval, sigma_of
 from .special_fn import EntropyKernel, h
 from .taylor_bounds import concave_remainder_bounds
 
@@ -303,9 +302,8 @@ def run_credible(args) -> tuple[dict, dict]:
     if not 0.0 < args.alpha < 1.0:
         raise CliError("ALPHA_OUT_OF_RANGE", "alpha must lie strictly between 0 and 1")
     spec = CredibleSpec(args.alpha)
-    est = mi_estimate(tbl, cfg)
     try:
-        variance = mi_variance_leading(tbl, cfg, SimplexPoint.uniform(tbl.cells))
+        est, variance, credible = robust_credible_mi_parts(tbl, cfg, spec)
     except ValueError as exc:
         raise CliError("ZERO_CELL", str(exc)) from exc
     diagnostics = {
@@ -317,7 +315,7 @@ def run_credible(args) -> tuple[dict, dict]:
     }
     intervals = {
         "conservative": _interval_payload(est.conservative_interval()),
-        "credible": _interval_payload(credible_mi_interval(est, variance, spec)),
+        "credible": _interval_payload(credible),
     }
     inputs = {"table": tbl.table.tolist(), "alpha": args.alpha}
     return inputs, {"diagnostics": diagnostics, "intervals": intervals}
@@ -350,6 +348,8 @@ def run_sweep(args) -> tuple[dict, dict]:
                 "BAD_SWEEP_SPEC",
                 f"n-sweep spans {hi - lo + 1} rows, above the cap of {MAX_SWEEP_ROWS}",
             )
+        if hi > sys.float_info.max:
+            raise CliError("BAD_SWEEP_SPEC", "n_max lies beyond the float range")
         counts = parse_counts(_read_input(args))
         if counts.total <= 0:
             raise CliError("BAD_SWEEP_SPEC", "n-sweep needs counts with a positive total")
@@ -363,6 +363,8 @@ def run_sweep(args) -> tuple[dict, dict]:
             raise CliError("BAD_SWEEP_SPEC", f"bad fixed n in {spec!r}") from exc
         if not math.isfinite(n_fixed) or n_fixed < 1:
             raise CliError("BAD_SWEEP_SPEC", "ratio sweep needs fixed n >= 1")
+        if args.inline is not None or args.input is not None:
+            raise CliError("INPUT_CONFLICT", "a ratio sweep fixes its counts; give no input")
         # Step 1/60 keeps simple rational ratios (1/3, 1/4, ...) on the grid.
         axis = [(x, np.array([x * n_fixed, (1.0 - x) * n_fixed])) for x in np.arange(31) / 60.0]
         inputs = {"sweep": spec, "n": _round12(n_fixed)}
@@ -382,15 +384,15 @@ def run_sweep(args) -> tuple[dict, dict]:
     return inputs, {"columns": list(SWEEP_COLUMNS), "rows": rows}
 
 
-def _emit_csv(result: dict, out: TextIO) -> None:
+def _csv_text(result: dict) -> str:
     if result["command"] == "sweep":
-        out.write(",".join(result["columns"]) + "\n")
-        for row in result["rows"]:
-            out.write(",".join(f"{v:.12g}" for v in row) + "\n")
-        return
-    out.write("kind,lower,upper\n")
-    for kind, payload in result["intervals"].items():
-        out.write(f"{kind},{payload['lower']:.12g},{payload['upper']:.12g}\n")
+        lines = [",".join(result["columns"])]
+        lines += [",".join(f"{v:.12g}" for v in row) for row in result["rows"]]
+    else:
+        lines = ["kind,lower,upper"]
+        for kind, iv in result["intervals"].items():
+            lines.append(f"{kind},{iv['lower']:.12g},{iv['upper']:.12g}")
+    return "\n".join(lines)
 
 
 #: The arguments that only some subcommands take.
@@ -449,19 +451,28 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         inputs, body = args.handler(args)
     except CliError as exc:
-        print(json.dumps({"schema": SCHEMA, "error": {"code": exc.code, "message": exc.message}}))
-        print(f"error [{exc.code}]: {exc.message}", file=sys.stderr)
-        return 1
+        error = {"schema": SCHEMA, "error": {"code": exc.code, "message": exc.message}}
+        return _respond(json.dumps(error), f"error [{exc.code}]: {exc.message}", 1)
     inputs["s"] = _round12(args.s)
     if getattr(args, "grid_check", None) is not None:
         inputs["grid_check"] = args.grid_check
     result = {"schema": SCHEMA, "command": args.command, "inputs": inputs, **body}
-    if args.format == "csv":
-        _emit_csv(result, sys.stdout)
-    else:
-        print(json.dumps(result, indent=2, sort_keys=True))
-    print(f"ok: {args.command} completed", file=sys.stderr)
-    return 0
+    csv = args.format == "csv"
+    text = _csv_text(result) if csv else json.dumps(result, indent=2, sort_keys=True)
+    return _respond(text, f"ok: {args.command} completed", 0)
+
+
+def _respond(text: str, note: str, status: int) -> int:
+    """Print ``text`` to stdout, then ``note`` to stderr, and return ``status``."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # The reader closed stdout early (``| head``): stop quietly, and keep
+        # the interpreter's flush at exit from raising again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    print(note, file=sys.stderr)
+    return status
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -32,8 +32,7 @@ class CredibleSpec:
     kappa: float = field(init=False)
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie strictly between 0 and 1")
+        # kappa_from_alpha refuses an alpha outside (0, 1).
         object.__setattr__(self, "kappa", kappa_from_alpha(self.alpha))
 
 
@@ -132,15 +131,25 @@ def credible_mi_interval(est: RobustEstimate, variance: float, spec: CredibleSpe
     return Interval(est.f0 + est.r_lb - spread, est.f0 + est.r_ub + spread)
 
 
-def robust_credible_mi(tbl: ContingencyCounts, cfg: IdmConfig, spec: CredibleSpec) -> Interval:
-    """Gaussian-approximation robust credible interval for the expected MI.
+def robust_credible_mi_parts(
+    tbl: ContingencyCounts, cfg: IdmConfig, spec: CredibleSpec
+) -> tuple[RobustEstimate, float, Interval]:
+    """The robust credible MI policy, as ``(estimate, variance, interval)``.
 
-    Upper endpoint ``i0 + r_ub + kappa * sqrt(Var)`` and mirrored lower
-    endpoint, with the variance evaluated at the uniform cell
-    hyperparameter, as the CLI does (the variance varies with ``t`` only at
-    higher order).  Not strictly conservative: both the Gaussian shape and
-    the leading-order variance ignore higher-order terms.
+    :func:`mi_estimate`, the leading-order variance at the uniform cell
+    hyperparameter (it varies with ``t`` only at higher order; a zero cell
+    there raises ``ValueError``), and :func:`credible_mi_interval` of both.
     """
     est = mi_estimate(tbl, cfg)
     variance = mi_variance_leading(tbl, cfg, SimplexPoint.uniform(tbl.cells))
-    return credible_mi_interval(est, variance, spec)
+    return est, variance, credible_mi_interval(est, variance, spec)
+
+
+def robust_credible_mi(tbl: ContingencyCounts, cfg: IdmConfig, spec: CredibleSpec) -> Interval:
+    """Gaussian-approximation robust credible interval for the expected MI.
+
+    The interval of :func:`robust_credible_mi_parts`.  Not strictly
+    conservative: both the Gaussian shape and the leading-order variance
+    ignore higher-order terms.
+    """
+    return robust_credible_mi_parts(tbl, cfg, spec)[2]

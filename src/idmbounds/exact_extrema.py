@@ -6,11 +6,15 @@ pushing all prior weight onto the best-observed category (a vertex of the
 ``t``-simplex), and the global maximum by a water-filling construction
 that levels the smallest coordinates at a common value ``u_tilde``.  Both
 extrema are closed-form; the expected entropy is the flagship instance.
+
+A convex summand ``g`` takes the same path through ``-g``, which is
+concave: ``min sum g = -max sum (-g)`` and ``max sum g = -min sum (-g)``,
+with the same witnesses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -25,45 +29,30 @@ RATIONAL_TOTAL_LIMIT = 1000
 
 @dataclass(frozen=True)
 class ConcaveSummand:
-    """A scalar summand ``f`` with derivative and declared curvature.
+    """A concave scalar summand ``f`` with its derivative.
 
     ``fn`` and ``deriv`` must be vectorized over numpy arrays on [0, 1] and
-    re-entrant.  The declared curvature is spot-checked at construction on a
-    10-point grid: a concave summand must have a non-increasing derivative,
-    a convex one non-decreasing.
+    re-entrant.  Concavity is spot-checked at construction on a 10-point
+    grid: the derivative must be finite and non-increasing there.  For a
+    convex ``g``, build the summand of ``-g`` and negate the values it
+    yields.
     """
 
     fn: Callable
     deriv: Callable
-    curvature: str
 
     def __post_init__(self):
-        if self.curvature not in ("concave", "convex"):
-            raise ValueError("curvature must be 'concave' or 'convex'")
         grid = np.linspace(0.05, 0.95, 10)
         d = np.asarray(self.deriv(grid), dtype=float)
         if d.shape != grid.shape or not np.all(np.isfinite(d)):
             raise ValueError("derivative must be finite and vectorized on [0, 1]")
         slack = 1e-9 * max(1.0, float(np.abs(d).max()))
-        diffs = np.diff(d)
-        if self.curvature == "concave" and np.any(diffs > slack):
+        if np.any(np.diff(d) > slack):
             raise ValueError("declared concave but derivative increases on [0, 1]")
-        if self.curvature == "convex" and np.any(diffs < -slack):
-            raise ValueError("declared convex but derivative decreases on [0, 1]")
-
-    def negated(self) -> "ConcaveSummand":
-        """The summand ``-f`` with flipped curvature."""
-        fn, deriv = self.fn, self.deriv
-        flipped = "convex" if self.curvature == "concave" else "concave"
-        return ConcaveSummand(
-            fn=lambda u: -np.asarray(fn(u), dtype=float),
-            deriv=lambda u: -np.asarray(deriv(u), dtype=float),
-            curvature=flipped,
-        )
 
 
 class _EntropySummand(ConcaveSummand):
-    """``h`` is concave by theorem, so its curvature is not spot-checked."""
+    """``h`` is concave by theorem, so its concavity is not spot-checked."""
 
     def __post_init__(self):
         pass
@@ -89,13 +78,12 @@ class ExtremumResult:
 def entropy_summand(kernel: EntropyKernel) -> ConcaveSummand:
     """The expected-entropy summand ``h`` as a :class:`ConcaveSummand`.
 
-    Built without the curvature spot-check: ``h`` is concave for every
+    Built without the concavity spot-check: ``h`` is concave for every
     ``kernel.total > 0``.
     """
     return _EntropySummand(
         fn=lambda u: h(u, kernel),
         deriv=lambda u: h_prime(u, kernel),
-        curvature="concave",
     )
 
 
@@ -103,12 +91,8 @@ def min_concave_sum(counts: CountVector, cfg: IdmConfig, f: ConcaveSummand) -> E
     """Global minimum of ``sum_i f(u_i)`` for concave ``f``.
 
     The minimizer puts all prior weight on the most-observed category:
-    ``t* = e_i`` with ``i = argmax n_i`` (smallest index on ties).  Convex
-    summands dispatch through negation to the maximum rule.
+    ``t* = e_i`` with ``i = argmax n_i`` (smallest index on ties).
     """
-    if f.curvature == "convex":
-        res = max_concave_sum(counts, cfg, f.negated())
-        return replace(res, value=-res.value)
     i_star = int(np.argmax(counts.counts))
     t_star = SimplexPoint.vertex(counts.dim, i_star)
     u_star = u_from_t(counts, cfg, t_star)
@@ -126,9 +110,6 @@ def max_concave_sum(counts: CountVector, cfg: IdmConfig, f: ConcaveSummand) -> E
     ``u*_i = max(u0_i, u_tilde)``; when ``m = 1`` the maximum sits at the
     vertex of the least-observed category.
     """
-    if f.curvature == "convex":
-        res = min_concave_sum(counts, cfg, f.negated())
-        return replace(res, value=-res.value)
     d = counts.dim
     denom = counts.total + cfg.s
     order = np.argsort(counts.counts, kind="stable")

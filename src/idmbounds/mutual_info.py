@@ -104,6 +104,8 @@ def _cell_means(tbl: ContingencyCounts, cfg: IdmConfig, t: SimplexPoint) -> np.n
             f"dimension mismatch: table has {d1 * d2} cells, t has {t.dim} components"
         )
     denom = tbl.total + cfg.s
+    if not np.isfinite(denom):
+        raise ValueError("total must be a positive finite real")
     return (tbl.table + cfg.s * t.t.reshape(d1, d2)) / denom
 
 
@@ -149,9 +151,9 @@ def mi_estimate(tbl: ContingencyCounts, cfg: IdmConfig) -> RobustEstimate:
 
     The row, column, and cell entropies each get the concave-summand
     remainder bounds.  The row and column estimates are lifted to the
-    ``d1*d2`` cells in row-major order and the cell estimate is negated,
-    so the three combine per cell before any aggregation; the vertex
-    values at the extremizing cells are the inner bounds.
+    ``d1*d2`` cells in row-major order and the cell estimate enters through
+    ``negate``, so the three combine per cell before any aggregation; the
+    vertex values at the extremizing cells are the inner bounds.
     """
     d1, d2 = tbl.shape
     f = entropy_summand(EntropyKernel(tbl.total + cfg.s))

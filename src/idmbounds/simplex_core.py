@@ -86,19 +86,17 @@ class IdmConfig:
         object.__setattr__(self, "s", s)
 
 
-def validate_simplex(t, tol: float = SIMPLEX_TOL) -> bool:
-    """True iff ``t`` lies on the closed probability simplex within ``tol``.
+def validate_simplex(t) -> bool:
+    """True iff ``t`` lies on the closed probability simplex within :data:`SIMPLEX_TOL`.
 
-    Components may undershoot zero by at most ``tol`` (they are clamped on
-    acceptance by :class:`SimplexPoint`) and the sum must be within ``tol``
-    of one.  Pure predicate: never raises on bad candidate values.
+    Components may undershoot zero by at most the tolerance (they are
+    clamped on acceptance by :class:`SimplexPoint`) and the sum must be
+    within it of one.  Pure predicate: never raises on bad candidate values.
     """
-    if tol < 0:
-        raise ValueError("tol must be non-negative")
     arr = np.asarray(t, dtype=float)
     if arr.ndim != 1 or arr.size == 0 or not np.all(np.isfinite(arr)):
         return False
-    return bool(np.all(arr >= -tol) and abs(float(arr.sum()) - 1.0) <= tol)
+    return bool(np.all(arr >= -SIMPLEX_TOL) and abs(float(arr.sum()) - 1.0) <= SIMPLEX_TOL)
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,7 +111,7 @@ class SimplexPoint:
 
     def __post_init__(self):
         arr = np.array(self.t, dtype=float)
-        if not validate_simplex(arr, SIMPLEX_TOL):
+        if not validate_simplex(arr):
             raise ValueError(f"not a simplex point within {SIMPLEX_TOL}: {arr!r}")
         arr[arr < 0] = 0.0
         arr.flags.writeable = False

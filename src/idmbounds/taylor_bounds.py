@@ -145,13 +145,11 @@ def concave_remainder_bounds(counts: CountVector, cfg: IdmConfig, f) -> RobustEs
 
     Monotonicity of ``f'`` collapses the per-coordinate extremizations to
     endpoint evaluations: the upper remainders are ``sigma * f'(u0_i)`` and
-    the lower ones ``sigma * f'(u0_i + sigma)``.  Convex summands dispatch
-    through negation.  A non-finite derivative at a baseline point (e.g. a
-    plug-in entropy summand with a zero count) is refused rather than
-    silently emitting an infinite bound.
+    the lower ones ``sigma * f'(u0_i + sigma)``.  For a convex ``g``, pass
+    the summand of ``-g`` and :func:`negate` the result.  A non-finite
+    derivative at a baseline point (e.g. a plug-in entropy summand with a
+    zero count) is refused rather than silently emitting an infinite bound.
     """
-    if f.curvature == "convex":
-        return negate(concave_remainder_bounds(counts, cfg, f.negated()))
     denom = counts.total + cfg.s
     sigma = cfg.s / denom
     u0 = counts.counts / denom
@@ -172,14 +170,7 @@ def concave_remainder_bounds(counts: CountVector, cfg: IdmConfig, f) -> RobustEs
     f0 = float(f_low.sum())
     # F at the k-th vertex differs from F(u0) only in coordinate k.
     vertex_values = f0 - f_low + f_high
-    return RobustEstimate(
-        f0,
-        sigma * deriv_low,
-        sigma * deriv_high,
-        vertex_values,
-        sigma,
-        nonneg=False,
-    )
+    return RobustEstimate(f0, sigma * deriv_low, sigma * deriv_high, vertex_values, sigma)
 
 
 def approx_interval_general(

@@ -9,6 +9,9 @@ here instead of in a benchmark run.
 import ast
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -57,3 +60,60 @@ def test_every_library_name_resolves(path):
 
 def test_grid_extrema_accepts_on_lattice():
     assert "on_lattice" in inspect.signature(grid_extrema).parameters
+
+
+_TRACED_RUN = """
+import sys
+sys.path.insert(0, {perfbench!r})
+import numpy as np
+import idmbounds as idm
+from tracer import Tracer
+
+tracer = Tracer()
+tracer.install()
+counts, cfg = idm.CountVector([3, 6, 1]), idm.IdmConfig(1.0)
+idm.entropy_interval_exact(counts, cfg)
+kernel = idm.EntropyKernel(counts.total + cfg.s)
+idm.concave_remainder_bounds(counts, cfg, idm.entropy_summand(kernel))
+idm.ConcaveSummand(fn=lambda u: -(u**2), deriv=lambda u: -2 * u)
+idm.CredibleSpec(0.9)
+grid = idm.GridSpec(20)
+objective = idm.lattice_entropy_objective(counts, cfg, grid)
+idm.grid_extrema(objective, counts, cfg, grid, on_lattice=True)
+tbl = idm.ContingencyCounts([[3, 1], [1, 3]])
+idm.product_idm_check(tbl, cfg, idm.mi_interval_bounds(tbl, cfg), 6)
+spans = tracer.span_table()
+for key in (
+    "exact_extrema.ConcaveSummand",
+    "credible.CredibleSpec",
+    "special_fn.kappa_from_alpha",
+    "oracle.grid_extrema",
+    "mutual_info.product_idm_check",
+    "oracle.product_grid_extrema",
+):
+    assert spans[key]["calls"] == 1, (key, spans.get(key))
+# The summary's own calls, plus three more from the MI bounds' crude interval.
+assert spans["exact_extrema.entropy_interval_exact"]["calls"] == 4
+assert spans["taylor_bounds.concave_remainder_bounds"]["calls"] == 4
+# The lattice hooks bind grid, counts and tbl by name: C(22, 2) + 7 * 7 points.
+assert tracer.counts["oracle.lattice_points"] == 231 + 49, tracer.counts
+print("traced")
+"""
+
+
+def test_tracer_installs_and_counts():
+    """``perfbench/tracer.py`` still wraps the names and parameters it binds.
+
+    Run in a child process: installing the tracer patches the package for
+    the rest of the process.
+    """
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = _TRACED_RUN.format(perfbench=str(perfbench))
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "traced"

@@ -1,13 +1,21 @@
 """Command-line interface: golden runs, formats, and error codes."""
 
 import argparse
+import io
 import json
 import math
+import os
+import subprocess
 import sys
+import tempfile
 import threading
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from idmbounds import (
     ContingencyCounts,
@@ -20,6 +28,10 @@ from idmbounds import (
 )
 import idmbounds.cli as cli
 from idmbounds.cli import SWEEP_COLUMNS, main
+
+
+#: A 401-digit integer, far beyond the float range.
+BIG = "1" + "0" * 400
 
 
 def run_cli(capsys, *argv):
@@ -177,6 +189,15 @@ class TestErrorCodes:
             "BAD_SWEEP_SPEC",
             "sweep-row-cap-before-input",
         ),
+        (
+            ("sweep", "--inline", "1,2", "--sweep", f"n:{BIG}:{BIG}"),
+            "BAD_SWEEP_SPEC",
+            "sweep-n-overflow",
+        ),
+        # A ratio sweep fixes its counts, so any input conflicts with it.
+        (("sweep", "--inline", "garbage", "--sweep", "ratio:3"), "INPUT_CONFLICT", "ratio-inline"),
+        (("sweep", "--inline", "", "--sweep", "ratio:3"), "INPUT_CONFLICT", "ratio-empty-inline"),
+        (("sweep", "/nonexistent/path.txt", "--sweep", "ratio:3"), "INPUT_CONFLICT", "ratio-file"),
     )
 
     @pytest.mark.parametrize("argv,code", [c[:2] for c in CASES], ids=[c[-1] for c in CASES])
@@ -380,3 +401,142 @@ class TestParser:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert len(matches) == 8 * 200 and all(matches)
+
+
+class TestBrokenPipe:
+    def test_closed_reader_gives_no_traceback(self):
+        # The read end is closed before the child starts, so its first write
+        # or flush fails with EPIPE on every run.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "PYTHONPATH": path}
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "idmbounds", "sweep", "--sweep", "ratio:9"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.stderr == b""
+        assert proc.returncode == 1
+
+
+# Valid and hostile pieces of a command line.
+_NUMBERS = ("3", "6", "0", "2.5", "1e-3", "40")
+_HOSTILE_NUMBERS = ("-1", "1e308", "5e-324", "nan", "inf", "-inf", "1_000", BIG, "x", "")
+_TEXTS = (
+    '{"counts": [1, 2]}',
+    '{"table": [[1, 2], [3, 4]]}',
+    '{"counts": ',
+    '{"table": [[], []]}',
+    '{"counts": "12"}',
+    "[1, 2]",
+    "\ufeff1,2",
+    "1,\x002",
+    "\x00",
+    "1,2\r\n3,4",
+    "1,2\n3",
+    "   ",
+    "garbage",
+)
+_SWEEPS = (
+    "n:1:3",
+    "n:9990:10000",
+    "ratio:9",
+    "ratio:2.5",
+    "n:0:2",
+    "n:3:1",
+    "n:1:100000",
+    f"n:{BIG}:{BIG}",
+    f"n:5:{BIG}",
+    "n:a:b",
+    "n:1",
+    "ratio:0",
+    "ratio:nan",
+    "ratio:inf",
+    "ratio:1e308",
+    f"ratio:{BIG}",
+    "bogus",
+)
+_OPTIONS = {
+    "--s": st.sampled_from(_NUMBERS[:5] + _HOSTILE_NUMBERS),
+    "--alpha": st.sampled_from(("0.9", "0.5", "0.999", "0", "1", "nan", "1e-300", "x")),
+    "--mode": st.sampled_from(("exact", "approx", "both", "all")),
+    "--grid-check": st.sampled_from(("2", "4", "1_0", "0", "1", "-3", "40000", "x")),
+    "--sweep": st.sampled_from(_SWEEPS),
+    "--format": st.sampled_from(("json", "csv", "xml")),
+}
+_OWN_FLAGS = {
+    "entropy": ("--s", "--mode", "--grid-check", "--format"),
+    "mutinfo": ("--s", "--mode", "--grid-check", "--format"),
+    "credible": ("--s", "--alpha", "--format"),
+    "sweep": ("--s", "--format"),
+}
+
+
+@st.composite
+def _argvs(draw):
+    """An argv, mostly well-formed, and the bytes of a file it may name."""
+    command = draw(st.sampled_from(sorted(_OWN_FLAGS)))
+    valid = st.sampled_from(_NUMBERS)
+    number = st.one_of(valid, valid, valid, st.sampled_from(_HOSTILE_NUMBERS))
+    row = st.lists(number, min_size=1, max_size=3).map(",".join)
+    rows = st.lists(row, min_size=1, max_size=3).map("\n".join)
+    text = st.one_of(rows, rows, st.sampled_from(_TEXTS))
+    argv = [command]
+    source = draw(st.sampled_from(("inline",) * 4 + ("file", "missing", "none", "both")))
+    if source in ("inline", "both"):
+        argv += ["--inline", draw(text)]
+    if source in ("file", "both"):
+        argv += ["{file}"]
+    if source == "missing":
+        argv += ["/nonexistent/input.txt"]
+    # Hypothesis favours small integers: 0-6 keep the usual shape, 7 breaks it.
+    if command == "credible" and draw(st.integers(0, 7)) < 7:
+        argv += ["--alpha", draw(_OPTIONS["--alpha"])]
+    if command == "sweep" and draw(st.integers(0, 7)) < 7:
+        argv += ["--sweep", draw(_OPTIONS["--sweep"])]
+    flags = st.sampled_from(_OWN_FLAGS[command])
+    if draw(st.integers(0, 7)) == 7:
+        flags = st.sampled_from(sorted(_OPTIONS))
+    for flag in draw(st.lists(flags, unique=True, max_size=3)):
+        argv += [flag, draw(_OPTIONS[flag])]
+    file_text = st.one_of(text.map(str.encode), st.binary(max_size=8))
+    return argv, draw(file_text)
+
+
+class TestHostileArgv:
+    """Every request gives a result, one JSON error or a usage exit; never a traceback."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_argvs())
+    @example((["sweep", "--inline", "1,2", "--sweep", f"n:{BIG}:{BIG}"], b""))
+    @example((["sweep", "--inline", "garbage", "--sweep", "ratio:3"], b""))
+    @example((["entropy", "{file}"], b"\xff\xfe"))
+    def test_result_or_documented_error(self, case):
+        argv, file_bytes = case
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "input.txt"
+            path.write_bytes(file_bytes)
+            argv = [str(path) if a == "{file}" else a for a in argv]
+            with redirect_stdout(out), redirect_stderr(err):
+                try:
+                    status = main(argv)
+                except SystemExit as exc:
+                    assert exc.code in (0, 2)
+                    return
+        assert status in (0, 1)
+        if status == 1:
+            lines = out.getvalue().splitlines()
+            assert len(lines) == 1
+            code = json.loads(lines[0])["error"]["code"]
+            assert code in cli.ERROR_CODES
+            assert err.getvalue().startswith(f"error [{code}]: ")
+        else:
+            assert err.getvalue().startswith("ok: ")

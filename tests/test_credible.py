@@ -11,11 +11,16 @@ from idmbounds import (
     CredibleSpec,
     IdmConfig,
     McSpec,
+    SimplexPoint,
+    credible_mi_interval,
     dirichlet_draws,
     kappa_from_alpha,
+    mi_estimate,
     mi_interval_bounds,
+    mi_variance_leading,
     one_sided_robust_bound,
     robust_credible_mi,
+    robust_credible_mi_parts,
     triangular_mass,
     triangular_minimal_robust,
     triangular_robust_union,
@@ -186,10 +191,9 @@ class TestCredibleSpec:
         assert spec.kappa == pytest.approx(kappa_from_alpha(0.9545), abs=1e-9)
 
     def test_alpha_range(self):
-        with pytest.raises(ValueError):
-            CredibleSpec(0.0)
-        with pytest.raises(ValueError):
-            CredibleSpec(1.0)
+        for alpha in (0.0, 1.0, math.nan):
+            with pytest.raises(ValueError, match="strictly between 0 and 1"):
+                CredibleSpec(alpha)
 
 
 class TestRobustCredibleMi:
@@ -207,6 +211,21 @@ class TestRobustCredibleMi:
         iv = robust_credible_mi(self.TBL, self.CFG, CredibleSpec(0.95))
         assert iv.upper >= bounds.i0 + bounds.r_ub
         assert iv.lower <= bounds.i0 + bounds.r_lb
+
+    def test_parts_are_the_policy(self):
+        spec = CredibleSpec(0.9)
+        est, variance, iv = robust_credible_mi_parts(self.TBL, self.CFG, spec)
+        expected = mi_estimate(self.TBL, self.CFG).conservative_interval()
+        assert est.conservative_interval() == expected
+        assert variance == mi_variance_leading(self.TBL, self.CFG, SimplexPoint.uniform(4))
+        assert iv == credible_mi_interval(est, variance, spec)
+        assert iv == robust_credible_mi(self.TBL, self.CFG, spec)
+
+    def test_zero_cell_raises(self):
+        # s * t underflows to 0 in the empty cell.
+        tbl, cfg = ContingencyCounts([[0, 1], [1, 1]]), IdmConfig(5e-324)
+        with pytest.raises(ValueError, match="zero cell"):
+            robust_credible_mi_parts(tbl, cfg, CredibleSpec(0.9))
 
     def test_empirical_coverage(self):
         # Gaussian-approximation interval; coverage is checked with slack

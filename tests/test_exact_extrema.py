@@ -1,5 +1,6 @@
 """Closed-form extrema of concave separable estimators vs the grid oracle."""
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -35,13 +36,10 @@ def _entropy(counts, s=1.0):
 class TestSummandContract:
     def test_misdeclared_concavity_rejected(self):
         with pytest.raises(ValueError, match="concave"):
-            ConcaveSummand(fn=lambda u: u**2, deriv=lambda u: 2 * u, curvature="concave")
-        with pytest.raises(ValueError, match="convex"):
-            ConcaveSummand(fn=lambda u: -(u**2), deriv=lambda u: -2 * u, curvature="convex")
+            ConcaveSummand(fn=lambda u: u**2, deriv=lambda u: 2 * u)
 
-    def test_unknown_curvature_rejected(self):
-        with pytest.raises(ValueError):
-            ConcaveSummand(fn=lambda u: u, deriv=lambda u: np.ones_like(u), curvature="linear")
+    def test_two_init_fields(self):
+        assert [f.name for f in dataclasses.fields(ConcaveSummand)] == ["fn", "deriv"]
 
     def test_entropy_summand_is_built_without_the_spot_check(self, monkeypatch):
         calls = []
@@ -50,19 +48,12 @@ class TestSummandContract:
             exact_extrema, "h_prime", lambda *a: calls.append(a) or original(*a)
         )
         f = entropy_summand(EntropyKernel(10.0))
-        assert f.curvature == "concave"
         assert calls == []
         assert f.deriv(0.5) == original(0.5, EntropyKernel(10.0))
         assert len(calls) == 1
-        # Its negation is an ordinary summand, so the check runs again.
-        f.negated()
+        # The same functions as an ordinary summand run the check again.
+        ConcaveSummand(fn=f.fn, deriv=f.deriv)
         assert len(calls) > 1
-
-    def test_negation_flips_curvature(self):
-        f = ConcaveSummand(fn=lambda u: -(u**2), deriv=lambda u: -2 * u, curvature="concave")
-        g = f.negated()
-        assert g.curvature == "convex"
-        assert g.fn(0.5) == pytest.approx(0.25)
 
 
 class TestMinimum:
@@ -161,28 +152,32 @@ class TestMaximum:
 
 
 class TestConvexDispatch:
+    """A convex ``g`` goes through the concave summand ``-g``, values negated."""
+
     def test_convex_min_mirrors_concave_max(self):
+        # min sum u_i^2 levels the posterior means: for counts [3, 6] and
+        # s = 1 the prior weight goes to the first category, u* = [0.4, 0.6].
         counts = CountVector([3, 6])
-        cfg, f = _entropy(counts)
-        g = f.negated()
-        res_min = min_concave_sum(counts, cfg, g)
-        res_max = max_concave_sum(counts, cfg, f)
-        assert res_min.value == pytest.approx(-res_max.value, abs=1e-15)
-        np.testing.assert_allclose(res_min.u_star.u, res_max.u_star.u, atol=1e-15)
+        cfg = IdmConfig(1.0)
+        neg_square = ConcaveSummand(fn=lambda u: -(u**2), deriv=lambda u: -2 * u)
+        res = max_concave_sum(counts, cfg, neg_square)
+        assert -res.value == pytest.approx(0.52, abs=1e-15)
+        np.testing.assert_allclose(res.u_star.u, [0.4, 0.6], atol=1e-15)
+        assert res.vertex_index == 0
 
     def test_convex_extrema_against_oracle(self):
         counts = CountVector([2, 5, 1])
         cfg = IdmConfig(1.0)
-        square = ConcaveSummand(fn=lambda u: u**2, deriv=lambda u: 2 * u, curvature="convex")
+        neg_square = ConcaveSummand(fn=lambda u: -(u**2), deriv=lambda u: -2 * u)
 
         def objective(u_rows):
             return (u_rows**2).sum(axis=1)
 
         oracle = grid_extrema(objective, counts, cfg, GridSpec(400))
-        assert min_concave_sum(counts, cfg, square).value == pytest.approx(
+        assert -max_concave_sum(counts, cfg, neg_square).value == pytest.approx(
             oracle.lower, abs=1e-4
         )
-        assert max_concave_sum(counts, cfg, square).value == pytest.approx(
+        assert -min_concave_sum(counts, cfg, neg_square).value == pytest.approx(
             oracle.upper, abs=1e-4
         )
 

@@ -1,6 +1,7 @@
 """Expected mutual information: decomposition, bounds, variance, product IDM."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -225,6 +226,21 @@ class TestVarianceLeading:
             tbl = ContingencyCounts(table)
             got = mi_variance_leading(tbl, CFG, SimplexPoint.uniform(tbl.cells))
             assert got == pytest.approx(_variance_mpmath(table, 1.0), rel=1e-12)
+
+    def test_overflowing_total_rejected(self):
+        # n + s overflows: the same error as the bounds, not a zero cell.
+        tbl, cfg = ContingencyCounts([[1e308, 1], [1, 1]]), IdmConfig(1.7e308)
+        t = SimplexPoint.uniform(4)
+        calls = (
+            lambda: mi_variance_leading(tbl, cfg, t),
+            lambda: expected_mi(tbl, cfg, t),
+            lambda: mi_interval_bounds(tbl, cfg),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls:
+                with pytest.raises(ValueError, match="total must be a positive finite real"):
+                    call()
 
     def test_zero_cell_rejected(self):
         tbl = ContingencyCounts([[0, 1], [1, 1]])

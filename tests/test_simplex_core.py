@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from idmbounds import (
+    SIMPLEX_TOL,
     CountVector,
     IdmConfig,
     Interval,
@@ -83,21 +84,23 @@ class TestSigma:
 
 class TestValidateSimplex:
     def test_accepts_valid_point(self):
-        assert validate_simplex([0.3, 0.7], 1e-12)
+        assert validate_simplex([0.3, 0.7])
 
     def test_rejects_bad_sum(self):
-        assert not validate_simplex([0.5, 0.6], 1e-12)
+        assert not validate_simplex([0.5, 0.6])
 
     def test_degenerate_dimension(self):
-        assert validate_simplex([1.0], 0.0)
+        assert validate_simplex([1.0])
 
     def test_rejects_negative_and_nonfinite(self):
-        assert not validate_simplex([-0.1, 1.1], 1e-12)
-        assert not validate_simplex([np.nan, 1.0], 1e-12)
+        assert not validate_simplex([-0.1, 1.1])
+        assert not validate_simplex([np.nan, 1.0])
 
-    def test_negative_tol_rejected(self):
-        with pytest.raises(ValueError):
-            validate_simplex([1.0], -1.0)
+    def test_tolerance_is_simplex_tol(self):
+        assert validate_simplex([-SIMPLEX_TOL / 2, 1.0])
+        assert not validate_simplex([-2 * SIMPLEX_TOL, 1.0])
+        assert validate_simplex([0.5, 0.5 + SIMPLEX_TOL / 2])
+        assert not validate_simplex([0.5, 0.5 + 2 * SIMPLEX_TOL])
 
 
 class TestTypes:

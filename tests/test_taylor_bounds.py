@@ -122,19 +122,25 @@ class TestConcaveRemainderBounds:
             plugin = ConcaveSummand(
                 fn=lambda u: np.where(np.asarray(u) > 0, -np.asarray(u) * np.log(u), 0.0),
                 deriv=lambda u: -np.log(u) - 1.0,
-                curvature="concave",
             )
             with pytest.raises(UnboundedDerivativeError, match="non-finite"):
                 concave_remainder_bounds(CountVector([0, 5]), IdmConfig(1.0), plugin)
 
     def test_convex_dispatch_mirrors(self):
-        est = _entropy_estimate()
-        flipped = concave_remainder_bounds(COUNTS, CFG, entropy_summand(KERNEL).negated())
-        assert flipped.f0 == pytest.approx(-est.f0, abs=1e-15)
-        assert flipped.r_ub == pytest.approx(-est.r_lb, abs=1e-15)
-        assert flipped.r_lb == pytest.approx(-est.r_ub, abs=1e-15)
-        assert flipped.inner_upper == pytest.approx(-est.inner_lower, abs=1e-15)
-        assert _sandwich_holds(flipped)
+        # A convex g = u^2 goes through the concave -g, then negate: the
+        # upper remainders use g' at u0 + sigma and the lower ones g' at u0.
+        neg_square = ConcaveSummand(fn=lambda u: -(u**2), deriv=lambda u: -2 * u)
+        est = negate(concave_remainder_bounds(COUNTS, CFG, neg_square))
+        u0 = COUNTS.counts / (COUNTS.total + CFG.s)
+        sigma = est.sigma
+        assert est.f0 == pytest.approx(float(np.sum(u0**2)), abs=1e-15)
+        np.testing.assert_allclose(est.r_ub_per_i, sigma * 2 * (u0 + sigma), atol=1e-15)
+        np.testing.assert_allclose(est.r_lb_per_i, sigma * 2 * u0, atol=1e-15)
+        assert _sandwich_holds(est)
+        oracle = grid_extrema(
+            lambda u_rows: (u_rows**2).sum(axis=1), COUNTS, CFG, GridSpec(200)
+        )
+        assert est.conservative_interval().contains_interval(oracle, 1e-12)
 
 
 class TestGeneralProvider:
