@@ -1,6 +1,7 @@
 """Lattice enumeration, Monte-Carlo sampling, and their reduction helpers."""
 
 import functools
+import hashlib
 import math
 import time
 import tracemalloc
@@ -390,6 +391,41 @@ class TestProductGrid:
 
 
 class TestDirichletDraws:
+    # sha256 of the float64 bytes of each stream, recorded from the
+    # sampler as first written (one Box-Muller and one Marsaglia-Tsang
+    # helper per variate).  Shapes below 1, exactly 1 and 200; d = 1 and
+    # d = 9; the extreme seeds; criterion 7's stream.
+    PINNED = [
+        ([0.3, 0.05, 0.9], 400, 7, "3ea0fccae865a68e8599819a566fd8eb17674cf8fa5604914a55019728d37648"),
+        ([1.0, 1.0, 1.0], 300, 11, "36e07da72856f4b385cda245eb0ddabe1b5fc4c92e50e47d9d2db9721b83700c"),
+        ([200.0, 0.5], 250, 12, "5348dc1ba2ac96b3943777b5f18db671079e1e4dcadc8c6b3c5d0a14094dde8f"),
+        ([2.5], 50, 3, "3afcb42ae5e5e41174d7d1c525646238c7d0cc913c61adb6efe8cdfd7e6b3333"),
+        (
+            [0.02, 0.4, 1.0, 1.7, 3.0, 9.5, 30.0, 120.0, 200.0],
+            200,
+            5,
+            "15771a1a0ac4edb908b9a61049316b68df5d6e4026fdf0d3673fbe5736c28be0",
+        ),
+        ([0.7, 4.0, 1.0], 300, 0, "d0064d81f6cb889a73138df547825fa8ea9f6460778c23adfcceb22a76c085d3"),
+        ([0.2, 2.0], 300, 2**64 - 1, "91c4ea2419a5c346365d25e42e4a0c20f250dba597c9b28a0def5956b6eb93a8"),
+        (
+            [5.25, 1.25, 1.25, 5.25],
+            100_000,
+            20260707,
+            "b71cea879068aa90aa0026328627e2a6fa7f5108f62eb481a828565c341868ac",
+        ),
+    ]
+
+    @pytest.mark.parametrize(
+        "params, draws, seed, digest",
+        PINNED,
+        ids=["below-1", "exactly-1", "200", "d1", "d9", "seed-0", "seed-max", "criterion-7"],
+    )
+    def test_stream_is_pinned(self, params, draws, seed, digest):
+        out = dirichlet_draws(params, McSpec(draws=draws, seed=seed))
+        assert out.shape == (draws, len(params)) and out.dtype == np.float64
+        assert hashlib.sha256(out.tobytes()).hexdigest() == digest
+
     def test_symmetric_mean(self):
         draws = dirichlet_draws([1.0, 1.0], McSpec(draws=100_000, seed=7))
         assert draws.shape == (100_000, 2)
