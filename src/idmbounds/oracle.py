@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
@@ -431,33 +432,6 @@ def product_grid_extrema(
     return Interval(vmin, vmax)
 
 
-def _standard_normal(rng: random.Random) -> float:
-    # Box-Muller from the raw uniform stream; implementation pinned here so
-    # seeded output never depends on stdlib internals.
-    u1 = 1.0 - rng.random()
-    u2 = rng.random()
-    return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-
-
-def _gamma_variate(rng: random.Random, shape: float) -> float:
-    # Marsaglia-Tsang squeeze; shapes below one are boosted through
-    # Gamma(shape + 1) and a uniform power.
-    if shape < 1.0:
-        return _gamma_variate(rng, shape + 1.0) * rng.random() ** (1.0 / shape)
-    d = shape - 1.0 / 3.0
-    c = 1.0 / math.sqrt(9.0 * d)
-    while True:
-        x = _standard_normal(rng)
-        v = (1.0 + c * x) ** 3
-        if v <= 0.0:
-            continue
-        u = rng.random()
-        if u < 1.0 - 0.0331 * x**4:
-            return d * v
-        if math.log(u) < 0.5 * x * x + d * (1.0 - v + math.log(v)):
-            return d * v
-
-
 def dirichlet_draws(u_params, mc: McSpec) -> np.ndarray:
     """Seeded Dirichlet samples as rows of an ``(draws, dim)`` array.
 
@@ -471,24 +445,51 @@ def dirichlet_draws(u_params, mc: McSpec) -> np.ndarray:
         raise ValueError("u_params must be a non-empty 1-d sequence")
     if not np.all(np.isfinite(params)) or np.any(params <= 0):
         raise ValueError("Dirichlet parameters must be positive")
-    rng = random.Random(int(mc.seed))
-    d = params.size
-    shapes = params.tolist()
-    out = np.empty((mc.draws, d))
-    gamma = _gamma_variate
-    for row in out:
-        total = 0.0
-        for j in range(d):
-            g = gamma(rng, shapes[j])
-            row[j] = g
-            total += g
-        if total == 0.0:
-            raise ValueError(
-                "every gamma variate of a draw underflowed to 0: "
-                "Dirichlet parameters too small to sample"
-            )
-        row /= total
-    return out
+    # Allocated first so that an impossible size fails before any sampling.
+    out = np.empty((mc.draws, params.size))
+    # Marsaglia-Tsang squeeze on Box-Muller normals, all from the raw
+    # uniform stream, so seeded output never depends on stdlib internals.
+    # Shapes below one are boosted: Gamma(shape + 1), then a uniform to the
+    # power 1/shape.  Every operation keeps its order and form, down to
+    # 1 - U inside the log and ``**`` for the cube and fourth power:
+    # reordering any of them changes the seeded bits.
+    columns = []
+    for shape in params.tolist():
+        boost = None
+        if shape < 1.0:
+            boost, shape = 1.0 / shape, shape + 1.0
+        d = shape - 1.0 / 3.0
+        columns.append((d, 1.0 / math.sqrt(9.0 * d), boost))
+    uniform = random.Random(int(mc.seed)).random
+    log, sqrt, cos = math.log, math.sqrt, math.cos
+    two_pi = 2.0 * math.pi
+    gammas = array("d")
+    append = gammas.append
+    for _ in range(mc.draws):
+        for d, c, boost in columns:
+            while True:
+                x = sqrt(-2.0 * log(1.0 - uniform())) * cos(two_pi * uniform())
+                v = (1.0 + c * x) ** 3
+                if v <= 0.0:
+                    continue
+                u = uniform()
+                if u < 1.0 - 0.0331 * x**4 or log(u) < 0.5 * x * x + d * (1.0 - v + log(v)):
+                    break
+            if boost is None:
+                append(d * v)
+            else:
+                append(d * v * uniform() ** boost)
+    gammas = np.frombuffer(gammas).reshape(out.shape)
+    # Row totals add the columns in order, as a running sum over each row would.
+    total = gammas[:, 0].copy()
+    for j in range(1, out.shape[1]):
+        total += gammas[:, j]
+    if (total == 0.0).any():
+        raise ValueError(
+            "every gamma variate of a draw underflowed to 0: "
+            "Dirichlet parameters too small to sample"
+        )
+    return np.divide(gammas, total[:, None], out=out)
 
 
 class McStats(NamedTuple):
