@@ -17,6 +17,7 @@ bitwise reproducible across platforms.
 from __future__ import annotations
 
 import math
+import numbers
 import random
 from array import array
 from dataclasses import dataclass
@@ -61,6 +62,10 @@ class McSpec:
     seed: int
 
     def __post_init__(self):
+        for name in ("draws", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
         if self.draws < 1:
             raise ValueError("draws must be >= 1")
         if not 0 <= int(self.seed) < 2**64:

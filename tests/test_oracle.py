@@ -454,6 +454,29 @@ class TestDirichletDraws:
         with pytest.raises(ValueError):
             McSpec(draws=0, seed=1)
 
+    @pytest.mark.parametrize(
+        "draws, seed",
+        [
+            (10, 1.5),
+            (10, -0.5),
+            (10, math.inf),
+            (10, np.float64(1.0)),
+            (10, "3"),
+            (2.5, 1),
+            (True, 1),
+            (10, False),
+        ],
+    )
+    def test_spec_takes_only_integers(self, draws, seed):
+        with pytest.raises(ValueError, match="must be an integer"):
+            McSpec(draws=draws, seed=seed)
+
+    def test_numpy_integers_are_integers(self):
+        spec = McSpec(draws=np.int64(40), seed=np.uint64(2**64 - 1))
+        np.testing.assert_array_equal(
+            dirichlet_draws([0.5, 2.0], spec), dirichlet_draws([0.5, 2.0], McSpec(40, 2**64 - 1))
+        )
+
     def test_gamma_underflow_raises_instead_of_nan_rows(self):
         # Both variates of some draws underflow to 0 at these tiny shapes.
         with pytest.raises(ValueError, match="underflow"):
