@@ -219,6 +219,17 @@ class TestErrorCodes:
             main(["entropy", "--inline", "3,6", "--seed", "1"])
         capsys.readouterr()
 
+    def test_data_starting_with_a_minus_needs_the_equals_form(self, capsys):
+        # argparse reads a separate "-1,2" as an option, so only the
+        # attached form reaches the count parser; the README says so.
+        with pytest.raises(SystemExit) as exc:
+            main(["entropy", "--inline", "-1,2"])
+        assert exc.value.code == 2
+        assert "expected one argument" in capsys.readouterr().err
+        status, result = run_json(capsys, "entropy", "--inline=-1,2")
+        assert status == 1
+        assert result["error"]["code"] == "NEGATIVE_COUNTS"
+
     def test_input_conflict(self, capsys, tmp_path):
         path = tmp_path / "c.txt"
         path.write_text("1,2")
