@@ -1,22 +1,29 @@
 """Property tests of the special functions and the entropy and MI bounds (hypothesis)."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from idmbounds import (
     ContingencyCounts,
     CountVector,
+    CredibleSpec,
     EntropyKernel,
     IdmConfig,
+    Interval,
+    SimplexPoint,
     concave_remainder_bounds,
     digamma,
     entropy_interval_exact,
     entropy_summand,
     mi_interval_bounds,
+    mi_interval_crude,
+    mi_variance_leading,
+    robust_credible_mi,
     trigamma,
 )
 
@@ -196,3 +203,63 @@ def test_entropy_summand_derivative_non_increasing(total):
     # spot-checking its curvature, so the property is tested here.
     d = np.asarray(entropy_summand(EntropyKernel(total)).deriv(np.linspace(0.0, 1.0, 201)))
     assert np.all(np.diff(d) <= 1e-9 * max(1.0, float(np.abs(d).max())))
+
+
+# Every double from the smallest subnormal to near the float maximum, with
+# zeros and small integers mixed in for counts.
+any_positive = st.floats(5e-324, 1.7e308)
+any_count = st.one_of(st.just(0.0), st.integers(0, 60).map(float), any_positive)
+
+
+@st.composite
+def hostile_tables(draw):
+    d1, d2 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    return np.array(draw(st.lists(any_count, min_size=d1 * d2, max_size=d1 * d2))).reshape(d1, d2)
+
+
+def _finite_ordered_or_value_error(call):
+    # The estimator returns finite intervals with lower <= upper (and a
+    # finite, non-negative variance) or raises ValueError; a RuntimeWarning
+    # is an error.
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = call()
+    except ValueError:
+        return
+    if isinstance(result, float):
+        assert math.isfinite(result) and result >= 0.0
+        return
+    if isinstance(result, Interval):
+        intervals = [result]
+    else:
+        intervals = [result.conservative_interval(), result.inner_interval(), result.crude]
+    for iv in intervals:
+        assert math.isfinite(iv.lower) and math.isfinite(iv.upper)
+        assert iv.lower <= iv.upper
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(
+    st.lists(any_count, min_size=1, max_size=6),
+    hostile_tables(),
+    any_positive,
+    st.sampled_from([0.5, 0.95, 0.9999999999999999]),
+    st.booleans(),
+)
+@example([1e308, 1.0], np.array([[1e308, 1.0], [1.0, 1.0]]), 1.7e308, 0.95, False)
+@example([5e-324, 0.0], np.array([[5e-324, 0.0]]), 5e-324, 0.5, True)
+def test_public_estimators_give_finite_ordered_intervals_or_value_error(
+    counts, table, s, alpha, at_vertex
+):
+    counts_call = lambda: CountVector(np.array(counts))
+    tbl_call = lambda: ContingencyCounts(table)
+    cells = table.size
+    t = SimplexPoint.vertex(cells, cells - 1) if at_vertex else SimplexPoint.uniform(cells)
+    _finite_ordered_or_value_error(lambda: entropy_interval_exact(counts_call(), IdmConfig(s)))
+    _finite_ordered_or_value_error(lambda: mi_interval_bounds(tbl_call(), IdmConfig(s)))
+    _finite_ordered_or_value_error(lambda: mi_interval_crude(tbl_call(), IdmConfig(s)))
+    _finite_ordered_or_value_error(
+        lambda: robust_credible_mi(tbl_call(), IdmConfig(s), CredibleSpec(alpha))
+    )
+    _finite_ordered_or_value_error(lambda: mi_variance_leading(tbl_call(), IdmConfig(s), t))
