@@ -56,7 +56,8 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class McSpec:
-    """Draw count and seed for reproducible Monte Carlo."""
+    """Draw count (>= 1) and unsigned 64-bit seed, both integers, for
+    reproducible Monte Carlo."""
 
     draws: int
     seed: int
