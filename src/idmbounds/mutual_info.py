@@ -14,6 +14,7 @@ outer-product (row x column) family of hyperparameters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,14 +188,18 @@ def mi_variance_leading(tbl: ContingencyCounts, cfg: IdmConfig, t: SimplexPoint)
     form, so the result is non-negative down to the last bit, and as a
     difference of logs, since ``u_i+ u_+j`` can underflow.  Higher-order
     terms are omitted; at small ``n`` they are material.  Zero cells are
-    rejected (the log diverges).
+    rejected (the log diverges), and so is an ``n + s`` so small that the
+    variance exceeds the float range.
     """
     u = _cell_means(tbl, cfg, t)
     if np.any(u <= 0):
         raise ValueError("zero cell in the posterior mean; variance needs positive logs")
     ratios = np.log(u) - np.log(u.sum(axis=1))[:, None] - np.log(u.sum(axis=0))
     center = float((u * ratios).sum())
-    return float((u * (ratios - center) ** 2).sum() / (tbl.total + cfg.s))
+    variance = float((u * (ratios - center) ** 2).sum()) / (tbl.total + cfg.s)
+    if not math.isfinite(variance):
+        raise ValueError("the variance exceeds the float range: n + s is too small")
+    return variance
 
 
 def product_idm_check(

@@ -444,7 +444,8 @@ def dirichlet_draws(u_params, mc: McSpec) -> np.ndarray:
     Samples are normalized independent Gamma variates generated from a
     single seeded uniform stream, so fixed seeds give bitwise-identical
     output.  Every row is a valid simplex point; parameters so small that
-    all of a draw's gamma variates underflow raise ``ValueError``.
+    all of a draw's gamma variates underflow, or so large that they sum
+    beyond the float range, raise ``ValueError``.
     """
     params = np.asarray(u_params, dtype=float)
     if params.ndim != 1 or params.size == 0:
@@ -488,12 +489,18 @@ def dirichlet_draws(u_params, mc: McSpec) -> np.ndarray:
     gammas = np.frombuffer(gammas).reshape(out.shape)
     # Row totals add the columns in order, as a running sum over each row would.
     total = gammas[:, 0].copy()
-    for j in range(1, out.shape[1]):
-        total += gammas[:, j]
+    with np.errstate(over="ignore"):
+        for j in range(1, out.shape[1]):
+            total += gammas[:, j]
     if (total == 0.0).any():
         raise ValueError(
             "every gamma variate of a draw underflowed to 0: "
             "Dirichlet parameters too small to sample"
+        )
+    if (total == math.inf).any():
+        raise ValueError(
+            "the gamma variates of a draw sum beyond the float range: "
+            "Dirichlet parameters too large to sample"
         )
     return np.divide(gammas, total[:, None], out=out)
 

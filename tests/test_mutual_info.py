@@ -242,6 +242,14 @@ class TestVarianceLeading:
                 with pytest.raises(ValueError, match="total must be a positive finite real"):
                     call()
 
+    def test_variance_beyond_the_float_range_rejected(self):
+        # n + s near the smallest double: the leading term overflows.
+        tbl, cfg = ContingencyCounts([[1e-320, 5e-321], [5e-321, 1e-320]]), IdmConfig(1e-320)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="float range"):
+                mi_variance_leading(tbl, cfg, SimplexPoint.uniform(4))
+
     def test_zero_cell_rejected(self):
         tbl = ContingencyCounts([[0, 1], [1, 1]])
         vertex_elsewhere = SimplexPoint([0.0, 0.5, 0.25, 0.25])

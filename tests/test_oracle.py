@@ -482,6 +482,11 @@ class TestDirichletDraws:
         with pytest.raises(ValueError, match="underflow"):
             dirichlet_draws([1e-3, 1e-3], McSpec(draws=2000, seed=1))
 
+    def test_gamma_overflow_raises_instead_of_zero_rows(self):
+        # Two variates near 1e308 sum to infinity; the rows would be 0 / inf.
+        with pytest.raises(ValueError, match="too large"):
+            dirichlet_draws([1e308, 1e308], McSpec(draws=3, seed=1))
+
 
 class TestMcStats:
     def test_expected_entropy_recovered(self):

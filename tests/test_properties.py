@@ -249,6 +249,7 @@ def _finite_ordered_or_value_error(call):
 )
 @example([1e308, 1.0], np.array([[1e308, 1.0], [1.0, 1.0]]), 1.7e308, 0.95, False)
 @example([5e-324, 0.0], np.array([[5e-324, 0.0]]), 5e-324, 0.5, True)
+@example([5e-324], np.array([[5e-324, 5e-324]]), 5e-324, 0.5, False)
 def test_public_estimators_give_finite_ordered_intervals_or_value_error(
     counts, table, s, alpha, at_vertex
 ):
