@@ -253,14 +253,14 @@ def _finite_ordered_or_value_error(call):
 def test_public_estimators_give_finite_ordered_intervals_or_value_error(
     counts, table, s, alpha, at_vertex
 ):
-    counts_call = lambda: CountVector(np.array(counts))
-    tbl_call = lambda: ContingencyCounts(table)
+    # Building the inputs is part of each call: a constructor may raise too.
     cells = table.size
     t = SimplexPoint.vertex(cells, cells - 1) if at_vertex else SimplexPoint.uniform(cells)
-    _finite_ordered_or_value_error(lambda: entropy_interval_exact(counts_call(), IdmConfig(s)))
-    _finite_ordered_or_value_error(lambda: mi_interval_bounds(tbl_call(), IdmConfig(s)))
-    _finite_ordered_or_value_error(lambda: mi_interval_crude(tbl_call(), IdmConfig(s)))
-    _finite_ordered_or_value_error(
-        lambda: robust_credible_mi(tbl_call(), IdmConfig(s), CredibleSpec(alpha))
-    )
-    _finite_ordered_or_value_error(lambda: mi_variance_leading(tbl_call(), IdmConfig(s), t))
+    for estimate in (
+        lambda: entropy_interval_exact(CountVector(np.array(counts)), IdmConfig(s)),
+        lambda: mi_interval_bounds(ContingencyCounts(table), IdmConfig(s)),
+        lambda: mi_interval_crude(ContingencyCounts(table), IdmConfig(s)),
+        lambda: robust_credible_mi(ContingencyCounts(table), IdmConfig(s), CredibleSpec(alpha)),
+        lambda: mi_variance_leading(ContingencyCounts(table), IdmConfig(s), t),
+    ):
+        _finite_ordered_or_value_error(estimate)
