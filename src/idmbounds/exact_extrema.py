@@ -20,7 +20,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .simplex_core import CountVector, IdmConfig, Interval, PosteriorMean, SimplexPoint, u_from_t
+from .simplex_core import (
+    CountVector, IdmConfig, Interval, PosteriorMean, SimplexPoint, _posterior_means, u_from_t
+)
 from .special_fn import EntropyKernel, h, h_fraction, h_prime
 
 #: Largest ``n + s`` for which exact rational entropy endpoints are computed.
@@ -125,7 +127,7 @@ def max_concave_sum(counts: CountVector, cfg: IdmConfig, f: ConcaveSummand) -> E
     m_star = int(np.argmin(candidates)) + 1
     u_tilde = float(candidates[m_star - 1])
 
-    u0 = counts.counts / denom
+    u0 = _posterior_means(counts.counts, counts.total, cfg.s, 0.0)
     u_vec = np.maximum(u0, u_tilde)
     # t* = (u* (n+s) - n) / s loses digits when s << n: clip and renormalise
     # so the witness is on the simplex by construction.

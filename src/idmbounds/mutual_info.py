@@ -21,9 +21,15 @@ import numpy as np
 
 from .exact_extrema import entropy_interval_exact, entropy_summand
 from .oracle import GridSpec, product_grid_extrema
-from .simplex_core import CountVector, IdmConfig, Interval, SimplexPoint, _finite_total
+from .simplex_core import (
+    CountVector, IdmConfig, Interval, SimplexPoint, _count_array, _posterior_means
+)
 from .special_fn import EntropyKernel, h
 from .taylor_bounds import RobustEstimate, concave_remainder_bounds, lift, negate, propagate_sum
+
+
+class _FloatRangeError(ValueError):
+    """The leading variance exceeds the float range: ``n + s`` is too small."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,15 +39,7 @@ class ContingencyCounts:
     table: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.table, dtype=float)
-        if arr.ndim != 2 or arr.size == 0:
-            raise ValueError("table must be a non-empty two-dimensional array")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("table entries must be finite")
-        if np.any(arr < 0):
-            raise ValueError("table entries must be non-negative")
-        total = _finite_total(arr)
-        arr.flags.writeable = False
+        arr, total = _count_array(self.table, 2, "table")
         row_sums = arr.sum(axis=1)
         col_sums = arr.sum(axis=0)
         row_sums.flags.writeable = False
@@ -104,10 +102,7 @@ def _cell_means(tbl: ContingencyCounts, cfg: IdmConfig, t: SimplexPoint) -> np.n
         raise ValueError(
             f"dimension mismatch: table has {d1 * d2} cells, t has {t.dim} components"
         )
-    denom = tbl.total + cfg.s
-    if not np.isfinite(denom):
-        raise ValueError("total must be a positive finite real")
-    return (tbl.table + cfg.s * t.t.reshape(d1, d2)) / denom
+    return _posterior_means(tbl.table, tbl.total, cfg.s, t.t.reshape(d1, d2))
 
 
 def _three_entropies(u: np.ndarray, kernel: EntropyKernel) -> np.ndarray:
@@ -198,7 +193,7 @@ def mi_variance_leading(tbl: ContingencyCounts, cfg: IdmConfig, t: SimplexPoint)
     center = float((u * ratios).sum())
     variance = float((u * (ratios - center) ** 2).sum()) / (tbl.total + cfg.s)
     if not math.isfinite(variance):
-        raise ValueError("the variance exceeds the float range: n + s is too small")
+        raise _FloatRangeError("the variance exceeds the float range: n + s is too small")
     return variance
 
 

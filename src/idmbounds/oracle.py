@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
-from .simplex_core import CountVector, IdmConfig, Interval
+from .simplex_core import CountVector, IdmConfig, Interval, _posterior_means
 from .special_fn import EntropyKernel, h
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -171,13 +171,12 @@ def grid_extrema(
         reduce = _mi_extrema if isinstance(tables, _MiTables) else _separable_extrema
         return reduce(tables, grid.resolution, d)
     lattice = compositions(grid.resolution, d)
-    denom = counts.total + cfg.s
     vmin = math.inf
     vmax = -math.inf
     for start in range(0, npoints, _CHUNK_ROWS):
         rows = lattice[start : start + _CHUNK_ROWS]
         t = rows.astype(float) / grid.resolution
-        u = (counts.counts + cfg.s * t) / denom
+        u = _posterior_means(counts.counts, counts.total, cfg.s, t)
         vals = np.asarray(objective(u), dtype=float)
         if vals.shape != (rows.shape[0],):
             raise ValueError("objective must return one value per lattice point")
@@ -229,10 +228,9 @@ def _separable_extrema(tables, resolution: int, dim: int) -> Interval:
 def _summand_tables(counts, total: float, cfg: IdmConfig, grid: GridSpec) -> list:
     """Per-count tables of ``h`` at the ``resolution + 1`` lattice steps of
     ``t``, all on the kernel ``total + s``."""
-    denom = total + cfg.s
-    kernel = EntropyKernel(denom)
     steps = np.arange(grid.resolution + 1) / grid.resolution
-    return [np.ascontiguousarray(h((c + cfg.s * steps) / denom, kernel)) for c in counts]
+    u = _posterior_means(np.asarray(counts)[:, None], total, cfg.s, steps)
+    return list(h(u, EntropyKernel(total + cfg.s)))
 
 
 def lattice_entropy_objective(
@@ -422,14 +420,13 @@ def product_grid_extrema(
         )
     v = compositions(grid.resolution, d1).astype(float) / grid.resolution
     w = compositions(grid.resolution, d2).astype(float) / grid.resolution
-    denom = tbl.total + cfg.s
     vmin = math.inf
     vmax = -math.inf
     chunk = max(1, _CHUNK_ROWS // max(1, n2 * d1 * d2))
     for start in range(0, n1, chunk):
         vc = v[start : start + chunk]
         t = vc[:, None, :, None] * w[None, :, None, :]
-        u = (tbl.table + cfg.s * t) / denom
+        u = _posterior_means(tbl.table, tbl.total, cfg.s, t)
         vals = np.asarray(objective(u.reshape(-1, d1, d2)), dtype=float)
         if vals.shape != (vc.shape[0] * n2,):
             raise ValueError("objective must return one value per lattice pair")

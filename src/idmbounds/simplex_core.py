@@ -3,18 +3,19 @@
 The imprecise Dirichlet model (IDM) places a *set* of Dirichlet priors on the
 chances of a categorical i.i.d. process: the total prior strength ``s`` is
 fixed while the prior mean ``t`` ranges over the whole probability simplex.
-Every Bayesian estimator considered in this package depends on the data and
-the prior only through the posterior-mean coordinates
+Every estimator in this package sees the data and the prior only through
 
     u_i = (n_i + s * t_i) / (n + s),
 
-so the central objects here are counts, the strength ``s``, simplex points
-``t``, the induced posterior means ``u``, and the ``[lower, upper]`` interval
-type that every robust estimator returns.
+and this module alone computes that map (``u``, ``u0`` at ``t = 0``, the
+vertex images and ``sigma``) and alone checks what a count array is.  Its
+types are counts, the strength ``s``, simplex points ``t``, posterior means
+``u`` and the ``[lower, upper]`` interval every robust estimator returns.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,23 +25,36 @@ import numpy as np
 SIMPLEX_TOL = 1e-9
 
 
-def _finite_total(arr: np.ndarray) -> float:
-    """The sum of ``arr``; raises, without an overflow warning, if it is not finite."""
-    with np.errstate(over="ignore"):
-        total = float(arr.sum())
-    if not np.isfinite(total):
-        raise ValueError("the total of the counts must be finite")
-    return total
-
-
-def _readonly_1d(values, name: str) -> np.ndarray:
+def _count_array(values, ndim: int, name: str) -> tuple[np.ndarray, float]:
+    """A read-only float copy of ``values`` and its total, or ``ValueError``
+    (no warning) unless it is a non-empty ``ndim``-dimensional array of
+    finite non-negative reals with a finite total."""
     arr = np.array(values, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError(f"{name} must be a non-empty one-dimensional sequence")
+    if arr.ndim != ndim or arr.size == 0:
+        raise ValueError(f"{name} must be a non-empty {ndim}-dimensional array")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must contain only finite values")
+    if np.any(arr < 0):
+        raise ValueError(f"{name} must be non-negative")
+    with np.errstate(over="ignore"):
+        total = float(arr.sum())
+    if not math.isfinite(total):
+        raise ValueError("the total of the counts must be finite")
     arr.flags.writeable = False
-    return arr
+    return arr, total
+
+
+def _posterior_means(counts, total: float, s: float, t) -> np.ndarray:
+    """``(n_i + s * t_i) / (n + s)`` elementwise, ``counts`` and ``t`` broadcast.
+
+    ``total`` is ``n``.  A non-finite ``n + s`` raises ``ValueError``, unwarned;
+    one below the normal range is first scaled by the exact ``2**600``."""
+    denom = total + s
+    if not math.isfinite(denom):
+        raise ValueError("total must be a positive finite real")
+    if denom < 2.0**-1022:
+        counts, s, denom = counts * 2.0**600, s * 2.0**600, denom * 2.0**600
+    return (counts + s * t) / denom
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,27 +62,21 @@ class CountVector:
     """Observed category counts ``n_i``.
 
     Counts are non-negative reals; fractional values are legal (sweeps over
-    continuously scaled samples use them).  Their total must be finite.  The
-    dimension is implied by the length.
+    continuously scaled samples use them).  Their total, the sample size
+    ``n``, must be finite and is cached as ``total``.  The dimension is
+    implied by the length.
     """
 
     counts: np.ndarray
 
     def __post_init__(self):
-        arr = _readonly_1d(self.counts, "counts")
-        if np.any(arr < 0):
-            raise ValueError("counts must be non-negative")
-        _finite_total(arr)
+        arr, total = _count_array(self.counts, 1, "counts")
         object.__setattr__(self, "counts", arr)
+        object.__setattr__(self, "total", total)
 
     @property
     def dim(self) -> int:
         return self.counts.size
-
-    @property
-    def total(self) -> float:
-        """Total sample size n."""
-        return float(self.counts.sum())
 
 
 @dataclass(frozen=True)
@@ -157,15 +165,15 @@ class PosteriorMean:
     sigma: float
 
     def __post_init__(self):
-        u = _readonly_1d(self.u, "u")
-        u0 = _readonly_1d(self.u0, "u0")
+        u, u_total = _count_array(self.u, 1, "u")
+        u0, _ = _count_array(self.u0, 1, "u0")
         if u.size != u0.size:
             raise ValueError("u and u0 must have the same length")
         if not 0 <= self.sigma <= 1:
             raise ValueError("sigma must lie in [0, 1]")
         if np.any(u < u0 - SIMPLEX_TOL):
             raise ValueError("u must dominate the baseline u0 componentwise")
-        if abs(float(u.sum()) - 1.0) > SIMPLEX_TOL:
+        if abs(u_total - 1.0) > SIMPLEX_TOL:
             raise ValueError("u must sum to one")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "u0", u0)
@@ -206,7 +214,7 @@ class Interval:
 
 def sigma_of(counts: CountVector, cfg: IdmConfig) -> float:
     """The expansion parameter ``sigma = s / (n + s) = 1 - sum(u0)``."""
-    return cfg.s / (counts.total + cfg.s)
+    return float(_posterior_means(0.0, counts.total, cfg.s, 1.0))
 
 
 def u_from_t(counts: CountVector, cfg: IdmConfig, t: SimplexPoint) -> PosteriorMean:
@@ -218,7 +226,6 @@ def u_from_t(counts: CountVector, cfg: IdmConfig, t: SimplexPoint) -> PosteriorM
     """
     if t.dim != counts.dim:
         raise ValueError(f"dimension mismatch: counts has {counts.dim}, t has {t.dim}")
-    denom = counts.total + cfg.s
-    u = (counts.counts + cfg.s * t.t) / denom
-    u0 = counts.counts / denom
-    return PosteriorMean(u=u, u0=u0, sigma=cfg.s / denom)
+    u = _posterior_means(counts.counts, counts.total, cfg.s, t.t)
+    u0 = _posterior_means(counts.counts, counts.total, cfg.s, 0.0)
+    return PosteriorMean(u=u, u0=u0, sigma=sigma_of(counts, cfg))

@@ -37,13 +37,13 @@ _BLOCK_ROWS = 1 << 16
 _STANDARD_NORMAL = NormalDist()
 
 
-def _as_positive_array(x, name: str):
+def _as_positive_array(x):
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite")
+        raise ValueError("x must be finite")
     if np.any(arr <= 0):
-        raise ValueError(f"{name} must be strictly positive")
+        raise ValueError("x must be strictly positive")
     return np.atleast_1d(arr), scalar, arr.shape
 
 
@@ -73,7 +73,7 @@ def _shift_and_series(x, order: int):
     row of the shift grid sums the same ten terms in the same order, so an
     element's result does not depend on its neighbours.
     """
-    arr, scalar, shape = _as_positive_array(x, "x")
+    arr, scalar, shape = _as_positive_array(x)
     small = arr < _SHIFT
     series = _digamma_series if order == 0 else _trigamma_series
     out = series(np.where(small, arr + _SHIFT, arr))
@@ -133,15 +133,14 @@ class EntropyKernel:
         object.__setattr__(self, "psi_total", digamma(total + 1.0))
 
 
-def _as_unit_interval(u, name: str = "u"):
+def _as_unit_interval(u):
     arr = np.asarray(u, dtype=float)
     scalar = arr.ndim == 0
     if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite")
+        raise ValueError("u must be finite")
     if np.any(arr < -1e-12) or np.any(arr > 1.0 + 1e-12):
-        raise ValueError(f"{name} must lie in [0, 1]")
-    clipped = np.clip(np.atleast_1d(np.array(arr, dtype=float)), 0.0, 1.0)
-    return clipped, scalar, arr.shape
+        raise ValueError("u must lie in [0, 1]")
+    return np.clip(np.atleast_1d(arr), 0.0, 1.0), scalar, arr.shape
 
 
 def h(u, kernel: EntropyKernel):

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .simplex_core import CountVector, IdmConfig, Interval
+from .simplex_core import CountVector, IdmConfig, Interval, _posterior_means, sigma_of
 
 
 class UnboundedDerivativeError(ValueError):
@@ -150,23 +150,23 @@ def concave_remainder_bounds(counts: CountVector, cfg: IdmConfig, f) -> RobustEs
     derivative at a baseline point (e.g. a plug-in entropy summand with a
     zero count) is refused rather than silently emitting an infinite bound.
     """
-    denom = counts.total + cfg.s
-    sigma = cfg.s / denom
-    u0 = counts.counts / denom
+    sigma = sigma_of(counts, cfg)
+    u0 = _posterior_means(counts.counts, counts.total, cfg.s, 0.0)
+    u_vertex = _posterior_means(counts.counts, counts.total, cfg.s, 1.0)
 
     deriv_low = np.asarray(f.deriv(u0), dtype=float)
-    deriv_high = np.asarray(f.deriv(u0 + sigma), dtype=float)
+    deriv_high = np.asarray(f.deriv(u_vertex), dtype=float)
     bad = ~(np.isfinite(deriv_low) & np.isfinite(deriv_high))
     if bad.any():
         raise UnboundedDerivativeError(
             f"summand derivative is non-finite at baseline component(s) "
             f"{np.flatnonzero(bad).tolist()}; the remainder bound would be infinite"
         )
-    # f' is non-increasing; with huge counts and a tiny s, u0 + sigma is an
+    # f' is non-increasing; with huge counts and a tiny s, the vertex is an
     # ulp from u0 and rounding alone can put f' there above f'(u0).
     deriv_high = np.minimum(deriv_high, deriv_low)
     f_low = np.asarray(f.fn(u0), dtype=float)
-    f_high = np.asarray(f.fn(u0 + sigma), dtype=float)
+    f_high = np.asarray(f.fn(u_vertex), dtype=float)
     f0 = float(f_low.sum())
     # F at the k-th vertex differs from F(u0) only in coordinate k.
     vertex_values = f0 - f_low + f_high
@@ -186,9 +186,9 @@ def approx_interval_general(
     go through :func:`concave_remainder_bounds`.
     """
     d = counts.dim
-    denom = counts.total + cfg.s
-    sigma = cfg.s / denom
-    u0 = counts.counts / denom
+    sigma = sigma_of(counts, cfg)
+    u0 = _posterior_means(counts.counts, counts.total, cfg.s, 0.0)
+    vertices = _posterior_means(counts.counts, counts.total, cfg.s, np.eye(d))
 
     upper = np.array([provider.upper_i(i) for i in range(d)], dtype=float)
     lower = np.array([provider.lower_i(i) for i in range(d)], dtype=float)
@@ -198,11 +198,7 @@ def approx_interval_general(
         raise ValueError("provider upper_i must dominate lower_i")
 
     f0 = float(provider.fn(u0))
-    vertex_values = np.empty(d)
-    for k in range(d):
-        u = u0.copy()
-        u[k] += sigma
-        vertex_values[k] = provider.fn(u)
+    vertex_values = np.array([float(provider.fn(u)) for u in vertices])
     if not (np.isfinite(f0) and np.all(np.isfinite(vertex_values))):
         raise ValueError("provider returned non-finite values")
     return RobustEstimate(
