@@ -33,6 +33,7 @@ from .exact_extrema import (
 )
 from .mutual_info import (
     ContingencyCounts,
+    _FloatRangeError,
     mi_interval_bounds,
     mi_interval_crude,
     product_idm_check,
@@ -305,7 +306,8 @@ def run_credible(args) -> tuple[dict, dict]:
     try:
         est, variance, credible = robust_credible_mi_parts(tbl, cfg, spec)
     except ValueError as exc:
-        raise CliError("ZERO_CELL", str(exc)) from exc
+        code = "BAD_STRENGTH" if isinstance(exc, _FloatRangeError) else "ZERO_CELL"
+        raise CliError(code, str(exc)) from exc
     diagnostics = {
         "n": _round12(tbl.total),
         "shape": list(tbl.shape),

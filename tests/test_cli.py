@@ -165,6 +165,12 @@ class TestErrorCodes:
         (("entropy", "--inline", "1,2", "--grid-check", "40000"), "BAD_GRID_SPEC"),
         # s * t underflows to 0, so the posterior mean of the empty cell is 0.
         (("credible", "--inline", "0,1\n1,1", "--alpha", "0.9", "--s", "5e-324"), "ZERO_CELL"),
+        # No cell is zero: the leading variance divided by n + s leaves the float range.
+        (
+            ("credible", "--inline", "1e-320,5e-321\n5e-321,1e-320", "--s", "1e-320", "--alpha", "0.5"),
+            "BAD_STRENGTH",
+            "credible-variance-beyond-float-range",
+        ),
         # Rows with a third element take it as their test id.
         (("mutinfo", "--inline", '{"table": [[], []]}'), "PARSE_FAILURE", "mutinfo-empty-rows"),
         (
