@@ -113,6 +113,7 @@ def max_concave_sum(counts: CountVector, cfg: IdmConfig, f: ConcaveSummand) -> E
     vertex of the least-observed category.
     """
     d = counts.dim
+    u0 = _posterior_means(counts.counts, counts.total, cfg.s, 0.0)
     denom = counts.total + cfg.s
     order = np.argsort(counts.counts, kind="stable")
     prefix = np.cumsum(counts.counts[order])
@@ -127,7 +128,6 @@ def max_concave_sum(counts: CountVector, cfg: IdmConfig, f: ConcaveSummand) -> E
     m_star = int(np.argmin(candidates)) + 1
     u_tilde = float(candidates[m_star - 1])
 
-    u0 = _posterior_means(counts.counts, counts.total, cfg.s, 0.0)
     u_vec = np.maximum(u0, u_tilde)
     # t* = (u* (n+s) - n) / s loses digits when s << n: clip and renormalise
     # so the witness is on the simplex by construction.

@@ -181,6 +181,10 @@ class TestVarianceLeading:
         tbl = ContingencyCounts([[2, 3, 4]])
         assert mi_variance_leading(tbl, CFG, SimplexPoint.uniform(3)) == 0.0
 
+    def test_single_row_is_exactly_zero_at_a_subnormal_total(self):
+        tbl, cfg = ContingencyCounts([[5e-324, 5e-324]]), IdmConfig(5e-324)
+        assert mi_variance_leading(tbl, cfg, SimplexPoint.uniform(2)) == 0.0
+
     def test_non_negative_and_scaling(self):
         tbl = ContingencyCounts([[5, 1], [1, 5]])
         v1 = mi_variance_leading(tbl, CFG, SimplexPoint.uniform(4))

@@ -1,18 +1,37 @@
 """Domain types and the count-to-posterior-mean correspondence."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from idmbounds import (
     SIMPLEX_TOL,
+    ConcaveSummand,
+    ContingencyCounts,
     CountVector,
+    DerivativeBoundProvider,
+    GridSpec,
     IdmConfig,
     Interval,
     SimplexPoint,
+    approx_interval_general,
+    concave_remainder_bounds,
+    entropy_interval_exact,
+    expected_mi,
+    grid_extrema,
+    max_concave_sum,
+    mi_interval_bounds,
+    mi_interval_crude,
+    min_concave_sum,
+    product_grid_extrema,
     sigma_of,
     u_from_t,
     validate_simplex,
 )
+
+# The README's summand of -sum(u_i^2), the recipe for a convex estimator.
+NEG_SQUARE = ConcaveSummand(fn=lambda u: -(u**2), deriv=lambda u: -2 * u)
 
 
 class TestCorrespondence:
@@ -61,6 +80,76 @@ class TestCorrespondence:
                 + (1 - lam) * u_from_t(counts, cfg, SimplexPoint(t2)).u
             )
             np.testing.assert_allclose(mix, direct, rtol=0, atol=1e-12)
+
+
+class TestSubnormalStrength:
+    """n + s below the normal range: s * t must keep its digits."""
+
+    TINY = CountVector([5e-324, 5e-324])
+    CFG = IdmConfig(5e-324)
+
+    def test_posterior_mean_sums_to_one(self):
+        u = u_from_t(self.TINY, self.CFG, SimplexPoint([0.5, 0.5]))
+        assert u.u.sum() == 1.0
+        np.testing.assert_array_equal(u.u, [0.5, 0.5])
+
+    def test_estimators_return_intervals(self):
+        tbl = ContingencyCounts([[5e-324, 5e-324]])
+        for iv in (
+            entropy_interval_exact(self.TINY, self.CFG),
+            mi_interval_crude(tbl, self.CFG),
+            mi_interval_bounds(tbl, self.CFG).conservative_interval(),
+        ):
+            assert isinstance(iv, Interval)
+
+
+class TestOverflowingTotal:
+    """n + s beyond the float range is refused by every estimator, unwarned."""
+
+    COUNTS = CountVector([1.7e308, 1.0])
+    TABLE = ContingencyCounts([[1.7e308, 1.0]])
+    CFG = IdmConfig(1.7e308)
+
+    def calls(self):
+        counts, tbl, cfg = self.COUNTS, self.TABLE, self.CFG
+        provider = DerivativeBoundProvider(
+            fn=lambda u: float((u**2).sum()), upper_i=lambda i: 2.0, lower_i=lambda i: 0.0
+        )
+        return {
+            "u_from_t": lambda: u_from_t(counts, cfg, SimplexPoint.uniform(2)),
+            "sigma_of": lambda: sigma_of(counts, cfg),
+            "concave_remainder_bounds": lambda: concave_remainder_bounds(counts, cfg, NEG_SQUARE),
+            "min_concave_sum": lambda: min_concave_sum(counts, cfg, NEG_SQUARE),
+            "max_concave_sum": lambda: max_concave_sum(counts, cfg, NEG_SQUARE),
+            "approx_interval_general": lambda: approx_interval_general(counts, cfg, provider),
+            "grid_extrema": lambda: grid_extrema(
+                lambda u: (u**2).sum(axis=1), counts, cfg, GridSpec(4)
+            ),
+            "product_grid_extrema": lambda: product_grid_extrema(
+                lambda u: (u**2).sum(axis=(1, 2)), tbl, cfg, GridSpec(4)
+            ),
+            "expected_mi": lambda: expected_mi(tbl, cfg, SimplexPoint.uniform(2)),
+        }
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "u_from_t",
+            "sigma_of",
+            "concave_remainder_bounds",
+            "min_concave_sum",
+            "max_concave_sum",
+            "approx_interval_general",
+            "grid_extrema",
+            "product_grid_extrema",
+            "expected_mi",
+        ],
+    )
+    def test_refused(self, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="total must be a positive finite real"):
+                self.calls()[name]()
 
 
 class TestSigma:
