@@ -32,12 +32,13 @@ def _count_array(values, ndim: int, name: str) -> tuple[np.ndarray, float]:
     arr = np.array(values, dtype=float)
     if arr.ndim != ndim or arr.size == 0:
         raise ValueError(f"{name} must be a non-empty {ndim}-dimensional array")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must contain only finite values")
-    if np.any(arr < 0):
-        raise ValueError(f"{name} must be non-negative")
-    with np.errstate(over="ignore"):
+    # A finite total implies finite entries: on valid input one sum checks both.
+    with np.errstate(over="ignore", invalid="ignore"):
         total = float(arr.sum())
+    if not math.isfinite(total) and not np.isfinite(arr).all():
+        raise ValueError(f"{name} must contain only finite values")
+    if arr.min() < 0:
+        raise ValueError(f"{name} must be non-negative")
     if not math.isfinite(total):
         raise ValueError("the total of the counts must be finite")
     arr.flags.writeable = False
