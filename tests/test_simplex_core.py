@@ -103,53 +103,36 @@ class TestSubnormalStrength:
             assert isinstance(iv, Interval)
 
 
-class TestOverflowingTotal:
-    """n + s beyond the float range is refused by every estimator, unwarned."""
+HUGE_COUNTS = CountVector([1.7e308, 1.0])
+HUGE_TABLE = ContingencyCounts([[1.7e308, 1.0]])
+HUGE_S = IdmConfig(1.7e308)
+SQUARES = DerivativeBoundProvider(
+    fn=lambda u: float((u**2).sum()), upper_i=lambda i: 2.0, lower_i=lambda i: 0.0
+)
+OVERFLOWING_CALLS = {
+    "u_from_t": lambda: u_from_t(HUGE_COUNTS, HUGE_S, SimplexPoint.uniform(2)),
+    "sigma_of": lambda: sigma_of(HUGE_COUNTS, HUGE_S),
+    "concave_remainder_bounds": lambda: concave_remainder_bounds(HUGE_COUNTS, HUGE_S, NEG_SQUARE),
+    "min_concave_sum": lambda: min_concave_sum(HUGE_COUNTS, HUGE_S, NEG_SQUARE),
+    "max_concave_sum": lambda: max_concave_sum(HUGE_COUNTS, HUGE_S, NEG_SQUARE),
+    "approx_interval_general": lambda: approx_interval_general(HUGE_COUNTS, HUGE_S, SQUARES),
+    "grid_extrema": lambda: grid_extrema(
+        lambda u: (u**2).sum(axis=1), HUGE_COUNTS, HUGE_S, GridSpec(4)
+    ),
+    "product_grid_extrema": lambda: product_grid_extrema(
+        lambda u: (u**2).sum(axis=(1, 2)), HUGE_TABLE, HUGE_S, GridSpec(4)
+    ),
+    "expected_mi": lambda: expected_mi(HUGE_TABLE, HUGE_S, SimplexPoint.uniform(2)),
+}
 
-    COUNTS = CountVector([1.7e308, 1.0])
-    TABLE = ContingencyCounts([[1.7e308, 1.0]])
-    CFG = IdmConfig(1.7e308)
 
-    def calls(self):
-        counts, tbl, cfg = self.COUNTS, self.TABLE, self.CFG
-        provider = DerivativeBoundProvider(
-            fn=lambda u: float((u**2).sum()), upper_i=lambda i: 2.0, lower_i=lambda i: 0.0
-        )
-        return {
-            "u_from_t": lambda: u_from_t(counts, cfg, SimplexPoint.uniform(2)),
-            "sigma_of": lambda: sigma_of(counts, cfg),
-            "concave_remainder_bounds": lambda: concave_remainder_bounds(counts, cfg, NEG_SQUARE),
-            "min_concave_sum": lambda: min_concave_sum(counts, cfg, NEG_SQUARE),
-            "max_concave_sum": lambda: max_concave_sum(counts, cfg, NEG_SQUARE),
-            "approx_interval_general": lambda: approx_interval_general(counts, cfg, provider),
-            "grid_extrema": lambda: grid_extrema(
-                lambda u: (u**2).sum(axis=1), counts, cfg, GridSpec(4)
-            ),
-            "product_grid_extrema": lambda: product_grid_extrema(
-                lambda u: (u**2).sum(axis=(1, 2)), tbl, cfg, GridSpec(4)
-            ),
-            "expected_mi": lambda: expected_mi(tbl, cfg, SimplexPoint.uniform(2)),
-        }
-
-    @pytest.mark.parametrize(
-        "name",
-        [
-            "u_from_t",
-            "sigma_of",
-            "concave_remainder_bounds",
-            "min_concave_sum",
-            "max_concave_sum",
-            "approx_interval_general",
-            "grid_extrema",
-            "product_grid_extrema",
-            "expected_mi",
-        ],
-    )
-    def test_refused(self, name):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="total must be a positive finite real"):
-                self.calls()[name]()
+@pytest.mark.parametrize("call", OVERFLOWING_CALLS.values(), ids=OVERFLOWING_CALLS.keys())
+def test_overflowing_total_refused_without_warning(call):
+    """n + s beyond the float range is refused by every estimator."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="total must be a positive finite real"):
+            call()
 
 
 class TestSigma:
