@@ -46,9 +46,8 @@ def _count_array(values, ndim: int, name: str) -> tuple[np.ndarray, float]:
 
 
 def _posterior_means(counts, total: float, s: float, t) -> np.ndarray:
-    """``(n_i + s * t_i) / (n + s)`` elementwise, ``counts`` and ``t`` broadcast.
-
-    ``total`` is ``n``.  A non-finite ``n + s`` raises ``ValueError``, unwarned;
+    """``(n_i + s * t_i) / (n + s)`` elementwise, with ``total = n`` and ``counts``
+    and ``t`` broadcast.  A non-finite ``n + s`` raises ``ValueError``, unwarned;
     one below the normal range is first scaled by the exact ``2**600``."""
     denom = total + s
     if not math.isfinite(denom):
@@ -63,9 +62,8 @@ class CountVector:
     """Observed category counts ``n_i``.
 
     Counts are non-negative reals; fractional values are legal (sweeps over
-    continuously scaled samples use them).  Their total, the sample size
-    ``n``, must be finite and is cached as ``total``.  The dimension is
-    implied by the length.
+    continuously scaled samples use them).  Their finite total ``n`` is
+    cached as ``total``; the dimension is implied by the length.
     """
 
     counts: np.ndarray

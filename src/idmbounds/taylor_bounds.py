@@ -188,7 +188,6 @@ def approx_interval_general(
     d = counts.dim
     sigma = sigma_of(counts, cfg)
     u0 = _posterior_means(counts.counts, counts.total, cfg.s, 0.0)
-    vertices = _posterior_means(counts.counts, counts.total, cfg.s, np.eye(d))
 
     upper = np.array([provider.upper_i(i) for i in range(d)], dtype=float)
     lower = np.array([provider.lower_i(i) for i in range(d)], dtype=float)
@@ -198,7 +197,10 @@ def approx_interval_general(
         raise ValueError("provider upper_i must dominate lower_i")
 
     f0 = float(provider.fn(u0))
-    vertex_values = np.array([float(provider.fn(u)) for u in vertices])
+    # One vertex image (t = e_k) at a time: an identity matrix would take O(d^2).
+    units = (np.arange(d) == k for k in range(d))
+    images = (_posterior_means(counts.counts, counts.total, cfg.s, e) for e in units)
+    vertex_values = np.array([float(provider.fn(u)) for u in images])
     if not (np.isfinite(f0) and np.all(np.isfinite(vertex_values))):
         raise ValueError("provider returned non-finite values")
     return RobustEstimate(
