@@ -33,9 +33,9 @@ def describe(counts, s=1.0):
     iv = entropy_interval_exact(cv, cfg)
 
     print(f"counts={counts}  s={s}  sigma={sigma_of(cv, cfg):.4f}")
-    print(f"  lower extremum at vertex {lo.vertex_index}: u* = {np.round(lo.u_star.u, 4)}")
+    print(f"  lower extremum at vertex {lo.vertex_index}: u* = {np.round(lo.u_star, 4)}")
     where = f"vertex {hi.vertex_index}" if hi.vertex_index is not None else "interior"
-    print(f"  upper extremum ({where}, leveled m={hi.m_star}): u* = {np.round(hi.u_star.u, 4)}")
+    print(f"  upper extremum ({where}, leveled m={hi.m_star}): u* = {np.round(hi.u_star, 4)}")
     print(f"  expected entropy in [{iv.lower:.4f}, {iv.upper:.4f}]  (width {iv.width:.4f})")
     rational = entropy_interval_rational(cv, cfg)
     if rational is not None:

@@ -93,10 +93,9 @@ def triangular_minimal_robust(gamma: float, alpha: float) -> Interval:
         raise ValueError("gamma must be positive")
     _require_alpha_regime(alpha)
     if gamma * gamma <= 0.5 * (1.0 - alpha):
-        radicand = 1.0 - alpha - gamma * gamma
-        if radicand < 0:
-            raise AssertionError("negative radicand inside the small-gamma branch")
-        radius = 1.0 - math.sqrt(radicand)
+        # 1 - alpha is exact for alpha in [0.5, 1) and so is halving it, so
+        # the radicand is at least (1 - alpha) / 2 > 0.
+        radius = 1.0 - math.sqrt(1.0 - alpha - gamma * gamma)
     else:
         radius = gamma + 1.0 - math.sqrt(2.0 * (1.0 - alpha))
     return Interval(-radius, radius)

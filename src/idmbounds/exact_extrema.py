@@ -20,9 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .simplex_core import (
-    CountVector, IdmConfig, Interval, PosteriorMean, SimplexPoint, _posterior_means, u_from_t
-)
+from .simplex_core import CountVector, IdmConfig, Interval, SimplexPoint, _posterior_means, u_from_t
 from .special_fn import EntropyKernel, h, h_fraction, h_prime
 
 #: Largest ``n + s`` for which exact rational entropy endpoints are computed.
@@ -64,14 +62,16 @@ class _EntropySummand(ConcaveSummand):
 class ExtremumResult:
     """An extremum value together with a canonical witness.
 
-    ``vertex_index`` is set when the extremum sits at a vertex of the
-    ``t``-simplex; ``m_star`` records the leveling count of the
-    water-filling maximum.  Ties are always broken toward the smallest
-    index, so witnesses are deterministic.
+    The witness is the prior mean ``t_star`` and its posterior mean
+    ``u_star = u_from_t(counts, cfg, t_star)``, a read-only float array, and
+    ``value`` is ``sum_i f(u_star_i)``.  ``vertex_index`` is set when the
+    extremum sits at a vertex of the ``t``-simplex; ``m_star`` records the
+    leveling count of the water-filling maximum.  Ties are always broken
+    toward the smallest index, so witnesses are deterministic.
     """
 
     value: float
-    u_star: PosteriorMean
+    u_star: np.ndarray
     t_star: SimplexPoint
     vertex_index: Optional[int] = None
     m_star: Optional[int] = None
@@ -98,7 +98,7 @@ def min_concave_sum(counts: CountVector, cfg: IdmConfig, f: ConcaveSummand) -> E
     i_star = int(np.argmax(counts.counts))
     t_star = SimplexPoint.vertex(counts.dim, i_star)
     u_star = u_from_t(counts, cfg, t_star)
-    value = float(np.sum(f.fn(u_star.u)))
+    value = float(np.sum(f.fn(u_star)))
     return ExtremumResult(value=value, u_star=u_star, t_star=t_star, vertex_index=i_star)
 
 
@@ -139,7 +139,7 @@ def max_concave_sum(counts: CountVector, cfg: IdmConfig, f: ConcaveSummand) -> E
     else:
         t_star = SimplexPoint(t / t.sum())
     u_star = u_from_t(counts, cfg, t_star)
-    value = float(np.sum(f.fn(u_star.u)))
+    value = float(np.sum(f.fn(u_star)))
     vertex_index = int(order[0]) if m_star == 1 else None
     return ExtremumResult(
         value=value, u_star=u_star, t_star=t_star, vertex_index=vertex_index, m_star=m_star

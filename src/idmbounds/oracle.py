@@ -21,7 +21,7 @@ import numbers
 import random
 from array import array
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -41,13 +41,20 @@ class GridOverflowError(ValueError):
     """The requested lattice exceeds the enumeration safety cap."""
 
 
+def _require_integer(name: str, value) -> None:
+    # Python and numpy integers pass; bool, floats and everything else do not.
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer")
+
+
 @dataclass(frozen=True)
 class GridSpec:
-    """Lattice denominator, from 1 to 32000."""
+    """Lattice denominator, an integer from 1 to 32000."""
 
     resolution: int
 
     def __post_init__(self):
+        _require_integer("resolution", self.resolution)
         if self.resolution < 1:
             raise ValueError("resolution must be >= 1")
         if self.resolution > 32000:
@@ -63,10 +70,8 @@ class McSpec:
     seed: int
 
     def __post_init__(self):
-        for name in ("draws", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer")
+        _require_integer("draws", self.draws)
+        _require_integer("seed", self.seed)
         if self.draws < 1:
             raise ValueError("draws must be >= 1")
         if not 0 <= int(self.seed) < 2**64:
@@ -149,12 +154,14 @@ def grid_extrema(
     be vectorized: it receives an ``(N, dim)`` array of ``u`` rows and
     returns ``N`` values.
 
-    ``on_lattice=True`` takes a table-backed objective from
-    :func:`lattice_entropy_objective` or :func:`lattice_mi_objective` and
-    reduces its ``objective.tables`` without calling it, to the same bits
-    as calling it on every point: per-coordinate entropy tables by
-    convolution, the row, column and cell tables through the margin-pair
-    index.  A callable without ``tables`` raises ``ValueError`` there.
+    A table-backed objective from :func:`lattice_entropy_objective` or
+    :func:`lattice_mi_objective` is reduced through its ``objective.tables``
+    instead, without calling it, to the same bits as calling it on every
+    point: per-coordinate entropy tables by convolution, the row, column and
+    cell tables through the margin-pair index.  Tables built on other counts,
+    another ``s`` or another grid raise ``ValueError``.  ``on_lattice=True``
+    only asserts that the objective carries tables: a callable without them
+    raises ``ValueError`` there.
 
     Deterministic; refuses lattices larger than :data:`MAX_GRID_POINTS`.
     """
@@ -164,12 +171,18 @@ def grid_extrema(
         raise GridOverflowError(
             f"lattice has {npoints} points, above the cap of {MAX_GRID_POINTS}"
         )
+    tables = getattr(objective, "tables", None)
+    if tables is not None:
+        if tables.s != cfg.s or not np.array_equal(tables.counts, counts.counts):
+            raise ValueError("objective tables were built on other counts or another s")
+        # One builder makes every table of an objective on the same grid.
+        if tables.cells[0].shape != (grid.resolution + 1,):
+            raise ValueError("objective tables do not match the lattice")
+        if tables.rows is None:
+            return _separable_extrema(tables.cells, grid.resolution)
+        return _mi_extrema(tables, grid.resolution)
     if on_lattice:
-        tables = getattr(objective, "tables", None)
-        if tables is None:
-            raise ValueError("on_lattice=True needs an objective that carries its tables")
-        reduce = _mi_extrema if isinstance(tables, _MiTables) else _separable_extrema
-        return reduce(tables, grid.resolution, d)
+        raise ValueError("on_lattice=True needs an objective that carries its tables")
     lattice = compositions(grid.resolution, d)
     vmin = math.inf
     vmax = -math.inf
@@ -204,11 +217,9 @@ def _window_reduce(prev: np.ndarray, table_rev: np.ndarray, pad: float, reduce) 
     return out
 
 
-def _separable_extrema(tables, resolution: int, dim: int) -> Interval:
+def _separable_extrema(tables, resolution: int) -> Interval:
     """``[min, max]`` of ``sum_i tables[i][k_i]`` over compositions ``k`` of
     ``resolution``, by a (min,+)/(max,+) convolution in O(dim * R^2)."""
-    if len(tables) != dim or any(t.shape != (resolution + 1,) for t in tables):
-        raise ValueError("objective tables do not match the lattice")
     # lo[t] / hi[t]: extrema of T0[k0] + ... + Ti[ki] over k0 + ... + ki = t.
     # Tables are added in the enumeration's order, and fl(a + b) is monotone
     # in a, so each extremum of the rounded partial sums is the rounded sum of
@@ -218,11 +229,22 @@ def _separable_extrema(tables, resolution: int, dim: int) -> Interval:
         rev = table[::-1]
         lo = _window_reduce(lo, rev, math.inf, np.min)
         hi = _window_reduce(hi, rev, -math.inf, np.max)
-    if dim == 1:
+    if len(tables) == 1:
         return Interval(float(lo[resolution]), float(hi[resolution]))
     # The last coordinate only needs the row t = R: k_{d-1} = k, prefix R - k.
     last = tables[-1]
     return Interval(float((lo[::-1] + last).min()), float((hi[::-1] + last).max()))
+
+
+class _Tables(NamedTuple):
+    """Summand tables with the counts (row-major for a contingency table) and
+    the ``s`` they were built on; ``rows`` and ``cols`` only for the MI."""
+
+    counts: np.ndarray
+    s: float
+    cells: list
+    rows: Optional[list] = None
+    cols: Optional[list] = None
 
 
 def _summand_tables(counts, total: float, cfg: IdmConfig, grid: GridSpec) -> list:
@@ -240,9 +262,9 @@ def lattice_entropy_objective(
 
     Each coordinate of a lattice point takes one of ``resolution + 1``
     values, so the entropy summand is precomputed per coordinate and the
-    objective reduces to table gathers.  Use with ``on_lattice=True``.
-    The tables ride on the callable as ``objective.tables``, so
-    :func:`grid_extrema` reduces them without enumerating the lattice.
+    objective reduces to table gathers.  The tables ride on the callable as
+    ``objective.tables``, so :func:`grid_extrema` reduces them without
+    enumerating the lattice.
     """
     tables = _summand_tables(counts.counts, counts.total, cfg, grid)
 
@@ -252,14 +274,8 @@ def lattice_entropy_objective(
             vals += tables[i].take(rows[:, i].astype(np.intp))
         return vals
 
-    objective.tables = tables
+    objective.tables = _Tables(counts.counts, cfg.s, tables)
     return objective
-
-
-class _MiTables(NamedTuple):
-    rows: list
-    cols: list
-    cells: list
 
 
 class _MiIndex(NamedTuple):
@@ -327,7 +343,7 @@ def _mi_index(resolution: int, d1: int, d2: int) -> _MiIndex:
     return index
 
 
-def _mi_extrema(tables: _MiTables, resolution: int, dim: int) -> Interval:
+def _mi_extrema(tables: _Tables, resolution: int) -> Interval:
     """``[min, max]`` of the MI objective over every composition of
     ``resolution`` into its cells, bit for bit as the objective computes it.
 
@@ -337,12 +353,6 @@ def _mi_extrema(tables: _MiTables, resolution: int, dim: int) -> Interval:
     once per pair, with the same adds in the same order, and gathered.
     """
     d1, d2 = len(tables.rows), len(tables.cols)
-    if (
-        d1 * d2 != dim
-        or len(tables.cells) != dim
-        or any(t.shape != (resolution + 1,) for t in (*tables.rows, *tables.cols, *tables.cells))
-    ):
-        raise ValueError("objective tables do not match the lattice")
     index = _mi_index(resolution, d1, d2)
     head = tables.rows[0].take(index.row_margins[0])
     for i in range(1, d1):
@@ -370,8 +380,8 @@ def lattice_mi_objective(
 
     Lattice points are compositions over the ``d1*d2`` cells in row-major
     order; called on ``(N, d1*d2)`` integer rows, the closure gathers row,
-    column and cell summands from precomputed tables.  Use with
-    ``on_lattice=True`` on the flattened joint counts.  The tables ride on
+    column and cell summands from precomputed tables.  Reduce it with
+    :func:`grid_extrema` on the flattened joint counts.  The tables ride on
     the callable as ``objective.tables``, so :func:`grid_extrema` computes
     the row and column part once per pair of margins instead of once per
     point, and still visits every point, to the same bits as the closure.
@@ -394,7 +404,7 @@ def lattice_mi_objective(
             vals -= cell_tables[c].take(rows[:, c])
         return vals
 
-    objective.tables = _MiTables(row_tables, col_tables, cell_tables)
+    objective.tables = _Tables(tbl.table.ravel(), cfg.s, cell_tables, row_tables, col_tables)
     return objective
 
 

@@ -9,8 +9,9 @@ Every estimator in this package sees the data and the prior only through
 
 and this module alone computes that map (``u``, ``u0`` at ``t = 0``, the
 vertex images and ``sigma``) and alone checks what a count array is.  Its
-types are counts, the strength ``s``, simplex points ``t``, posterior means
-``u`` and the ``[lower, upper]`` interval every robust estimator returns.
+types are counts, the strength ``s``, simplex points ``t`` and the
+``[lower, upper]`` interval every robust estimator returns; a posterior mean
+``u`` is a read-only float array.
 """
 
 from __future__ import annotations
@@ -145,44 +146,6 @@ class SimplexPoint:
         return cls(np.full(dim, 1.0 / dim))
 
 
-@dataclass(frozen=True, eq=False)
-class PosteriorMean:
-    """Posterior mean ``u`` with its baseline ``u0`` and expansion scale.
-
-    ``u0_i = n_i / (n + s)`` is the image of ``t = 0`` and ``sigma =
-    s / (n + s)`` bounds every displacement: ``0 <= u_i - u0_i <= sigma``.
-    Valid points satisfy ``u_i >= u0_i`` and ``sum(u) == 1`` within
-    tolerance (the sum-relaxed extension used for remainder bounds admits
-    ``sum(u) <= 1`` and is never materialized as a type).
-
-    The type of the ``u_star`` witness of the exact extrema, which demo
-    ``01`` prints; :func:`u_from_t` builds it.
-    """
-
-    u: np.ndarray
-    u0: np.ndarray
-    sigma: float
-
-    def __post_init__(self):
-        u, u_total = _count_array(self.u, 1, "u")
-        u0, _ = _count_array(self.u0, 1, "u0")
-        if u.size != u0.size:
-            raise ValueError("u and u0 must have the same length")
-        if not 0 <= self.sigma <= 1:
-            raise ValueError("sigma must lie in [0, 1]")
-        if np.any(u < u0 - SIMPLEX_TOL):
-            raise ValueError("u must dominate the baseline u0 componentwise")
-        if abs(u_total - 1.0) > SIMPLEX_TOL:
-            raise ValueError("u must sum to one")
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "u0", u0)
-        object.__setattr__(self, "sigma", float(self.sigma))
-
-    @property
-    def dim(self) -> int:
-        return self.u.size
-
-
 @dataclass(frozen=True)
 class Interval:
     """An ordered pair ``[lower, upper]`` of reals."""
@@ -216,15 +179,16 @@ def sigma_of(counts: CountVector, cfg: IdmConfig) -> float:
     return float(_posterior_means(0.0, counts.total, cfg.s, 1.0))
 
 
-def u_from_t(counts: CountVector, cfg: IdmConfig, t: SimplexPoint) -> PosteriorMean:
-    """Map a prior mean ``t`` to the posterior mean ``u``.
+def u_from_t(counts: CountVector, cfg: IdmConfig, t: SimplexPoint) -> np.ndarray:
+    """Map a prior mean ``t`` to the posterior mean ``u``, a read-only float array.
 
     Applies ``u_i = (n_i + s * t_i) / (n + s)`` componentwise.  The result
-    dominates the baseline ``u0`` and sums to one; the map is affine in
-    ``t``.
+    dominates the baseline ``u0 = counts / (n + s)`` (the image of ``t = 0``),
+    exceeds it by at most :func:`sigma_of` and sums to one; the map is affine
+    in ``t``.
     """
     if t.dim != counts.dim:
         raise ValueError(f"dimension mismatch: counts has {counts.dim}, t has {t.dim}")
     u = _posterior_means(counts.counts, counts.total, cfg.s, t.t)
-    u0 = _posterior_means(counts.counts, counts.total, cfg.s, 0.0)
-    return PosteriorMean(u=u, u0=u0, sigma=sigma_of(counts, cfg))
+    u.flags.writeable = False
+    return u

@@ -62,7 +62,7 @@ class TestMinimum:
         cfg, f = _entropy(counts)
         res = min_concave_sum(counts, cfg, f)
         assert res.vertex_index == 1
-        np.testing.assert_allclose(res.u_star.u, [0.3, 0.7], atol=1e-15)
+        np.testing.assert_allclose(res.u_star, [0.3, 0.7], atol=1e-15)
         np.testing.assert_array_equal(res.t_star.t, [0.0, 1.0])
 
     def test_tie_break_smallest_index(self):
@@ -70,7 +70,7 @@ class TestMinimum:
         cfg, f = _entropy(counts)
         res = min_concave_sum(counts, cfg, f)
         assert res.vertex_index == 0
-        np.testing.assert_allclose(res.u_star.u, [6 / 11, 5 / 11], atol=1e-15)
+        np.testing.assert_allclose(res.u_star, [6 / 11, 5 / 11], atol=1e-15)
 
     def test_against_grid_oracle(self):
         counts = CountVector([1, 6])
@@ -91,14 +91,14 @@ class TestMaximum:
         res = max_concave_sum(counts, cfg, f)
         assert res.m_star == 1
         assert res.vertex_index == 0
-        np.testing.assert_allclose(res.u_star.u, [0.4, 0.6], atol=1e-15)
+        np.testing.assert_allclose(res.u_star, [0.4, 0.6], atol=1e-15)
         np.testing.assert_allclose(res.t_star.t, [1.0, 0.0], atol=1e-12)
 
     def test_empty_counts_level_at_center(self):
         counts = CountVector([0, 0, 0])
         cfg, f = _entropy(counts)
         res = max_concave_sum(counts, cfg, f)
-        np.testing.assert_allclose(res.u_star.u, 1 / 3, atol=1e-15)
+        np.testing.assert_allclose(res.u_star, 1 / 3, atol=1e-15)
         assert res.m_star == 3
         assert res.vertex_index is None
 
@@ -107,7 +107,7 @@ class TestMaximum:
         cfg, f = _entropy(counts)
         res = max_concave_sum(counts, cfg, f)
         assert res.m_star == 1
-        np.testing.assert_allclose(res.u_star.u, [0.25, 0.75], atol=1e-15)
+        np.testing.assert_allclose(res.u_star, [0.25, 0.75], atol=1e-15)
         np.testing.assert_allclose(res.t_star.t, [1.0, 0.0], atol=1e-12)
         oracle = grid_extrema(
             entropy_objective_direct(counts, cfg), counts, cfg, GridSpec(2000)
@@ -148,7 +148,7 @@ class TestMaximum:
         counts = CountVector([2, 3, 9])
         cfg, f = _entropy(counts)
         for res in (min_concave_sum(counts, cfg, f), max_concave_sum(counts, cfg, f)):
-            assert res.value == pytest.approx(float(np.sum(f.fn(res.u_star.u))), abs=1e-12)
+            assert res.value == pytest.approx(float(np.sum(f.fn(res.u_star))), abs=1e-12)
 
 
 class TestConvexDispatch:
@@ -162,7 +162,7 @@ class TestConvexDispatch:
         neg_square = ConcaveSummand(fn=lambda u: -(u**2), deriv=lambda u: -2 * u)
         res = max_concave_sum(counts, cfg, neg_square)
         assert -res.value == pytest.approx(0.52, abs=1e-15)
-        np.testing.assert_allclose(res.u_star.u, [0.4, 0.6], atol=1e-15)
+        np.testing.assert_allclose(res.u_star, [0.4, 0.6], atol=1e-15)
         assert res.vertex_index == 0
 
     def test_convex_extrema_against_oracle(self):
@@ -306,4 +306,4 @@ def u_center_value(counts, cfg):
 
     kernel = EntropyKernel(counts.total + cfg.s)
     u = u_from_t(counts, cfg, SimplexPoint.uniform(counts.dim))
-    return float(np.sum(h(u.u, kernel)))
+    return float(np.sum(h(u, kernel)))

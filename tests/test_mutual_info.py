@@ -278,6 +278,13 @@ class TestProductIdm:
         with pytest.raises(ValueError):
             product_idm_check(tbl, CFG, bounds, resolution=1)
 
+    @pytest.mark.parametrize("resolution", [2.5, 4.0, np.float64(4.0)])
+    def test_resolution_must_be_an_integer(self, resolution):
+        tbl = ContingencyCounts([[1, 1], [1, 1]])
+        bounds = mi_interval_bounds(tbl, CFG)
+        with pytest.raises(ValueError, match="resolution must be an integer"):
+            product_idm_check(tbl, CFG, bounds, resolution=resolution)
+
     def test_product_lattice_below_full_lattice(self):
         tbl = ContingencyCounts([[3, 1], [1, 3]])
         objective = mi_objective_direct(tbl, CFG)

@@ -116,6 +116,18 @@ class TestGridExtrema:
         with pytest.raises(GridOverflowError):
             grid_extrema(lambda u: u.sum(axis=1), counts, CFG, GridSpec(500))
 
+    @pytest.mark.parametrize("resolution", [10.0, 10.5, np.float64(10.0), math.inf, True, "10"])
+    def test_grid_spec_takes_only_integers(self, resolution):
+        with pytest.raises(ValueError, match="resolution must be an integer"):
+            GridSpec(resolution)
+
+    def test_numpy_integer_resolution(self):
+        counts = CountVector([3, 6, 1])
+        objective = entropy_objective_direct(counts, CFG)
+        a = grid_extrema(objective, counts, CFG, GridSpec(np.int64(12)))
+        b = grid_extrema(objective, counts, CFG, GridSpec(12))
+        assert (a.lower, a.upper) == (b.lower, b.upper)
+
     def test_on_lattice_needs_tables(self):
         counts, grid = CountVector([2, 0, 7]), GridSpec(10)
         objective = lattice_entropy_objective(counts, CFG, grid)
@@ -151,6 +163,44 @@ class TestGridExtrema:
         a = grid_extrema(objective, counts, CFG, GridSpec(100))
         b = grid_extrema(objective, counts, CFG, GridSpec(100))
         assert (a.lower, a.upper) == (b.lower, b.upper)
+
+
+def _table_backed(kind, counts, cfg, grid):
+    # The objective and the counts it reduces over: the vector itself for the
+    # entropy, the joint counts of the table [counts, reversed counts] for the MI.
+    if kind == "entropy":
+        cv = CountVector(counts)
+        return lattice_entropy_objective(cv, cfg, grid), cv
+    tbl = ContingencyCounts([counts, counts[::-1]])
+    return lattice_mi_objective(tbl, cfg, grid), tbl.joint_counts()
+
+
+@pytest.mark.parametrize("kind", ["entropy", "mi"])
+class TestTableBackedReduction:
+    """The reduction follows the objective's tables, whatever ``on_lattice`` says."""
+
+    GRID = GridSpec(20)
+
+    def test_default_flag_reduces_the_tables(self, kind):
+        objective, counts = _table_backed(kind, [3, 6, 1], CFG, self.GRID)
+        iv = grid_extrema(objective, counts, CFG, self.GRID)
+        vals = objective(compositions(self.GRID.resolution, counts.dim))
+        assert (iv.lower, iv.upper) == (vals.min(), vals.max())
+        if kind == "entropy":
+            assert (iv.lower, iv.upper) == (0.7789682539682543, 0.9107864357864359)
+
+    @pytest.mark.parametrize("on_lattice", [False, True])
+    def test_tables_of_other_counts_are_rejected(self, kind, on_lattice):
+        objective, _ = _table_backed(kind, [3, 6, 1], CFG, self.GRID)
+        _, other = _table_backed(kind, [3, 6, 2], CFG, self.GRID)
+        with pytest.raises(ValueError, match="other counts or another s"):
+            grid_extrema(objective, other, CFG, self.GRID, on_lattice=on_lattice)
+
+    @pytest.mark.parametrize("on_lattice", [False, True])
+    def test_tables_of_another_strength_are_rejected(self, kind, on_lattice):
+        objective, counts = _table_backed(kind, [3, 6, 1], CFG, self.GRID)
+        with pytest.raises(ValueError, match="other counts or another s"):
+            grid_extrema(objective, counts, IdmConfig(50.0), self.GRID, on_lattice=on_lattice)
 
 
 @st.composite
@@ -210,7 +260,7 @@ class TestSeparableEntropyLattice:
         # An (R+1)^2 array would be 8 GB; a few table-sized arrays are ~1 MB.
         assert peak < 4 * 8 * (grid.resolution + 1)
         assert elapsed < 0.5
-        first, second = objective.tables
+        first, second = objective.tables.cells
         vals = first[::-1] + second
         assert (iv.lower, iv.upper) == (vals.min(), vals.max())
 

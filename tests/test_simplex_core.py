@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idmbounds import (
     SIMPLEX_TOL,
@@ -38,15 +40,15 @@ class TestCorrespondence:
     def test_worked_example_lower_vertex(self):
         """counts (3,6), s=1, t=(0,1) maps to u=(0.3, 0.7)."""
         u = u_from_t(CountVector([3, 6]), IdmConfig(1.0), SimplexPoint([0.0, 1.0]))
-        np.testing.assert_allclose(u.u, [0.3, 0.7], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(u, [0.3, 0.7], rtol=0, atol=1e-15)
 
     def test_worked_example_upper_corner(self):
         u = u_from_t(CountVector([3, 6]), IdmConfig(1.0), SimplexPoint([1.0, 0.0]))
-        np.testing.assert_allclose(u.u, [0.4, 0.6], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(u, [0.4, 0.6], rtol=0, atol=1e-15)
 
     def test_symmetric_center(self):
         u = u_from_t(CountVector([5, 5]), IdmConfig(2.0), SimplexPoint([0.5, 0.5]))
-        np.testing.assert_allclose(u.u, [0.5, 0.5], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(u, [0.5, 0.5], rtol=0, atol=1e-15)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
@@ -59,12 +61,14 @@ class TestCorrespondence:
             d = int(rng.integers(1, 6))
             counts = CountVector(rng.uniform(0, 20, size=d))
             cfg = IdmConfig(float(rng.uniform(0.25, 4.0)))
+            u0 = counts.counts / (counts.total + cfg.s)
+            sigma = sigma_of(counts, cfg)
             ts = rng.dirichlet(np.ones(d), size=50)
             for row in ts:
                 u = u_from_t(counts, cfg, SimplexPoint(row))
-                assert np.all(u.u >= u.u0 - 1e-15)
-                assert abs(u.u.sum() - 1.0) <= 1e-9
-                assert np.all(u.u - u.u0 <= u.sigma + 1e-15)
+                assert np.all(u >= u0 - 1e-15)
+                assert abs(u.sum() - 1.0) <= 1e-9
+                assert np.all(u - u0 <= sigma + 1e-15)
 
     def test_affine_in_t(self):
         rng = np.random.default_rng(11)
@@ -74,12 +78,44 @@ class TestCorrespondence:
             t1 = rng.dirichlet([1, 1, 1])
             t2 = rng.dirichlet([1, 1, 1])
             lam = float(rng.uniform())
-            mix = u_from_t(counts, cfg, SimplexPoint(lam * t1 + (1 - lam) * t2)).u
+            mix = u_from_t(counts, cfg, SimplexPoint(lam * t1 + (1 - lam) * t2))
             direct = (
-                lam * u_from_t(counts, cfg, SimplexPoint(t1)).u
-                + (1 - lam) * u_from_t(counts, cfg, SimplexPoint(t2)).u
+                lam * u_from_t(counts, cfg, SimplexPoint(t1))
+                + (1 - lam) * u_from_t(counts, cfg, SimplexPoint(t2))
             )
             np.testing.assert_allclose(mix, direct, rtol=0, atol=1e-12)
+
+
+@st.composite
+def correspondences(draw):
+    d = draw(st.integers(1, 6))
+    count = st.one_of(
+        st.just(0.0),
+        st.floats(0.0, 100.0).map(lambda x: round(x, 2)),
+        st.floats(0.0, 1e12),
+    )
+    counts = CountVector(draw(st.lists(count, min_size=d, max_size=d)))
+    s = draw(st.one_of(st.floats(5e-324, 1e300), st.sampled_from([5e-324, 1e-6, 1.0, 1e300])))
+    weights = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=d, max_size=d)))
+    t = SimplexPoint(weights / weights.sum()) if weights.sum() > 0 else SimplexPoint.vertex(d, 0)
+    return counts, IdmConfig(s), t
+
+
+@settings(max_examples=200, deadline=None)
+@given(correspondences())
+def test_posterior_mean_and_witness_properties(case):
+    """``u`` is a read-only array that dominates ``u0``, exceeds it by at most
+    ``sigma`` and sums to one; every extremum's witness is ``u_from_t(t_star)``."""
+    counts, cfg, t = case
+    u = u_from_t(counts, cfg, t)
+    assert isinstance(u, np.ndarray) and u.dtype == np.float64 and not u.flags.writeable
+    u0 = counts.counts / (counts.total + cfg.s)
+    assert np.all(u >= u0)
+    assert np.all(u - u0 <= sigma_of(counts, cfg) + 1e-15)
+    assert abs(u.sum() - 1.0) <= SIMPLEX_TOL
+    for res in (min_concave_sum(counts, cfg, NEG_SQUARE), max_concave_sum(counts, cfg, NEG_SQUARE)):
+        assert np.array_equal(res.u_star, u_from_t(counts, cfg, res.t_star))
+        assert not res.u_star.flags.writeable
 
 
 class TestSubnormalStrength:
@@ -90,8 +126,8 @@ class TestSubnormalStrength:
 
     def test_posterior_mean_sums_to_one(self):
         u = u_from_t(self.TINY, self.CFG, SimplexPoint([0.5, 0.5]))
-        assert u.u.sum() == 1.0
-        np.testing.assert_array_equal(u.u, [0.5, 0.5])
+        assert u.sum() == 1.0
+        np.testing.assert_array_equal(u, [0.5, 0.5])
 
     def test_estimators_return_intervals(self):
         tbl = ContingencyCounts([[5e-324, 5e-324]])
@@ -150,8 +186,8 @@ class TestSigma:
     def test_equals_one_minus_baseline_mass(self):
         counts = CountVector([1.5, 2.25, 0.25])
         cfg = IdmConfig(1.25)
-        u = u_from_t(counts, cfg, SimplexPoint.uniform(3))
-        assert sigma_of(counts, cfg) == pytest.approx(1.0 - u.u0.sum(), abs=1e-15)
+        u0 = counts.counts / (counts.total + cfg.s)
+        assert sigma_of(counts, cfg) == pytest.approx(1.0 - u0.sum(), abs=1e-15)
 
 
 class TestValidateSimplex:
