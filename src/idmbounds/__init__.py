@@ -8,146 +8,23 @@ intervals, all validated against brute-force lattice and Monte-Carlo
 oracles.
 """
 
-from .credible import (
-    CredibleSpec,
-    credible_mi_interval,
-    one_sided_robust_bound,
-    robust_credible_mi,
-    robust_credible_mi_parts,
-    triangular_mass,
-    triangular_minimal_robust,
-    triangular_robust_union,
-    triangular_shortest_interval,
-)
-from .exact_extrema import (
-    ConcaveSummand,
-    ExtremumResult,
-    entropy_interval_exact,
-    entropy_interval_rational,
-    entropy_summand,
-    max_concave_sum,
-    min_concave_sum,
-)
-from .mutual_info import (
-    ContingencyCounts,
-    MiBounds,
-    expected_mi,
-    mi_estimate,
-    mi_interval_bounds,
-    mi_interval_crude,
-    mi_variance_leading,
-    product_idm_check,
-)
-from .oracle import (
-    GridOverflowError,
-    GridSpec,
-    McSpec,
-    McStats,
-    composition_count,
-    compositions,
-    dirichlet_draws,
-    grid_extrema,
-    jackknife_variance_stderr,
-    lattice_entropy_objective,
-    lattice_mi_objective,
-    mc_functional_stats,
-    product_grid_extrema,
-)
-from .simplex_core import (
-    SIMPLEX_TOL,
-    CountVector,
-    IdmConfig,
-    Interval,
-    SimplexPoint,
-    sigma_of,
-    u_from_t,
-    validate_simplex,
-)
-from .special_fn import (
-    EULER_GAMMA,
-    EntropyKernel,
-    digamma,
-    h,
-    h_fraction,
-    h_prime,
-    kappa_from_alpha,
-    trigamma,
-)
-from .taylor_bounds import (
-    DerivativeBoundProvider,
-    RobustEstimate,
-    UnboundedDerivativeError,
-    approx_interval_general,
-    concave_remainder_bounds,
-    lift,
-    negate,
-    propagate_product,
-    propagate_sum,
-)
+from . import credible, exact_extrema, mutual_info, oracle, simplex_core, special_fn, taylor_bounds
+from .credible import *
+from .exact_extrema import *
+from .mutual_info import *
+from .oracle import *
+from .simplex_core import *
+from .special_fn import *
+from .taylor_bounds import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "SIMPLEX_TOL",
-    "EULER_GAMMA",
-    "CountVector",
-    "IdmConfig",
-    "Interval",
-    "SimplexPoint",
-    "sigma_of",
-    "u_from_t",
-    "validate_simplex",
-    "EntropyKernel",
-    "digamma",
-    "h",
-    "h_fraction",
-    "h_prime",
-    "kappa_from_alpha",
-    "trigamma",
-    "ConcaveSummand",
-    "ExtremumResult",
-    "entropy_interval_exact",
-    "entropy_interval_rational",
-    "entropy_summand",
-    "max_concave_sum",
-    "min_concave_sum",
-    "DerivativeBoundProvider",
-    "RobustEstimate",
-    "UnboundedDerivativeError",
-    "approx_interval_general",
-    "concave_remainder_bounds",
-    "lift",
-    "negate",
-    "propagate_product",
-    "propagate_sum",
-    "ContingencyCounts",
-    "MiBounds",
-    "expected_mi",
-    "mi_estimate",
-    "mi_interval_bounds",
-    "mi_interval_crude",
-    "mi_variance_leading",
-    "product_idm_check",
-    "CredibleSpec",
-    "credible_mi_interval",
-    "one_sided_robust_bound",
-    "robust_credible_mi",
-    "robust_credible_mi_parts",
-    "triangular_mass",
-    "triangular_minimal_robust",
-    "triangular_robust_union",
-    "triangular_shortest_interval",
-    "GridOverflowError",
-    "GridSpec",
-    "McSpec",
-    "McStats",
-    "composition_count",
-    "compositions",
-    "dirichlet_draws",
-    "grid_extrema",
-    "jackknife_variance_stderr",
-    "lattice_entropy_objective",
-    "lattice_mi_objective",
-    "mc_functional_stats",
-    "product_grid_extrema",
-]
+# Each layer module lists its own public names; the package exports them all.
+__all__: list[str] = []
+__all__ += simplex_core.__all__
+__all__ += special_fn.__all__
+__all__ += exact_extrema.__all__
+__all__ += taylor_bounds.__all__
+__all__ += mutual_info.__all__
+__all__ += credible.__all__
+__all__ += oracle.__all__

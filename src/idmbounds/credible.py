@@ -23,6 +23,12 @@ from .simplex_core import IdmConfig, Interval, SimplexPoint
 from .special_fn import kappa_from_alpha
 from .taylor_bounds import RobustEstimate
 
+__all__ = [
+    "CredibleSpec", "credible_mi_interval", "one_sided_robust_bound", "robust_credible_mi",
+    "robust_credible_mi_parts", "triangular_mass", "triangular_minimal_robust",
+    "triangular_robust_union", "triangular_shortest_interval",
+]
+
 
 @dataclass(frozen=True)
 class CredibleSpec:

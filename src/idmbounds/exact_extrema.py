@@ -23,6 +23,11 @@ import numpy as np
 from .simplex_core import CountVector, IdmConfig, Interval, SimplexPoint, _posterior_means, u_from_t
 from .special_fn import EntropyKernel, h, h_fraction, h_prime
 
+__all__ = [
+    "ConcaveSummand", "ExtremumResult", "entropy_interval_exact", "entropy_interval_rational",
+    "entropy_summand", "max_concave_sum", "min_concave_sum",
+]
+
 #: Largest ``n + s`` for which exact rational entropy endpoints are computed.
 RATIONAL_TOTAL_LIMIT = 1000
 

@@ -27,6 +27,11 @@ from .simplex_core import (
 from .special_fn import EntropyKernel, h
 from .taylor_bounds import RobustEstimate, concave_remainder_bounds, lift, negate, propagate_sum
 
+__all__ = [
+    "ContingencyCounts", "MiBounds", "expected_mi", "mi_estimate", "mi_interval_bounds",
+    "mi_interval_crude", "mi_variance_leading", "product_idm_check",
+]
+
 
 class _FloatRangeError(ValueError):
     """The leading variance exceeds the float range: ``n + s`` is too small."""

@@ -31,6 +31,13 @@ from .special_fn import EntropyKernel, h
 if TYPE_CHECKING:  # pragma: no cover
     from .mutual_info import ContingencyCounts
 
+__all__ = [
+    "GridOverflowError", "GridSpec", "McSpec", "McStats", "composition_count", "compositions",
+    "dirichlet_draws", "grid_extrema", "jackknife_variance_stderr",
+    "lattice_entropy_objective", "lattice_mi_objective", "mc_functional_stats",
+    "product_grid_extrema",
+]
+
 _CHUNK_ROWS = 1 << 16
 
 #: Largest lattice, in points, that the grid oracles enumerate.

@@ -21,6 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+__all__ = [
+    "SIMPLEX_TOL", "CountVector", "IdmConfig", "Interval", "SimplexPoint", "sigma_of",
+    "u_from_t", "validate_simplex",
+]
+
 #: Tolerance for simplex-membership checks.  Boundary points are legal; the
 #: open/closed distinction is numerically irrelevant at this scale.
 SIMPLEX_TOL = 1e-9

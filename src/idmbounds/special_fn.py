@@ -23,6 +23,11 @@ from statistics import NormalDist
 
 import numpy as np
 
+__all__ = [
+    "EULER_GAMMA", "EntropyKernel", "digamma", "h", "h_fraction", "h_prime",
+    "kappa_from_alpha", "trigamma",
+]
+
 #: Euler's constant, stored to full double precision.
 EULER_GAMMA = 0.57721566490153286
 

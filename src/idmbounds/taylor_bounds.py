@@ -24,6 +24,12 @@ import numpy as np
 
 from .simplex_core import CountVector, IdmConfig, Interval, _posterior_means, sigma_of
 
+__all__ = [
+    "DerivativeBoundProvider", "RobustEstimate", "UnboundedDerivativeError",
+    "approx_interval_general", "concave_remainder_bounds", "lift", "negate",
+    "propagate_product", "propagate_sum",
+]
+
 
 class UnboundedDerivativeError(ValueError):
     """The summand's derivative is unbounded where a remainder bound needs it."""

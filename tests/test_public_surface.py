@@ -1,13 +1,23 @@
 """The package's public names and the README's code examples."""
 
+import importlib
+import inspect
 import re
 import types
 import warnings
 from pathlib import Path
 
+import pytest
+
 import idmbounds
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+LAYERS = (
+    "simplex_core", "special_fn", "exact_extrema", "taylor_bounds", "mutual_info", "credible",
+    "oracle",
+)
+# Exported module constants; every other public name is a function or class.
+CONSTANTS = {"simplex_core": {"SIMPLEX_TOL"}, "special_fn": {"EULER_GAMMA"}}
 
 
 def test_all_lists_exactly_the_public_names():
@@ -21,6 +31,26 @@ def test_all_lists_exactly_the_public_names():
     namespace = {}
     exec("from idmbounds import *", namespace)
     assert set(idmbounds.__all__) <= set(namespace)
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_each_layer_lists_its_public_functions_and_classes(layer):
+    module = importlib.import_module(f"idmbounds.{layer}")
+    defined = {
+        name
+        for name, value in vars(module).items()
+        if not name.startswith("_")
+        and (inspect.isfunction(value) or inspect.isclass(value))
+        and value.__module__ == module.__name__
+    }
+    assert len(module.__all__) == len(set(module.__all__))
+    assert set(module.__all__) == defined | CONSTANTS.get(layer, set())
+
+
+def test_layer_lists_are_disjoint_and_make_the_package_list():
+    names = [n for layer in LAYERS for n in importlib.import_module(f"idmbounds.{layer}").__all__]
+    assert len(names) == len(set(names))
+    assert sorted(names) == sorted(idmbounds.__all__)
 
 
 def test_readme_python_blocks_run_in_order():
