@@ -8,10 +8,14 @@ early exit): the separable entropy lattice is reduced by an exact
 (min,+)/(max,+) convolution of its per-coordinate tables; the mutual
 information lattice visits every point, with its row and column part
 computed once per pair of margin compositions and gathered from a cached
-index; every other objective is enumerated point by point.  The first two
-give the same bits as calling the objective on every point.  The Dirichlet
-sampler builds its variates from a seeded uniform stream so runs are
-bitwise reproducible across platforms.
+index; every other objective, and every product lattice, is walked in
+blocks of at most 2**16 cells, and a non-finite value it returns raises
+``ValueError``.  The first two give the same bits as calling the objective
+on every point.  Lattices are refused with :class:`GridOverflowError`
+above :data:`MAX_GRID_POINTS` points, or when building their compositions
+would write more than 2**30 entries.  The Dirichlet sampler builds its
+variates from a seeded uniform stream so runs are bitwise reproducible
+across platforms.
 """
 
 from __future__ import annotations
@@ -42,6 +46,10 @@ _CHUNK_ROWS = 1 << 16
 
 #: Largest lattice, in points, that the grid oracles enumerate.
 MAX_GRID_POINTS = 20_000_000
+
+# Most int16 entries one composition build may write, summed over the levels
+# it fills on its way to the requested number of parts.
+_MAX_BUILD_ENTRIES = 1 << 30
 
 
 class GridOverflowError(ValueError):
@@ -104,6 +112,10 @@ def compositions(total: int, parts: int) -> np.ndarray:
     ``(total, 0, ..., 0)`` and the last is ``(0, ..., 0, total)``; golden
     tests may reference rows by position.  The returned int16 array is
     cached and read-only.
+
+    The build fills every level below ``parts`` for all totals up to
+    ``total``; when that would write more than 2**30 entries,
+    :class:`GridOverflowError` is raised before anything is built.
     """
     key = (total, parts)
     cached = _COMP_CACHE.get(key)
@@ -121,6 +133,11 @@ def _build_compositions(total: int, parts: int) -> np.ndarray:
         raise ValueError("need total >= 0 and parts >= 1")
     if total > 32000:
         raise ValueError("total above 32000 is not supported")
+    if _build_entries(total, parts) > _MAX_BUILD_ENTRIES:
+        raise GridOverflowError(
+            f"building the compositions of {total} into {parts} parts writes more than "
+            f"{_MAX_BUILD_ENTRIES} entries"
+        )
     level = {t: np.array([[t]], dtype=np.int16) for t in range(total + 1)}
     for p in range(2, parts + 1):
         targets = range(total + 1) if p < parts else (total,)
@@ -136,6 +153,19 @@ def _build_compositions(total: int, parts: int) -> np.ndarray:
             nxt[t] = np.concatenate(blocks, axis=0)
         level = nxt
     return level[total]
+
+
+def _build_entries(total: int, parts: int) -> int:
+    """Entries :func:`_build_compositions` writes, summed only until they pass
+    ``_MAX_BUILD_ENTRIES``.  Level ``p < parts`` holds every composition of
+    ``0..total`` into ``p`` parts, ``C(total + p, p)`` rows of ``p`` entries;
+    the last level holds those of ``total`` only."""
+    entries = total + 1
+    for p in range(2, parts + 1):
+        entries += p * (math.comb(total + p, p) if p < parts else composition_count(total, p))
+        if entries > _MAX_BUILD_ENTRIES:
+            break
+    return entries
 
 
 def _remember(cache: dict, key, value) -> None:
@@ -158,8 +188,9 @@ def grid_extrema(
     Enumerates every composition ``k`` of ``grid.resolution`` into ``dim``
     parts (colex order), maps ``t = k / resolution`` to the posterior mean
     ``u``, and reduces the objective over all points.  ``objective`` must
-    be vectorized: it receives an ``(N, dim)`` array of ``u`` rows and
-    returns ``N`` values.
+    be vectorized: it receives an ``(N, dim)`` array of ``u`` rows, at most
+    2**16 cells per call, and returns ``N`` finite values; a
+    non-finite value raises ``ValueError``.
 
     A table-backed objective from :func:`lattice_entropy_objective` or
     :func:`lattice_mi_objective` is reduced through its ``objective.tables``
@@ -170,7 +201,9 @@ def grid_extrema(
     only asserts that the objective carries tables: a callable without them
     raises ``ValueError`` there.
 
-    Deterministic; refuses lattices larger than :data:`MAX_GRID_POINTS`.
+    Deterministic; refuses with :class:`GridOverflowError` lattices larger
+    than :data:`MAX_GRID_POINTS` and lattices too costly to build (see
+    :func:`compositions`).
     """
     d = counts.dim
     npoints = composition_count(grid.resolution, d)
@@ -191,15 +224,34 @@ def grid_extrema(
     if on_lattice:
         raise ValueError("on_lattice=True needs an objective that carries its tables")
     lattice = compositions(grid.resolution, d)
+
+    def t_of(start: int, stop: int) -> np.ndarray:
+        return lattice[start:stop].astype(float) / grid.resolution
+
+    return _walk(objective, counts.counts, counts.total, cfg.s, npoints, t_of)
+
+
+def _walk(
+    objective: Callable, counts: np.ndarray, total: float, s: float, points: int, t_of
+) -> Interval:
+    """``[min, max]`` of ``objective`` over ``points`` lattice points, taken
+    in blocks of at most ``_CHUNK_ROWS`` cells.
+
+    ``t_of(start, stop)`` gives the ``t`` of points ``start..stop-1``, one
+    per row, each shaped like ``counts``; the objective receives their
+    posterior means.  A non-finite objective value raises ``ValueError``.
+    """
+    step = max(1, _CHUNK_ROWS // counts.size)
     vmin = math.inf
     vmax = -math.inf
-    for start in range(0, npoints, _CHUNK_ROWS):
-        rows = lattice[start : start + _CHUNK_ROWS]
-        t = rows.astype(float) / grid.resolution
-        u = _posterior_means(counts.counts, counts.total, cfg.s, t)
+    for start in range(0, points, step):
+        stop = min(points, start + step)
+        u = _posterior_means(counts, total, s, t_of(start, stop))
         vals = np.asarray(objective(u), dtype=float)
-        if vals.shape != (rows.shape[0],):
+        if vals.shape != (stop - start,):
             raise ValueError("objective must return one value per lattice point")
+        if not np.isfinite(vals).all():
+            raise ValueError("objective values must be finite")
         vmin = min(vmin, float(vals.min()))
         vmax = max(vmax, float(vals.max()))
     return Interval(vmin, vmax)
@@ -425,8 +477,12 @@ def product_grid_extrema(
 
     Enumerates lattice pairs ``(v, w)`` on the two factor simplices, forms
     ``t_ij = v_i * w_j``, and reduces the objective over the induced
-    posterior means.  ``objective`` receives ``(N, d1, d2)`` arrays of
-    ``u`` tensors and returns ``N`` values.
+    posterior means.  Pairs are taken in row-major ``(v, w)`` order, in
+    blocks of at most 2**16 cells: ``objective`` receives
+    ``(N, d1, d2)`` arrays of ``u`` tensors and returns ``N`` finite
+    values; a non-finite value raises ``ValueError``.  Refuses product
+    lattices larger than :data:`MAX_GRID_POINTS` pairs with
+    :class:`GridOverflowError`.
     """
     d1, d2 = tbl.shape
     n1 = composition_count(grid.resolution, d1)
@@ -437,19 +493,12 @@ def product_grid_extrema(
         )
     v = compositions(grid.resolution, d1).astype(float) / grid.resolution
     w = compositions(grid.resolution, d2).astype(float) / grid.resolution
-    vmin = math.inf
-    vmax = -math.inf
-    chunk = max(1, _CHUNK_ROWS // max(1, n2 * d1 * d2))
-    for start in range(0, n1, chunk):
-        vc = v[start : start + chunk]
-        t = vc[:, None, :, None] * w[None, :, None, :]
-        u = _posterior_means(tbl.table, tbl.total, cfg.s, t)
-        vals = np.asarray(objective(u.reshape(-1, d1, d2)), dtype=float)
-        if vals.shape != (vc.shape[0] * n2,):
-            raise ValueError("objective must return one value per lattice pair")
-        vmin = min(vmin, float(vals.min()))
-        vmax = max(vmax, float(vals.max()))
-    return Interval(vmin, vmax)
+
+    def t_of(start: int, stop: int) -> np.ndarray:
+        iv, iw = np.divmod(np.arange(start, stop), n2)
+        return v[iv][:, :, None] * w[iw][:, None, :]
+
+    return _walk(objective, tbl.table, tbl.total, cfg.s, n1 * n2, t_of)
 
 
 def dirichlet_draws(u_params, mc: McSpec) -> np.ndarray:

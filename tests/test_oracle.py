@@ -59,6 +59,59 @@ class TestCompositions:
         rows = compositions(3, 2)
         assert not rows.flags.writeable
 
+    @pytest.mark.parametrize("total, parts", [(0, 1), (5, 1), (3, 2), (4, 4), (7, 5)])
+    def test_build_entries_counts_what_the_build_writes(self, total, parts, monkeypatch):
+        written = total + 1  # the first level: one entry per total
+        empty = np.empty
+
+        def counting(shape, dtype):
+            nonlocal written
+            written += math.prod(shape)
+            return empty(shape, dtype=dtype)
+
+        monkeypatch.setattr(np, "empty", counting)
+        oracle._build_compositions(total, parts)
+        assert written == oracle._build_entries(total, parts)
+
+    def test_lattices_in_use_stay_under_the_build_bound(self):
+        # The largest lattice the suite builds, the 2x2 table at the point
+        # cap and a 15x15 table at resolution 2.
+        for total, parts in ((60, 6), (490, 4), (2, 225)):
+            assert oracle._build_entries(total, parts) <= oracle._MAX_BUILD_ENTRIES
+
+
+def _wide_mi_check():
+    # 4.5 M points, under the point cap; the build would write ~1e13 entries.
+    tbl, grid = ContingencyCounts(np.ones((1, 3000))), GridSpec(2)
+    objective = lattice_mi_objective(tbl, CFG, grid)
+    return functools.partial(
+        grid_extrema, objective, tbl.joint_counts(), CFG, grid, on_lattice=True
+    )
+
+
+@pytest.mark.parametrize(
+    "prepare",
+    [
+        lambda: functools.partial(compositions, 2, 3000),
+        lambda: functools.partial(compositions, 32000, 3),
+        lambda: functools.partial(compositions, 1, 20000),
+        _wide_mi_check,
+    ],
+    ids=["compositions(2,3000)", "compositions(32000,3)", "compositions(1,20000)", "mi-1x3000-R2"],
+)
+def test_oversized_build_raises_before_anything_is_built(prepare, monkeypatch):
+    call = prepare()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("nothing may be built for an oversized lattice")
+
+    monkeypatch.setattr(oracle, "_COMP_CACHE", {})
+    monkeypatch.setattr(oracle, "_MI_INDEX_CACHE", {})
+    monkeypatch.setattr(np, "empty", refuse)
+    monkeypatch.setattr(np, "concatenate", refuse)
+    with pytest.raises(GridOverflowError):
+        call()
+
 
 class TestGridExtrema:
     def test_constant_objective(self):
@@ -115,6 +168,33 @@ class TestGridExtrema:
         counts = CountVector([1, 1, 1, 1])
         with pytest.raises(GridOverflowError):
             grid_extrema(lambda u: u.sum(axis=1), counts, CFG, GridSpec(500))
+
+    @pytest.mark.parametrize("resolution", [400, 100])  # two blocks, one block
+    def test_non_finite_objective_value_raises(self, resolution):
+        counts = CountVector([3, 6, 1])
+        objective = entropy_objective_direct(counts, CFG)
+
+        def holed(u):
+            return np.where(u[:, 2] > 0.15, np.nan, objective(u))
+
+        with pytest.raises(ValueError, match="objective values must be finite"):
+            grid_extrema(holed, counts, CFG, GridSpec(resolution))
+
+    @pytest.mark.parametrize("kind", ["grid", "product"])
+    def test_blocks_hold_at_most_chunk_rows_cells(self, kind):
+        # 53 130 points of six cells, one block of 318 780 cells if cut by rows.
+        shapes = []
+
+        def spy(u):
+            shapes.append(u.shape)
+            return np.zeros(u.shape[0])
+
+        if kind == "grid":
+            grid_extrema(spy, CountVector(np.ones(6)), CFG, GridSpec(20))
+        else:
+            product_grid_extrema(spy, ContingencyCounts(np.ones((1, 6))), CFG, GridSpec(20))
+        assert max(math.prod(shape) for shape in shapes) <= oracle._CHUNK_ROWS
+        assert sum(shape[0] for shape in shapes) == composition_count(20, 6)
 
     @pytest.mark.parametrize("resolution", [10.0, 10.5, np.float64(10.0), math.inf, True, "10"])
     def test_grid_spec_takes_only_integers(self, resolution):
