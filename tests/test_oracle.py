@@ -169,7 +169,7 @@ class TestGridExtrema:
         with pytest.raises(GridOverflowError):
             grid_extrema(lambda u: u.sum(axis=1), counts, CFG, GridSpec(500))
 
-    @pytest.mark.parametrize("resolution", [400, 100])  # two blocks, one block
+    @pytest.mark.parametrize("resolution", [400, 100])  # several blocks, one block
     def test_non_finite_objective_value_raises(self, resolution):
         counts = CountVector([3, 6, 1])
         objective = entropy_objective_direct(counts, CFG)
