@@ -42,7 +42,37 @@ from _helpers import (
 CFG = IdmConfig(1.0)
 
 
+def _lattice_digest(*arrays) -> str:
+    # sha256 over each array's dtype, shape, C-contiguity and bytes.
+    sha = hashlib.sha256()
+    for arr in arrays:
+        sha.update(f"{arr.dtype.str}{arr.shape}{arr.flags.c_contiguous}".encode())
+        sha.update(arr.tobytes())
+    return sha.hexdigest()
+
+
 class TestCompositions:
+    # Recorded from the int16 block-list builder, on both sides of the
+    # uint8/int16 switch at 256.
+    PINNED = [
+        ((0, 1), "40ce26d04b34c7b09943fda394ed25c23311faf852a66347efd9830c23eef91b"),
+        ((5, 1), "739967ed0485d98364a8a5483e05d6be38dbd2f2e4a712d673a6c709403d8b4b"),
+        ((3, 2), "e8ea78b2abd0619f497a42c0cdbfa95463099eff8be97623de9d11d95c9f42f1"),
+        ((7, 5), "b04c3c3adf3b42df37002740d07bf534030063c41fc8aabe3652a7c3df2df75a"),
+        ((255, 3), "344441e0c5f61da790922198776184c0e3cf96cd86c1b35a81399ca9ef8cf19d"),
+        ((256, 3), "2957c718dc6fa91d5c41ab6194248a6cb04ad72e929d8fdfb71069b2645cf303"),
+        ((400, 3), "b5ace077217384793430037accc4ba9c19913a29e0e4169cb5d0360d47e5e03c"),
+        ((2, 225), "f94b200a9e9ee370fc98d59107eac748b5f9b1bcc1dd1fb235e473d0645b94d0"),
+        ((32000, 2), "16ba9d7c575b8c9c962d11d841bb9cce997e3bf37f420139d48bb0589190885a"),
+    ]
+
+    @pytest.mark.parametrize("key, digest", PINNED, ids=[str(k) for k, _ in PINNED])
+    def test_bytes_are_pinned(self, key, digest, monkeypatch):
+        monkeypatch.setattr(oracle, "_COMP_CACHE", {})
+        rows = compositions(*key)
+        assert rows.dtype == np.int16 and rows.flags.c_contiguous and not rows.flags.writeable
+        assert _lattice_digest(rows) == digest
+
     def test_colex_golden_order(self):
         got = compositions(2, 3)
         expected = [[2, 0, 0], [1, 1, 0], [0, 2, 0], [1, 0, 1], [0, 1, 1], [0, 0, 2]]
@@ -460,6 +490,25 @@ class TestMiLatticeReduction:
         assert int(index.pairs.max()) < composition_count(2, 10) ** 2 <= npoints
         vals = objective(compositions(2, 100))
         assert (iv.lower, iv.upper) == (vals.min(), vals.max())
+
+    # Every array of the index (cells, pair ids, row and column margins),
+    # recorded from the int16 block-list builder.
+    PINNED = [
+        ((40, 2, 3), "01ef13d4da440b70091e0f90d62ccff8a12a9ce4da7c00713ae4ca2f4585d4f2"),
+        ((40, 3, 2), "af168bde436c4bcde1764a5dcd49d8e461cbbb166cba1c037198665d1276db3b"),
+        ((60, 2, 2), "be98cbd6494d099862fc1a9a316d0f8cf734b1c81b2670e3522384507a018e4e"),
+        ((2, 10, 10), "35e99619db3f41a4e4a5b3fd55e7e722d283f2cc9f694dec910e7c932cc9283b"),
+        ((260, 1, 3), "402961969fc2468854a1747d53312e77f929d0524d90c8401adaf53d367c5430"),
+        ((5, 1, 1), "c834be22c197dc4320c0588b13f9b673b33bfdae2ff2e226c88d37cf37657fe6"),
+    ]
+
+    @pytest.mark.parametrize("key, digest", PINNED, ids=[str(k) for k, _ in PINNED])
+    def test_index_bytes_are_pinned(self, key, digest, monkeypatch):
+        monkeypatch.setattr(oracle, "_MI_INDEX_CACHE", {})
+        index = oracle._mi_index(*key)
+        narrow = np.uint8 if key[0] < 256 else np.int16
+        assert [a.dtype for a in index] == [narrow, np.int32, narrow, narrow]
+        assert _lattice_digest(*index) == digest
 
     def test_overflow_raises_before_any_index_is_built(self, monkeypatch):
         def refuse(*args):
