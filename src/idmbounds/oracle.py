@@ -4,7 +4,9 @@ The estimators in this package come with closed-form extrema or
 conservative bounds; this module provides the independent machinery that
 desk-scale tests check them against.  Lattice extremization covers
 *every* composition of the grid resolution (no continuous optimizer, no
-early exit): the separable entropy lattice is reduced by an exact
+early exit), from one builder that writes each level once, column-major
+in the narrowest integer type, for :func:`compositions` and the MI index
+alike.  The separable entropy lattice is reduced by an exact
 (min,+)/(max,+) convolution of its per-coordinate tables; the mutual
 information lattice visits every point, with its row and column part
 computed once per pair of margin compositions and gathered from a cached
@@ -47,8 +49,8 @@ _CHUNK_ROWS = 1 << 16
 #: Largest lattice, in points, that the grid oracles enumerate.
 MAX_GRID_POINTS = 20_000_000
 
-# Most int16 entries one composition build may write, summed over the levels
-# it fills on its way to the requested number of parts.
+# Most entries one composition build may write, summed over the levels it
+# fills on its way to the requested number of parts.
 _MAX_BUILD_ENTRIES = 1 << 30
 
 
@@ -56,10 +58,11 @@ class GridOverflowError(ValueError):
     """The requested lattice exceeds the enumeration safety cap."""
 
 
-def _require_integer(name: str, value) -> None:
+def _require_integer(**values) -> None:
     # Python and numpy integers pass; bool, floats and everything else do not.
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer")
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer")
 
 
 @dataclass(frozen=True)
@@ -69,7 +72,7 @@ class GridSpec:
     resolution: int
 
     def __post_init__(self):
-        _require_integer("resolution", self.resolution)
+        _require_integer(resolution=self.resolution)
         if self.resolution < 1:
             raise ValueError("resolution must be >= 1")
         if self.resolution > 32000:
@@ -85,8 +88,7 @@ class McSpec:
     seed: int
 
     def __post_init__(self):
-        _require_integer("draws", self.draws)
-        _require_integer("seed", self.seed)
+        _require_integer(draws=self.draws, seed=self.seed)
         if self.draws < 1:
             raise ValueError("draws must be >= 1")
         if not 0 <= int(self.seed) < 2**64:
@@ -94,7 +96,8 @@ class McSpec:
 
 
 def composition_count(total: int, parts: int) -> int:
-    """Number of compositions of ``total`` into ``parts`` non-negative parts."""
+    """Number of compositions of the integer ``total`` into ``parts`` parts."""
+    _require_integer(total=total, parts=parts)
     if total < 0 or parts < 1:
         raise ValueError("need total >= 0 and parts >= 1")
     return math.comb(total + parts - 1, parts - 1)
@@ -111,24 +114,28 @@ def compositions(total: int, parts: int) -> np.ndarray:
     ascending, ties by the next-to-last, and so on.  The first row is
     ``(total, 0, ..., 0)`` and the last is ``(0, ..., 0, total)``; golden
     tests may reference rows by position.  The returned int16 array is
-    cached and read-only.
+    cached, read-only and C-contiguous, one row per composition.
 
     The build fills every level below ``parts`` for all totals up to
     ``total``; when that would write more than 2**30 entries,
     :class:`GridOverflowError` is raised before anything is built.
     """
+    _require_integer(total=total, parts=parts)
     key = (total, parts)
     cached = _COMP_CACHE.get(key)
     if cached is not None:
         return cached
-    out = _build_compositions(total, parts)
+    out = np.ascontiguousarray(_build_compositions(total, parts).T, dtype=np.int16)
     out.flags.writeable = False
     _remember(_COMP_CACHE, key, out)
     return out
 
 
 def _build_compositions(total: int, parts: int) -> np.ndarray:
-    # Uncached body of :func:`compositions`.
+    """Compositions of ``total`` into ``parts`` parts as the columns of one
+    ``(parts, N)`` array in colex order, uint8 below 256 and int16 from 256.
+    Level ``p`` at total ``t`` writes its block with last part ``k``, level
+    ``p - 1`` at ``t - k``, straight into that block's column slice."""
     if total < 0 or parts < 1:
         raise ValueError("need total >= 0 and parts >= 1")
     if total > 32000:
@@ -138,28 +145,29 @@ def _build_compositions(total: int, parts: int) -> np.ndarray:
             f"building the compositions of {total} into {parts} parts writes more than "
             f"{_MAX_BUILD_ENTRIES} entries"
         )
-    level = {t: np.array([[t]], dtype=np.int16) for t in range(total + 1)}
+    dtype = np.uint8 if total < 256 else np.int16
+    level = {t: np.array([[t]], dtype=dtype) for t in range(total + 1)}
     for p in range(2, parts + 1):
         targets = range(total + 1) if p < parts else (total,)
         nxt = {}
         for t in targets:
-            blocks = []
+            out = np.empty((p, composition_count(t, p)), dtype=dtype)
+            stop = 0
             for last in range(t + 1):
                 sub = level[t - last]
-                blk = np.empty((sub.shape[0], p), dtype=np.int16)
-                blk[:, :-1] = sub
-                blk[:, -1] = last
-                blocks.append(blk)
-            nxt[t] = np.concatenate(blocks, axis=0)
+                start, stop = stop, stop + sub.shape[1]
+                out[:-1, start:stop] = sub
+                out[-1, start:stop] = last
+            nxt[t] = out
         level = nxt
     return level[total]
 
 
 def _build_entries(total: int, parts: int) -> int:
-    """Entries :func:`_build_compositions` writes, summed only until they pass
-    ``_MAX_BUILD_ENTRIES``.  Level ``p < parts`` holds every composition of
-    ``0..total`` into ``p`` parts, ``C(total + p, p)`` rows of ``p`` entries;
-    the last level holds those of ``total`` only."""
+    """Entries :func:`_build_compositions` allocates, summed only until they
+    pass ``_MAX_BUILD_ENTRIES``.  Level ``p < parts`` holds every composition
+    of ``0..total`` into ``p`` parts, ``C(total + p, p)`` columns of ``p``
+    entries; the last level holds those of ``total`` only."""
     entries = total + 1
     for p in range(2, parts + 1):
         entries += p * (math.comb(total + p, p) if p < parts else composition_count(total, p))
@@ -347,11 +355,6 @@ class _MiIndex(NamedTuple):
 _MI_INDEX_CACHE: dict[tuple[int, int, int], _MiIndex] = {}
 
 
-def _columns(rows: np.ndarray, resolution: int) -> np.ndarray:
-    # Column-major copy in the narrowest type that holds 0..resolution.
-    return np.ascontiguousarray(rows.T, dtype=np.uint8 if resolution < 256 else np.int16)
-
-
 def _colex_ranks(parts: list, resolution: int) -> np.ndarray:
     # Position of each composition in :func:`compositions` order, from its
     # parts as index columns.  With S_j the prefix sums, the compositions
@@ -373,16 +376,16 @@ def _mi_index(resolution: int, d1: int, d2: int) -> _MiIndex:
 
     Every pair of row- and column-margin compositions of ``resolution`` is
     the margin pair of some table, so there are ``nr * nc`` pair ids, never
-    more than the lattice has points.  A cached index holds about
-    ``(d1*d2 + 4) * N`` bytes for ``N`` points (uint8 cells below
-    ``resolution`` 256, int32 pair ids); the int16 lattice it is built from
-    is not cached.
+    more than the lattice has points.  The cells and both margin lattices
+    are the arrays :func:`_build_compositions` returns, kept as built, so a
+    cached index holds about ``(d1*d2 + 4) * N`` bytes for ``N`` points
+    (uint8 cells below ``resolution`` 256, int32 pair ids).
     """
     key = (resolution, d1, d2)
     cached = _MI_INDEX_CACHE.get(key)
     if cached is not None:
         return cached
-    cells = _columns(_build_compositions(resolution, d1 * d2), resolution)
+    cells = _build_compositions(resolution, d1 * d2)
     nc = composition_count(resolution, d2)
     pairs = np.empty(cells.shape[1], dtype=np.int32)
     for start in range(0, pairs.size, _CHUNK_ROWS):
@@ -393,10 +396,7 @@ def _mi_index(resolution: int, d1: int, d2: int) -> _MiIndex:
             _colex_ranks(rows, resolution) * nc + _colex_ranks(cols, resolution)
         )
     index = _MiIndex(
-        cells,
-        pairs,
-        _columns(compositions(resolution, d1), resolution),
-        _columns(compositions(resolution, d2), resolution),
+        cells, pairs, _build_compositions(resolution, d1), _build_compositions(resolution, d2)
     )
     _remember(_MI_INDEX_CACHE, key, index)
     return index

@@ -89,7 +89,21 @@ class TestCompositions:
         rows = compositions(3, 2)
         assert not rows.flags.writeable
 
-    @pytest.mark.parametrize("total, parts", [(0, 1), (5, 1), (3, 2), (4, 4), (7, 5)])
+    @pytest.mark.parametrize("call", [compositions, composition_count])
+    @pytest.mark.parametrize(
+        "total, parts", [(2.0, 2), (2.5, 2), (True, 2), (2, 2.0), (2, 2.5), (2, True)]
+    )
+    def test_only_integers(self, call, total, parts):
+        compositions(2, 2)  # a cached int key must not answer an equal float
+        with pytest.raises(ValueError, match="must be an integer"):
+            call(total, parts)
+
+    def test_numpy_integers_are_accepted(self):
+        assert composition_count(np.int64(4), np.int32(3)) == 15
+        rows = compositions(np.int64(3), np.int16(2))
+        np.testing.assert_array_equal(rows, [[3, 0], [2, 1], [1, 2], [0, 3]])
+
+    @pytest.mark.parametrize("total, parts", [(0, 1), (5, 1), (3, 2), (4, 4), (7, 5), (300, 3)])
     def test_build_entries_counts_what_the_build_writes(self, total, parts, monkeypatch):
         written = total + 1  # the first level: one entry per total
         empty = np.empty
@@ -485,11 +499,25 @@ class TestMiLatticeReduction:
             tracemalloc.stop()
         assert peak < 16 * tbl.cells * npoints
         index = oracle._MI_INDEX_CACHE[(2, 10, 10)]
-        # The int16 lattice the index was built from is not kept beside it.
+        # The index's lattice does not also go into the compositions cache.
         assert (2, 100) not in oracle._COMP_CACHE
         assert int(index.pairs.max()) < composition_count(2, 10) ** 2 <= npoints
         vals = objective(compositions(2, 100))
         assert (iv.lower, iv.upper) == (vals.min(), vals.max())
+
+    @pytest.mark.parametrize("key", [(40, 2, 3), (20, 3, 3)])
+    def test_index_build_peak_stays_under_twice_what_it_keeps(self, key, monkeypatch):
+        # Each level is written once, so the build's peak is the index plus
+        # the level below the last, not further copies of the lattice.
+        monkeypatch.setattr(oracle, "_MI_INDEX_CACHE", {})
+        monkeypatch.setattr(oracle, "_COMP_CACHE", {})
+        tracemalloc.start()
+        try:
+            index = oracle._mi_index(*key)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * sum(a.nbytes for a in index)
 
     # Every array of the index (cells, pair ids, row and column margins),
     # recorded from the int16 block-list builder.
