@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .simplex_core import CountVector, IdmConfig, Interval, SimplexPoint, _posterior_means, u_from_t
-from .special_fn import EntropyKernel, h, h_fraction, h_prime
+from .special_fn import EntropyKernel, _h_fractions, h, h_prime
 
 __all__ = [
     "ConcaveSummand", "ExtremumResult", "entropy_interval_exact", "entropy_interval_rational",
@@ -174,7 +174,9 @@ def entropy_interval_rational(
     Requires exactly integral counts and ``s`` with ``n + s`` at most
     :data:`RATIONAL_TOTAL_LIMIT`, and an upper extremum whose leveled
     coordinates stay on the ``1/(n+s)`` grid.  Returns ``None`` whenever
-    any of that fails; the float interval is always available instead.
+    any of that fails, before any ``Fraction`` is summed; the float interval
+    is always available instead.  Both endpoints share one harmonic tail
+    sum of at most ``n + s`` terms.
     """
     s = _integral(cfg.s)
     if s is None:
@@ -204,11 +206,11 @@ def entropy_interval_rational(
             return None
         numers.append(int(scaled))
 
-    # Lower endpoint: vertex at the most-observed category.
+    # Lower endpoint: vertex at the most-observed category.  One harmonic
+    # tail serves every coordinate of both endpoints.
     i_star = int(np.argmax(counts.counts))
-    lower = sum(
-        (h_fraction(c + (s if i == i_star else 0), total) for i, c in enumerate(ints)),
-        Fraction(0),
-    )
-    upper = sum((h_fraction(k, total) for k in numers), Fraction(0))
+    lower_numers = [c + (s if i == i_star else 0) for i, c in enumerate(ints)]
+    hs = _h_fractions(lower_numers + numers, total)
+    lower = sum((hs[k] for k in lower_numers), Fraction(0))
+    upper = sum((hs[k] for k in numers), Fraction(0))
     return lower, upper

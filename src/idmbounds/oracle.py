@@ -23,7 +23,6 @@ across platforms.
 from __future__ import annotations
 
 import math
-import numbers
 import random
 from array import array
 from dataclasses import dataclass
@@ -32,7 +31,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 import numpy as np
 
 from .simplex_core import CountVector, IdmConfig, Interval, _posterior_means
-from .special_fn import EntropyKernel, h
+from .special_fn import EntropyKernel, _require_integer, h
 
 if TYPE_CHECKING:  # pragma: no cover
     from .mutual_info import ContingencyCounts
@@ -56,13 +55,6 @@ _MAX_BUILD_ENTRIES = 1 << 30
 
 class GridOverflowError(ValueError):
     """The requested lattice exceeds the enumeration safety cap."""
-
-
-def _require_integer(**values) -> None:
-    # Python and numpy integers pass; bool, floats and everything else do not.
-    for name, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer")
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ an element's value never depends on the other elements of its array.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from statistics import NormalDist
@@ -174,18 +175,61 @@ def h_prime(u, kernel: EntropyKernel):
     return float(out[0]) if scalar else out.reshape(shape)
 
 
+def _require_integer(**values) -> None:
+    # Python and numpy integers pass; bool, floats and everything else do not.
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer")
+
+
+def _harmonic_pair(a: int, b: int) -> tuple[int, int]:
+    """Integers ``(p, q)`` with ``p / q = sum_{j=a+1}^{b} 1/j``, for ``a < b``.
+
+    Binary splitting: the two halves' pairs are combined with integer
+    products only, so no gcd is taken and the operands stay balanced.
+    """
+    if b - a == 1:
+        return 1, b
+    mid = (a + b) // 2
+    p1, q1 = _harmonic_pair(a, mid)
+    p2, q2 = _harmonic_pair(mid, b)
+    return p1 * q2 + p2 * q1, q1 * q2
+
+
+def _h_fractions(numers, total: int) -> dict[int, Fraction]:
+    """Exact ``h(k/total)`` for every distinct integer ``k`` in ``numers``.
+
+    Walks the distinct numerators in descending order and extends one
+    harmonic tail ``sum_{j=k+1}^{total} 1/j`` by each gap between
+    consecutive numerators, so the whole call sums at most ``total`` terms
+    however many numerators it is given.  Every ``k`` must lie in
+    ``[0, total]``.
+    """
+    out = {}
+    tail = Fraction(0)
+    upper = total
+    for k in sorted(set(numers), reverse=True):
+        if k < upper:
+            tail += Fraction(*_harmonic_pair(k, upper))
+            upper = k
+        out[k] = Fraction(k, total) * tail
+    return out
+
+
 def h_fraction(numer: int, total: int) -> Fraction:
     """Exact rational ``h(numer/total)`` for integer arguments.
 
-    Equals ``(numer/total) * sum_{k=numer+1}^{total} 1/k``.  Intended for
-    golden values at desk scale; cost grows with ``total``.
+    Equals ``(numer/total) * sum_{k=numer+1}^{total} 1/k``; the tail of at
+    most ``total`` terms is summed once, by binary splitting.  Bool and
+    float arguments raise ``ValueError``.
     """
+    _require_integer(numer=numer, total=total)
     if total < 1:
         raise ValueError("total must be a positive integer")
     if not 0 <= numer <= total:
         raise ValueError("numer must lie in [0, total]")
-    tail = sum((Fraction(1, k) for k in range(numer + 1, total + 1)), Fraction(0))
-    return Fraction(numer, total) * tail
+    numer, total = int(numer), int(total)
+    return _h_fractions([numer], total)[numer]
 
 
 def kappa_from_alpha(alpha: float) -> float:

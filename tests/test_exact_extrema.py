@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idmbounds import (
     ConcaveSummand,
@@ -22,9 +24,58 @@ from idmbounds import (
     min_concave_sum,
     sigma_of,
 )
-from idmbounds import exact_extrema
+from idmbounds import exact_extrema, special_fn
 from idmbounds.cli import main as cli_main
 from _helpers import entropy_objective_direct
+
+
+def _h_by_resum(numer, total):
+    """Reference ``h(numer/total)``: the coordinate's own tail, re-summed."""
+    tail = sum((Fraction(1, k) for k in range(numer + 1, total + 1)), Fraction(0))
+    return Fraction(numer, total) * tail
+
+
+def _rational_by_resum(ints, s):
+    """Reference rational endpoints for integral counts, one re-sum per coordinate."""
+    total = sum(ints) + s
+    ordered = sorted(ints)
+    u_tilde = min(
+        Fraction(s + sum(ordered[:m]), m * total) for m in range(1, len(ints) + 1)
+    )
+    scaled = [max(Fraction(c, total), u_tilde) * total for c in ints]
+    if any(x.denominator != 1 for x in scaled):
+        return None
+    i_star = ints.index(max(ints))
+    lower = sum(
+        (_h_by_resum(c + (s if i == i_star else 0), total) for i, c in enumerate(ints)),
+        Fraction(0),
+    )
+    upper = sum((_h_by_resum(int(x), total) for x in scaled), Fraction(0))
+    return lower, upper
+
+
+@st.composite
+def _integral_requests(draw):
+    """Integral counts (zero cells allowed), d 1..20, s in {1, 2}, n + s <= 1000."""
+    d = draw(st.integers(1, 20))
+    s = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(0, exact_extrema.RATIONAL_TOTAL_LIMIT - s))
+    cuts = sorted(draw(st.lists(st.integers(0, n), min_size=d - 1, max_size=d - 1)))
+    bounds = [0, *cuts, n]
+    return [b - a for a, b in zip(bounds, bounds[1:])], s
+
+
+def _record_tail_sums(monkeypatch):
+    """Record every shared-tail call of the rational path and every harmonic sum."""
+    calls = {"tails": [], "sums": []}
+    tails, pair = exact_extrema._h_fractions, special_fn._harmonic_pair
+    monkeypatch.setattr(
+        exact_extrema, "_h_fractions", lambda *a: calls["tails"].append(a) or tails(*a)
+    )
+    monkeypatch.setattr(
+        special_fn, "_harmonic_pair", lambda *a: calls["sums"].append(a) or pair(*a)
+    )
+    return calls
 
 
 def _entropy(counts, s=1.0):
@@ -260,14 +311,33 @@ class TestEntropyInterval:
 
     def test_rational_path_declines_before_summing_fractions(self, monkeypatch):
         # Leveling value 20/1000 puts (n+s)*u at 20/19 for the nineteen 1s.
-        calls = []
-        original = exact_extrema.h_fraction
-        monkeypatch.setattr(
-            exact_extrema, "h_fraction", lambda *a: calls.append(a) or original(*a)
-        )
+        calls = _record_tail_sums(monkeypatch)
         counts = CountVector([1.0] * 19 + [980.0])
         assert entropy_interval_rational(counts, IdmConfig(1.0)) is None
-        assert calls == []
+        assert calls == {"tails": [], "sums": []}
+
+    def test_rational_path_sums_one_shared_tail(self, monkeypatch):
+        calls = _record_tail_sums(monkeypatch)
+        counts = CountVector([36.0, 62.0, 1.0, 9.0, 131.0, 760.0])
+        expected = _rational_by_resum([36, 62, 1, 9, 131, 760], 1)
+        assert expected is not None
+        assert entropy_interval_rational(counts, IdmConfig(1.0)) == expected
+        assert len(calls["tails"]) == 1
+        # The tail is extended gap by gap: one term per integer above the
+        # smallest numerator, never a term twice.
+        assert sum(1 for a, b in calls["sums"] if b - a == 1) == 1000 - 1
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(_integral_requests())
+    def test_rational_path_matches_per_coordinate_resum(self, request):
+        ints, s = request
+        counts, cfg = CountVector([float(c) for c in ints]), IdmConfig(float(s))
+        rational = entropy_interval_rational(counts, cfg)
+        assert rational == _rational_by_resum(ints, s)
+        if rational is not None:
+            iv = entropy_interval_exact(counts, cfg)
+            assert float(rational[0]) == pytest.approx(iv.lower, abs=1e-12)
+            assert float(rational[1]) == pytest.approx(iv.upper, abs=1e-12)
 
 
 class TestTinyStrength:

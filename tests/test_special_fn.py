@@ -167,6 +167,41 @@ class TestEntropySummand:
             assert h_fraction(numer, 10) == expected
             assert h(numer / 10, k) == pytest.approx(float(expected), abs=1e-13)
 
+    @pytest.mark.parametrize(
+        "numer, total", [(0, 10), (10, 10), (0, 1), (1, 1), (0, 1000), (1, 1000), (999, 1000),
+                         (1000, 1000)],
+    )
+    def test_h_fraction_against_explicit_sum(self, numer, total):
+        tail = sum((Fraction(1, k) for k in range(numer + 1, total + 1)), Fraction(0))
+        assert h_fraction(numer, total) == Fraction(numer, total) * tail
+
+    def test_shared_tails_against_explicit_sums(self):
+        # Duplicates, both ends and unsorted input share one descending walk.
+        numers = [500, 0, 7, 1000, 7, 999, 1, 500]
+        got = special_fn._h_fractions(numers, 1000)
+        assert sorted(got) == sorted(set(numers))
+        for k in numers:
+            assert got[k] == h_fraction(k, 1000) == (
+                Fraction(k, 1000) * (harmonic_exact(1000) - harmonic_exact(k))
+            )
+
+    @pytest.mark.parametrize(
+        "numer, total", [(True, 10), (3, True), (3.0, 10), (3, 10.0), (np.float64(3), 10), ("3", 10)]
+    )
+    def test_h_fraction_takes_only_integers(self, numer, total):
+        with pytest.raises(ValueError, match="must be an integer"):
+            h_fraction(numer, total)
+
+    def test_h_fraction_takes_numpy_integers(self):
+        got = h_fraction(np.int64(3), np.int32(1000))
+        assert got == h_fraction(3, 1000)
+        assert type(got.numerator) is int and type(got.denominator) is int
+
+    @pytest.mark.parametrize("numer, total", [(-1, 10), (11, 10), (0, 0)])
+    def test_h_fraction_rejects_out_of_range(self, numer, total):
+        with pytest.raises(ValueError, match="numer must lie|total must be"):
+            h_fraction(numer, total)
+
     def test_endpoints_vanish_exactly(self):
         for total in (2.0, 10.0, 97.5):
             k = EntropyKernel(total)
