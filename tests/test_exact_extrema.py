@@ -59,7 +59,10 @@ def _integral_requests(draw):
     """Integral counts (zero cells allowed), d 1..20, s in {1, 2}, n + s <= 1000."""
     d = draw(st.integers(1, 20))
     s = draw(st.sampled_from([1, 2]))
-    n = draw(st.integers(0, exact_extrema.RATIONAL_TOTAL_LIMIT - s))
+    # Drawn down from the limit, so that large totals are common.
+    n = exact_extrema.RATIONAL_TOTAL_LIMIT - s - draw(
+        st.integers(0, exact_extrema.RATIONAL_TOTAL_LIMIT - s)
+    )
     cuts = sorted(draw(st.lists(st.integers(0, n), min_size=d - 1, max_size=d - 1)))
     bounds = [0, *cuts, n]
     return [b - a for a, b in zip(bounds, bounds[1:])], s
@@ -329,8 +332,8 @@ class TestEntropyInterval:
 
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(_integral_requests())
-    def test_rational_path_matches_per_coordinate_resum(self, request):
-        ints, s = request
+    def test_rational_path_matches_per_coordinate_resum(self, case):
+        ints, s = case
         counts, cfg = CountVector([float(c) for c in ints]), IdmConfig(float(s))
         rational = entropy_interval_rational(counts, cfg)
         assert rational == _rational_by_resum(ints, s)
