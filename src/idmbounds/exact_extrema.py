@@ -36,10 +36,14 @@ RATIONAL_TOTAL_LIMIT = 1000
 class ConcaveSummand:
     """A concave scalar summand ``f`` with its derivative.
 
-    ``fn`` and ``deriv`` must be vectorized over numpy arrays on [0, 1] and
-    re-entrant.  Concavity is spot-checked at construction on a 10-point
-    grid: the derivative must be finite and non-increasing there.  For a
-    convex ``g``, build the summand of ``-g`` and negate the values it
+    ``fn`` and ``deriv`` must be re-entrant and elementwise over numpy
+    arrays on [0, 1]: each returns an array of its argument's shape, and an
+    element's value depends on that element alone, not on its neighbours or
+    the array's length.  Callers rely on it to evaluate several point sets
+    in one call (see :func:`~idmbounds.taylor_bounds.concave_remainder_bounds`).
+    Both shapes and the concavity are spot-checked at construction on a
+    10-point grid: the derivative must be finite and non-increasing there.
+    For a convex ``g``, build the summand of ``-g`` and negate the values it
     yields.
     """
 
@@ -51,6 +55,8 @@ class ConcaveSummand:
         d = np.asarray(self.deriv(grid), dtype=float)
         if d.shape != grid.shape or not np.all(np.isfinite(d)):
             raise ValueError("derivative must be finite and vectorized on [0, 1]")
+        if np.shape(self.fn(grid)) != grid.shape:
+            raise ValueError("fn must be vectorized on [0, 1]: one value per element")
         slack = 1e-9 * max(1.0, float(np.abs(d).max()))
         if np.any(np.diff(d) > slack):
             raise ValueError("declared concave but derivative increases on [0, 1]")

@@ -39,18 +39,29 @@ EULER_GAMMA = 0.57721566490153286
 _SHIFT = 10
 _STEPS = np.arange(_SHIFT, dtype=float)
 _BLOCK_ROWS = 1 << 16
+# The smallest arguments whose grid terms 1/x (order 0) and 1/x^2 (order 1)
+# are finite; below them psi ~ -1/x and psi' ~ 1/x^2 are beyond the float
+# range.
+_FLOORS = (float.fromhex("0x0.4000000000001p-1022"), float.fromhex("0x1.0000000000001p-512"))
 
 _STANDARD_NORMAL = NormalDist()
 
 
-def _as_positive_array(x):
+def _as_positive_array(x, floor: float):
+    # One min/max pass accepts the argument; the full checks run only to
+    # choose which error to raise.
     arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("x must be finite")
-    if np.any(arr <= 0):
-        raise ValueError("x must be strictly positive")
-    return np.atleast_1d(arr), scalar, arr.shape
+    flat = np.atleast_1d(arr)
+    if not (flat.size and floor <= flat.min() and flat.max() < np.inf):
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("x must be finite")
+        if np.any(arr <= 0):
+            raise ValueError("x must be strictly positive")
+        if np.any(arr < floor):
+            raise ValueError(
+                f"x must be at least {floor!r}: below it the value is beyond the float range"
+            )
+    return flat, arr.ndim == 0, arr.shape
 
 
 def _digamma_series(z: np.ndarray) -> np.ndarray:
@@ -71,29 +82,41 @@ def _trigamma_series(z: np.ndarray) -> np.ndarray:
     return iz + 0.5 * iz2 + iz * iz2 * poly
 
 
-def _shift_and_series(x, order: int):
-    """``psi`` (order 0) or ``psi'`` (order 1) of every element of ``x > 0``.
+_SERIES = (_digamma_series, _trigamma_series)
 
-    Uses ``psi^(m)(x) = psi^(m)(x + 10) - (-1)^m m! sum_{j<10} (x+j)^-(m+1)``
-    for ``x < 10`` and the asymptotic series at ``x`` or ``x + 10``.  Every
-    row of the shift grid sums the same ten terms in the same order, so an
-    element's result does not depend on its neighbours.
+
+def _shift_and_series(x, orders: tuple[int, ...]):
+    """``psi`` (order 0) and/or ``psi'`` (order 1) of every element of ``x > 0``.
+
+    Returns one result per entry of ``orders``, which is ``(0,)``, ``(1,)``
+    or ``(0, 1)``.  Uses ``psi^(m)(x) = psi^(m)(x + 10) - (-1)^m m!
+    sum_{j<10} (x+j)^-(m+1)`` for ``x < 10`` and the asymptotic series at
+    ``x`` or ``x + 10``.  The argument is checked once and one grid of
+    reciprocals ``1/(x+j)`` serves both orders: ``psi`` sums it, and
+    ``psi'`` sums it squared in place.  Every row of the grid sums the same
+    ten terms in the same order, so an element's result does not depend on
+    its neighbours.
     """
-    arr, scalar, shape = _as_positive_array(x)
+    arr, scalar, shape = _as_positive_array(x, _FLOORS[orders[-1]])
     small = arr < _SHIFT
-    series = _digamma_series if order == 0 else _trigamma_series
-    out = series(np.where(small, arr + _SHIFT, arr))
+    z = np.where(small, arr + _SHIFT, arr)
+    outs = [_SERIES[m](z) for m in orders]
     if small.any():
         xs = arr[small]
-        sums = np.empty_like(xs)
+        sums = [np.empty_like(xs) for _ in orders]
         for start in range(0, xs.size, _BLOCK_ROWS):
-            grid = xs[start : start + _BLOCK_ROWS, None] + _STEPS
+            rows = slice(start, start + _BLOCK_ROWS)
+            grid = xs[rows, None] + _STEPS
             np.reciprocal(grid, out=grid)
-            if order == 1:
-                np.square(grid, out=grid)
-            np.sum(grid, axis=1, out=sums[start : start + _BLOCK_ROWS])
-        out[small] += sums if order == 1 else -sums
-    return float(out[0]) if scalar else out.reshape(shape)
+            for m, acc in zip(orders, sums):
+                if m == 1:
+                    np.square(grid, out=grid)
+                np.sum(grid, axis=1, out=acc[rows])
+        for m, out, acc in zip(orders, outs, sums):
+            out[small] += acc if m == 1 else -acc
+    if scalar:
+        return [float(out[0]) for out in outs]
+    return [out.reshape(shape) for out in outs]
 
 
 def digamma(x):
@@ -105,9 +128,10 @@ def digamma(x):
     path.  The error against mpmath is below 1e-15 * max(1, |psi(x)|) from
     1e-10 to 1e300.
 
-    Raises ``ValueError`` for arguments at or below zero (poles).
+    Raises ``ValueError`` for arguments at or below zero (poles), and below
+    about 5.6e-309, where ``psi(x) ~ -1/x`` is beyond the float range.
     """
-    return _shift_and_series(x, 0)
+    return _shift_and_series(x, (0,))[0]
 
 
 def trigamma(x):
@@ -116,8 +140,11 @@ def trigamma(x):
     Same path as :func:`digamma`: ten steps of ``psi'(x) = psi'(x+1) +
     1/x^2`` below 10, then a seven-term asymptotic series.  The error
     against mpmath is below 1e-15 * max(1, psi'(x)).
+
+    Raises ``ValueError`` for arguments at or below zero (poles), and below
+    about 7.5e-155, where ``psi'(x) ~ 1/x^2`` is beyond the float range.
     """
-    return _shift_and_series(x, 1)
+    return _shift_and_series(x, (1,))[0]
 
 
 @dataclass(frozen=True)
@@ -140,13 +167,18 @@ class EntropyKernel:
 
 
 def _as_unit_interval(u):
+    # One min/max pass accepts [0, 1] as it is (a -0.0 stays -0.0); the
+    # full checks run only for arguments outside it, to clip the 1e-12
+    # slack or to choose which error to raise.
     arr = np.asarray(u, dtype=float)
-    scalar = arr.ndim == 0
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("u must be finite")
-    if np.any(arr < -1e-12) or np.any(arr > 1.0 + 1e-12):
-        raise ValueError("u must lie in [0, 1]")
-    return np.clip(np.atleast_1d(arr), 0.0, 1.0), scalar, arr.shape
+    flat = np.atleast_1d(arr)
+    if not (flat.size and 0.0 <= flat.min() and flat.max() <= 1.0):
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("u must be finite")
+        if np.any(arr < -1e-12) or np.any(arr > 1.0 + 1e-12):
+            raise ValueError("u must lie in [0, 1]")
+        flat = np.clip(flat, 0.0, 1.0)
+    return flat, arr.ndim == 0, arr.shape
 
 
 def h(u, kernel: EntropyKernel):
@@ -170,8 +202,8 @@ def h_prime(u, kernel: EntropyKernel):
     """
     arr, scalar, shape = _as_unit_interval(u)
     tu = kernel.total * arr
-    x = tu + 1.0
-    out = kernel.psi_total - digamma(x) - tu * trigamma(x)
+    psi, psi1 = _shift_and_series(tu + 1.0, (0, 1))
+    out = kernel.psi_total - psi - tu * psi1
     return float(out[0]) if scalar else out.reshape(shape)
 
 

@@ -154,14 +154,21 @@ def concave_remainder_bounds(counts: CountVector, cfg: IdmConfig, f) -> RobustEs
     the lower ones ``sigma * f'(u0_i + sigma)``.  For a convex ``g``, pass
     the summand of ``-g`` and :func:`negate` the result.  A non-finite
     derivative at a baseline point (e.g. a plug-in entropy summand with a
-    zero count) is refused rather than silently emitting an infinite bound.
+    zero count) is refused rather than silently emitting an infinite bound,
+    and a summand whose output does not match its argument's shape raises
+    ``ValueError``.  ``f.deriv`` and ``f.fn`` are each called once, on the
+    baseline and vertex points together.
     """
     sigma = sigma_of(counts, cfg)
     u0 = _posterior_means(counts.counts, counts.total, cfg.s, 0.0)
     u_vertex = _posterior_means(counts.counts, counts.total, cfg.s, 1.0)
+    # One call of each function on both point sets: the summand is
+    # elementwise, so every value is the one a separate call would give.
+    d = counts.dim
+    points = np.concatenate([u0, u_vertex])
 
-    deriv_low = np.asarray(f.deriv(u0), dtype=float)
-    deriv_high = np.asarray(f.deriv(u_vertex), dtype=float)
+    derivs = _summand_values(f.deriv, points, "deriv")
+    deriv_low, deriv_high = derivs[:d], derivs[d:]
     bad = ~(np.isfinite(deriv_low) & np.isfinite(deriv_high))
     if bad.any():
         raise UnboundedDerivativeError(
@@ -171,12 +178,22 @@ def concave_remainder_bounds(counts: CountVector, cfg: IdmConfig, f) -> RobustEs
     # f' is non-increasing; with huge counts and a tiny s, the vertex is an
     # ulp from u0 and rounding alone can put f' there above f'(u0).
     deriv_high = np.minimum(deriv_high, deriv_low)
-    f_low = np.asarray(f.fn(u0), dtype=float)
-    f_high = np.asarray(f.fn(u_vertex), dtype=float)
+    values = _summand_values(f.fn, points, "fn")
+    f_low, f_high = values[:d], values[d:]
     f0 = float(f_low.sum())
     # F at the k-th vertex differs from F(u0) only in coordinate k.
     vertex_values = f0 - f_low + f_high
     return RobustEstimate(f0, sigma * deriv_low, sigma * deriv_high, vertex_values, sigma)
+
+
+def _summand_values(fn: Callable, points: np.ndarray, name: str) -> np.ndarray:
+    out = np.asarray(fn(points), dtype=float)
+    if out.shape != points.shape:
+        raise ValueError(
+            f"summand {name} returned shape {out.shape} for points of shape "
+            f"{points.shape}; it must be elementwise"
+        )
+    return out
 
 
 def approx_interval_general(

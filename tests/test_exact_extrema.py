@@ -92,6 +92,12 @@ class TestSummandContract:
         with pytest.raises(ValueError, match="concave"):
             ConcaveSummand(fn=lambda u: u**2, deriv=lambda u: 2 * u)
 
+    def test_wrong_shaped_fn_rejected(self):
+        # Summed over two of three coordinates, it would give a maximum of
+        # -0.3719 on counts [3, 6, 1] at s = 1 instead of -0.40496.
+        with pytest.raises(ValueError, match="fn must be vectorized"):
+            ConcaveSummand(fn=lambda u: -(u[:2] ** 2), deriv=lambda u: -2 * u)
+
     def test_two_init_fields(self):
         assert [f.name for f in dataclasses.fields(ConcaveSummand)] == ["fn", "deriv"]
 

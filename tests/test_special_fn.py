@@ -1,6 +1,7 @@
 """Digamma/trigamma closed forms, the entropy summand, and kappa(alpha)."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -115,6 +116,90 @@ def test_shift_grid_blocks(fn, monkeypatch):
     whole = fn(xs)
     monkeypatch.setattr(special_fn, "_BLOCK_ROWS", 7)
     np.testing.assert_array_equal(fn(xs), whole)
+
+
+@pytest.mark.parametrize(
+    "fn, floor, nearest",
+    [(digamma, 5.56268464626801e-309, 1e-300), (trigamma, 7.458340731200208e-155, 1e-154)],
+)
+def test_float_range_floor(fn, floor, nearest):
+    # psi ~ -1/x and psi' ~ 1/x^2 leave the float range just below the
+    # floor: the value there is a ValueError, not an infinity and a warning.
+    below = float(np.nextafter(floor, 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for ok in (floor, nearest):
+            assert math.isfinite(fn(ok))
+        assert np.all(np.isfinite(fn(np.array([floor, 1.0, nearest]))))
+        for bad in (below, 5e-324, np.array([1.0, below])):
+            with pytest.raises(ValueError, match="beyond the float range"):
+                fn(bad)
+
+
+@pytest.mark.parametrize(
+    "x, message",
+    [
+        ([np.nan, -1.0, 1e-320], "finite"),
+        ([np.inf, 2.0], "finite"),
+        ([2.0, -1.0, 1e-320], "strictly positive"),
+        ([2.0, 0.0], "strictly positive"),
+        ([2.0, 1e-320], "float range"),
+    ],
+)
+def test_argument_errors_keep_their_order(x, message):
+    with pytest.raises(ValueError, match=message):
+        digamma(np.array(x))
+
+
+@pytest.mark.parametrize("fn", [digamma, trigamma])
+def test_empty_array(fn):
+    assert fn(np.array([])).shape == (0,)
+
+
+def _fused_reference(u, kernel):
+    tu = kernel.total * u
+    x = tu + 1.0
+    return kernel.psi_total - digamma(x) - tu * trigamma(x)
+
+
+@pytest.mark.parametrize("block_rows", [None, 7])
+def test_h_prime_fused_pass_is_bit_identical(block_rows, monkeypatch):
+    # T u + 1 falls on both sides of the shift threshold 10.
+    kernel = EntropyKernel(37.5)
+    u = np.random.default_rng(13).uniform(0.0, 1.0, 600)
+    u[:4] = [0.0, -0.0, 1.0, 9.0 / 37.5]
+    if block_rows is not None:
+        monkeypatch.setattr(special_fn, "_BLOCK_ROWS", block_rows)
+    got = h_prime(u, kernel)
+    assert got.tobytes() == _fused_reference(u, kernel).tobytes()
+    for x in u[:8]:
+        assert h_prime(float(x), kernel) == _fused_reference(float(x), kernel)
+
+
+def test_h_prime_builds_one_shift_grid(monkeypatch):
+    # Every shift grid is one 2-D np.reciprocal call in special_fn.
+    grids = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def reciprocal(self, x, *args, **kwargs):
+            if np.ndim(x) == 2:
+                grids.append(np.shape(x))
+            return np.reciprocal(x, *args, **kwargs)
+
+    monkeypatch.setattr(special_fn, "np", CountingNumpy())
+    # T u + 1 for u = 0, 1/8, ..., 1 is 1, 3.5, 6, 8.5, 11, ...: four below 10.
+    h_prime(np.linspace(0.0, 1.0, 9), EntropyKernel(20.0))
+    assert grids == [(4, special_fn._SHIFT)]
+
+
+def test_summand_keeps_the_sign_of_zero():
+    kernel = EntropyKernel(10.0)
+    zero = h(-0.0, kernel)
+    assert zero == 0.0 and math.copysign(1.0, zero) == -1.0
+    assert math.copysign(1.0, h(np.array([-0.0, 0.5]), kernel)[0]) == -1.0
 
 
 class TestTrigamma:

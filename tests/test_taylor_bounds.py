@@ -4,6 +4,7 @@ import inspect
 import math
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,7 +31,9 @@ from idmbounds import (
     negate,
     propagate_product,
     propagate_sum,
+    sigma_of,
 )
+from idmbounds.simplex_core import _posterior_means
 from _helpers import entropy_objective_direct
 
 COUNTS = CountVector([3, 6])
@@ -141,6 +144,81 @@ class TestConcaveRemainderBounds:
             lambda u_rows: (u_rows**2).sum(axis=1), COUNTS, CFG, GridSpec(200)
         )
         assert est.conservative_interval().contains_interval(oracle, 1e-12)
+
+
+def _four_call_reference(counts, cfg, f):
+    """The remainder bounds with the summand called once per point set."""
+    sigma = sigma_of(counts, cfg)
+    u0 = _posterior_means(counts.counts, counts.total, cfg.s, 0.0)
+    u_vertex = _posterior_means(counts.counts, counts.total, cfg.s, 1.0)
+    deriv_low = np.asarray(f.deriv(u0), dtype=float)
+    deriv_high = np.minimum(np.asarray(f.deriv(u_vertex), dtype=float), deriv_low)
+    f_low = np.asarray(f.fn(u0), dtype=float)
+    f_high = np.asarray(f.fn(u_vertex), dtype=float)
+    f0 = float(f_low.sum())
+    return RobustEstimate(
+        f0, sigma * deriv_low, sigma * deriv_high, f0 - f_low + f_high, sigma
+    )
+
+
+_FIELDS = (
+    "f0", "r_ub_per_i", "r_lb_per_i", "vertex_values", "sigma", "nonneg",
+    "r_ub", "r_lb", "inner_upper", "inner_lower", "i1", "i2",
+)
+
+
+def _remainder_corpus():
+    rng = np.random.default_rng(29)
+    strengths = [5e-324, 1e-300, 1e-12, 1e-6, 0.5, 1.0, 2.0, 1e3]
+    strengths += [float(10.0 ** rng.uniform(-323, 3)) for _ in range(22)]
+    for s in strengths:
+        d = int(rng.integers(1, 13))
+        counts = rng.integers(0, 10 ** int(rng.integers(0, 13)), d, endpoint=True)
+        counts = counts * (rng.uniform(size=d) > 0.3)
+        yield CountVector(counts.astype(float)), IdmConfig(s)
+
+
+class TestStackedSummandCalls:
+    def test_bit_identical_to_four_separate_calls(self):
+        neg_square = ConcaveSummand(fn=lambda u: -(u**2), deriv=lambda u: -2 * u)
+        cases = list(_remainder_corpus())
+        assert any(c.counts.max() > 1e11 for c, _ in cases)
+        assert any((c.counts == 0).any() for c, _ in cases)
+        for counts, cfg in cases:
+            kernel = EntropyKernel(counts.total + cfg.s)
+            for f in (entropy_summand(kernel), neg_square):
+                got = concave_remainder_bounds(counts, cfg, f)
+                want = _four_call_reference(counts, cfg, f)
+                for name in _FIELDS:
+                    a, b = getattr(got, name), getattr(want, name)
+                    assert np.array_equal(a, b), (name, counts.counts, cfg.s)
+                    assert np.array_equal(np.signbit(a), np.signbit(b)), name
+
+    def test_summand_called_once_per_function(self):
+        calls = {"fn": [], "deriv": []}
+        kernel = EntropyKernel(COUNTS.total + CFG.s)
+        f = entropy_summand(kernel)
+
+        class Counting:
+            def fn(self, u):
+                calls["fn"].append(np.shape(u))
+                return f.fn(u)
+
+            def deriv(self, u):
+                calls["deriv"].append(np.shape(u))
+                return f.deriv(u)
+
+        concave_remainder_bounds(COUNTS, CFG, Counting())
+        assert calls == {"fn": [(4,)], "deriv": [(4,)]}
+
+    @pytest.mark.parametrize("which", ["fn", "deriv"])
+    def test_wrong_shaped_output_raises(self, which):
+        # A summand that skips the construction spot-check, or passes it on
+        # ten points only, must not be summed over the wrong coordinates.
+        good = {"fn": lambda u: -(u**2), "deriv": lambda u: -2 * u}
+        bad = dict(good, **{which: lambda u: good[which](u)[:2]})
+        with pytest.raises(ValueError, match=f"summand {which} returned shape"):
+            concave_remainder_bounds(CountVector([3, 6, 1]), IdmConfig(1.0), SimpleNamespace(**bad))
 
 
 class TestGeneralProvider:
