@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .simplex_core import CountVector, IdmConfig, Interval, SimplexPoint, _posterior_means, u_from_t
-from .special_fn import EntropyKernel, _h_fractions, h, h_prime
+from .special_fn import EntropyKernel, _entropy_terms, _h_fractions, _kernel_total, h, h_prime
 
 __all__ = [
     "ConcaveSummand", "ExtremumResult", "entropy_interval_exact", "entropy_interval_rational",
@@ -104,13 +104,12 @@ def min_concave_sum(counts: CountVector, cfg: IdmConfig, f: ConcaveSummand) -> E
     """Global minimum of ``sum_i f(u_i)`` for concave ``f``.
 
     The minimizer puts all prior weight on the most-observed category:
-    ``t* = e_i`` with ``i = argmax n_i`` (smallest index on ties).
+    ``t* = e_i`` with ``i = argmax n_i`` (smallest index on ties).  A
+    summand whose output does not match its argument's shape raises
+    ``ValueError``.
     """
-    i_star = int(np.argmax(counts.counts))
-    t_star = SimplexPoint.vertex(counts.dim, i_star)
-    u_star = u_from_t(counts, cfg, t_star)
-    value = float(np.sum(f.fn(u_star)))
-    return ExtremumResult(value=value, u_star=u_star, t_star=t_star, vertex_index=i_star)
+    point = _min_point(counts, cfg)
+    return ExtremumResult(value=_summed(f, point["u_star"]), **point)
 
 
 def max_concave_sum(counts: CountVector, cfg: IdmConfig, f: ConcaveSummand) -> ExtremumResult:
@@ -121,8 +120,22 @@ def max_concave_sum(counts: CountVector, cfg: IdmConfig, f: ConcaveSummand) -> E
     (m (n+s))``, with ``m`` chosen to minimize ``u_tilde`` (all ``m`` are
     enumerated; the running minimum is not trusted blindly).  The result is
     ``u*_i = max(u0_i, u_tilde)``; when ``m = 1`` the maximum sits at the
-    vertex of the least-observed category.
+    vertex of the least-observed category.  A summand whose output does not
+    match its argument's shape raises ``ValueError``.
     """
+    point = _max_point(counts, cfg)
+    return ExtremumResult(value=_summed(f, point["u_star"]), **point)
+
+
+def _min_point(counts: CountVector, cfg: IdmConfig) -> dict:
+    """The minimum's witness fields of :class:`ExtremumResult`, without ``value``."""
+    i_star = int(np.argmax(counts.counts))
+    t_star = SimplexPoint.vertex(counts.dim, i_star)
+    return dict(u_star=u_from_t(counts, cfg, t_star), t_star=t_star, vertex_index=i_star)
+
+
+def _max_point(counts: CountVector, cfg: IdmConfig) -> dict:
+    """The water-filling maximum's witness fields, without ``value``."""
     d = counts.dim
     u0 = _posterior_means(counts.counts, counts.total, cfg.s, 0.0)
     denom = counts.total + cfg.s
@@ -149,23 +162,52 @@ def max_concave_sum(counts: CountVector, cfg: IdmConfig, f: ConcaveSummand) -> E
         t_star = SimplexPoint.vertex(d, int(order[0]))
     else:
         t_star = SimplexPoint(t / t.sum())
-    u_star = u_from_t(counts, cfg, t_star)
-    value = float(np.sum(f.fn(u_star)))
     vertex_index = int(order[0]) if m_star == 1 else None
-    return ExtremumResult(
-        value=value, u_star=u_star, t_star=t_star, vertex_index=vertex_index, m_star=m_star
+    return dict(
+        u_star=u_from_t(counts, cfg, t_star), t_star=t_star, vertex_index=vertex_index,
+        m_star=m_star,
     )
 
 
-def entropy_interval_exact(counts: CountVector, cfg: IdmConfig) -> Interval:
-    """The exact robust interval of the expected entropy."""
-    kernel = EntropyKernel(counts.total + cfg.s)
-    f = entropy_summand(kernel)
-    lower = min_concave_sum(counts, cfg, f).value
-    upper = max_concave_sum(counts, cfg, f).value
+def _summed(f: ConcaveSummand, u: np.ndarray) -> float:
+    return float(np.sum(_summand_values(f.fn, u, "fn")))
+
+
+def _summand_values(fn: Callable, points: np.ndarray, name: str) -> np.ndarray:
+    """``fn(points)`` as floats, or ``ValueError`` unless it has their shape."""
+    out = np.asarray(fn(points), dtype=float)
+    if out.shape != points.shape:
+        raise ValueError(
+            f"summand {name} returned shape {out.shape} for points of shape "
+            f"{points.shape}; it must be elementwise"
+        )
+    return out
+
+
+def _extreme_points(counts: CountVector, cfg: IdmConfig) -> np.ndarray:
+    """The minimum's and the maximum's posterior means, stacked: ``2 d`` points."""
+    return np.concatenate([_min_point(counts, cfg)["u_star"], _max_point(counts, cfg)["u_star"]])
+
+
+def _extreme_interval(values: np.ndarray) -> Interval:
+    """The interval from summand values at :func:`_extreme_points`."""
+    d = values.size // 2
+    lower, upper = float(np.sum(values[:d])), float(np.sum(values[d:]))
     # The minimiser is feasible too, so the maximum is at least its value;
     # with huge counts and a tiny s, rounding alone can cross the two.
     return Interval(lower, max(lower, upper))
+
+
+def entropy_interval_exact(counts: CountVector, cfg: IdmConfig) -> Interval:
+    """The exact robust interval of the expected entropy.
+
+    Both extrema's points and ``psi(n + s + 1)`` take one special-function
+    pass; every bit is that of :func:`min_concave_sum` and
+    :func:`max_concave_sum` with :func:`entropy_summand`.
+    """
+    total = _kernel_total(counts.total + cfg.s)
+    [(values, _)] = _entropy_terms([(total, _extreme_points(counts, cfg))])
+    return _extreme_interval(values)
 
 
 def _integral(x: float) -> Optional[int]:

@@ -19,13 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact_extrema import entropy_interval_exact, entropy_summand
+from .exact_extrema import _extreme_interval, _extreme_points
 from .oracle import GridSpec, product_grid_extrema
 from .simplex_core import (
-    CountVector, IdmConfig, Interval, SimplexPoint, _count_array, _posterior_means
+    CountVector, IdmConfig, Interval, SimplexPoint, _count_array, _posterior_means, sigma_of
 )
-from .special_fn import EntropyKernel, h
-from .taylor_bounds import RobustEstimate, concave_remainder_bounds, lift, negate, propagate_sum
+from .special_fn import EntropyKernel, _entropy_terms, _kernel_total, h
+from .taylor_bounds import (
+    RobustEstimate, _remainder_estimate, _remainder_points, lift, negate, propagate_sum
+)
 
 __all__ = [
     "ContingencyCounts", "MiBounds", "expected_mi", "mi_estimate", "mi_interval_bounds",
@@ -136,48 +138,81 @@ def mi_interval_crude(tbl: ContingencyCounts, cfg: IdmConfig) -> Interval:
     Marginals of a Dirichlet are Dirichlet with the same strength, so the
     exact entropy machinery applies to rows, columns, and joint cells
     independently; the combination bounds the MI from both sides.  Valid
-    but potentially very loose on unbalanced tables.
+    but potentially very loose on unbalanced tables.  The three entropy
+    intervals take one special-function pass, with the bits of three
+    :func:`entropy_interval_exact` calls.
     """
-    rows = entropy_interval_exact(tbl.row_counts(), cfg)
-    cols = entropy_interval_exact(tbl.col_counts(), cfg)
-    joint = entropy_interval_exact(tbl.joint_counts(), cfg)
-    return Interval(
-        rows.lower + cols.lower - joint.upper,
-        rows.upper + cols.upper - joint.lower,
-    )
+    parts = _parts(tbl)
+    return _crude(_entropy_terms(_crude_groups(parts, cfg)))
 
 
 def mi_estimate(tbl: ContingencyCounts, cfg: IdmConfig) -> RobustEstimate:
     """O(sigma^2)-tight remainder bounds on the expected MI, per cell.
 
     The row, column, and cell entropies each get the concave-summand
-    remainder bounds.  The row and column estimates are lifted to the
-    ``d1*d2`` cells in row-major order and the cell estimate enters through
-    ``negate``, so the three combine per cell before any aggregation; the
-    vertex values at the extremizing cells are the inner bounds.
+    remainder bounds of :func:`concave_remainder_bounds`, all with kernel
+    ``n + s``; the three take one special-function pass together.  The row
+    and column estimates are lifted to the ``d1*d2`` cells in row-major
+    order and the cell estimate enters through ``negate``, so the three
+    combine per cell before any aggregation; the vertex values at the
+    extremizing cells are the inner bounds.
     """
+    parts = _parts(tbl)
+    return _estimate(tbl, parts, cfg, _entropy_terms(_estimate_groups(tbl, parts, cfg)))
+
+
+def mi_interval_bounds(tbl: ContingencyCounts, cfg: IdmConfig) -> MiBounds:
+    """Conservative, inner, and crude bounds on the expected MI.
+
+    The remainder and inner bounds are those of :func:`mi_estimate` and the
+    crude interval that of :func:`mi_interval_crude`; every value both need
+    takes one special-function pass.  The upper witness ``cell1`` is the
+    first row-major cell attaining the float maximum of the per-cell upper
+    remainders, and ``cell2`` the first one attaining the float minimum of
+    the lower remainders.
+    """
+    parts = _parts(tbl)
+    terms = _entropy_terms(_estimate_groups(tbl, parts, cfg) + _crude_groups(parts, cfg))
+    est = _estimate(tbl, parts, cfg, terms[:3])
+    primaries = (est.f0, est.r_ub_per_i, est.r_lb_per_i, est.vertex_values, est.sigma, est.nonneg)
+    return MiBounds(*primaries, crude=_crude(terms[3:]), shape=tbl.shape)
+
+
+def _parts(tbl: ContingencyCounts) -> tuple[CountVector, CountVector, CountVector]:
+    return tbl.row_counts(), tbl.col_counts(), tbl.joint_counts()
+
+
+# The kernel of the remainder bounds is the table's n + s for all three
+# parts, while each part's posterior means and its exact interval's kernel
+# use the part's own total: row and column sums of a fractional table can
+# differ from the table's total by an ulp.
+def _estimate_groups(tbl: ContingencyCounts, parts, cfg: IdmConfig) -> list:
+    total = _kernel_total(tbl.total + cfg.s)
+    return [(total, _remainder_points(part, cfg)) for part in parts]
+
+
+def _crude_groups(parts, cfg: IdmConfig) -> list:
+    return [(_kernel_total(part.total + cfg.s), _extreme_points(part, cfg)) for part in parts]
+
+
+def _estimate(tbl: ContingencyCounts, parts, cfg: IdmConfig, terms) -> RobustEstimate:
+    rows, cols, cells = (
+        _remainder_estimate(sigma_of(part, cfg), slopes, values)
+        for part, (values, slopes) in zip(parts, terms)
+    )
     d1, d2 = tbl.shape
-    f = entropy_summand(EntropyKernel(tbl.total + cfg.s))
-    rows = concave_remainder_bounds(tbl.row_counts(), cfg, f)
-    cols = concave_remainder_bounds(tbl.col_counts(), cfg, f)
-    cells = concave_remainder_bounds(tbl.joint_counts(), cfg, f)
     marginals = propagate_sum(
         lift(rows, np.repeat(np.arange(d1), d2)), lift(cols, np.tile(np.arange(d2), d1))
     )
     return propagate_sum(marginals, negate(cells))
 
 
-def mi_interval_bounds(tbl: ContingencyCounts, cfg: IdmConfig) -> MiBounds:
-    """Conservative, inner, and crude bounds on the expected MI.
-
-    The remainder and inner bounds are those of :func:`mi_estimate`.  The
-    upper witness ``cell1`` is the first row-major cell attaining the float
-    maximum of the per-cell upper remainders, and ``cell2`` the first one
-    attaining the float minimum of the lower remainders.
-    """
-    est = mi_estimate(tbl, cfg)
-    primaries = (est.f0, est.r_ub_per_i, est.r_lb_per_i, est.vertex_values, est.sigma, est.nonneg)
-    return MiBounds(*primaries, crude=mi_interval_crude(tbl, cfg), shape=tbl.shape)
+def _crude(terms) -> Interval:
+    rows, cols, joint = (_extreme_interval(values) for values, _ in terms)
+    return Interval(
+        rows.lower + cols.lower - joint.upper,
+        rows.upper + cols.upper - joint.lower,
+    )
 
 
 def mi_variance_leading(tbl: ContingencyCounts, cfg: IdmConfig, t: SimplexPoint) -> float:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from statistics import NormalDist
 
 import numpy as np
@@ -159,11 +160,17 @@ class EntropyKernel:
     psi_total: float = field(init=False)
 
     def __post_init__(self):
-        total = float(self.total)
-        if not (np.isfinite(total) and total > 0):
-            raise ValueError("total must be a positive finite real")
+        total = _kernel_total(self.total)
         object.__setattr__(self, "total", total)
         object.__setattr__(self, "psi_total", digamma(total + 1.0))
+
+
+def _kernel_total(total) -> float:
+    """``total`` as a float, or ``ValueError`` unless it is positive and finite."""
+    total = float(total)
+    if not (np.isfinite(total) and total > 0):
+        raise ValueError("total must be a positive finite real")
+    return total
 
 
 def _as_unit_interval(u):
@@ -190,7 +197,7 @@ def h(u, kernel: EntropyKernel):
     arrays of any shape.
     """
     arr, scalar, shape = _as_unit_interval(u)
-    out = arr * (kernel.psi_total - digamma(kernel.total * arr + 1.0))
+    out = _summand(arr, kernel.psi_total, digamma(kernel.total * arr + 1.0))
     return float(out[0]) if scalar else out.reshape(shape)
 
 
@@ -203,8 +210,44 @@ def h_prime(u, kernel: EntropyKernel):
     arr, scalar, shape = _as_unit_interval(u)
     tu = kernel.total * arr
     psi, psi1 = _shift_and_series(tu + 1.0, (0, 1))
-    out = kernel.psi_total - psi - tu * psi1
+    out = _summand_slope(tu, kernel.psi_total, psi, psi1)
     return float(out[0]) if scalar else out.reshape(shape)
+
+
+def _summand(u, psi_total, psi):
+    # h(u) = u (psi(T+1) - psi(T u + 1)), with psi = psi(T u + 1).
+    return u * (psi_total - psi)
+
+
+def _summand_slope(tu, psi_total, psi, psi1):
+    # h'(u) = psi(T+1) - psi(T u + 1) - T u psi'(T u + 1), with tu = T u.
+    return psi_total - psi - tu * psi1
+
+
+def _entropy_terms(groups) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``h`` and ``h'`` at every point of every ``(total, u)`` group, in one pass.
+
+    ``total`` is a kernel total ``T`` (checked by the caller, see
+    :func:`_kernel_total`) and ``u`` a 1-D array on [0, 1].  A single
+    :func:`_shift_and_series` call takes ``psi`` and ``psi'`` at each
+    distinct ``T + 1`` and at every ``T u + 1``; each element is evaluated
+    independently of its neighbours, so every value is the one
+    ``h(u, EntropyKernel(T))`` and ``h_prime`` give.  Returns one
+    ``(h, h')`` pair of arrays per group, in order.
+    """
+    totals = [total for total, _ in groups]
+    kernels = list(dict.fromkeys(totals))
+    sizes = [u.size for _, u in groups]
+    arr = _as_unit_interval(np.concatenate([u for _, u in groups]))[0]
+    tu = np.repeat(totals, sizes) * arr
+    psi, psi1 = _shift_and_series(np.concatenate([np.add(kernels, 1.0), tu + 1.0]), (0, 1))
+    k = len(kernels)
+    psi_total = np.repeat(psi[[kernels.index(total) for total in totals]], sizes)
+    psi, psi1 = psi[k:], psi1[k:]
+    values = _summand(arr, psi_total, psi)
+    slopes = _summand_slope(tu, psi_total, psi, psi1)
+    ends = list(accumulate(sizes))
+    return [(values[end - size:end], slopes[end - size:end]) for size, end in zip(sizes, ends)]
 
 
 def _require_integer(**values) -> None:

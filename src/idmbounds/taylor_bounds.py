@@ -22,6 +22,7 @@ from typing import Callable
 
 import numpy as np
 
+from .exact_extrema import _summand_values
 from .simplex_core import CountVector, IdmConfig, Interval, _posterior_means, sigma_of
 
 __all__ = [
@@ -160,14 +161,29 @@ def concave_remainder_bounds(counts: CountVector, cfg: IdmConfig, f) -> RobustEs
     baseline and vertex points together.
     """
     sigma = sigma_of(counts, cfg)
-    u0 = _posterior_means(counts.counts, counts.total, cfg.s, 0.0)
-    u_vertex = _posterior_means(counts.counts, counts.total, cfg.s, 1.0)
-    # One call of each function on both point sets: the summand is
-    # elementwise, so every value is the one a separate call would give.
-    d = counts.dim
-    points = np.concatenate([u0, u_vertex])
-
+    points = _remainder_points(counts, cfg)
     derivs = _summand_values(f.deriv, points, "deriv")
+    values = _summand_values(f.fn, points, "fn")
+    return _remainder_estimate(sigma, derivs, values)
+
+
+# t = 0 and t = 1 broadcast against the counts: the baseline u0 and every
+# vertex coordinate (n_k + s)/(n + s), in one map.
+_BASELINE_AND_VERTEX = np.array([[0.0], [1.0]])
+
+
+def _remainder_points(counts: CountVector, cfg: IdmConfig) -> np.ndarray:
+    """The baseline ``u0`` and the vertex coordinates, stacked: ``2 d`` points."""
+    return _posterior_means(counts.counts, counts.total, cfg.s, _BASELINE_AND_VERTEX).ravel()
+
+
+def _remainder_estimate(sigma: float, derivs: np.ndarray, values: np.ndarray) -> RobustEstimate:
+    """The remainder bounds from ``f'`` and ``f`` at :func:`_remainder_points`.
+
+    The summand is elementwise, so values taken on both point sets at once
+    are the ones separate calls would give.
+    """
+    d = derivs.size // 2
     deriv_low, deriv_high = derivs[:d], derivs[d:]
     bad = ~(np.isfinite(deriv_low) & np.isfinite(deriv_high))
     if bad.any():
@@ -178,22 +194,11 @@ def concave_remainder_bounds(counts: CountVector, cfg: IdmConfig, f) -> RobustEs
     # f' is non-increasing; with huge counts and a tiny s, the vertex is an
     # ulp from u0 and rounding alone can put f' there above f'(u0).
     deriv_high = np.minimum(deriv_high, deriv_low)
-    values = _summand_values(f.fn, points, "fn")
     f_low, f_high = values[:d], values[d:]
     f0 = float(f_low.sum())
     # F at the k-th vertex differs from F(u0) only in coordinate k.
     vertex_values = f0 - f_low + f_high
     return RobustEstimate(f0, sigma * deriv_low, sigma * deriv_high, vertex_values, sigma)
-
-
-def _summand_values(fn: Callable, points: np.ndarray, name: str) -> np.ndarray:
-    out = np.asarray(fn(points), dtype=float)
-    if out.shape != points.shape:
-        raise ValueError(
-            f"summand {name} returned shape {out.shape} for points of shape "
-            f"{points.shape}; it must be elementwise"
-        )
-    return out
 
 
 def approx_interval_general(

@@ -92,9 +92,10 @@ for key in (
     "oracle.product_grid_extrema",
 ):
     assert spans[key]["calls"] == 1, (key, spans.get(key))
-# The summary's own calls, plus three more from the MI bounds' crude interval.
-assert spans["exact_extrema.entropy_interval_exact"]["calls"] == 4
-assert spans["taylor_bounds.concave_remainder_bounds"]["calls"] == 4
+# The summary's own calls only: the MI bounds evaluate their entropies in one
+# private special-function pass, without calling either function.
+assert spans["exact_extrema.entropy_interval_exact"]["calls"] == 1
+assert spans["taylor_bounds.concave_remainder_bounds"]["calls"] == 1
 # The lattice hooks bind grid, counts and tbl by name: C(22, 2) + 7 * 7 points.
 assert tracer.counts["oracle.lattice_points"] == 231 + 49, tracer.counts
 print("traced")

@@ -98,6 +98,15 @@ class TestSummandContract:
         with pytest.raises(ValueError, match="fn must be vectorized"):
             ConcaveSummand(fn=lambda u: -(u[:2] ** 2), deriv=lambda u: -2 * u)
 
+    @pytest.mark.parametrize("extremum", [min_concave_sum, max_concave_sum])
+    def test_wrong_shaped_fn_output_raises_in_the_extrema(self, extremum):
+        # Ten outputs pass the ten-point spot-check; summed over 10 of 12
+        # coordinates they gave a minimum of -0.06169 and a maximum of
+        # -0.06217 on counts 1..12 at s = 1, instead of -0.10816 and -0.10463.
+        f = ConcaveSummand(fn=lambda u: -(u[:10] ** 2), deriv=lambda u: -2 * u)
+        with pytest.raises(ValueError, match=r"summand fn returned shape \(10,\)"):
+            extremum(CountVector(np.arange(1.0, 13.0)), IdmConfig(1.0), f)
+
     def test_two_init_fields(self):
         assert [f.name for f in dataclasses.fields(ConcaveSummand)] == ["fn", "deriv"]
 
