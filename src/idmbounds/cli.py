@@ -12,6 +12,10 @@ built once at import from one table of subcommands; ``_read_input`` reads
 and strips the input; the subcommand's handler builds the config, computes
 and returns ``(inputs, body)``; and ``main`` alone adds the schema, the
 command, ``s`` and ``grid_check`` to the result and writes it.
+
+``entropy`` and ``sweep`` take every ``h``, ``h'`` and ``psi(T + 1)`` they
+need from one special-function pass per request (per 2^16 points: a long
+sweep takes one pass per block of rows, so its memory stays bounded).
 """
 
 from __future__ import annotations
@@ -26,11 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .credible import CredibleSpec, robust_credible_mi_parts
-from .exact_extrema import (
-    entropy_interval_exact,
-    entropy_interval_rational,
-    entropy_summand,
-)
+from .exact_extrema import entropy_interval_rational
 from .mutual_info import (
     ContingencyCounts,
     _FloatRangeError,
@@ -46,8 +46,7 @@ from .oracle import (
     lattice_mi_objective,
 )
 from .simplex_core import CountVector, IdmConfig, Interval, sigma_of
-from .special_fn import EntropyKernel, h
-from .taylor_bounds import concave_remainder_bounds
+from .taylor_bounds import _entropy_rows
 
 SCHEMA = "idmbounds.result/1"
 
@@ -232,11 +231,6 @@ def _grid_check(objective, counts, cfg, grid, checked: dict, body: dict) -> None
         body["diagnostics"][f"oracle_within_{kind}"] = iv.contains_interval(oracle_iv, 1e-9)
 
 
-def _entropy_estimate(counts: CountVector, cfg: IdmConfig):
-    kernel = EntropyKernel(counts.total + cfg.s)
-    return concave_remainder_bounds(counts, cfg, entropy_summand(kernel))
-
-
 def run_entropy(args) -> tuple[dict, dict]:
     counts = parse_counts(_read_input(args))
     cfg = _config(args, counts.total)
@@ -248,13 +242,13 @@ def run_entropy(args) -> tuple[dict, dict]:
     }
     body = {"diagnostics": diagnostics, "intervals": {}}
     checked = {}
+    [(exact, est, _)] = _entropy_rows([(counts, cfg, ())])
     if args.mode in ("exact", "both"):
-        checked["exact"] = entropy_interval_exact(counts, cfg)
+        checked["exact"] = exact
         body["intervals"]["exact"] = _interval_payload(
-            checked["exact"], entropy_interval_rational(counts, cfg)
+            exact, entropy_interval_rational(counts, cfg)
         )
     if args.mode in ("approx", "both"):
-        est = _entropy_estimate(counts, cfg)
         checked["conservative"] = est.conservative_interval()
         body["intervals"]["conservative"] = _interval_payload(checked["conservative"])
         body["intervals"]["inner"] = _interval_payload(est.inner_interval())
@@ -323,15 +317,19 @@ def run_credible(args) -> tuple[dict, dict]:
     return inputs, {"diagnostics": diagnostics, "intervals": intervals}
 
 
-def _entropy_points(counts: CountVector) -> tuple[float, float, float]:
+def _point_groups(counts: CountVector) -> list:
+    """The ``(total, u)`` groups whose ``h`` sums are ``H_point_ml`` (kernel
+    ``n``, the frequencies) and ``H_point_half`` (kernel ``n + 1``, the points
+    ``(n_i + 1/2)/(n + 1)``)."""
     n = counts.total
-    freq = counts.counts / n
-    ml = float(np.sum(h(freq, EntropyKernel(n))))
-    half = float(np.sum(h((counts.counts + 0.5) / (n + 1.0), EntropyKernel(n + 1.0))))
+    return [(n, counts.counts / n), (n + 1.0, (counts.counts + 0.5) / (n + 1.0))]
+
+
+def _plugin_entropy(counts: CountVector) -> float:
+    freq = counts.counts / counts.total
     pos = freq[freq > 0]
     # 0 - sum, not -sum: a single category gives +0.0, not -0.0.
-    plugin = float(0.0 - (pos * np.log(pos)).sum())
-    return ml, half, plugin
+    return float(0.0 - (pos * np.log(pos)).sum())
 
 
 def run_sweep(args) -> tuple[dict, dict]:
@@ -356,7 +354,7 @@ def run_sweep(args) -> tuple[dict, dict]:
         if counts.total <= 0:
             raise CliError("BAD_SWEEP_SPEC", "n-sweep needs counts with a positive total")
         ratios = counts.counts / counts.total
-        axis = [(float(nv), ratios * nv) for nv in range(lo, hi + 1)]
+        axis = ((float(nv), ratios * nv) for nv in range(lo, hi + 1))
         inputs = {"sweep": spec, "ratios": [_round12(r) for r in ratios]}
     elif parts[0] == "ratio" and len(parts) == 2:
         try:
@@ -375,13 +373,20 @@ def run_sweep(args) -> tuple[dict, dict]:
             "BAD_SWEEP_SPEC", f"sweep spec must be n:<min>:<max> or ratio:<n>, got {spec!r}"
         )
 
-    rows = []
+    # Every row is checked, in order, before any is computed: the first
+    # error is the one a row-by-row loop would raise.  Validated rows cannot
+    # raise in the pass: n + s is finite and positive, n is positive (each
+    # axis row totals at least about 1) and every point lies on [0, 1].
+    cases = []
     for x, raw in axis:
         counts = CountVector(raw)
-        cfg = _config(args, counts.total)
-        exact = entropy_interval_exact(counts, cfg)
-        cons = _entropy_estimate(counts, cfg).conservative_interval()
-        row = (x, exact.lower, exact.upper, cons.lower, cons.upper, *_entropy_points(counts))
+        cases.append((x, counts, _config(args, counts.total)))
+    batch = _entropy_rows((counts, cfg, _point_groups(counts)) for _, counts, cfg in cases)
+    rows = []
+    for (x, counts, _), (exact, est, (ml, half)) in zip(cases, batch):
+        cons = est.conservative_interval()
+        plugin = _plugin_entropy(counts)
+        row = (x, exact.lower, exact.upper, cons.lower, cons.upper, ml, half, plugin)
         rows.append([_round12(v) for v in row])
     return inputs, {"columns": list(SWEEP_COLUMNS), "rows": rows}
 

@@ -236,13 +236,16 @@ def _entropy_terms(groups) -> list[tuple[np.ndarray, np.ndarray]]:
     ``(h, h')`` pair of arrays per group, in order.
     """
     totals = [total for total, _ in groups]
-    kernels = list(dict.fromkeys(totals))
+    # Each distinct total's position among the kernels, in order of first use.
+    index = {}
+    for total in totals:
+        index.setdefault(total, len(index))
     sizes = [u.size for _, u in groups]
     arr = _as_unit_interval(np.concatenate([u for _, u in groups]))[0]
     tu = np.repeat(totals, sizes) * arr
-    psi, psi1 = _shift_and_series(np.concatenate([np.add(kernels, 1.0), tu + 1.0]), (0, 1))
-    k = len(kernels)
-    psi_total = np.repeat(psi[[kernels.index(total) for total in totals]], sizes)
+    psi, psi1 = _shift_and_series(np.concatenate([np.add(list(index), 1.0), tu + 1.0]), (0, 1))
+    k = len(index)
+    psi_total = np.repeat(psi[[index[total] for total in totals]], sizes)
     psi, psi1 = psi[k:], psi1[k:]
     values = _summand(arr, psi_total, psi)
     slopes = _summand_slope(tu, psi_total, psi, psi1)

@@ -22,8 +22,9 @@ from typing import Callable
 
 import numpy as np
 
-from .exact_extrema import _summand_values
+from .exact_extrema import _extreme_interval, _extreme_points, _summand_values
 from .simplex_core import CountVector, IdmConfig, Interval, _posterior_means, sigma_of
+from .special_fn import _BLOCK_ROWS, _entropy_terms, _kernel_total
 
 __all__ = [
     "DerivativeBoundProvider", "RobustEstimate", "UnboundedDerivativeError",
@@ -199,6 +200,45 @@ def _remainder_estimate(sigma: float, derivs: np.ndarray, values: np.ndarray) ->
     # F at the k-th vertex differs from F(u0) only in coordinate k.
     vertex_values = f0 - f_low + f_high
     return RobustEstimate(f0, sigma * deriv_low, sigma * deriv_high, vertex_values, sigma)
+
+
+def _entropy_rows(rows):
+    """The exact entropy interval and remainder estimate of every row, batched.
+
+    Each row is ``(counts, cfg, extras)``; ``extras`` are further ``(total,
+    u)`` groups (see :func:`~idmbounds.special_fn._entropy_terms`).  Yields,
+    row by row, the :func:`~idmbounds.exact_extrema.entropy_interval_exact`
+    interval, the :func:`concave_remainder_bounds` estimate with summand
+    ``h`` on kernel ``n + s``, and the ``h`` sum of each extra group, all
+    with the bits of those calls.  Rows join one special-function pass until
+    the next would take it over ``_BLOCK_ROWS`` points, so memory stays
+    bounded however many rows there are; a larger row takes a pass alone.
+    Rows are read one ahead of the pass that takes them.
+    """
+    block, size = [], 0
+    for counts, cfg, extras in rows:
+        total = _kernel_total(counts.total + cfg.s)
+        groups = [
+            (total, _extreme_points(counts, cfg)),
+            (total, _remainder_points(counts, cfg)),
+            *extras,
+        ]
+        points = sum(u.size for _, u in groups)
+        if block and size + points > _BLOCK_ROWS:
+            yield from _entropy_pass(block)
+            block, size = [], 0
+        block.append((sigma_of(counts, cfg), groups))
+        size += points
+    if block:
+        yield from _entropy_pass(block)
+
+
+def _entropy_pass(block):
+    terms = iter(_entropy_terms([group for _, groups in block for group in groups]))
+    for sigma, groups in block:
+        (extreme, _), (values, slopes) = next(terms), next(terms)
+        sums = [float(np.sum(next(terms)[0])) for _ in groups[2:]]
+        yield _extreme_interval(extreme), _remainder_estimate(sigma, slopes, values), sums
 
 
 def approx_interval_general(

@@ -1,11 +1,15 @@
-"""Entropy intervals and MI bounds take one special-function pass per call.
+"""Entropy intervals, MI bounds and CLI requests take one special-function pass.
 
 Each fused call is compared with a reference built here from separate
 public calls: the bits of every field, the sign of every zero, and the
-type and message of every error must agree.
+type and message of every error must agree.  The CLI's entropy and sweep
+requests batch their rows into one pass per block of points.
 """
 
+import io
+import tracemalloc
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
@@ -22,6 +26,7 @@ from idmbounds import (
     credible_mi_interval,
     entropy_interval_exact,
     entropy_summand,
+    h,
     lift,
     max_concave_sum,
     mi_estimate,
@@ -33,7 +38,8 @@ from idmbounds import (
     propagate_sum,
     robust_credible_mi_parts,
 )
-from idmbounds import special_fn
+from idmbounds import special_fn, taylor_bounds
+from idmbounds.cli import _point_groups, main
 
 
 def _parts(tbl):
@@ -250,3 +256,104 @@ def test_mi_call_takes_one_pass(call, passes):
     if call is not mi_estimate:
         kernels |= {part.total + cfg.s for part in _parts(tbl)}
     assert all(kernel + 1.0 in passes[0] for kernel in kernels)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["entropy", "--inline", "3,6,1,0,12.5", "--mode", "exact"],
+        ["entropy", "--inline", "3,6,1,0,12.5", "--mode", "approx"],
+        ["entropy", "--inline", "3,6,1,0,12.5", "--mode", "both"],
+        ["sweep", "--inline", "3,6,1", "--sweep", "n:1:8"],
+        ["sweep", "--sweep", "ratio:9"],
+    ],
+)
+def test_cli_request_takes_one_pass(argv, passes, capsys):
+    assert main(argv) == 0
+    assert len(passes) == 1
+
+
+def _row_reference(counts, cfg):
+    est = concave_remainder_bounds(
+        counts, cfg, entropy_summand(EntropyKernel(counts.total + cfg.s))
+    )
+    n = counts.total
+    if n == 0:
+        return entropy_interval_exact(counts, cfg), est
+    # The sweep's H_point_ml and H_point_half, each on its own kernel.
+    ml = float(np.sum(h(counts.counts / n, EntropyKernel(n))))
+    half = float(np.sum(h((counts.counts + 0.5) / (n + 1.0), EntropyKernel(n + 1.0))))
+    return entropy_interval_exact(counts, cfg), est, ml, half
+
+
+def _extras(counts):
+    # A zero total has no frequencies: such a row takes no extra groups.
+    return _point_groups(counts) if counts.total > 0 else []
+
+
+def _row_corpus():
+    rng = np.random.default_rng(53)
+    for s in _strengths(rng) + _strengths(rng):
+        d = int(rng.integers(1, 30, endpoint=True))
+        if rng.uniform() < 0.5:
+            counts = rng.integers(0, 10 ** int(rng.integers(0, 13)), d, endpoint=True)
+        else:
+            counts = np.round(rng.uniform(0.0, 10 ** rng.uniform(0, 6), d), int(rng.integers(3)))
+        counts = counts * (rng.uniform(size=d) > 0.3)
+        yield CountVector(counts.astype(float)), IdmConfig(s)
+
+
+@pytest.mark.parametrize("block", [special_fn._BLOCK_ROWS, 100])
+def test_batched_rows_are_bit_identical_to_separate_calls(block, monkeypatch):
+    monkeypatch.setattr(taylor_bounds, "_BLOCK_ROWS", block)
+    cases = list(_row_corpus())
+    values = [counts.counts for counts, _ in cases]
+    assert {v.size for v in values} >= {1, 30}
+    assert any(v.max() > 1e11 for v in values)
+    assert any((v == 0).any() for v in values)
+    assert any(not v.any() for v in values)
+    # Above 100 points a row takes a pass of its own.
+    assert any(6 * v.size > 100 for v in values)
+    rows = [(counts, cfg, _extras(counts)) for counts, cfg in cases]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = list(taylor_bounds._entropy_rows(rows))
+        want = [_row_reference(counts, cfg) for counts, cfg in cases]
+    assert len(got) == len(want)
+    for (exact, est, sums), reference, (counts, cfg) in zip(got, want, cases):
+        _assert_same((exact, est, *sums), reference, (counts.counts, cfg.s))
+
+
+def test_rows_join_a_pass_until_the_next_would_overflow_it(passes, monkeypatch):
+    monkeypatch.setattr(taylor_bounds, "_BLOCK_ROWS", 40)
+    cfg = IdmConfig(0.5)
+    small, wide = CountVector([3.0, 6.0, 1.0]), CountVector(np.arange(12.0))
+    # Points per row: 18, 18, 12, 72 and 18, so the passes take 36, 12, 72 and 18.
+    rows = [
+        (small, cfg, _point_groups(small)),
+        (small, cfg, _point_groups(small)),
+        (small, cfg, []),
+        (wide, cfg, _point_groups(wide)),
+        (small, cfg, _point_groups(small)),
+    ]
+    list(taylor_bounds._entropy_rows(rows))
+    kernels = [3, 1, 3, 3]  # distinct n + s + 1, n + 1 and n + 2 in each pass
+    assert [p.size for p in passes] == [k + size for k, size in zip(kernels, [36, 12, 72, 18])]
+
+
+def test_wide_sweep_memory_stays_bounded():
+    # 200 rows of 2000 categories are 2.4M points: one unblocked pass peaks
+    # above 200 MB, blocks of 2^16 points under 20 MB.
+    counts = ",".join(str(k % 50) for k in range(2000))
+    argv = ["sweep", "--inline", counts, "--sweep", "n:1:200"]
+    out, err = io.StringIO(), io.StringIO()
+    tracemalloc.start()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            status = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == 0
+    assert len(out.getvalue().splitlines()) == 201
+    assert peak < 20 * 2**20

@@ -1,5 +1,7 @@
 """Property tests of the special functions and the entropy and MI bounds (hypothesis)."""
 
+import io
+import json
 import math
 import warnings
 
@@ -7,6 +9,7 @@ import mpmath
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from contextlib import redirect_stderr, redirect_stdout
 
 from idmbounds import (
     ContingencyCounts,
@@ -26,6 +29,7 @@ from idmbounds import (
     robust_credible_mi,
     trigamma,
 )
+from idmbounds.cli import main
 
 TOL = 1e-12
 
@@ -264,3 +268,57 @@ def test_public_estimators_give_finite_ordered_intervals_or_value_error(
         lambda: mi_variance_leading(ContingencyCounts(table), IdmConfig(s), t),
     ):
         _finite_ordered_or_value_error(estimate)
+
+
+sweep_strengths = st.one_of(st.sampled_from([5e-324, 1e-320, 1.0, 1e300]), st.floats(5e-324, 1e300))
+sweep_counts = st.lists(
+    st.one_of(
+        st.just(0.0),
+        st.integers(0, 60).map(float),
+        st.floats(0.0, 60.0).map(lambda x: round(x, 2)),
+        st.floats(0.0, 1e12),
+    ),
+    min_size=1,
+    max_size=8,
+).filter(lambda counts: sum(counts) > 0)
+
+
+@st.composite
+def sweep_requests(draw):
+    if draw(st.booleans()):
+        counts = ",".join(repr(c) for c in draw(sweep_counts))
+        lo = draw(st.integers(1, 1000))
+        spec = f"n:{lo}:{lo + draw(st.integers(0, 4))}"
+        argv = ["sweep", "--inline", counts, "--sweep", spec]
+    else:
+        argv = ["sweep", "--sweep", f"ratio:{draw(st.floats(1.0, 1e300))!r}"]
+    fmt = draw(st.sampled_from(["json", "csv"]))
+    return argv + ["--s", repr(draw(sweep_strengths)), "--format", fmt]
+
+
+def _emitted_at_most(a, b):
+    # A crossing of a few ulps, which cancellation in h near u = 1 leaves when
+    # s is tiny against n, shows in 12 emitted digits as at most one unit in
+    # the last digit; near 0 it stays below the library properties' TOL.
+    return a <= b + TOL + 1e-11 * max(abs(a), abs(b))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(sweep_requests())
+@example(["sweep", "--inline", "0,5,0", "--sweep", "n:1:4", "--s", "5e-324", "--format", "csv"])
+@example(["sweep", "--sweep", "ratio:1e300", "--s", "1e300", "--format", "json"])
+@example(["sweep", "--inline", "1", "--sweep", "n:1:1", "--s", "5e-324", "--format", "json"])
+@example(["sweep", "--sweep", "ratio:1.6529136653587308e+99", "--s", "1.7225469075270933e+87"])
+def test_sweep_rows_sandwich_the_exact_interval(argv):
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        assert main(argv) == 0
+    if argv[-1] == "json":
+        rows = json.loads(out.getvalue())["rows"]
+    else:
+        rows = [[float(v) for v in ln.split(",")] for ln in out.getvalue().splitlines()[1:]]
+    assert rows
+    for x, exact_lo, exact_hi, cons_lo, cons_hi, *points in rows:
+        assert exact_lo <= exact_hi
+        assert _emitted_at_most(cons_lo, exact_lo) and _emitted_at_most(exact_hi, cons_hi)
+        assert all(math.isfinite(p) for p in points)
