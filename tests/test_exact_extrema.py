@@ -1,6 +1,7 @@
 """Closed-form extrema of concave separable estimators vs the grid oracle."""
 
 import dataclasses
+import hashlib
 import json
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from idmbounds import (
     ConcaveSummand,
+    ContingencyCounts,
     CountVector,
     EntropyKernel,
     GridSpec,
@@ -21,6 +23,7 @@ from idmbounds import (
     grid_extrema,
     h_prime,
     max_concave_sum,
+    mi_interval_crude,
     min_concave_sum,
     sigma_of,
 )
@@ -395,3 +398,112 @@ def u_center_value(counts, cfg):
     kernel = EntropyKernel(counts.total + cfg.s)
     u = u_from_t(counts, cfg, SimplexPoint.uniform(counts.dim))
     return float(np.sum(h(u, kernel)))
+
+
+_FLOAT_MAX = float(np.finfo(float).max)
+_NEG_SQUARE = ConcaveSummand(fn=lambda u: -(u**2), deriv=lambda u: -2 * u)
+
+
+def _branch_case(rng, branch, d):
+    """Counts of length ``d`` and a strength that reach one branch of the maximiser."""
+    if branch == "interior":
+        # 1 < m* < d often, with m* = 1 and m* = d mixed in.
+        counts = rng.integers(0, 20, d) * rng.choice([1.0, 0.25])
+        return counts, float(rng.choice([0.5, 1, 2, 7.5]))
+    if branch == "vertex":
+        # One count far below the rest: m* = 1.
+        counts = rng.integers(10, 1000, d).astype(float)
+        counts[rng.integers(d)] = rng.choice([0.0, 1.5])
+        return counts, float(rng.uniform(0.01, 5.0))
+    if branch == "level":
+        return np.full(d, float(rng.integers(0, 5))), float(rng.uniform(0.1, 10.0))
+    if branch == "overflow":
+        # n + s above the float maximum / d: m (n+s) overflows for the larger
+        # m; an s near the total also overflows n + s itself.
+        total = _FLOAT_MAX / d * rng.uniform(1.05, 0.95 * d)
+        counts = total * rng.dirichlet(np.ones(d)) * (rng.uniform(size=d) > 0.3)
+        return counts, float(rng.choice([10.0 ** rng.uniform(0, 306), total * rng.uniform(0.05, 1)]))
+    # "tiny-s": often too small to move u, the vertex fallback; ties give m* > 1.
+    counts = rng.integers(1, 1000, d) + rng.choice([0.0, 5e-13, 0.25], d)
+    counts[1] = counts[0]
+    return counts, float(10.0 ** rng.uniform(-20, -12))
+
+
+def _pin_update(sha, call):
+    """Hash the float64 bits of ``call()``'s values, or its error's type and message."""
+    try:
+        values = call()
+    except ValueError as exc:
+        sha.update(f"{type(exc).__name__}: {exc}".encode())
+        return None
+    for value in values:
+        sha.update(np.asarray(-1 if value is None else value, dtype=float).tobytes())
+    return values
+
+
+def _ends(iv):
+    return iv.lower, iv.upper
+
+
+def _witness(res):
+    return res.value, res.u_star, res.t_star.t, res.m_star
+
+
+class TestPinnedBits:
+    """sha256 of the bits of the exact entropy interval, both witnesses and the
+    crude MI interval, recorded before their point sets were restructured.
+
+    Each group's seeded corpus reaches one branch of the water-filling
+    maximiser: an interior ``m*``, ``m* = 1``, ``m* = d``, the two-step
+    division where ``m (n + s)`` overflows, and the vertex fallback for an
+    ``s`` too small to move ``u``.  Witnesses are taken for the entropy
+    summand and for ``neg_square``: ``value``, ``u_star``, ``t_star.t`` and
+    ``m_star``.
+    """
+
+    BRANCHES = ["interior", "vertex", "level", "overflow", "tiny-s"]
+    VECTORS = {
+        "interior": "aeef09f8c78c1b0a6c6bc25bbc43c8d03de9a07d120d2a7a02d1a160dc1895f1",
+        "vertex": "38ecebf3fd7f6acde4bc4c1458dbab63da664f1df005f3c6ac11345d50a625d6",
+        "level": "727f4a7fc071614814032a89d5af78b9ed1ed1b7b2abf57dfbf62d2b3425035c",
+        "overflow": "c5ba420c7bceb61eec0a0a9fbeb7f0fd0734600b2487bd0f310842dbc2d46d45",
+        "tiny-s": "1e86480df0c5c252f6868f16c5e753b38ed3237ae3bf48dc95db9539252de16a",
+    }
+    # m* = 1, 1 < m* < d and m* = d, as the maximum's m_star reports them.
+    LEVELS = {"interior": {"1", "mid", "d"}, "vertex": {"1"}, "level": {"d"}}
+    TABLES = {
+        "interior": "d5f950b97a571d8f5f0c34e3c65823dcca0db8cd0c60a0b87ec7d1f448527e1e",
+        "vertex": "884771893fc67ef64b52aad5faefa35bd4106bcd23e46266aff181fdd5810cd0",
+        "level": "994dedb4ccacae52b2a2100785aff89ed8657803917e994713fc05a336f13b85",
+        "overflow": "741101f8adf0abc7aaccc4e76d7bbaaba85c92c7761cceb43118ae16fc36c569",
+        "tiny-s": "c8a9fce8762ab0cef57b0115b1a785b8d6998c8170b153e10804cdbbd3e1fa0e",
+    }
+
+    @pytest.mark.parametrize("branch", BRANCHES)
+    def test_vector_bits_are_pinned(self, branch):
+        rng = np.random.default_rng(self.BRANCHES.index(branch) + 61)
+        sha, levels = hashlib.sha256(), set()
+        for _ in range(80):
+            counts, s = _branch_case(rng, branch, int(rng.integers(2, 13)))
+            counts, cfg = CountVector(counts), IdmConfig(s)
+            _pin_update(sha, lambda: _ends(entropy_interval_exact(counts, cfg)))
+            entropy = lambda: entropy_summand(EntropyKernel(counts.total + cfg.s))  # noqa: E731
+            for summand in (entropy, lambda: _NEG_SQUARE):
+                for extremum in (min_concave_sum, max_concave_sum):
+                    res = _pin_update(sha, lambda: _witness(extremum(counts, cfg, summand())))
+                    if res is not None and extremum is max_concave_sum:
+                        levels.add("1" if res[3] == 1 else "d" if res[3] == counts.dim else "mid")
+        if branch in self.LEVELS:
+            assert levels == self.LEVELS[branch]
+        assert sha.hexdigest() == self.VECTORS[branch]
+
+    @pytest.mark.parametrize("branch", BRANCHES)
+    def test_crude_mi_bits_are_pinned(self, branch):
+        rng = np.random.default_rng(self.BRANCHES.index(branch) + 71)
+        sha = hashlib.sha256()
+        for _ in range(40):
+            shape = (int(rng.integers(1, 5)), int(rng.integers(2, 5)))
+            table, s = _branch_case(rng, branch, shape[0] * shape[1])
+            tbl, cfg = ContingencyCounts(table.reshape(shape)), IdmConfig(s)
+            _pin_update(sha, lambda: _ends(mi_interval_crude(tbl, cfg)))
+        assert sha.hexdigest() == self.TABLES[branch]
