@@ -161,7 +161,14 @@ def _max_point(counts: CountVector, cfg: IdmConfig) -> dict:
         # witness is valid.
         t_star = SimplexPoint.vertex(d, int(order[0]))
     else:
-        t_star = SimplexPoint(t / t.sum())
+        with np.errstate(over="ignore"):
+            mass = t.sum()
+        # With s near the float maximum the mass can round past it: halve
+        # first (exact at that scale), or t / mass would be all zeros.
+        if np.isinf(mass):
+            t = t / 2.0
+            mass = t.sum()
+        t_star = SimplexPoint(t / mass)
     vertex_index = int(order[0]) if m_star == 1 else None
     return dict(
         u_star=u_from_t(counts, cfg, t_star), t_star=t_star, vertex_index=vertex_index,

@@ -392,6 +392,25 @@ class TestTinyStrength:
         assert exact["lower"] <= exact["upper"]
 
 
+class TestHugeStrength:
+    @pytest.mark.parametrize("d", range(2, 13))
+    def test_leveled_witness_at_the_float_maximum(self, d):
+        # The leveled prior's mass rounded past the float maximum, so the
+        # witness was rebuilt as all zeros and refused (d = 3, 9, 11 and 12).
+        counts, cfg = CountVector(np.zeros(d)), IdmConfig(_FLOAT_MAX)
+        res = max_concave_sum(counts, cfg, entropy_summand(EntropyKernel(_FLOAT_MAX)))
+        np.testing.assert_allclose(res.t_star.t, 1.0 / d, rtol=1e-15)
+        assert res.m_star == d
+        assert res.value == pytest.approx(np.log(d), rel=1e-12)
+        assert entropy_interval_exact(counts, cfg).upper == res.value
+
+    def test_cli_answers(self, capsys):
+        code = cli_main(["entropy", "--inline", "0,0,0", "--s", repr(_FLOAT_MAX)])
+        result = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert result["intervals"]["exact"]["upper"] == pytest.approx(np.log(3), rel=1e-11)
+
+
 def u_center_value(counts, cfg):
     from idmbounds import SimplexPoint, h, u_from_t
 
