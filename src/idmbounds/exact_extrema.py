@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .simplex_core import CountVector, IdmConfig, Interval, SimplexPoint, _posterior_means, u_from_t
-from .special_fn import EntropyKernel, _entropy_terms, _h_fractions, _kernel_total, h, h_prime
+from .special_fn import EntropyKernel, _entropy_terms, _h_fractions, h, h_prime
 
 __all__ = [
     "ConcaveSummand", "ExtremumResult", "entropy_interval_exact", "entropy_interval_rational",
@@ -75,10 +75,11 @@ class ExtremumResult:
 
     The witness is the prior mean ``t_star`` and its posterior mean
     ``u_star = u_from_t(counts, cfg, t_star)``, a read-only float array, and
-    ``value`` is ``sum_i f(u_star_i)``.  ``vertex_index`` is set when the
-    extremum sits at a vertex of the ``t``-simplex; ``m_star`` records the
-    leveling count of the water-filling maximum.  Ties are always broken
-    toward the smallest index, so witnesses are deterministic.
+    ``value`` is ``sum_i f(u_star_i)``.  ``vertex_index`` is the index of
+    ``t_star``'s one nonzero component when it has only one; else, at a
+    maximum with ``m_star`` (the leveling count) 1, the least-observed
+    category's.  Ties are always broken toward the smallest index, so
+    witnesses are deterministic.
     """
 
     value: float
@@ -108,8 +109,8 @@ def min_concave_sum(counts: CountVector, cfg: IdmConfig, f: ConcaveSummand) -> E
     summand whose output does not match its argument's shape raises
     ``ValueError``.
     """
-    point = _min_point(counts, cfg)
-    return ExtremumResult(value=_summed(f, point["u_star"]), **point)
+    i_star = int(np.argmax(counts.counts))
+    return _extremum(counts, cfg, f, np.arange(counts.dim) == i_star, i_star)
 
 
 def max_concave_sum(counts: CountVector, cfg: IdmConfig, f: ConcaveSummand) -> ExtremumResult:
@@ -123,25 +124,26 @@ def max_concave_sum(counts: CountVector, cfg: IdmConfig, f: ConcaveSummand) -> E
     vertex of the least-observed category.  A summand whose output does not
     match its argument's shape raises ``ValueError``.
     """
-    point = _max_point(counts, cfg)
-    return ExtremumResult(value=_summed(f, point["u_star"]), **point)
+    t, m_star, vertex_index = _leveled_prior(counts, cfg)
+    return _extremum(counts, cfg, f, t, vertex_index, m_star)
 
 
-def _min_point(counts: CountVector, cfg: IdmConfig) -> dict:
-    """The minimum's witness fields of :class:`ExtremumResult`, without ``value``."""
-    i_star = int(np.argmax(counts.counts))
-    t_star = SimplexPoint.vertex(counts.dim, i_star)
-    return dict(u_star=u_from_t(counts, cfg, t_star), t_star=t_star, vertex_index=i_star)
+def _extremum(counts, cfg, f, t, vertex_index, m_star=None) -> ExtremumResult:
+    """The witness of the prior mean ``t``, a plain array, and the value there."""
+    t_star = SimplexPoint(t)
+    u_star = u_from_t(counts, cfg, t_star)
+    value = float(np.sum(_summand_values(f.fn, u_star, "fn")))
+    return ExtremumResult(value, u_star, t_star, vertex_index, m_star)
 
 
-def _max_point(counts: CountVector, cfg: IdmConfig) -> dict:
-    """The water-filling maximum's witness fields, without ``value``."""
-    d = counts.dim
+def _leveled_prior(counts: CountVector, cfg: IdmConfig) -> tuple[np.ndarray, int, Optional[int]]:
+    """The water-filling maximum's prior mean ``t*``, a plain array, its
+    leveling count ``m*`` and, when ``t*`` is a vertex, that vertex's index."""
     u0 = _posterior_means(counts.counts, counts.total, cfg.s, 0.0)
     denom = counts.total + cfg.s
     order = np.argsort(counts.counts, kind="stable")
     prefix = np.cumsum(counts.counts[order])
-    m = np.arange(1, d + 1)
+    m = np.arange(1, counts.dim + 1)
     # m (n+s) overflows when n + s is within a factor m of the float
     # maximum: divide in two steps there instead of by infinity.
     with np.errstate(over="ignore"):
@@ -159,25 +161,17 @@ def _max_point(counts: CountVector, cfg: IdmConfig) -> dict:
     if not t.any():
         # s too small to move u in floating point: u == u0 for every t; any
         # witness is valid.
-        t_star = SimplexPoint.vertex(d, int(order[0]))
-    else:
-        with np.errstate(over="ignore"):
-            mass = t.sum()
-        # With s near the float maximum the mass can round past it: halve
-        # first (exact at that scale), or t / mass would be all zeros.
-        if np.isinf(mass):
-            t = t / 2.0
-            mass = t.sum()
-        t_star = SimplexPoint(t / mass)
-    vertex_index = int(order[0]) if m_star == 1 else None
-    return dict(
-        u_star=u_from_t(counts, cfg, t_star), t_star=t_star, vertex_index=vertex_index,
-        m_star=m_star,
-    )
-
-
-def _summed(f: ConcaveSummand, u: np.ndarray) -> float:
-    return float(np.sum(_summand_values(f.fn, u, "fn")))
+        t[order[0]] = 1.0
+    with np.errstate(over="ignore"):
+        mass = t.sum()
+    # With s near the float maximum the mass can round past it, and t / inf
+    # is all zeros; halving first is exact at that scale.
+    t = t / mass if np.isfinite(mass) else t / 2.0 / (t / 2.0).sum()
+    # Rounding can leave t* at a vertex whatever m* is.
+    nonzero = np.flatnonzero(t)
+    if nonzero.size == 1:
+        return t, m_star, int(nonzero[0])
+    return t, m_star, int(order[0]) if m_star == 1 else None
 
 
 def _summand_values(fn: Callable, points: np.ndarray, name: str) -> np.ndarray:
@@ -191,15 +185,20 @@ def _summand_values(fn: Callable, points: np.ndarray, name: str) -> np.ndarray:
     return out
 
 
+def _point_set(counts: CountVector, cfg: IdmConfig, priors: np.ndarray) -> np.ndarray:
+    """The posterior means of each row of the prior means ``priors``, in turn."""
+    return _posterior_means(counts.counts, counts.total, cfg.s, priors).ravel()
+
+
 def _extreme_points(counts: CountVector, cfg: IdmConfig) -> np.ndarray:
     """The minimum's and the maximum's posterior means, stacked: ``2 d`` points."""
-    return np.concatenate([_min_point(counts, cfg)["u_star"], _max_point(counts, cfg)["u_star"]])
+    lowest = np.arange(counts.dim) == np.argmax(counts.counts)
+    return _point_set(counts, cfg, np.stack([lowest, _leveled_prior(counts, cfg)[0]]))
 
 
 def _extreme_interval(values: np.ndarray) -> Interval:
     """The interval from summand values at :func:`_extreme_points`."""
-    d = values.size // 2
-    lower, upper = float(np.sum(values[:d])), float(np.sum(values[d:]))
+    lower, upper = (float(np.sum(part)) for part in values.reshape(2, -1))
     # The minimiser is feasible too, so the maximum is at least its value;
     # with huge counts and a tiny s, rounding alone can cross the two.
     return Interval(lower, max(lower, upper))
@@ -212,8 +211,7 @@ def entropy_interval_exact(counts: CountVector, cfg: IdmConfig) -> Interval:
     pass; every bit is that of :func:`min_concave_sum` and
     :func:`max_concave_sum` with :func:`entropy_summand`.
     """
-    total = _kernel_total(counts.total + cfg.s)
-    [(values, _)] = _entropy_terms([(total, _extreme_points(counts, cfg))])
+    [(values, _)] = _entropy_terms([(counts.total + cfg.s, _extreme_points(counts, cfg))])
     return _extreme_interval(values)
 
 

@@ -24,7 +24,7 @@ from .oracle import GridSpec, product_grid_extrema
 from .simplex_core import (
     CountVector, IdmConfig, Interval, SimplexPoint, _count_array, _posterior_means, sigma_of
 )
-from .special_fn import EntropyKernel, _entropy_terms, _kernel_total, h
+from .special_fn import EntropyKernel, _entropy_terms, h
 from .taylor_bounds import (
     RobustEstimate, _remainder_estimate, _remainder_points, lift, negate, propagate_sum
 )
@@ -187,12 +187,11 @@ def _parts(tbl: ContingencyCounts) -> tuple[CountVector, CountVector, CountVecto
 # use the part's own total: row and column sums of a fractional table can
 # differ from the table's total by an ulp.
 def _estimate_groups(tbl: ContingencyCounts, parts, cfg: IdmConfig) -> list:
-    total = _kernel_total(tbl.total + cfg.s)
-    return [(total, _remainder_points(part, cfg)) for part in parts]
+    return [(tbl.total + cfg.s, _remainder_points(part, cfg)) for part in parts]
 
 
 def _crude_groups(parts, cfg: IdmConfig) -> list:
-    return [(_kernel_total(part.total + cfg.s), _extreme_points(part, cfg)) for part in parts]
+    return [(part.total + cfg.s, _extreme_points(part, cfg)) for part in parts]
 
 
 def _estimate(tbl: ContingencyCounts, parts, cfg: IdmConfig, terms) -> RobustEstimate:

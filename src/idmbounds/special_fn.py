@@ -227,8 +227,8 @@ def _summand_slope(tu, psi_total, psi, psi1):
 def _entropy_terms(groups) -> list[tuple[np.ndarray, np.ndarray]]:
     """``h`` and ``h'`` at every point of every ``(total, u)`` group, in one pass.
 
-    ``total`` is a kernel total ``T`` (checked by the caller, see
-    :func:`_kernel_total`) and ``u`` a 1-D array on [0, 1].  A single
+    ``total`` is a kernel total ``T``, each one checked here by
+    :func:`_kernel_total`, and ``u`` a 1-D array on [0, 1].  A single
     :func:`_shift_and_series` call takes ``psi`` and ``psi'`` at each
     distinct ``T + 1`` and at every ``T u + 1``; each element is evaluated
     independently of its neighbours, so every value is the one
@@ -239,7 +239,7 @@ def _entropy_terms(groups) -> list[tuple[np.ndarray, np.ndarray]]:
     # Each distinct total's position among the kernels, in order of first use.
     index = {}
     for total in totals:
-        index.setdefault(total, len(index))
+        index.setdefault(_kernel_total(total), len(index))
     sizes = [u.size for _, u in groups]
     arr = _as_unit_interval(np.concatenate([u for _, u in groups]))[0]
     tu = np.repeat(totals, sizes) * arr

@@ -22,9 +22,9 @@ from typing import Callable
 
 import numpy as np
 
-from .exact_extrema import _extreme_interval, _extreme_points, _summand_values
+from .exact_extrema import _extreme_interval, _extreme_points, _point_set, _summand_values
 from .simplex_core import CountVector, IdmConfig, Interval, _posterior_means, sigma_of
-from .special_fn import _BLOCK_ROWS, _entropy_terms, _kernel_total
+from .special_fn import _BLOCK_ROWS, _entropy_terms
 
 __all__ = [
     "DerivativeBoundProvider", "RobustEstimate", "UnboundedDerivativeError",
@@ -168,14 +168,11 @@ def concave_remainder_bounds(counts: CountVector, cfg: IdmConfig, f) -> RobustEs
     return _remainder_estimate(sigma, derivs, values)
 
 
-# t = 0 and t = 1 broadcast against the counts: the baseline u0 and every
-# vertex coordinate (n_k + s)/(n + s), in one map.
-_BASELINE_AND_VERTEX = np.array([[0.0], [1.0]])
-
-
 def _remainder_points(counts: CountVector, cfg: IdmConfig) -> np.ndarray:
     """The baseline ``u0`` and the vertex coordinates, stacked: ``2 d`` points."""
-    return _posterior_means(counts.counts, counts.total, cfg.s, _BASELINE_AND_VERTEX).ravel()
+    # t = 0 and t = 1 broadcast against the counts: the baseline u0 and every
+    # vertex coordinate (n_k + s)/(n + s), in one map.
+    return _point_set(counts, cfg, np.array([[0.0], [1.0]]))
 
 
 def _remainder_estimate(sigma: float, derivs: np.ndarray, values: np.ndarray) -> RobustEstimate:
@@ -184,8 +181,7 @@ def _remainder_estimate(sigma: float, derivs: np.ndarray, values: np.ndarray) ->
     The summand is elementwise, so values taken on both point sets at once
     are the ones separate calls would give.
     """
-    d = derivs.size // 2
-    deriv_low, deriv_high = derivs[:d], derivs[d:]
+    deriv_low, deriv_high = derivs.reshape(2, -1)
     bad = ~(np.isfinite(deriv_low) & np.isfinite(deriv_high))
     if bad.any():
         raise UnboundedDerivativeError(
@@ -195,7 +191,7 @@ def _remainder_estimate(sigma: float, derivs: np.ndarray, values: np.ndarray) ->
     # f' is non-increasing; with huge counts and a tiny s, the vertex is an
     # ulp from u0 and rounding alone can put f' there above f'(u0).
     deriv_high = np.minimum(deriv_high, deriv_low)
-    f_low, f_high = values[:d], values[d:]
+    f_low, f_high = values.reshape(2, -1)
     f0 = float(f_low.sum())
     # F at the k-th vertex differs from F(u0) only in coordinate k.
     vertex_values = f0 - f_low + f_high
@@ -217,7 +213,7 @@ def _entropy_rows(rows):
     """
     block, size = [], 0
     for counts, cfg, extras in rows:
-        total = _kernel_total(counts.total + cfg.s)
+        total = counts.total + cfg.s
         groups = [
             (total, _extreme_points(counts, cfg)),
             (total, _remainder_points(counts, cfg)),

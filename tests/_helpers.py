@@ -1,13 +1,15 @@
 """Shared independent oracles for the test suite.
 
 Everything here deliberately avoids the package's own code paths: scipy
-special functions, plain numpy formulas, and exact Fraction arithmetic act
-as the second route that the package's closed forms are checked against.
+special functions, plain numpy formulas, exact Fraction arithmetic and
+60-digit mpmath act as the second route that the package's closed forms are
+checked against.
 """
 
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 from scipy.special import digamma as sp_digamma
 
@@ -120,3 +122,42 @@ def mi_objective_direct(tbl, cfg):
         )
 
     return objective
+
+
+def expected_entropy_mp(counts, s, t) -> mpmath.mpf:
+    """60-digit ``E[H]`` of the Dirichlet posterior with prior mean ``t``.
+
+    Taken from the counts, ``a_i = n_i + s t_i`` and ``A = n + s``, as
+    ``sum_i (a_i / A) (psi(A + 1) - psi(a_i + 1))``; floats and ``Fraction``
+    entries are converted exactly, never through a rounded posterior mean.
+    A category holding all the mass gives exactly 0.
+    """
+    with mpmath.workdps(60):
+        a = [_mp(n) + _mp(s) * _mp(ti) for n, ti in zip(counts, t)]
+        total = mpmath.fsum(a)
+        psi_total = mpmath.digamma(total + 1)
+        return mpmath.fsum(ai / total * (psi_total - mpmath.digamma(ai + 1)) for ai in a)
+
+
+def _mp(x) -> mpmath.mpf:
+    x = Fraction(x)
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
+def entropy_extrema_exact(counts, s) -> tuple[mpmath.mpf, mpmath.mpf]:
+    """The exact entropy interval recomputed from the counts at 60 digits.
+
+    The minimum is at the vertex of the most-observed category (first on
+    ties).  The maximum levels the ``m`` smallest counts at ``L = (s + sum of
+    the m smallest) / m``, with ``m`` minimising ``L`` in exact ``Fraction``
+    arithmetic: ``a_i = max(n_i, L)``, which is ``t_i = (a_i - n_i) / s``.
+    """
+    ns = [Fraction(float(n)) for n in counts]
+    s = Fraction(float(s))
+    vertex = [Fraction(int(i == ns.index(max(ns)))) for i in range(len(ns))]
+    ordered = sorted(ns)
+    level = min(
+        (s + sum(ordered[:m], Fraction(0))) / m for m in range(1, len(ns) + 1)
+    )
+    leveled = [(max(n, level) - n) / s for n in ns]
+    return expected_entropy_mp(ns, s, vertex), expected_entropy_mp(ns, s, leveled)

@@ -5,6 +5,7 @@ import hashlib
 import json
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,7 +30,7 @@ from idmbounds import (
 )
 from idmbounds import exact_extrema, special_fn
 from idmbounds.cli import main as cli_main
-from _helpers import entropy_objective_direct
+from _helpers import entropy_extrema_exact, entropy_objective_direct
 
 
 def _h_by_resum(numer, total):
@@ -165,6 +166,30 @@ class TestMaximum:
         assert res.vertex_index == 0
         np.testing.assert_allclose(res.u_star, [0.4, 0.6], atol=1e-15)
         np.testing.assert_allclose(res.t_star.t, [1.0, 0.0], atol=1e-12)
+
+    def test_vertex_witness_carries_its_index(self):
+        # Rounding leaves t* = e_0 at m* = 2; its index was None.
+        counts, cfg = CountVector([2, 2, 1000.0000000000005]), IdmConfig(3.8181382472832275e-16)
+        res = max_concave_sum(counts, cfg, _NEG_SQUARE)
+        assert (res.t_star.t.tolist(), res.m_star, res.vertex_index) == ([1.0, 0.0, 0.0], 2, 0)
+
+    def test_vertex_index_names_a_vertex_witness(self):
+        # At tiny strengths rounding leaves t* at a vertex whatever m* is
+        # (tied smallest counts give m* > 1), and at m* = 1 not always at
+        # the least-observed category.
+        rng = np.random.default_rng(1867)
+        seen = set()
+        for _ in range(3000):
+            d = int(rng.integers(2, 5))
+            counts = rng.integers(0, 1000, d) + rng.choice([0.0, 5e-13, 1e-10], d)
+            counts[1] = counts[0]
+            counts = CountVector(counts)
+            res = max_concave_sum(counts, IdmConfig(10.0 ** rng.uniform(-20, -12)), _NEG_SQUARE)
+            nonzero = np.flatnonzero(res.t_star.t)
+            if nonzero.size == 1:
+                assert res.vertex_index == nonzero[0], (counts.counts, res.m_star)
+                seen.add((res.m_star == 1, nonzero[0] == np.argmin(counts.counts)))
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
     def test_empty_counts_level_at_center(self):
         counts = CountVector([0, 0, 0])
@@ -409,6 +434,35 @@ class TestHugeStrength:
         result = json.loads(capsys.readouterr().out)
         assert code == 0
         assert result["intervals"]["exact"]["upper"] == pytest.approx(np.log(3), rel=1e-11)
+
+
+@st.composite
+def _reference_requests(draw):
+    """d 2..12 counts within a factor 100 of each other (n >= 20), s in [1e-3, 1e3]."""
+    d = draw(st.integers(2, 12))
+    scale = 10.0 ** draw(st.integers(0, 12))
+    cells = draw(st.lists(st.floats(10.0, 1000.0), min_size=d, max_size=d))
+    return [c * scale for c in cells], 10.0 ** draw(st.floats(-3.0, 3.0))
+
+
+class TestIndependentReference:
+    """The exact endpoints against 60-digit mpmath at the extrema recomputed
+    from the counts, which shares no float path with the package.
+
+    Budget 1e-12 relative on the stated domain; a 3520-case scratch corpus
+    on it (ratios 1 to 100, totals 20 to 1e15, both ends of the s range)
+    read at most 9.4e-14.  Outside it, where the entropy is small against
+    its summands (a zero cell with a tiny s, counts far apart, s far above
+    n), the float endpoints lose more digits.
+    """
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(_reference_requests())
+    def test_exact_endpoints_within_budget(self, case):
+        counts, s = case
+        iv = entropy_interval_exact(CountVector(counts), IdmConfig(s))
+        for got, want in zip((iv.lower, iv.upper), entropy_extrema_exact(counts, s)):
+            assert abs(mpmath.mpf(got) - want) <= 1e-12 * abs(want)
 
 
 def u_center_value(counts, cfg):

@@ -38,7 +38,7 @@ from idmbounds import (
     propagate_sum,
     robust_credible_mi_parts,
 )
-from idmbounds import special_fn, taylor_bounds
+from idmbounds import exact_extrema, special_fn, taylor_bounds
 from idmbounds.cli import _point_groups, main
 
 
@@ -271,6 +271,25 @@ def test_mi_call_takes_one_pass(call, passes):
 def test_cli_request_takes_one_pass(argv, passes, capsys):
     assert main(argv) == 0
     assert len(passes) == 1
+
+
+def test_internal_paths_build_no_witness(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("a witness was built")
+
+    monkeypatch.setattr(SimplexPoint, "__post_init__", refuse)
+    monkeypatch.setattr(exact_extrema, "u_from_t", refuse)
+    counts, cfg = CountVector([3, 6, 1, 0, 12.5]), IdmConfig(1.0)
+    tbl = ContingencyCounts([[3.25, 1.0, 2.5], [1.0, 4.1, 0.0]])
+    entropy_interval_exact(counts, cfg)
+    mi_interval_crude(tbl, cfg)
+    mi_interval_bounds(tbl, cfg)
+    assert main(["entropy", "--inline", "3,6,1,0,12.5", "--mode", "both"]) == 0
+    assert main(["sweep", "--inline", "3,6,1", "--sweep", "n:1:8"]) == 0
+    assert main(["sweep", "--sweep", "ratio:9"]) == 0
+    # The public extrema still build theirs.
+    with pytest.raises(AssertionError, match="a witness was built"):
+        max_concave_sum(counts, cfg, entropy_summand(EntropyKernel(counts.total + cfg.s)))
 
 
 def _row_reference(counts, cfg):
