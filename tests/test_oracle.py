@@ -447,6 +447,28 @@ def mi_lattices(draw):
     return ContingencyCounts(table), IdmConfig(s), GridSpec(resolution)
 
 
+def _mi_interval_corpus():
+    """Seeded MI lattice cases: single rows and columns, all-zero tables,
+    2x2 through 3x3 (the benchmark's 2x2 at 60 and 2x3 / 3x2 at 40 among
+    them), ``s`` from 1e-3 to 1e3, and the small shapes on both sides of
+    the uint8/int16 switch at resolution 256."""
+    rng = np.random.default_rng(2026)
+    strengths = [1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0, 10.0, 100.0, 1e3]
+    cases = [((1, 1), 5), ((1, 4), 30), ((4, 1), 30), ((2, 3), 12), ((3, 2), 12)]
+    cases += [((1, 2), r) for r in (40, 250, 260)] + [((2, 1), r) for r in (40, 250, 260)]
+    cases += [((1, 3), r) for r in (40, 250, 260)] + [((3, 1), r) for r in (40, 250, 260)]
+    cases += [((2, 2), r) for r in (20, 60, 250, 260)]
+    cases += [((2, 3), 40), ((3, 2), 40), ((3, 3), 8), ((3, 3), 14)]
+    for shape, resolution in cases:
+        zeros = np.zeros(shape)
+        integers = rng.integers(0, 13, size=shape).astype(float)
+        reals = np.round(rng.uniform(0, 30, size=shape), 2)
+        reals.flat[rng.integers(reals.size)] = 0.0
+        for table in (zeros, integers, reals):
+            s = float(rng.choice(strengths))
+            yield ContingencyCounts(table), IdmConfig(s), GridSpec(resolution)
+
+
 def _mi_lattice_check(tbl, cfg, grid):
     objective = lattice_mi_objective(tbl, cfg, grid)
     iv = grid_extrema(objective, tbl.joint_counts(), cfg, grid, on_lattice=True)
@@ -537,6 +559,20 @@ class TestMiLatticeReduction:
         narrow = np.uint8 if key[0] < 256 else np.int16
         assert [a.dtype for a in index] == [narrow, np.int32, narrow, narrow]
         assert _lattice_digest(*index) == digest
+
+    # sha256 over float.hex of both ends of every case of _mi_interval_corpus,
+    # so that a changed bit, the sign of a zero included, shows.
+    INTERVALS_DIGEST = "0bbd4492c176495ebae962ab1fb25b2323768a5efb215190eb4d6aeebe2d5eab"
+
+    def test_interval_bits_are_pinned(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_MI_INDEX_CACHE", {})
+        monkeypatch.setattr(oracle, "_COMP_CACHE", {})
+        sha = hashlib.sha256()
+        for tbl, cfg, grid in _mi_interval_corpus():
+            objective = lattice_mi_objective(tbl, cfg, grid)
+            iv = grid_extrema(objective, tbl.joint_counts(), cfg, grid, on_lattice=True)
+            sha.update(f"{iv.lower.hex()} {iv.upper.hex()}\n".encode())
+        assert sha.hexdigest() == self.INTERVALS_DIGEST
 
     def test_overflow_raises_before_any_index_is_built(self, monkeypatch):
         def refuse(*args):
