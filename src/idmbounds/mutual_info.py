@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exact_extrema import _extreme_interval, _extreme_points
-from .oracle import GridSpec, product_grid_extrema
+from .oracle import GridSpec, _product_tables, product_grid_extrema
 from .simplex_core import (
     CountVector, IdmConfig, Interval, SimplexPoint, _count_array, _posterior_means, sigma_of
 )
@@ -250,10 +250,14 @@ def product_idm_check(
     """
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
+    grid = GridSpec(resolution)
     kernel = EntropyKernel(tbl.total + cfg.s)
-    lattice = product_grid_extrema(
-        lambda u: _three_entropies(u, kernel), tbl, cfg, GridSpec(resolution)
-    )
+
+    def objective(u: np.ndarray) -> np.ndarray:
+        return _three_entropies(u, kernel)
+
+    objective.tables = _product_tables(tbl, cfg, grid)
+    lattice = product_grid_extrema(objective, tbl, cfg, grid)
     tol = 1e-9
     contained = bounds.conservative_interval().contains_interval(lattice, tol)
     attained = (

@@ -495,9 +495,20 @@ def product_grid_extrema(
     posterior means.  Pairs are taken in row-major ``(v, w)`` order, in
     blocks of at most 2**16 cells: ``objective`` receives
     ``(N, d1, d2)`` arrays of ``u`` tensors and returns ``N`` finite
-    values; a non-finite value raises ``ValueError``.  Refuses product
-    lattices larger than :data:`MAX_GRID_POINTS` pairs with
-    :class:`GridOverflowError`.
+    values; a non-finite value raises ``ValueError``.
+
+    An objective that carries the MI's factor tables as ``objective.tables``
+    (the one :func:`~idmbounds.mutual_info.product_idm_check` builds) is
+    reduced through them instead, without calling it, in blocks of at most
+    2**16 pairs: the row part is looked up per ``v``, the column part per
+    ``w``, and each cell's summand is evaluated once per block at
+    ``t_ij = (k_i * l_j) / R**2``, an exact integer product rounded once.
+    Its ends differ from walking the MI on the rounded products
+    ``v_i * w_j`` by a few ulps.  Tables built on other counts, another
+    ``s`` or another grid raise ``ValueError``.
+
+    Refuses product lattices larger than :data:`MAX_GRID_POINTS` pairs with
+    :class:`GridOverflowError`, before building anything.
     """
     d1, d2 = tbl.shape
     n1 = composition_count(grid.resolution, d1)
@@ -506,6 +517,13 @@ def product_grid_extrema(
         raise GridOverflowError(
             f"product lattice has {n1} x {n2} points, above the cap of {MAX_GRID_POINTS}"
         )
+    tables = getattr(objective, "tables", None)
+    if tables is not None:
+        if tables.s != cfg.s or not np.array_equal(tables.counts, tbl.table):
+            raise ValueError("objective tables were built on other counts or another s")
+        if tables.rows[0].shape != (grid.resolution + 1,):
+            raise ValueError("objective tables do not match the lattice")
+        return _product_extrema(tables, grid.resolution)
     v = compositions(grid.resolution, d1).astype(float) / grid.resolution
     w = compositions(grid.resolution, d2).astype(float) / grid.resolution
 
@@ -514,6 +532,101 @@ def product_grid_extrema(
         return v[iv][:, :, None] * w[iw][:, None, :]
 
     return _walk(objective, tbl.table, tbl.total, cfg.s, n1 * n2, t_of)
+
+
+class _ProductTables(NamedTuple):
+    """Row and column summand tables of a contingency table at ``k / R``,
+    with the table, its total and the ``s`` the cell summands take."""
+
+    counts: np.ndarray
+    total: float
+    s: float
+    rows: list
+    cols: list
+
+
+def _product_tables(tbl: ContingencyCounts, cfg: IdmConfig, grid: GridSpec) -> _ProductTables:
+    """Factor tables of the expected MI over the outer-product lattice.
+
+    On the lattice ``sum_j t_ij = v_i`` and ``sum_i t_ij = w_j`` exactly, so
+    the row and column summands are those of the row and column sums at
+    ``k / R`` and ``l / R``.
+    """
+    return _ProductTables(
+        tbl.table,
+        tbl.total,
+        cfg.s,
+        _summand_tables(tbl.row_sums, tbl.total, cfg, grid),
+        _summand_tables(tbl.col_sums, tbl.total, cfg, grid),
+    )
+
+
+def _distinct_products(k_lo: int, k_span: int, l_lo: int, l_span: int):
+    """Products ``k * l`` over a rectangle of lattice steps, flat with ``l``
+    fastest, as the distinct values and each entry's position among them.
+    When the products spread over more than twice the rectangle, they come
+    back as they are, with ``None`` for the positions."""
+    flat = np.multiply.outer(
+        np.arange(k_lo, k_lo + k_span), np.arange(l_lo, l_lo + l_span)
+    ).ravel()
+    low, spread = flat[0], flat[-1] - flat[0] + 1
+    if spread > 2 * flat.size:
+        return flat, None
+    seen = np.zeros(spread, dtype=bool)
+    seen[flat - low] = True
+    return np.flatnonzero(seen) + low, np.cumsum(seen).take(flat - low) - 1
+
+
+def _product_extrema(tables: _ProductTables, resolution: int) -> Interval:
+    """``[min, max]`` over the product lattice of the row part plus the
+    column part minus the cell summands in row-major order.
+
+    Blocks are whole rows of ``v`` by every ``w``, or one ``v`` by a slice
+    of ``w`` when one row has more than 2**16 pairs.  Each block evaluates
+    cell ``(i, j)`` on the ranges its ``k_i`` and ``l_j`` take there, all
+    cells in one ``h`` call, so the tables stay within a block's ranges
+    whatever the lattice's shape.
+    """
+    d1, d2 = tables.counts.shape
+    v, w = compositions(resolution, d1), compositions(resolution, d2)
+    n1, n2 = v.shape[0], w.shape[0]
+    row_part = tables.rows[0].take(v[:, 0])
+    for i in range(1, d1):
+        row_part += tables.rows[i].take(v[:, i])
+    col_part = tables.cols[0].take(w[:, 0])
+    for j in range(1, d2):
+        col_part += tables.cols[j].take(w[:, j])
+    kernel = EntropyKernel(tables.total + tables.s)
+    cell_counts = tables.counts.ravel()
+    scale = resolution * resolution
+    nv, nw = max(1, _CHUNK_ROWS // n2), min(n2, _CHUNK_ROWS)
+    vmin = math.inf
+    vmax = -math.inf
+    for va in range(0, n1, nv):
+        ks = v[va : va + nv].T.astype(np.intp, order="C")
+        k_lo, k_span = ks.min(axis=1), np.ptp(ks, axis=1) + 1
+        for wa in range(0, n2, nw):
+            ls = w[wa : wa + nw].T.astype(np.intp, order="C")
+            l_lo, l_span = ls.min(axis=1), np.ptp(ls, axis=1) + 1
+            # Each cell's summand over its k range by its l range, flat, at
+            # t = (k * l) / R**2: an exact integer product, rounded once.
+            keys = [(k_lo[i], k_span[i], l_lo[j], l_span[j]) for i in range(d1) for j in range(d2)]
+            products = {key: _distinct_products(*key) for key in set(keys)}
+            rects = [products[key] for key in keys]
+            sizes = [distinct.size for distinct, _ in rects]
+            t = np.concatenate([distinct for distinct, _ in rects]) / scale
+            u = _posterior_means(np.repeat(cell_counts, sizes), tables.total, tables.s, t)
+            summands = np.split(h(u, kernel), np.cumsum(sizes[:-1]))
+            vals = row_part[va : va + nv, None] + col_part[wa : wa + nw]
+            for i in range(d1):
+                rows = ks[i] - k_lo[i]
+                for j in range(d2):
+                    c = i * d2 + j
+                    strip = summands[c] if rects[c][1] is None else summands[c].take(rects[c][1])
+                    vals -= strip.take(rows[:, None] * l_span[j] + (ls[j] - l_lo[j]))
+            vmin = min(vmin, float(vals.min()))
+            vmax = max(vmax, float(vals.max()))
+    return Interval(vmin, vmax)
 
 
 def dirichlet_draws(u_params, mc: McSpec) -> np.ndarray:

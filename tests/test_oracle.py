@@ -32,7 +32,9 @@ from idmbounds import (
     mc_functional_stats,
     mi_interval_bounds,
     product_grid_extrema,
+    product_idm_check,
 )
+from idmbounds.mutual_info import _three_entropies
 from _helpers import (
     entropy_objective_direct,
     mi_objective_direct,
@@ -595,8 +597,126 @@ class TestMiLatticeReduction:
             grid_extrema(objective, tbl.joint_counts(), CFG, GridSpec(30), on_lattice=True)
 
 
+@st.composite
+def product_lattices(draw):
+    d1, d2 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    count = st.one_of(
+        st.just(0.0),
+        st.integers(0, 40).map(float),
+        st.floats(0.0, 40.0, allow_nan=False).map(lambda x: round(x, 2)),
+    )
+    table = [[draw(count) for _ in range(d2)] for _ in range(d1)]
+    # Keep every product lattice within 20 000 pairs (3x3 tables up to R = 15).
+    top = max(
+        r for r in range(2, 61) if composition_count(r, d1) * composition_count(r, d2) <= 20_000
+    )
+    resolution = draw(st.integers(2, top))
+    s = 10.0 ** draw(st.floats(-3.0, 3.0))
+    return ContingencyCounts(table), IdmConfig(s), GridSpec(resolution)
+
+
+def _product_walk(tbl, cfg, grid):
+    # The three-entropy objective on the rounded products v_i * w_j.
+    kernel = EntropyKernel(tbl.total + cfg.s)
+    return product_grid_extrema(lambda u: _three_entropies(u, kernel), tbl, cfg, grid)
+
+
+def _product_tables_only(tbl, cfg, grid):
+    def refuse(u):
+        raise AssertionError("the product lattice must be reduced without the closure")
+
+    refuse.tables = oracle._product_tables(tbl, cfg, grid)
+    return refuse
+
+
+def _product_verdict(bounds, lattice) -> bool:
+    # The verdict product_idm_check gives on a lattice interval.
+    tol = 1e-9
+    return (
+        bounds.conservative_interval().contains_interval(lattice, tol)
+        and lattice.upper >= bounds.inner_upper - tol
+        and lattice.lower <= bounds.inner_lower + tol
+    )
+
+
 class TestProductGrid:
     TBL = ContingencyCounts([[3, 1], [1, 3]])
+    # The table path rounds t_ij = k_i * l_j / R**2 once, the walk rounds
+    # v_i * w_j from two rounded factors; their ends stay this close.  The
+    # largest gap seen over 600 seeded tables was 1.8e-15.
+    BUDGET = 1e-14
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(product_lattices())
+    def test_tables_stay_within_budget_of_the_walk(self, case):
+        tbl, cfg, grid = case
+        walk = _product_walk(tbl, cfg, grid)
+        iv = product_grid_extrema(_product_tables_only(tbl, cfg, grid), tbl, cfg, grid)
+        assert abs(iv.lower - walk.lower) <= self.BUDGET
+        assert abs(iv.upper - walk.upper) <= self.BUDGET
+        bounds = mi_interval_bounds(tbl, cfg)
+        verdict = _product_verdict(bounds, walk)
+        assert _product_verdict(bounds, iv) == verdict
+        assert product_idm_check(tbl, cfg, bounds, grid.resolution) == verdict
+
+    def test_does_not_call_the_objective(self):
+        tbl, grid = ContingencyCounts([[3, 0, 2], [1, 4, 0]]), GridSpec(20)
+        iv = product_grid_extrema(_product_tables_only(tbl, CFG, grid), tbl, CFG, grid)
+        walk = _product_walk(tbl, CFG, grid)
+        assert abs(iv.lower - walk.lower) <= self.BUDGET
+        assert abs(iv.upper - walk.upper) <= self.BUDGET
+
+    @pytest.mark.parametrize(
+        "table, s, resolution",
+        [
+            ([[3, 0, 2], [1, 4, 1]], 1.0, 12),  # other counts
+            ([[3, 2], [0, 1], [4, 0]], 1.0, 12),  # the transpose: the same cells
+            ([[3, 0, 2], [1, 4, 0]], 2.0, 12),  # another s
+            ([[3, 0, 2], [1, 4, 0]], 1.0, 13),  # another grid
+        ],
+        ids=["counts", "transpose", "s", "grid"],
+    )
+    def test_mismatched_tables_are_rejected(self, table, s, resolution):
+        built = ContingencyCounts([[3, 0, 2], [1, 4, 0]])
+        objective = _product_tables_only(built, CFG, GridSpec(12))
+        with pytest.raises(ValueError):
+            product_grid_extrema(
+                objective, ContingencyCounts(table), IdmConfig(s), GridSpec(resolution)
+            )
+
+    def test_oversized_lattice_is_refused_before_anything_is_built(self, monkeypatch):
+        bounds = mi_interval_bounds(self.TBL, CFG)
+        grid = GridSpec(5000)  # 5001 x 5001 = 25 M pairs, above the 20 M cap
+        objective = _product_tables_only(self.TBL, CFG, grid)
+
+        def refuse(*args):
+            raise AssertionError("nothing may be built for an oversized lattice")
+
+        for name in ("compositions", "_build_compositions", "_product_extrema", "_walk"):
+            monkeypatch.setattr(oracle, name, refuse)
+        with pytest.raises(GridOverflowError):
+            product_grid_extrema(objective, self.TBL, CFG, grid)
+        with pytest.raises(GridOverflowError):
+            product_idm_check(self.TBL, CFG, bounds, grid.resolution)
+
+    @pytest.mark.parametrize(
+        "shape, resolution, bound",
+        # 888 030 pairs, whose column lattice alone is 14.2 MB of int16 (the
+        # walk of the same lattice peaked at 81 MB); 142 884 pairs.
+        [((1, 8), 20, 3 * 2 * 8 * 888_030), ((3, 3), 26, 1 << 22)],
+        ids=["1x8-R20", "3x3-R26"],
+    )
+    def test_product_check_memory_stays_bounded(self, shape, resolution, bound, monkeypatch):
+        tbl = ContingencyCounts(np.arange(math.prod(shape)).reshape(shape) % 5 + 1.0)
+        bounds = mi_interval_bounds(tbl, CFG)
+        monkeypatch.setattr(oracle, "_COMP_CACHE", {})
+        tracemalloc.start()
+        try:
+            assert product_idm_check(tbl, CFG, bounds, resolution)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
     def test_degenerate_single_point(self):
         tbl = ContingencyCounts([[4.0]])
