@@ -244,9 +244,16 @@ def product_idm_check(
     Enumerates ``t = v (x) w`` for ``(v, w)`` on the factor-simplex
     lattices (``t_ij = v_i * w_j``, see :func:`product_grid_extrema`) and
     returns True iff every lattice MI value lies inside the conservative
-    interval *and* the inner bounds are attained within lattice tolerance.
-    The factor-simplex vertices map to the full-simplex vertices, so
-    attainment holds exactly up to float noise.
+    interval *and* the inner bounds are attained within lattice tolerance
+    (1e-9).  The factor-simplex vertices map to the full-simplex vertices,
+    so attainment holds exactly up to float noise.
+
+    The lattice MI comes from factor tables: on the lattice the row and
+    column sums of ``t`` are ``v_i`` and ``w_j`` exactly, so the row and
+    column summands are looked up per factor point, and each cell's at
+    ``(k_i * l_j) / R**2``, an exact integer product rounded once.  The
+    lattice interval then differs by a few ulps from evaluating
+    :func:`expected_mi` on the rounded products ``v_i * w_j``.
     """
     if resolution < 2:
         raise ValueError("resolution must be >= 2")

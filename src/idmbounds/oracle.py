@@ -10,10 +10,15 @@ alike.  The separable entropy lattice is reduced by an exact
 (min,+)/(max,+) convolution of its per-coordinate tables; the mutual
 information lattice visits every point, with its row and column part
 computed once per pair of margin compositions and gathered from a cached
-index; every other objective, and every product lattice, is walked in
-blocks of at most 2**16 cells, and a non-finite value it returns raises
-``ValueError``.  The first two give the same bits as calling the objective
-on every point.  Lattices are refused with :class:`GridOverflowError`
+index, and its last cells subtracted once per colex run of points that
+share them.  The MI over the outer-product lattice is reduced from its
+factor tables: row and column summands per factor point, cell summands
+once per distinct ``k * l`` in each block of at most 2**16 pairs.  Every
+other objective is walked in blocks of at most 2**16 cells, and a
+non-finite value it returns raises ``ValueError``.  The first two give the
+same bits as calling the objective on every point; the product tables
+differ from a walk of the MI on the rounded products ``v_i * w_j`` by a
+few ulps.  Lattices are refused with :class:`GridOverflowError`
 above :data:`MAX_GRID_POINTS` points, or when building their compositions
 would write more than 2**30 entries.  The Dirichlet sampler builds its
 variates from a seeded uniform stream so runs are bitwise reproducible
@@ -213,11 +218,7 @@ def grid_extrema(
         )
     tables = getattr(objective, "tables", None)
     if tables is not None:
-        if tables.s != cfg.s or not np.array_equal(tables.counts, counts.counts):
-            raise ValueError("objective tables were built on other counts or another s")
-        # One builder makes every table of an objective on the same grid.
-        if tables.cells[0].shape != (grid.resolution + 1,):
-            raise ValueError("objective tables do not match the lattice")
+        _check_tables(tables, counts.counts, cfg, tables.cells[0], grid)
         if tables.rows is None:
             return _separable_extrema(tables.cells, grid.resolution)
         return _mi_extrema(tables, grid.resolution)
@@ -229,6 +230,16 @@ def grid_extrema(
         return lattice[start:stop].astype(float) / grid.resolution
 
     return _walk(objective, counts.counts, counts.total, cfg.s, npoints, t_of)
+
+
+def _check_tables(tables, counts: np.ndarray, cfg: IdmConfig, first, grid: GridSpec) -> None:
+    """``ValueError`` unless ``tables`` were built on ``counts`` and ``cfg.s``
+    with ``first``, one of them, on ``grid``."""
+    if tables.s != cfg.s or not np.array_equal(tables.counts, counts):
+        raise ValueError("objective tables were built on other counts or another s")
+    # One builder makes every table of an objective on the same grid.
+    if first.shape != (grid.resolution + 1,):
+        raise ValueError("objective tables do not match the lattice")
 
 
 def _walk(
@@ -519,10 +530,7 @@ def product_grid_extrema(
         )
     tables = getattr(objective, "tables", None)
     if tables is not None:
-        if tables.s != cfg.s or not np.array_equal(tables.counts, tbl.table):
-            raise ValueError("objective tables were built on other counts or another s")
-        if tables.rows[0].shape != (grid.resolution + 1,):
-            raise ValueError("objective tables do not match the lattice")
+        _check_tables(tables, tbl.table, cfg, tables.rows[0], grid)
         return _product_extrema(tables, grid.resolution)
     v = compositions(grid.resolution, d1).astype(float) / grid.resolution
     w = compositions(grid.resolution, d2).astype(float) / grid.resolution
