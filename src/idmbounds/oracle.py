@@ -218,7 +218,7 @@ def grid_extrema(
         )
     tables = getattr(objective, "tables", None)
     if tables is not None:
-        _check_tables(tables, counts.counts, cfg, tables.cells[0], grid)
+        _check_tables(tables, counts.counts, cfg, grid, "cells")
         if tables.rows is None:
             return _separable_extrema(tables.cells, grid.resolution)
         return _mi_extrema(tables, grid.resolution)
@@ -232,13 +232,15 @@ def grid_extrema(
     return _walk(objective, counts.counts, counts.total, cfg.s, npoints, t_of)
 
 
-def _check_tables(tables, counts: np.ndarray, cfg: IdmConfig, first, grid: GridSpec) -> None:
-    """``ValueError`` unless ``tables`` were built on ``counts`` and ``cfg.s``
-    with ``first``, one of them, on ``grid``."""
+def _check_tables(tables, counts: np.ndarray, cfg: IdmConfig, grid: GridSpec, field: str) -> None:
+    """``ValueError`` unless ``tables`` were built on ``counts`` and ``cfg.s``,
+    and the first of its ``field`` tables on ``grid``.  Tables of another
+    kind of lattice hold counts of another shape, so they fail the first
+    check."""
     if tables.s != cfg.s or not np.array_equal(tables.counts, counts):
         raise ValueError("objective tables were built on other counts or another s")
     # One builder makes every table of an objective on the same grid.
-    if first.shape != (grid.resolution + 1,):
+    if getattr(tables, field)[0].shape != (grid.resolution + 1,):
         raise ValueError("objective tables do not match the lattice")
 
 
@@ -530,7 +532,7 @@ def product_grid_extrema(
         )
     tables = getattr(objective, "tables", None)
     if tables is not None:
-        _check_tables(tables, tbl.table, cfg, tables.rows[0], grid)
+        _check_tables(tables, tbl.table, cfg, grid, "rows")
         return _product_extrema(tables, grid.resolution)
     v = compositions(grid.resolution, d1).astype(float) / grid.resolution
     w = compositions(grid.resolution, d2).astype(float) / grid.resolution

@@ -684,6 +684,18 @@ class TestProductGrid:
                 objective, ContingencyCounts(table), IdmConfig(s), GridSpec(resolution)
             )
 
+    def test_tables_of_another_kind_of_lattice_are_rejected(self):
+        grid, counts = GridSpec(12), self.TBL.joint_counts()
+        for objective in (
+            lattice_entropy_objective(counts, CFG, grid),
+            lattice_mi_objective(self.TBL, CFG, grid),
+        ):
+            with pytest.raises(ValueError, match="other counts"):
+                product_grid_extrema(objective, self.TBL, CFG, grid)
+        product = _product_tables_only(self.TBL, CFG, grid)
+        with pytest.raises(ValueError, match="other counts"):
+            grid_extrema(product, counts, CFG, grid, on_lattice=True)
+
     def test_oversized_lattice_is_refused_before_anything_is_built(self, monkeypatch):
         bounds = mi_interval_bounds(self.TBL, CFG)
         grid = GridSpec(5000)  # 5001 x 5001 = 25 M pairs, above the 20 M cap
