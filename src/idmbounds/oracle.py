@@ -10,10 +10,14 @@ alike.  The separable entropy lattice is reduced by an exact
 (min,+)/(max,+) convolution of its per-coordinate tables; the mutual
 information lattice visits every point, with its row and column part
 computed once per pair of margin compositions and gathered from a cached
-index, and its last cells subtracted once per colex run of points that
-share them.  The MI over the outer-product lattice is reduced from its
-factor tables: row and column summands per factor point, cell summands
-once per distinct ``k * l`` in each block of at most 2**16 pairs.  Every
+index.  On large lattices that index groups the points by the total of
+their first cells: every colex run of points that share their last cells
+goes through its group's one pattern of first cells, whose summands are
+gathered once per group and subtracted from all its runs as broadcast
+rows, and the last cells are subtracted once per run.  The MI over the
+outer-product lattice is reduced from its factor tables: row and column
+summands per factor point, cell summands once per distinct ``k * l`` in
+each block of at most 2**16 pairs.  Every
 other objective is walked in blocks of at most 2**16 cells, and a
 non-finite value it returns raises ``ValueError``.  The first two give the
 same bits as calling the objective on every point; the product tables
@@ -30,6 +34,7 @@ from __future__ import annotations
 import math
 import random
 from array import array
+from itertools import chain
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
@@ -137,11 +142,7 @@ def _build_compositions(total: int, parts: int) -> np.ndarray:
         raise ValueError("need total >= 0 and parts >= 1")
     if total > 32000:
         raise ValueError("total above 32000 is not supported")
-    if _build_entries(total, parts) > _MAX_BUILD_ENTRIES:
-        raise GridOverflowError(
-            f"building the compositions of {total} into {parts} parts writes more than "
-            f"{_MAX_BUILD_ENTRIES} entries"
-        )
+    _check_build(total, parts)
     dtype = np.uint8 if total < 256 else np.int16
     level = {t: np.array([[t]], dtype=dtype) for t in range(total + 1)}
     for p in range(2, parts + 1):
@@ -158,6 +159,16 @@ def _build_compositions(total: int, parts: int) -> np.ndarray:
             nxt[t] = out
         level = nxt
     return level[total]
+
+
+def _check_build(total: int, parts: int) -> None:
+    """:class:`GridOverflowError` when building the compositions of ``total``
+    into ``parts`` parts would write more than ``_MAX_BUILD_ENTRIES``."""
+    if _build_entries(total, parts) > _MAX_BUILD_ENTRIES:
+        raise GridOverflowError(
+            f"building the compositions of {total} into {parts} parts writes more than "
+            f"{_MAX_BUILD_ENTRIES} entries"
+        )
 
 
 def _build_entries(total: int, parts: int) -> int:
@@ -201,10 +212,12 @@ def grid_extrema(
     :func:`lattice_mi_objective` is reduced through its ``objective.tables``
     instead, without calling it, to the same bits as calling it on every
     point: per-coordinate entropy tables by convolution, the row, column and
-    cell tables through the margin-pair index.  Tables built on other counts,
-    another ``s`` or another grid raise ``ValueError``.  ``on_lattice=True``
-    only asserts that the objective carries tables: a callable without them
-    raises ``ValueError`` there.
+    cell tables through the margin-pair index.  That index is cached; it
+    holds 4 to 5 bytes a point on lattices it splits into groups, and
+    ``dim + 4`` bytes a point on those it keeps whole.  Tables built on
+    other counts, another ``s`` or another grid raise ``ValueError``.
+    ``on_lattice=True`` only asserts that the objective carries tables: a
+    callable without them raises ``ValueError`` there.
 
     Deterministic; refuses with :class:`GridOverflowError` lattices larger
     than :data:`MAX_GRID_POINTS` and lattices too costly to build (see
@@ -350,9 +363,21 @@ def lattice_entropy_objective(
     return objective
 
 
+class _MiGroup(NamedTuple):
+    """The runs of the MI lattice whose first cells sum to one total: each
+    run shares its last cells, and its first cells go through the same
+    colex pattern."""
+
+    pattern: np.ndarray  # (lead, P) compositions of the total into the first cells, colex
+    starts: np.ndarray  # (S,) first column of each colex sub-run of the pattern's shared cells
+    runs: slice  # the group's Q runs, as columns of the index's trailing cells
+    pairs: np.ndarray  # (Q, P) int32 margin-pair id of the group's run q at pattern column p
+
+
 class _MiIndex(NamedTuple):
-    cells: np.ndarray  # (d1*d2, N) cell values of every lattice point, narrow ints
-    pairs: np.ndarray  # (N,) int32 margin-pair id: row-margin rank * nc + column-margin rank
+    groups: tuple  # one _MiGroup per total of the first cells that has runs
+    trailing: np.ndarray  # (t, runs) the last cells of every run, narrow ints
+    shared: int  # the pattern's last cells, subtracted once per sub-run
     row_margins: np.ndarray  # (d1, nr) row-margin compositions in colex order
     col_margins: np.ndarray  # (d2, nc) column-margin compositions in colex order
 
@@ -360,48 +385,153 @@ class _MiIndex(NamedTuple):
 _MI_INDEX_CACHE: dict[tuple[int, int, int], _MiIndex] = {}
 
 
-def _colex_ranks(parts: list, resolution: int) -> np.ndarray:
-    # Position of each composition in :func:`compositions` order, from its
-    # parts as index columns.  With S_j the prefix sums, the compositions
-    # before it that agree above part j are those of S_j into j + 1 parts
-    # whose last part is below k_j: C(S_j + j, j) - C(S_{j-1} + j, j).
-    prefix = parts[0]
-    ranks = np.zeros(prefix.size, dtype=np.intp)
-    for j in range(1, len(parts)):
-        binom = np.array([math.comb(t + j, j) for t in range(resolution + 1)], dtype=np.intp)
-        nxt = prefix + parts[j]
-        ranks += binom.take(nxt)
-        ranks -= binom.take(prefix)
-        prefix = nxt
+def _mi_split(resolution: int, cells: int) -> tuple[int, int]:
+    """The MI lattice's trailing cells ``t`` and shared cells ``a``.
+
+    A lattice of ``N`` points split at ``t >= 1`` has ``resolution + 1``
+    groups, and a group's pattern serves more than one run only from
+    ``t = 2``.  So ``t`` is the most last cells whose colex runs average at
+    least 128 points, when that is 2 or more and the groups average at least
+    4096 points; otherwise the lattice is one group, ``t = 0``, and ``a`` is
+    the most last cells whose colex sub-runs average at least 64 points.
+    """
+    npoints = composition_count(resolution, cells)
+
+    def most_last_cells(run_points: int) -> int:
+        k = 0
+        while math.comb(resolution + k + 1, k + 1) * run_points <= npoints:
+            k += 1
+        return k
+
+    trailing = most_last_cells(128)
+    if trailing >= 2 and npoints >= (resolution + 1) * 4096:
+        return trailing, 0
+    return 0, most_last_cells(64)
+
+
+def _colex_ranks(prefixes, binoms: list) -> np.ndarray:
+    # Position of each composition in :func:`compositions` order, from an
+    # iterable of the running sums S_0, S_1, ... of its parts, index arrays
+    # that broadcast together (the last may be the plain total).  The
+    # compositions before it that agree above part j are those of S_j into
+    # j + 1 parts whose last part is below k_j: C(S_j + j, j) -
+    # C(S_{j-1} + j, j), read from ``binoms[j]``, the table of C(t + j, j).
+    prefixes = iter(prefixes)
+    prev = next(prefixes)
+    ranks = np.zeros(np.shape(prev), dtype=np.intp)
+    for j, cur in enumerate(prefixes, start=1):
+        ranks += binoms[j].take(cur)
+        ranks -= binoms[j].take(prev)
+        prev = cur
     return ranks
 
 
-def _mi_index(resolution: int, d1: int, d2: int) -> _MiIndex:
-    """Cached cell columns and margin-pair ids of the ``d1 x d2`` lattice.
+def _sub_run_starts(pattern: np.ndarray, shared: int) -> np.ndarray:
+    # First column of each colex run of the pattern's last ``shared`` rows,
+    # compared in blocks of at most _CHUNK_ROWS columns.
+    tail = pattern[pattern.shape[0] - shared :]
+    found = [np.zeros(1, dtype=np.intp)]
+    for c0 in range(1, pattern.shape[1], _CHUNK_ROWS):
+        block = tail[:, c0 - 1 : c0 + _CHUNK_ROWS]
+        found.append(np.flatnonzero((block[:, 1:] != block[:, :-1]).any(axis=0)) + c0)
+    return np.concatenate(found)
 
-    Every pair of row- and column-margin compositions of ``resolution`` is
-    the margin pair of some table, so there are ``nr * nc`` pair ids, never
-    more than the lattice has points.  The cells and both margin lattices
-    are the arrays :func:`_build_compositions` returns, kept as built, so a
-    cached index holds about ``(d1*d2 + 4) * N`` bytes for ``N`` points
-    (uint8 cells below ``resolution`` 256, int32 pair ids).
+
+def _mi_index(resolution: int, d1: int, d2: int) -> _MiIndex:
+    """Cached margin-pair ids of the ``d1 x d2`` lattice, grouped by the total
+    of its first cells (see :func:`_mi_split` for ``t`` and ``a``).
+
+    In colex order the points that share their last ``t`` cells form a run,
+    and a run whose first ``lead = d1*d2 - t`` cells sum to ``r`` goes
+    through the compositions of ``r`` into them in colex order: one pattern
+    for every run of the group ``r``.  The patterns are column slices of one
+    :func:`_build_compositions` array of ``lead + 1`` parts, the runs' last
+    cells those of one array of ``t + 1`` parts, and each group keeps a
+    ``(Q, P)`` int32 matrix of pair ids for its ``Q`` runs by ``P`` pattern
+    columns, computed in blocks of at most 2**16 of them.  With ``t = 0``
+    there is one group, one run, and the pattern is the lattice itself.
+    Every pair of row- and column-margin compositions is the margin pair of
+    some table, so there are ``nr * nc`` pair ids, never more than the
+    lattice has points.
+
+    For ``N`` points a cached index holds ``4 * N`` bytes of pair ids, the
+    ``(lead + 1) * C(R + lead, lead)`` and ``(t + 1) * C(R + t, t)`` entries
+    of its two builds (one byte each below ``resolution`` 256, two from
+    256) and 8 bytes per sub-run start: about ``4.6 * N`` bytes for the 2x3
+    lattice at ``R = 40``, and ``(d1*d2 + 4) * N`` with ``t = 0``, the
+    lattice's own cells included.  Refuses, before building anything, a
+    lattice whose compositions cost more than ``_MAX_BUILD_ENTRIES`` to
+    build.
     """
     key = (resolution, d1, d2)
     cached = _MI_INDEX_CACHE.get(key)
     if cached is not None:
         return cached
-    cells = _build_compositions(resolution, d1 * d2)
+    cells = d1 * d2
+    _check_build(resolution, cells)
+    trailing, shared = _mi_split(resolution, cells)
+    lead = cells - trailing
+    if trailing:
+        # The lead build's block with last part R - r holds the compositions
+        # of r into the first cells; the trailing build's block with last
+        # part r holds the last cells of every run whose first cells sum to r.
+        heads = _build_compositions(resolution, lead + 1)
+        tails = _build_compositions(resolution, trailing + 1)
+        totals = np.arange(resolution + 2)
+        head_cuts = np.searchsorted(heads[-1], totals)[::-1]
+        tail_cuts = np.searchsorted(tails[-1], totals)
+        runs = tails[:-1]
+        parts = [
+            (heads[:lead, head_cuts[r + 1] : head_cuts[r]], slice(tail_cuts[r], tail_cuts[r + 1]))
+            for r in range(resolution + 1)
+        ]
+    else:
+        lattice = _build_compositions(resolution, cells)
+        runs = lattice[:0, :1]
+        parts = [(lattice, slice(0, 1))]
+    binoms = [
+        np.array([math.comb(t + j, j) for t in range(resolution + 1)], dtype=np.intp)
+        for j in range(max(d1, d2))
+    ]
     nc = composition_count(resolution, d2)
-    pairs = np.empty(cells.shape[1], dtype=np.int32)
-    for start in range(0, pairs.size, _CHUNK_ROWS):
-        block = cells[:, start : start + _CHUNK_ROWS]
-        rows = [block[i * d2 : (i + 1) * d2].sum(axis=0, dtype=np.intp) for i in range(d1)]
-        cols = [block[j::d2].sum(axis=0, dtype=np.intp) for j in range(d2)]
-        pairs[start : start + block.shape[1]] = (
-            _colex_ranks(rows, resolution) * nc + _colex_ranks(cols, resolution)
-        )
+    # The running sums of the row margins, then of the column margins, as the
+    # cells each adds up; the last of each kind, all cells, is R.  Cells
+    # among the last t are summed once per run, the first cells once per
+    # pattern column, and the two are added in blocks as the ranks take them.
+    rows = [range(i * d2, (i + 1) * d2) for i in range(d1)]
+    cols = [range(j, cells, d2) for j in range(d2)]
+    prefixes = [
+        [c for m in margins[: k + 1] for c in m]
+        for margins in (rows, cols)
+        for k in range(len(margins) - 1)
+    ]
+    firsts = [[c for c in cs if c < lead] for cs in prefixes]
+    lasts = [[c - lead for c in cs if c >= lead] for cs in prefixes]
+    run_sums = [runs[cs].sum(axis=0, dtype=np.intp) for cs in lasts]
+    groups = []
+    for pattern, group_runs in parts:
+        per_run = [sums[group_runs, None] for sums in run_sums]
+        width = pattern.shape[1]
+        pairs = np.empty((group_runs.stop - group_runs.start, width), dtype=np.int32)
+        span = min(width, _CHUNK_ROWS)
+        step = _CHUNK_ROWS // span
+        for c0 in range(0, width, span):
+            block = slice(c0, c0 + span)
+            per_col = [pattern[cs, block].sum(axis=0, dtype=np.intp) for cs in firsts]
+            for q in range(0, pairs.shape[0], step):
+                sums = [(a[q : q + step], b) for a, b in zip(per_run, per_col)]
+                row_ranks, col_ranks = (
+                    _colex_ranks(chain((a + b for a, b in kind), [resolution]), binoms)
+                    for kind in (sums[: d1 - 1], sums[d1 - 1 :])
+                )
+                pairs[q : q + step, block] = row_ranks * nc + col_ranks
+        groups.append(_MiGroup(pattern, _sub_run_starts(pattern, shared), group_runs, pairs))
     index = _MiIndex(
-        cells, pairs, _build_compositions(resolution, d1), _build_compositions(resolution, d2)
+        tuple(groups),
+        runs,
+        shared,
+        _build_compositions(resolution, d1),
+        _build_compositions(resolution, d2),
     )
     _remember(_MI_INDEX_CACHE, key, index)
     return index
@@ -416,10 +546,13 @@ def _mi_extrema(tables: _Tables, resolution: int) -> Interval:
     first cell depends only on the point's margin pair, so it is computed
     once per pair, with the same adds in the same order, and gathered.
 
-    In colex order the points whose last ``t`` cells agree form runs, and
-    ``x -> fl(fl(x - a) - b)`` is monotone, so the last ``t`` cells are
-    subtracted once per run, from the run's extrema of the value before
-    them.  ``t`` is the largest with runs of about 64 points on average.
+    Each group of :func:`_mi_index` gathers its first cells' summands once
+    per pattern column and subtracts them from every run as broadcast rows,
+    in blocks of at most 2**16 points.  ``x -> fl(x - a)`` is monotone, so
+    the pattern's shared cells are subtracted once per sub-run, from its
+    extrema, and the last cells once per run, from the run's extrema over
+    every block: each point keeps its order of subtractions, and the ends
+    keep their bits.
     """
     d1, d2 = len(tables.rows), len(tables.cols)
     index = _mi_index(resolution, d1, d2)
@@ -430,34 +563,47 @@ def _mi_extrema(tables: _Tables, resolution: int) -> Interval:
     for j in range(1, d2):
         pair += tables.cols[j].take(index.col_margins[j])
     pair = pair.ravel()
-    cells = d1 * d2
-    trailing = 0
-    while math.comb(resolution + trailing + 1, trailing + 1) * 64 <= index.pairs.size:
-        trailing += 1
-    lead = cells - trailing
-    vmin = math.inf
-    vmax = -math.inf
-    for start in range(0, index.pairs.size, _CHUNK_ROWS):
-        stop = start + _CHUNK_ROWS
-        vals = pair.take(index.pairs[start:stop])
-        for c in range(lead):
-            vals -= tables.cells[c].take(index.cells[c, start:stop])
-        lows = highs = vals
-        if trailing:
-            # A run starts wherever one of the last cells changes; a run the
-            # block boundary cuts is two segments.
-            tail = index.cells[lead:, start:stop]
-            starts = np.flatnonzero((tail[:, 1:] != tail[:, :-1]).any(axis=0)) + 1
-            starts = np.concatenate(([0], starts))
-            lows = np.minimum.reduceat(vals, starts)
-            highs = np.maximum.reduceat(vals, starts)
-            for c in range(lead, cells):
-                at = tables.cells[c].take(tail[c - lead].take(starts))
-                lows -= at
-                highs -= at
-        vmin = min(vmin, float(lows.min()))
-        vmax = max(vmax, float(highs.max()))
-    return Interval(vmin, vmax)
+    # Every run's extrema of the value before its last cells.
+    nruns = index.trailing.shape[1]
+    lows = np.full(nruns, math.inf)
+    highs = np.full(nruns, -math.inf)
+    for group in index.groups:
+        lead, width = group.pattern.shape
+        own = lead - index.shared
+        span = min(width, _CHUNK_ROWS)
+        step = _CHUNK_ROWS // span
+        group_lows, group_highs = lows[group.runs], highs[group.runs]
+        for c0 in range(0, width, span):
+            pattern = group.pattern[:, c0 : c0 + span]
+            # The first cells' summands of the block's columns, kept for its
+            # runs when it has several, else gathered as each is used.
+            heads = (tables.cells[c].take(pattern[c]) for c in range(own))
+            if group.pairs.shape[0] > step:
+                heads = list(heads)
+            segments = group.starts
+            if span < width:
+                # A sub-run the block cuts starts again at its first column.
+                first = group.starts.searchsorted(c0, side="right") - 1
+                segments = group.starts[first : group.starts.searchsorted(c0 + span)] - c0
+                segments[0] = 0
+            shared = [tables.cells[c].take(pattern[c].take(segments)) for c in range(own, lead)]
+            for q in range(0, group.pairs.shape[0], step):
+                vals = pair.take(group.pairs[q : q + step, c0 : c0 + span])
+                for cell in heads:
+                    vals -= cell
+                low = np.minimum.reduceat(vals, segments, axis=1)
+                high = np.maximum.reduceat(vals, segments, axis=1)
+                for cell in shared:
+                    low -= cell
+                    high -= cell
+                low_runs, high_runs = group_lows[q : q + step], group_highs[q : q + step]
+                np.minimum(low_runs, low.min(axis=1), out=low_runs)
+                np.maximum(high_runs, high.max(axis=1), out=high_runs)
+    for c, cells in enumerate(index.trailing, start=d1 * d2 - len(index.trailing)):
+        at = tables.cells[c].take(cells)
+        lows -= at
+        highs -= at
+    return Interval(float(lows.min()), float(highs.max()))
 
 
 def lattice_mi_objective(

@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from idmbounds import oracle
@@ -479,7 +479,105 @@ def _mi_lattice_check(tbl, cfg, grid):
     assert iv.upper == vals.max()
 
 
+@st.composite
+def forced_split_cases(draw):
+    # Lattices of at most 200 points, reduced in blocks of 3 to 16 cells,
+    # so that the whole-lattice pattern, and most group patterns, are wider
+    # than a block.
+    d1, d2 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    count = st.one_of(st.just(0.0), st.integers(0, 40).map(float))
+    table = [[draw(count) for _ in range(d2)] for _ in range(d1)]
+    top = max(r for r in range(1, 41) if composition_count(r, d1 * d2) <= 200)
+    resolution = draw(st.integers(1, top))
+    s = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    return ContingencyCounts(table), IdmConfig(s), GridSpec(resolution), draw(st.integers(3, 16))
+
+
+def _index_arrays(index) -> list:
+    # Every array of an MI index: each group's pattern, sub-run starts and
+    # pair ids, then the trailing cells and both margin lattices.
+    arrays = [a for group in index.groups for a in (group.pattern, group.starts, group.pairs)]
+    return arrays + [index.trailing, index.row_margins, index.col_margins]
+
+
+def _kept_bytes(index) -> int:
+    # Bytes an index keeps alive: the arrays its views are cut from, once each.
+    bases = {}
+    for a in _index_arrays(index):
+        base = a if a.base is None else a.base
+        bases[id(base)] = base.nbytes
+    return sum(bases.values())
+
+
 class TestMiLatticeReduction:
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(forced_split_cases())
+    @example((ContingencyCounts([[2, 0], [1, 5]]), CFG, GridSpec(12), 4))
+    def test_every_split_gives_the_bits_of_enumeration(self, case):
+        # The split rule keeps lattices this small in one group, so every
+        # feasible (t, a) is forced, each on a fresh index.
+        tbl, cfg, grid, rows = case
+        objective = lattice_mi_objective(tbl, cfg, grid)
+        vals = objective(compositions(grid.resolution, tbl.cells))
+        ends = (vals.min().hex(), vals.max().hex())
+        widest = 0
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "_CHUNK_ROWS", rows)
+            for trailing in range(tbl.cells):
+                for shared in range(tbl.cells - trailing):
+                    split = (trailing, shared)
+                    mp.setattr(oracle, "_mi_split", lambda resolution, cells, split=split: split)
+                    mp.setattr(oracle, "_MI_INDEX_CACHE", {})
+                    iv = grid_extrema(objective, tbl.joint_counts(), cfg, grid, on_lattice=True)
+                    assert (iv.lower.hex(), iv.upper.hex()) == ends, split
+                    if trailing:
+                        groups = oracle._mi_index(grid.resolution, *tbl.shape).groups
+                        widest = max(widest, max(g.pattern.shape[1] for g in groups))
+        if tbl.cells > 2 and grid.resolution >= rows:
+            assert widest > rows  # a pattern wider than a block was cut
+
+    def test_wide_table_build_is_refused_before_any_group_is_built(self, monkeypatch):
+        # The golden GRID_OVERFLOW-wide-table-build request: 1000 cells at
+        # resolution 2, 500 500 points, under the point cap.
+        def refuse(*args):
+            raise AssertionError("nothing may be built for an oversized lattice")
+
+        for name in ("compositions", "_build_compositions", "_mi_split"):
+            monkeypatch.setattr(oracle, name, refuse)
+        monkeypatch.setattr(oracle, "_MI_INDEX_CACHE", {})
+        tbl, grid = ContingencyCounts(np.ones((1, 1000))), GridSpec(2)
+        objective = lattice_mi_objective(tbl, CFG, grid)
+        message = (
+            "building the compositions of 2 into 1000 parts writes more than 1073741824 entries"
+        )
+        with pytest.raises(GridOverflowError) as refused:
+            grid_extrema(objective, tbl.joint_counts(), CFG, grid, on_lattice=True)
+        assert str(refused.value) == message
+
+    def test_grouped_index_keeps_no_cell_columns(self, monkeypatch):
+        # The benchmark's 2x3 lattice at R = 40 (1.22 M points): pair ids and
+        # the narrow patterns only, where one uint8 column per cell would
+        # alone take 6 bytes a point.
+        monkeypatch.setattr(oracle, "_MI_INDEX_CACHE", {})
+        index = oracle._mi_index(40, 2, 3)
+        assert len(index.trailing) >= 2
+        assert _kept_bytes(index) <= 5 * composition_count(40, 6)
+
+    def test_grouped_reduction_stays_small(self, monkeypatch):
+        # 3x3 at R = 14, 319 770 points, with cold caches: the build and the
+        # reduction peaked at 3.9 MB (9.9 MB with one cell column per cell).
+        monkeypatch.setattr(oracle, "_MI_INDEX_CACHE", {})
+        monkeypatch.setattr(oracle, "_COMP_CACHE", {})
+        tbl, grid = ContingencyCounts(np.arange(9.0).reshape(3, 3) % 5), GridSpec(14)
+        objective = lattice_mi_objective(tbl, CFG, grid)
+        tracemalloc.start()
+        try:
+            grid_extrema(objective, tbl.joint_counts(), CFG, grid, on_lattice=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_500_000
+
     @settings(max_examples=150, deadline=None)
     @given(mi_lattices())
     def test_equals_full_enumeration_bit_for_bit(self, case):
