@@ -623,7 +623,8 @@ class TestMiLatticeReduction:
         index = oracle._MI_INDEX_CACHE[(2, 10, 10)]
         # The index's lattice does not also go into the compositions cache.
         assert (2, 100) not in oracle._COMP_CACHE
-        assert int(index.pairs.max()) < composition_count(2, 10) ** 2 <= npoints
+        top_pair = max(int(group.pairs.max()) for group in index.groups)
+        assert top_pair < composition_count(2, 10) ** 2 <= npoints
         vals = objective(compositions(2, 100))
         assert (iv.lower, iv.upper) == (vals.min(), vals.max())
 
@@ -639,26 +640,29 @@ class TestMiLatticeReduction:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2 * sum(a.nbytes for a in index)
+        assert peak < 2 * _kept_bytes(index)
 
-    # Every array of the index (cells, pair ids, row and column margins),
-    # recorded from the int16 block-list builder.
+    # The split and every array of the index (each group's pattern, sub-run
+    # starts and pair ids, the trailing cells, row and column margins),
+    # recorded from the index grouped by the total of its first cells.
     PINNED = [
-        ((40, 2, 3), "01ef13d4da440b70091e0f90d62ccff8a12a9ce4da7c00713ae4ca2f4585d4f2"),
-        ((40, 3, 2), "af168bde436c4bcde1764a5dcd49d8e461cbbb166cba1c037198665d1276db3b"),
-        ((60, 2, 2), "be98cbd6494d099862fc1a9a316d0f8cf734b1c81b2670e3522384507a018e4e"),
-        ((2, 10, 10), "35e99619db3f41a4e4a5b3fd55e7e722d283f2cc9f694dec910e7c932cc9283b"),
-        ((260, 1, 3), "402961969fc2468854a1747d53312e77f929d0524d90c8401adaf53d367c5430"),
-        ((5, 1, 1), "c834be22c197dc4320c0588b13f9b673b33bfdae2ff2e226c88d37cf37657fe6"),
+        ((40, 2, 3), (2, 0), "15625cfda8fa1bd842dd58f1328bc581b09c25759303ee92eb50ac94864f6a43"),
+        ((40, 3, 2), (2, 0), "d2a125132d0e3767894b37ed294bdfea7cf59aaa7ab33154ef45d99a52ff4e3b"),
+        ((60, 2, 2), (0, 1), "08e53e5b08df50f7b3a96a5f100596dc2f6394bf2744f1837bd41a9ee8de128f"),
+        ((2, 10, 10), (0, 11), "6017f6f4f24f1dc31154a647ef355570a8364730d9f7c09a57635d624d80da99"),
+        ((260, 1, 3), (0, 1), "50baea9efaaea4db21fde1a7119d75e13838d3fd5e7a197dd97c1ab00a56e284"),
+        ((5, 1, 1), (0, 0), "e4ad34957c737a5f6ea3842c671b39d7a4c05c750cb3eb2a48b2e5ca0c9411e6"),
     ]
 
-    @pytest.mark.parametrize("key, digest", PINNED, ids=[str(k) for k, _ in PINNED])
-    def test_index_bytes_are_pinned(self, key, digest, monkeypatch):
+    @pytest.mark.parametrize("key, split, digest", PINNED, ids=[str(k) for k, _, _ in PINNED])
+    def test_index_bytes_are_pinned(self, key, split, digest, monkeypatch):
         monkeypatch.setattr(oracle, "_MI_INDEX_CACHE", {})
         index = oracle._mi_index(*key)
+        assert (len(index.trailing), index.shared) == split
         narrow = np.uint8 if key[0] < 256 else np.int16
-        assert [a.dtype for a in index] == [narrow, np.int32, narrow, narrow]
-        assert _lattice_digest(*index) == digest
+        dtypes = [narrow, np.intp, np.int32] * len(index.groups) + [narrow] * 3
+        assert [a.dtype for a in _index_arrays(index)] == dtypes
+        assert _lattice_digest(*_index_arrays(index)) == digest
 
     # sha256 over float.hex of both ends of every case of _mi_interval_corpus,
     # so that a changed bit, the sign of a zero included, shows.
