@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 import random
 from array import array
+from functools import lru_cache
 from itertools import chain
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
@@ -41,7 +42,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 import numpy as np
 
 from .simplex_core import CountVector, IdmConfig, Interval, _posterior_means
-from .special_fn import EntropyKernel, _require_integer, h
+from .special_fn import _BLOCK_ROWS, EntropyKernel, _require_integer, h
 
 if TYPE_CHECKING:  # pragma: no cover
     from .mutual_info import ContingencyCounts
@@ -53,7 +54,7 @@ __all__ = [
     "product_grid_extrema",
 ]
 
-_CHUNK_ROWS = 1 << 16
+_CHUNK_ROWS = _BLOCK_ROWS
 
 #: Largest lattice, in points, that the grid oracles enumerate.
 MAX_GRID_POINTS = 20_000_000
@@ -105,10 +106,6 @@ def composition_count(total: int, parts: int) -> int:
     return math.comb(total + parts - 1, parts - 1)
 
 
-_COMP_CACHE: dict[tuple[int, int], np.ndarray] = {}
-_CACHE_LIMIT = 3
-
-
 def compositions(total: int, parts: int) -> np.ndarray:
     """All compositions of ``total`` into ``parts`` parts, in colex order.
 
@@ -116,20 +113,22 @@ def compositions(total: int, parts: int) -> np.ndarray:
     ascending, ties by the next-to-last, and so on.  The first row is
     ``(total, 0, ..., 0)`` and the last is ``(0, ..., 0, total)``; golden
     tests may reference rows by position.  The returned int16 array is
-    cached, read-only and C-contiguous, one row per composition.
+    read-only and C-contiguous, one row per composition, and cached with
+    the last 3 keys asked for, the least recently used evicted first.
 
     The build fills every level below ``parts`` for all totals up to
     ``total``; when that would write more than 2**30 entries,
     :class:`GridOverflowError` is raised before anything is built.
     """
+    # Checked before the cache, whose keys do not tell 2 from 2.0.
     _require_integer(total=total, parts=parts)
-    key = (total, parts)
-    cached = _COMP_CACHE.get(key)
-    if cached is not None:
-        return cached
+    return _compositions(total, parts)
+
+
+@lru_cache(maxsize=3)
+def _compositions(total: int, parts: int) -> np.ndarray:
     out = np.ascontiguousarray(_build_compositions(total, parts).T, dtype=np.int16)
     out.flags.writeable = False
-    _remember(_COMP_CACHE, key, out)
     return out
 
 
@@ -184,14 +183,6 @@ def _build_entries(total: int, parts: int) -> int:
     return entries
 
 
-def _remember(cache: dict, key, value) -> None:
-    # Bounded first-in, first-out memo: the oldest key goes first.  A
-    # concurrent caller may have evicted it already.
-    if len(cache) >= _CACHE_LIMIT:
-        cache.pop(next(iter(cache)), None)
-    cache[key] = value
-
-
 def grid_extrema(
     objective: Callable,
     counts: CountVector,
@@ -231,7 +222,7 @@ def grid_extrema(
         )
     tables = getattr(objective, "tables", None)
     if tables is not None:
-        _check_tables(tables, counts.counts, cfg, grid, "cells")
+        _check_tables(tables, counts.counts, cfg, grid)
         if tables.rows is None:
             return _separable_extrema(tables.cells, grid.resolution)
         return _mi_extrema(tables, grid.resolution)
@@ -245,15 +236,15 @@ def grid_extrema(
     return _walk(objective, counts.counts, counts.total, cfg.s, npoints, t_of)
 
 
-def _check_tables(tables, counts: np.ndarray, cfg: IdmConfig, grid: GridSpec, field: str) -> None:
+def _check_tables(tables: _Tables, counts: np.ndarray, cfg: IdmConfig, grid: GridSpec) -> None:
     """``ValueError`` unless ``tables`` were built on ``counts`` and ``cfg.s``,
-    and the first of its ``field`` tables on ``grid``.  Tables of another
-    kind of lattice hold counts of another shape, so they fail the first
-    check."""
+    and their first cell table, or first row table when they have no cells,
+    on ``grid``.  Tables of another kind of lattice hold counts of another
+    shape, so they fail the first check."""
     if tables.s != cfg.s or not np.array_equal(tables.counts, counts):
         raise ValueError("objective tables were built on other counts or another s")
     # One builder makes every table of an objective on the same grid.
-    if getattr(tables, field)[0].shape != (grid.resolution + 1,):
+    if (tables.cells or tables.rows)[0].shape != (grid.resolution + 1,):
         raise ValueError("objective tables do not match the lattice")
 
 
@@ -322,14 +313,23 @@ def _separable_extrema(tables, resolution: int) -> Interval:
 
 
 class _Tables(NamedTuple):
-    """Summand tables with the counts (row-major for a contingency table) and
-    the ``s`` they were built on; ``rows`` and ``cols`` only for the MI."""
+    """Summand tables with the counts and ``s`` they were built on: ``cells``
+    for the entropy and the cell-lattice MI (counts row-major), ``rows`` and
+    ``cols`` for the MI, with no ``cells`` on the product lattice (counts 2-d)."""
 
     counts: np.ndarray
     s: float
-    cells: list
+    cells: Optional[list]
     rows: Optional[list] = None
     cols: Optional[list] = None
+
+
+def _table_sum(tables: list, lattice) -> np.ndarray:
+    """``tables[0][lattice[0]] + tables[1][lattice[1]] + ...``, added in order."""
+    vals = tables[0].take(lattice[0])
+    for table, coords in zip(tables[1:], lattice[1:]):
+        vals += table.take(coords)
+    return vals
 
 
 def _summand_tables(counts, total: float, cfg: IdmConfig, grid: GridSpec) -> list:
@@ -354,10 +354,7 @@ def lattice_entropy_objective(
     tables = _summand_tables(counts.counts, counts.total, cfg, grid)
 
     def objective(rows: np.ndarray) -> np.ndarray:
-        vals = tables[0].take(rows[:, 0].astype(np.intp))
-        for i in range(1, len(tables)):
-            vals += tables[i].take(rows[:, i].astype(np.intp))
-        return vals
+        return _table_sum(tables, rows.T.astype(np.intp))
 
     objective.tables = _Tables(counts.counts, cfg.s, tables)
     return objective
@@ -380,9 +377,6 @@ class _MiIndex(NamedTuple):
     shared: int  # the pattern's last cells, subtracted once per sub-run
     row_margins: np.ndarray  # (d1, nr) row-margin compositions in colex order
     col_margins: np.ndarray  # (d2, nc) column-margin compositions in colex order
-
-
-_MI_INDEX_CACHE: dict[tuple[int, int, int], _MiIndex] = {}
 
 
 def _mi_split(resolution: int, cells: int) -> tuple[int, int]:
@@ -437,9 +431,11 @@ def _sub_run_starts(pattern: np.ndarray, shared: int) -> np.ndarray:
     return np.concatenate(found)
 
 
+@lru_cache(maxsize=3)
 def _mi_index(resolution: int, d1: int, d2: int) -> _MiIndex:
-    """Cached margin-pair ids of the ``d1 x d2`` lattice, grouped by the total
-    of its first cells (see :func:`_mi_split` for ``t`` and ``a``).
+    """Margin-pair ids of the ``d1 x d2`` lattice, grouped by the total of its
+    first cells (see :func:`_mi_split` for ``t`` and ``a``); the last 3
+    lattices asked for are cached, the least recently used evicted first.
 
     In colex order the points that share their last ``t`` cells form a run,
     and a run whose first ``lead = d1*d2 - t`` cells sum to ``r`` goes
@@ -463,10 +459,6 @@ def _mi_index(resolution: int, d1: int, d2: int) -> _MiIndex:
     lattice whose compositions cost more than ``_MAX_BUILD_ENTRIES`` to
     build.
     """
-    key = (resolution, d1, d2)
-    cached = _MI_INDEX_CACHE.get(key)
-    if cached is not None:
-        return cached
     cells = d1 * d2
     _check_build(resolution, cells)
     trailing, shared = _mi_split(resolution, cells)
@@ -526,15 +518,13 @@ def _mi_index(resolution: int, d1: int, d2: int) -> _MiIndex:
                 )
                 pairs[q : q + step, block] = row_ranks * nc + col_ranks
         groups.append(_MiGroup(pattern, _sub_run_starts(pattern, shared), group_runs, pairs))
-    index = _MiIndex(
+    return _MiIndex(
         tuple(groups),
         runs,
         shared,
         _build_compositions(resolution, d1),
         _build_compositions(resolution, d2),
     )
-    _remember(_MI_INDEX_CACHE, key, index)
-    return index
 
 
 def _mi_extrema(tables: _Tables, resolution: int) -> Interval:
@@ -556,9 +546,7 @@ def _mi_extrema(tables: _Tables, resolution: int) -> Interval:
     """
     d1, d2 = len(tables.rows), len(tables.cols)
     index = _mi_index(resolution, d1, d2)
-    head = tables.rows[0].take(index.row_margins[0])
-    for i in range(1, d1):
-        head += tables.rows[i].take(index.row_margins[i])
+    head = _table_sum(tables.rows, index.row_margins)
     pair = head[:, None] + tables.cols[0].take(index.col_margins[0])
     for j in range(1, d2):
         pair += tables.cols[j].take(index.col_margins[j])
@@ -626,13 +614,8 @@ def lattice_mi_objective(
 
     def objective(rows: np.ndarray) -> np.ndarray:
         cells = rows.reshape(-1, d1, d2)
-        row_ints = cells.sum(axis=2, dtype=np.intp)
-        col_ints = cells.sum(axis=1, dtype=np.intp)
-        vals = row_tables[0].take(row_ints[:, 0])
-        for i in range(1, d1):
-            vals += row_tables[i].take(row_ints[:, i])
-        for j in range(d2):
-            vals += col_tables[j].take(col_ints[:, j])
+        margins = [*cells.sum(axis=2, dtype=np.intp).T, *cells.sum(axis=1, dtype=np.intp).T]
+        vals = _table_sum(row_tables + col_tables, margins)
         for c in range(d1 * d2):
             vals -= cell_tables[c].take(rows[:, c])
         return vals
@@ -678,7 +661,7 @@ def product_grid_extrema(
         )
     tables = getattr(objective, "tables", None)
     if tables is not None:
-        _check_tables(tables, tbl.table, cfg, grid, "rows")
+        _check_tables(tables, tbl.table, cfg, grid)
         return _product_extrema(tables, grid.resolution)
     v = compositions(grid.resolution, d1).astype(float) / grid.resolution
     w = compositions(grid.resolution, d2).astype(float) / grid.resolution
@@ -690,31 +673,15 @@ def product_grid_extrema(
     return _walk(objective, tbl.table, tbl.total, cfg.s, n1 * n2, t_of)
 
 
-class _ProductTables(NamedTuple):
-    """Row and column summand tables of a contingency table at ``k / R``,
-    with the table, its total and the ``s`` the cell summands take."""
-
-    counts: np.ndarray
-    total: float
-    s: float
-    rows: list
-    cols: list
-
-
-def _product_tables(tbl: ContingencyCounts, cfg: IdmConfig, grid: GridSpec) -> _ProductTables:
+def _product_tables(tbl: ContingencyCounts, cfg: IdmConfig, grid: GridSpec) -> _Tables:
     """Factor tables of the expected MI over the outer-product lattice.
 
     On the lattice ``sum_j t_ij = v_i`` and ``sum_i t_ij = w_j`` exactly, so
     the row and column summands are those of the row and column sums at
     ``k / R`` and ``l / R``.
     """
-    return _ProductTables(
-        tbl.table,
-        tbl.total,
-        cfg.s,
-        _summand_tables(tbl.row_sums, tbl.total, cfg, grid),
-        _summand_tables(tbl.col_sums, tbl.total, cfg, grid),
-    )
+    rows, cols = (_summand_tables(m, tbl.total, cfg, grid) for m in (tbl.row_sums, tbl.col_sums))
+    return _Tables(tbl.table, cfg.s, None, rows, cols)
 
 
 def _distinct_products(k_lo: int, k_span: int, l_lo: int, l_span: int):
@@ -733,7 +700,7 @@ def _distinct_products(k_lo: int, k_span: int, l_lo: int, l_span: int):
     return np.flatnonzero(seen) + low, np.cumsum(seen).take(flat - low) - 1
 
 
-def _product_extrema(tables: _ProductTables, resolution: int) -> Interval:
+def _product_extrema(tables: _Tables, resolution: int) -> Interval:
     """``[min, max]`` over the product lattice of the row part plus the
     column part minus the cell summands in row-major order.
 
@@ -746,13 +713,11 @@ def _product_extrema(tables: _ProductTables, resolution: int) -> Interval:
     d1, d2 = tables.counts.shape
     v, w = compositions(resolution, d1), compositions(resolution, d2)
     n1, n2 = v.shape[0], w.shape[0]
-    row_part = tables.rows[0].take(v[:, 0])
-    for i in range(1, d1):
-        row_part += tables.rows[i].take(v[:, i])
-    col_part = tables.cols[0].take(w[:, 0])
-    for j in range(1, d2):
-        col_part += tables.cols[j].take(w[:, j])
-    kernel = EntropyKernel(tables.total + tables.s)
+    row_part = _table_sum(tables.rows, v.T)
+    col_part = _table_sum(tables.cols, w.T)
+    # The same array and reduction as ContingencyCounts.total.
+    total = float(tables.counts.sum())
+    kernel = EntropyKernel(total + tables.s)
     cell_counts = tables.counts.ravel()
     scale = resolution * resolution
     nv, nw = max(1, _CHUNK_ROWS // n2), min(n2, _CHUNK_ROWS)
@@ -771,7 +736,7 @@ def _product_extrema(tables: _ProductTables, resolution: int) -> Interval:
             rects = [products[key] for key in keys]
             sizes = [distinct.size for distinct, _ in rects]
             t = np.concatenate([distinct for distinct, _ in rects]) / scale
-            u = _posterior_means(np.repeat(cell_counts, sizes), tables.total, tables.s, t)
+            u = _posterior_means(np.repeat(cell_counts, sizes), total, tables.s, t)
             summands = np.split(h(u, kernel), np.cumsum(sizes[:-1]))
             vals = row_part[va : va + nv, None] + col_part[wa : wa + nw]
             for i in range(d1):

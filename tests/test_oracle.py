@@ -44,6 +44,17 @@ from _helpers import (
 CFG = IdmConfig(1.0)
 
 
+@pytest.fixture(autouse=True)
+def _cold_caches():
+    # Every test starts from empty lattice caches and leaves them empty.
+    caches = (oracle._compositions, oracle._mi_index)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
 def _lattice_digest(*arrays) -> str:
     # sha256 over each array's dtype, shape, C-contiguity and bytes.
     sha = hashlib.sha256()
@@ -69,8 +80,7 @@ class TestCompositions:
     ]
 
     @pytest.mark.parametrize("key, digest", PINNED, ids=[str(k) for k, _ in PINNED])
-    def test_bytes_are_pinned(self, key, digest, monkeypatch):
-        monkeypatch.setattr(oracle, "_COMP_CACHE", {})
+    def test_bytes_are_pinned(self, key, digest):
         rows = compositions(*key)
         assert rows.dtype == np.int16 and rows.flags.c_contiguous and not rows.flags.writeable
         assert _lattice_digest(rows) == digest
@@ -151,8 +161,6 @@ def test_oversized_build_raises_before_anything_is_built(prepare, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("nothing may be built for an oversized lattice")
 
-    monkeypatch.setattr(oracle, "_COMP_CACHE", {})
-    monkeypatch.setattr(oracle, "_MI_INDEX_CACHE", {})
     monkeypatch.setattr(np, "empty", refuse)
     monkeypatch.setattr(np, "concatenate", refuse)
     with pytest.raises(GridOverflowError):
@@ -527,7 +535,7 @@ class TestMiLatticeReduction:
                 for shared in range(tbl.cells - trailing):
                     split = (trailing, shared)
                     mp.setattr(oracle, "_mi_split", lambda resolution, cells, split=split: split)
-                    mp.setattr(oracle, "_MI_INDEX_CACHE", {})
+                    oracle._mi_index.cache_clear()
                     iv = grid_extrema(objective, tbl.joint_counts(), cfg, grid, on_lattice=True)
                     assert (iv.lower.hex(), iv.upper.hex()) == ends, split
                     if trailing:
@@ -544,7 +552,6 @@ class TestMiLatticeReduction:
 
         for name in ("compositions", "_build_compositions", "_mi_split"):
             monkeypatch.setattr(oracle, name, refuse)
-        monkeypatch.setattr(oracle, "_MI_INDEX_CACHE", {})
         tbl, grid = ContingencyCounts(np.ones((1, 1000))), GridSpec(2)
         objective = lattice_mi_objective(tbl, CFG, grid)
         message = (
@@ -554,20 +561,17 @@ class TestMiLatticeReduction:
             grid_extrema(objective, tbl.joint_counts(), CFG, grid, on_lattice=True)
         assert str(refused.value) == message
 
-    def test_grouped_index_keeps_no_cell_columns(self, monkeypatch):
+    def test_grouped_index_keeps_no_cell_columns(self):
         # The benchmark's 2x3 lattice at R = 40 (1.22 M points): pair ids and
         # the narrow patterns only, where one uint8 column per cell would
         # alone take 6 bytes a point.
-        monkeypatch.setattr(oracle, "_MI_INDEX_CACHE", {})
         index = oracle._mi_index(40, 2, 3)
         assert len(index.trailing) >= 2
         assert _kept_bytes(index) <= 5 * composition_count(40, 6)
 
-    def test_grouped_reduction_stays_small(self, monkeypatch):
+    def test_grouped_reduction_stays_small(self):
         # 3x3 at R = 14, 319 770 points, with cold caches: the build and the
         # reduction peaked at 3.9 MB (9.9 MB with one cell column per cell).
-        monkeypatch.setattr(oracle, "_MI_INDEX_CACHE", {})
-        monkeypatch.setattr(oracle, "_COMP_CACHE", {})
         tbl, grid = ContingencyCounts(np.arange(9.0).reshape(3, 3) % 5), GridSpec(14)
         objective = lattice_mi_objective(tbl, CFG, grid)
         tracemalloc.start()
@@ -589,7 +593,7 @@ class TestMiLatticeReduction:
         # A fresh index cache, so the index is also built in these blocks.
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(oracle, "_CHUNK_ROWS", rows)
-            mp.setattr(oracle, "_MI_INDEX_CACHE", {})
+            oracle._mi_index.cache_clear()
             _mi_lattice_check(*case)
 
     def test_does_not_call_the_objective(self):
@@ -604,14 +608,12 @@ class TestMiLatticeReduction:
         vals = objective(compositions(grid.resolution, tbl.cells))
         assert (iv.lower, iv.upper) == (vals.min(), vals.max())
 
-    def test_wide_table_stays_proportional_to_its_points(self, monkeypatch):
+    def test_wide_table_stays_proportional_to_its_points(self):
         # A dense radix over the 18 free margins would have 3**18 = 387 M
         # entries (3 GB of floats); the lattice has 5050 points of 100 cells,
         # and building it takes about 3 MB.
         tbl, grid = ContingencyCounts(np.arange(100.0).reshape(10, 10) % 7), GridSpec(2)
         npoints = composition_count(2, 100)
-        monkeypatch.setattr(oracle, "_MI_INDEX_CACHE", {})
-        monkeypatch.setattr(oracle, "_COMP_CACHE", {})
         objective = lattice_mi_objective(tbl, CFG, grid)
         tracemalloc.start()
         try:
@@ -620,20 +622,18 @@ class TestMiLatticeReduction:
         finally:
             tracemalloc.stop()
         assert peak < 16 * tbl.cells * npoints
-        index = oracle._MI_INDEX_CACHE[(2, 10, 10)]
+        index = oracle._mi_index(2, 10, 10)
         # The index's lattice does not also go into the compositions cache.
-        assert (2, 100) not in oracle._COMP_CACHE
+        assert oracle._compositions.cache_info().currsize == 0
         top_pair = max(int(group.pairs.max()) for group in index.groups)
         assert top_pair < composition_count(2, 10) ** 2 <= npoints
         vals = objective(compositions(2, 100))
         assert (iv.lower, iv.upper) == (vals.min(), vals.max())
 
     @pytest.mark.parametrize("key", [(40, 2, 3), (20, 3, 3)])
-    def test_index_build_peak_stays_under_twice_what_it_keeps(self, key, monkeypatch):
+    def test_index_build_peak_stays_under_twice_what_it_keeps(self, key):
         # Each level is written once, so the build's peak is the index plus
         # the level below the last, not further copies of the lattice.
-        monkeypatch.setattr(oracle, "_MI_INDEX_CACHE", {})
-        monkeypatch.setattr(oracle, "_COMP_CACHE", {})
         tracemalloc.start()
         try:
             index = oracle._mi_index(*key)
@@ -655,8 +655,7 @@ class TestMiLatticeReduction:
     ]
 
     @pytest.mark.parametrize("key, split, digest", PINNED, ids=[str(k) for k, _, _ in PINNED])
-    def test_index_bytes_are_pinned(self, key, split, digest, monkeypatch):
-        monkeypatch.setattr(oracle, "_MI_INDEX_CACHE", {})
+    def test_index_bytes_are_pinned(self, key, split, digest):
         index = oracle._mi_index(*key)
         assert (len(index.trailing), index.shared) == split
         narrow = np.uint8 if key[0] < 256 else np.int16
@@ -668,9 +667,7 @@ class TestMiLatticeReduction:
     # so that a changed bit, the sign of a zero included, shows.
     INTERVALS_DIGEST = "0bbd4492c176495ebae962ab1fb25b2323768a5efb215190eb4d6aeebe2d5eab"
 
-    def test_interval_bits_are_pinned(self, monkeypatch):
-        monkeypatch.setattr(oracle, "_MI_INDEX_CACHE", {})
-        monkeypatch.setattr(oracle, "_COMP_CACHE", {})
+    def test_interval_bits_are_pinned(self):
         sha = hashlib.sha256()
         for tbl, cfg, grid in _mi_interval_corpus():
             objective = lattice_mi_objective(tbl, cfg, grid)
@@ -820,10 +817,9 @@ class TestProductGrid:
         [((1, 8), 20, 3 * 2 * 8 * 888_030), ((3, 3), 26, 1 << 22)],
         ids=["1x8-R20", "3x3-R26"],
     )
-    def test_product_check_memory_stays_bounded(self, shape, resolution, bound, monkeypatch):
+    def test_product_check_memory_stays_bounded(self, shape, resolution, bound):
         tbl = ContingencyCounts(np.arange(math.prod(shape)).reshape(shape) % 5 + 1.0)
         bounds = mi_interval_bounds(tbl, CFG)
-        monkeypatch.setattr(oracle, "_COMP_CACHE", {})
         tracemalloc.start()
         try:
             assert product_idm_check(tbl, CFG, bounds, resolution)
