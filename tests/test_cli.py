@@ -204,6 +204,11 @@ class TestErrorCodes:
         (("sweep", "--inline", "garbage", "--sweep", "ratio:3"), "INPUT_CONFLICT", "ratio-inline"),
         (("sweep", "--inline", "", "--sweep", "ratio:3"), "INPUT_CONFLICT", "ratio-empty-inline"),
         (("sweep", "/nonexistent/path.txt", "--sweep", "ratio:3"), "INPUT_CONFLICT", "ratio-file"),
+        (("entropy", "--inline", "1,,2"), "PARSE_FAILURE", "empty-component"),
+        (("entropy", "--inline", '{"counts": []}'), "PARSE_FAILURE", "json-empty-counts"),
+        (("mutinfo", "--inline", '{"table": []}'), "PARSE_FAILURE", "json-empty-table"),
+        (("sweep", "--inline", "0,0", "--sweep", "n:1:3"), "BAD_SWEEP_SPEC", "n-sweep-zero-total"),
+        (("sweep", "--sweep", "ratio:abc"), "BAD_SWEEP_SPEC", "ratio-not-a-number"),
     )
 
     @pytest.mark.parametrize("argv,code", [c[:2] for c in CASES], ids=[c[-1] for c in CASES])

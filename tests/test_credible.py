@@ -184,6 +184,10 @@ class TestOneSided:
         with pytest.raises(ValueError):
             one_sided_robust_bound(lambda t: t, [])
 
+    def test_non_finite_endpoint_rejected(self):
+        with pytest.raises(ValueError, match="endpoints must be finite on the grid"):
+            one_sided_robust_bound(lambda t: math.inf if t > 0.5 else t, [0.0, 1.0])
+
 
 class TestCredibleSpec:
     def test_kappa_consistency(self):

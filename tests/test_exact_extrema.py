@@ -96,6 +96,10 @@ class TestSummandContract:
         with pytest.raises(ValueError, match="concave"):
             ConcaveSummand(fn=lambda u: u**2, deriv=lambda u: 2 * u)
 
+    def test_non_finite_derivative_rejected(self):
+        with pytest.raises(ValueError, match="derivative must be finite"):
+            ConcaveSummand(fn=lambda u: -(u**2), deriv=lambda u: np.full_like(u, np.nan))
+
     def test_wrong_shaped_fn_rejected(self):
         # Summed over two of three coordinates, it would give a maximum of
         # -0.3719 on counts [3, 6, 1] at s = 1 instead of -0.40496.

@@ -136,6 +136,35 @@ class TestCompositions:
             assert oracle._build_entries(total, parts) <= oracle._MAX_BUILD_ENTRIES
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: GridSpec(0), "resolution must be >= 1"),
+        (lambda: McSpec(10, 2**64), "seed must be an unsigned 64-bit integer"),
+        (lambda: composition_count(-1, 2), "need total >= 0 and parts >= 1"),
+        (lambda: compositions(32001, 2), "total above 32000 is not supported"),
+        (
+            lambda: grid_extrema(
+                lambda u: np.zeros((len(u), 2)), CountVector([1, 2]), CFG, GridSpec(3)
+            ),
+            "objective must return one value per lattice point",
+        ),
+        (
+            lambda: mc_functional_stats(np.ones((3, 2)), lambda rows: rows),
+            "functional must return one value per sample",
+        ),
+        (lambda: jackknife_variance_stderr([1.0, 2.0]), "need at least three values"),
+    ],
+    ids=[
+        "grid-zero", "seed-2**64", "count-negative-total", "compositions-above-32000",
+        "objective-shape", "functional-shape", "jackknife-two-values",
+    ],
+)
+def test_documented_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def _wide_mi_check():
     # 4.5 M points, under the point cap; the build would write ~1e13 entries.
     tbl, grid = ContingencyCounts(np.ones((1, 3000))), GridSpec(2)

@@ -1,5 +1,6 @@
 """Domain types and the count-to-posterior-mean correspondence."""
 
+import math
 import warnings
 
 import numpy as np
@@ -250,6 +251,19 @@ class TestTypes:
         np.testing.assert_array_equal(v.t, [0.0, 1.0, 0.0])
         u = SimplexPoint.uniform(4)
         np.testing.assert_allclose(u.t, 0.25, rtol=0, atol=0)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: SimplexPoint.vertex(3, 3), "vertex index 3 out of range for dimension 3"),
+            (lambda: SimplexPoint.uniform(0), "dim must be >= 1"),
+            (lambda: Interval(math.nan, 1.0), "interval endpoints must be finite"),
+        ],
+        ids=["vertex-index", "uniform-dim", "interval-nan"],
+    )
+    def test_constructors_refuse_out_of_range_arguments(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
 
     def test_interval_orders_endpoints(self):
         iv = Interval(1.0, 2.0)

@@ -300,6 +300,10 @@ class TestEntropySummand:
         with pytest.raises(ValueError):
             h(1.1, k)
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="u must be finite"):
+            h(math.nan, EntropyKernel(10.0))
+
     def test_derivative_worked_examples(self):
         k = EntropyKernel(10.0)
         assert h_prime(0.3, k) == pytest.approx(

@@ -243,6 +243,13 @@ class TestGeneralProvider:
         with pytest.raises(ValueError, match="non-finite"):
             approx_interval_general(COUNTS, CFG, provider)
 
+    def test_nonfinite_provider_value_rejected(self):
+        provider = DerivativeBoundProvider(
+            fn=lambda u: math.nan, upper_i=lambda i: 0.0, lower_i=lambda i: 0.0
+        )
+        with pytest.raises(ValueError, match="non-finite values"):
+            approx_interval_general(COUNTS, CFG, provider)
+
     def test_inverted_bounds_rejected(self):
         provider = DerivativeBoundProvider(
             fn=lambda u: 0.0, upper_i=lambda i: -1.0, lower_i=lambda i: 1.0
@@ -387,6 +394,12 @@ class TestPropagateProduct:
         g = _entropy_estimate()  # entropy derivative changes sign: never certified
         with pytest.raises(ValueError, match="certified"):
             propagate_product(g, g)
+
+    def test_dimension_mismatch_rejected(self):
+        g = _coordinate_estimate(COUNTS, CFG, 0)
+        other = _coordinate_estimate(CountVector([1, 2, 3]), CFG, 0)
+        with pytest.raises(ValueError, match="mismatched dimensions"):
+            propagate_product(g, other)
 
 
 class TestTightnessOrder:
