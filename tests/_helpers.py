@@ -139,6 +139,38 @@ def expected_entropy_mp(counts, s, t) -> mpmath.mpf:
         return mpmath.fsum(ai / total * (psi_total - mpmath.digamma(ai + 1)) for ai in a)
 
 
+def expected_mi_mp(table, s, t) -> mpmath.mpf:
+    """60-digit ``E[I]`` of the Dirichlet posterior with prior mean ``t``.
+
+    ``table`` is a list of rows and ``t`` its cells in row-major order.
+    Taken from the counts, ``a_ij = n_ij + s t_ij`` and ``N = n + s``, per
+    cell as ``sum_ij (a_ij / N) [(psi(a_ij + 1) - psi(a_i+ + 1)) -
+    (psi(a_+j + 1) - psi(N + 1))]``.  On a 1 x d or d x 1 table the two
+    differences of each cell are equal, so the result is exactly 0.
+    """
+    d2 = len(table[0])
+    with mpmath.workdps(60):
+        cells = iter(t)
+        a = [[_mp(n) + _mp(s) * _mp(next(cells)) for n in row] for row in table]
+        # Row-major sums in one order, so a lone row or column sums to N exactly.
+        total = mpmath.fsum(x for row in a for x in row)
+        rows = [mpmath.fsum(row) for row in a]
+        cols = [mpmath.fsum(row[j] for row in a) for j in range(d2)]
+        psi = mpmath.digamma
+        return mpmath.fsum(
+            a[i][j] / total
+            * ((psi(a[i][j] + 1) - psi(rows[i] + 1)) - (psi(cols[j] + 1) - psi(total + 1)))
+            for i in range(len(table))
+            for j in range(d2)
+        )
+
+
+def sigma_at_least(floor):
+    """A filter on ``(counts, s)`` cases, counts a vector or a table: keeps
+    those with ``s / (n + s) >= floor``."""
+    return lambda case: case[1] / (float(np.sum(case[0])) + case[1]) >= floor
+
+
 def _mp(x) -> mpmath.mpf:
     x = Fraction(x)
     return mpmath.mpf(x.numerator) / x.denominator

@@ -2,10 +2,13 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idmbounds import (
     ContingencyCounts,
@@ -21,7 +24,13 @@ from idmbounds import (
     product_grid_extrema,
     product_idm_check,
 )
-from _helpers import expected_mi_scipy, mi_objective_direct, mutual_information_of_chances
+from _helpers import (
+    expected_mi_mp,
+    expected_mi_scipy,
+    mi_objective_direct,
+    mutual_information_of_chances,
+    sigma_at_least,
+)
 
 CFG = IdmConfig(1.0)
 
@@ -302,3 +311,59 @@ class TestProductIdm:
                 outer = np.outer(v.t, w.t).ravel()
                 vertex = SimplexPoint.vertex(d1 * d2, i * d2 + j)
                 np.testing.assert_array_equal(outer, vertex.t)
+
+
+@st.composite
+def _reference_tables(draw):
+    """1x1 to 3x3 tables of zeros, small integers and reals from 10 to 1000
+    times 10^0..10^12, with s in [1e-3, 1e3]."""
+    d1, d2 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    scale = 10.0 ** draw(st.integers(0, 12))
+    cell = st.one_of(
+        st.just(0.0),
+        st.integers(1, 40).map(float),
+        st.floats(10.0, 1000.0).map(lambda x: x * scale),
+    )
+    table = [[draw(cell) for _ in range(d2)] for _ in range(d1)]
+    return table, 10.0 ** draw(st.floats(-3.0, 3.0))
+
+
+class TestIndependentReference:
+    """The MI intervals against the 60-digit ``E[I]`` taken from the counts,
+    which shares no float path with the package, at every vertex prior and
+    at the uniform prior.
+
+    Only where ``sigma = s / (n + s) >= 1e-7``: below, the first-order ends
+    exceed the true ones by O(sigma^2), under the float error of ``f0``
+    (in a 600-case scratch corpus of tables with cells from 10 to 1000
+    times 10^0..10^12, 3 of 42 cases crossed at sigma from 1e-8 to 1e-7,
+    and 339 of 346 below 1e-8).  The conservative interval
+    contains the reference with no slack.  A crude end is a sum of three
+    float entropy ends up to log 9; when one vertex attains all three, that
+    end is the vertex's E[I] itself and lands on either side of it by their
+    rounding (worst seen 9.6e-16 in about 1700 cases), hence ``CRUDE_SLACK``.
+    """
+
+    CRUDE_SLACK = 4e-15
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(_reference_tables().filter(sigma_at_least(1e-7)))
+    def test_intervals_contain_the_reference_at_the_vertices_and_the_center(self, case):
+        table, s = case
+        tbl, cfg = ContingencyCounts(table), IdmConfig(s)
+        cells = tbl.cells
+        priors = [[Fraction(int(i == k)) for i in range(cells)] for k in range(cells)]
+        priors.append([Fraction(1, cells)] * cells)
+        values = [expected_mi_mp(table, s, t) for t in priors]
+        cons = mi_interval_bounds(tbl, cfg).conservative_interval()
+        crude = mi_interval_crude(tbl, cfg)
+        for value in values:
+            assert mpmath.mpf(cons.lower) <= value <= mpmath.mpf(cons.upper)
+            assert crude.lower - self.CRUDE_SLACK <= value <= crude.upper + self.CRUDE_SLACK
+
+    @pytest.mark.parametrize("table", [[[3.0, 0.0, 5.5]], [[1.0], [7.0], [0.0]], [[2.0]]])
+    def test_reference_is_exactly_zero_on_a_lone_row_or_column(self, table):
+        cells = sum(map(len, table))
+        for k in range(cells):
+            assert expected_mi_mp(table, 0.7, [Fraction(int(i == k)) for i in range(cells)]) == 0
+        assert expected_mi_mp(table, 0.7, [Fraction(1, cells)] * cells) == 0
