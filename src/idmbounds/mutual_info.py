@@ -253,7 +253,10 @@ def product_idm_check(
     column summands are looked up per factor point, and each cell's at
     ``(k_i * l_j) / R**2``, an exact integer product rounded once.  The
     lattice interval then differs by a few ulps from evaluating
-    :func:`expected_mi` on the rounded products ``v_i * w_j``.
+    :func:`expected_mi` on the rounded products ``v_i * w_j``.  The closure
+    that carries those tables is the walk :func:`product_grid_extrema`
+    would run without them; the tables always reduce instead, so the test
+    suite never calls it.
     """
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
