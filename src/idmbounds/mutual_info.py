@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exact_extrema import _extreme_interval, _extreme_points
-from .oracle import GridSpec, _product_tables, product_grid_extrema
+from .oracle import GridSpec, lattice_mi_objective, product_grid_extrema
 from .simplex_core import (
     CountVector, IdmConfig, Interval, SimplexPoint, _count_array, _posterior_means, sigma_of
 )
@@ -248,26 +248,17 @@ def product_idm_check(
     (1e-9).  The factor-simplex vertices map to the full-simplex vertices,
     so attainment holds exactly up to float noise.
 
-    The lattice MI comes from factor tables: on the lattice the row and
-    column sums of ``t`` are ``v_i`` and ``w_j`` exactly, so the row and
-    column summands are looked up per factor point, and each cell's at
-    ``(k_i * l_j) / R**2``, an exact integer product rounded once.  The
-    lattice interval then differs by a few ulps from evaluating
-    :func:`expected_mi` on the rounded products ``v_i * w_j``.  The closure
-    that carries those tables is the walk :func:`product_grid_extrema`
-    would run without them; the tables always reduce instead, so the test
-    suite never calls it.
+    The lattice MI is :func:`lattice_mi_objective`'s, whose row, column
+    and cell tables :func:`product_grid_extrema` reduces: row and column
+    summands per factor point, and each cell's at ``(k_i * l_j) / R**2``,
+    an exact integer product rounded once.  The lattice interval then
+    differs by a few ulps from evaluating :func:`expected_mi` on the
+    rounded products ``v_i * w_j``.
     """
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
     grid = GridSpec(resolution)
-    kernel = EntropyKernel(tbl.total + cfg.s)
-
-    def objective(u: np.ndarray) -> np.ndarray:
-        return _three_entropies(u, kernel)
-
-    objective.tables = _product_tables(tbl, cfg, grid)
-    lattice = product_grid_extrema(objective, tbl, cfg, grid)
+    lattice = product_grid_extrema(lattice_mi_objective(tbl, cfg, grid), tbl, cfg, grid)
     tol = 1e-9
     contained = bounds.conservative_interval().contains_interval(lattice, tol)
     attained = (

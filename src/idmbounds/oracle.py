@@ -15,18 +15,17 @@ their first cells: every colex run of points that share their last cells
 goes through its group's one pattern of first cells, whose summands are
 gathered once per group and subtracted from all its runs as broadcast
 rows, and the last cells are subtracted once per run.  The MI over the
-outer-product lattice is reduced from its factor tables: row and column
-summands per factor point, cell summands once per distinct ``k * l`` in
-each block of at most 2**16 pairs.  Every
-other objective is walked in blocks of at most 2**16 cells, and a
-non-finite value it returns raises ``ValueError``.  The first two give the
-same bits as calling the objective on every point; the product tables
-differ from a walk of the MI on the rounded products ``v_i * w_j`` by a
-few ulps.  Lattices are refused with :class:`GridOverflowError`
-above :data:`MAX_GRID_POINTS` points, or when building their compositions
-would write more than 2**30 entries.  The Dirichlet sampler builds its
-variates from a seeded uniform stream so runs are bitwise reproducible
-across platforms.
+outer-product lattice is reduced from the same objective's row and column
+tables per factor point, and cell summands once per distinct ``k * l`` in
+each block of at most 2**16 pairs.  Every other objective is walked in
+blocks of at most 2**16 cells, and a non-finite value it returns raises
+``ValueError``.  The first two give the same bits as calling the objective
+on every point; the product reduction differs from a walk of the MI on
+the rounded products ``v_i * w_j`` by a few ulps.  Lattices are refused
+with :class:`GridOverflowError` above :data:`MAX_GRID_POINTS` points, or
+when building their compositions would write more than 2**30 entries.
+The Dirichlet sampler builds its variates from a seeded uniform stream so
+runs are bitwise reproducible across platforms.
 """
 
 from __future__ import annotations
@@ -208,7 +207,8 @@ def grid_extrema(
     ``dim + 4`` bytes a point on those it keeps whole.  Tables built on
     other counts, another ``s`` or another grid raise ``ValueError``.
     ``on_lattice=True`` only asserts that the objective carries tables: a
-    callable without them raises ``ValueError`` there.
+    callable without them raises ``ValueError`` there.  Without the flag,
+    the package objectives raise it themselves when walked.
 
     Deterministic; refuses with :class:`GridOverflowError` lattices larger
     than :data:`MAX_GRID_POINTS` and lattices too costly to build (see
@@ -238,13 +238,11 @@ def grid_extrema(
 
 def _check_tables(tables: _Tables, counts: np.ndarray, cfg: IdmConfig, grid: GridSpec) -> None:
     """``ValueError`` unless ``tables`` were built on ``counts`` and ``cfg.s``,
-    and their first cell table, or first row table when they have no cells,
-    on ``grid``.  Tables of another kind of lattice hold counts of another
-    shape, so they fail the first check."""
+    and their first cell table on ``grid``."""
     if tables.s != cfg.s or not np.array_equal(tables.counts, counts):
         raise ValueError("objective tables were built on other counts or another s")
     # One builder makes every table of an objective on the same grid.
-    if (tables.cells or tables.rows)[0].shape != (grid.resolution + 1,):
+    if tables.cells[0].shape != (grid.resolution + 1,):
         raise ValueError("objective tables do not match the lattice")
 
 
@@ -313,13 +311,13 @@ def _separable_extrema(tables, resolution: int) -> Interval:
 
 
 class _Tables(NamedTuple):
-    """Summand tables with the counts and ``s`` they were built on: ``cells``
-    for the entropy and the cell-lattice MI (counts row-major), ``rows`` and
-    ``cols`` for the MI, with no ``cells`` on the product lattice (counts 2-d)."""
+    """Summand tables with the counts (row-major) and ``s`` they were built
+    on: ``cells`` for the entropy and the MI, ``rows`` and ``cols`` for the
+    MI only."""
 
     counts: np.ndarray
     s: float
-    cells: Optional[list]
+    cells: list
     rows: Optional[list] = None
     cols: Optional[list] = None
 
@@ -340,6 +338,13 @@ def _summand_tables(counts, total: float, cfg: IdmConfig, grid: GridSpec) -> lis
     return list(h(u, EntropyKernel(total + cfg.s)))
 
 
+def _lattice_rows(rows: np.ndarray) -> np.ndarray:
+    # Posterior means would truncate to step 0 and give a wrong interval.
+    if rows.dtype.kind not in "iu":
+        raise ValueError("lattice objectives take integer lattice rows")
+    return rows
+
+
 def lattice_entropy_objective(
     counts: CountVector, cfg: IdmConfig, grid: GridSpec
 ) -> Callable:
@@ -349,12 +354,13 @@ def lattice_entropy_objective(
     values, so the entropy summand is precomputed per coordinate and the
     objective reduces to table gathers.  The tables ride on the callable as
     ``objective.tables``, so :func:`grid_extrema` reduces them without
-    enumerating the lattice.
+    enumerating the lattice.  The closure takes ``(N, dim)`` integer rows;
+    others, such as a walk's posterior means, raise ``ValueError``.
     """
     tables = _summand_tables(counts.counts, counts.total, cfg, grid)
 
     def objective(rows: np.ndarray) -> np.ndarray:
-        return _table_sum(tables, rows.T.astype(np.intp))
+        return _table_sum(tables, _lattice_rows(rows).T.astype(np.intp))
 
     objective.tables = _Tables(counts.counts, cfg.s, tables)
     return objective
@@ -601,26 +607,30 @@ def lattice_mi_objective(
 
     Lattice points are compositions over the ``d1*d2`` cells in row-major
     order; called on ``(N, d1*d2)`` integer rows, the closure gathers row,
-    column and cell summands from precomputed tables.  Reduce it with
-    :func:`grid_extrema` on the flattened joint counts.  The tables ride on
-    the callable as ``objective.tables``, so :func:`grid_extrema` computes
-    the row and column part once per pair of margins instead of once per
-    point, and still visits every point, to the same bits as the closure.
+    column and cell summands from tables built in one ``h`` call, and other
+    rows, such as a walk's posterior means, raise ``ValueError``.  Reduce it
+    with :func:`grid_extrema` on the flattened joint counts, or with
+    :func:`product_grid_extrema` on the table.  The tables ride on the
+    callable as ``objective.tables``, so :func:`grid_extrema` computes the
+    row and column part once per pair of margins instead of once per point,
+    and still visits every point, to the same bits as the closure.
     """
     d1, d2 = tbl.shape
-    cell_tables = _summand_tables(tbl.table.ravel(), tbl.total, cfg, grid)
-    row_tables = _summand_tables(tbl.row_sums, tbl.total, cfg, grid)
-    col_tables = _summand_tables(tbl.col_sums, tbl.total, cfg, grid)
+    counts = tbl.table.ravel()
+    tables = _summand_tables(
+        np.concatenate([counts, tbl.row_sums, tbl.col_sums]), tbl.total, cfg, grid
+    )
+    cell_tables, row_tables, col_tables = tables[: d1 * d2], tables[d1 * d2 : -d2], tables[-d2:]
 
     def objective(rows: np.ndarray) -> np.ndarray:
-        cells = rows.reshape(-1, d1, d2)
+        cells = _lattice_rows(rows).reshape(-1, d1, d2)
         margins = [*cells.sum(axis=2, dtype=np.intp).T, *cells.sum(axis=1, dtype=np.intp).T]
         vals = _table_sum(row_tables + col_tables, margins)
         for c in range(d1 * d2):
             vals -= cell_tables[c].take(rows[:, c])
         return vals
 
-    objective.tables = _Tables(tbl.table.ravel(), cfg.s, cell_tables, row_tables, col_tables)
+    objective.tables = _Tables(counts, cfg.s, cell_tables, row_tables, col_tables)
     return objective
 
 
@@ -639,15 +649,16 @@ def product_grid_extrema(
     ``(N, d1, d2)`` arrays of ``u`` tensors and returns ``N`` finite
     values; a non-finite value raises ``ValueError``.
 
-    An objective that carries the MI's factor tables as ``objective.tables``
-    (the one :func:`~idmbounds.mutual_info.product_idm_check` builds) is
-    reduced through them instead, without calling it, in blocks of at most
-    2**16 pairs: the row part is looked up per ``v``, the column part per
-    ``w``, and each cell's summand is evaluated once per block at
-    ``t_ij = (k_i * l_j) / R**2``, an exact integer product rounded once.
-    Its ends differ from walking the MI on the rounded products
-    ``v_i * w_j`` by a few ulps.  Tables built on other counts, another
-    ``s`` or another grid raise ``ValueError``.
+    An objective from :func:`lattice_mi_objective` on this table is reduced
+    through its ``objective.tables`` instead, without calling it, in blocks
+    of at most 2**16 pairs: the row part is looked up per ``v`` and the
+    column part per ``w`` (the row and column sums of ``t`` are exactly
+    ``v_i`` and ``w_j``), and each cell's summand is evaluated once per
+    block at ``t_ij = (k_i * l_j) / R**2``, an exact integer product rounded
+    once.  Its ends differ from walking the MI on the rounded products
+    ``v_i * w_j`` by a few ulps.  Entropy tables, and tables built on
+    another table (of another shape too), another ``s`` or another grid,
+    raise ``ValueError``.
 
     Refuses product lattices larger than :data:`MAX_GRID_POINTS` pairs with
     :class:`GridOverflowError`, before building anything.
@@ -661,8 +672,11 @@ def product_grid_extrema(
         )
     tables = getattr(objective, "tables", None)
     if tables is not None:
-        _check_tables(tables, tbl.table, cfg, grid)
-        return _product_extrema(tables, grid.resolution)
+        # A table of another shape can have the same cells.
+        if tables.rows is None or (len(tables.rows), len(tables.cols)) != tbl.shape:
+            raise ValueError("objective tables were built on other counts or another s")
+        _check_tables(tables, tbl.table.ravel(), cfg, grid)
+        return _product_extrema(tables, tbl.total, grid.resolution)
     v = compositions(grid.resolution, d1).astype(float) / grid.resolution
     w = compositions(grid.resolution, d2).astype(float) / grid.resolution
 
@@ -671,17 +685,6 @@ def product_grid_extrema(
         return v[iv][:, :, None] * w[iw][:, None, :]
 
     return _walk(objective, tbl.table, tbl.total, cfg.s, n1 * n2, t_of)
-
-
-def _product_tables(tbl: ContingencyCounts, cfg: IdmConfig, grid: GridSpec) -> _Tables:
-    """Factor tables of the expected MI over the outer-product lattice.
-
-    On the lattice ``sum_j t_ij = v_i`` and ``sum_i t_ij = w_j`` exactly, so
-    the row and column summands are those of the row and column sums at
-    ``k / R`` and ``l / R``.
-    """
-    rows, cols = (_summand_tables(m, tbl.total, cfg, grid) for m in (tbl.row_sums, tbl.col_sums))
-    return _Tables(tbl.table, cfg.s, None, rows, cols)
 
 
 def _distinct_products(k_lo: int, k_span: int, l_lo: int, l_span: int):
@@ -700,9 +703,10 @@ def _distinct_products(k_lo: int, k_span: int, l_lo: int, l_span: int):
     return np.flatnonzero(seen) + low, np.cumsum(seen).take(flat - low) - 1
 
 
-def _product_extrema(tables: _Tables, resolution: int) -> Interval:
+def _product_extrema(tables: _Tables, total: float, resolution: int) -> Interval:
     """``[min, max]`` over the product lattice of the row part plus the
-    column part minus the cell summands in row-major order.
+    column part minus the cell summands in row-major order, on the kernel
+    ``total + s``.
 
     Blocks are whole rows of ``v`` by every ``w``, or one ``v`` by a slice
     of ``w`` when one row has more than 2**16 pairs.  Each block evaluates
@@ -710,15 +714,12 @@ def _product_extrema(tables: _Tables, resolution: int) -> Interval:
     cells in one ``h`` call, so the tables stay within a block's ranges
     whatever the lattice's shape.
     """
-    d1, d2 = tables.counts.shape
+    d1, d2 = len(tables.rows), len(tables.cols)
     v, w = compositions(resolution, d1), compositions(resolution, d2)
     n1, n2 = v.shape[0], w.shape[0]
     row_part = _table_sum(tables.rows, v.T)
     col_part = _table_sum(tables.cols, w.T)
-    # The same array and reduction as ContingencyCounts.total.
-    total = float(tables.counts.sum())
     kernel = EntropyKernel(total + tables.s)
-    cell_counts = tables.counts.ravel()
     scale = resolution * resolution
     nv, nw = max(1, _CHUNK_ROWS // n2), min(n2, _CHUNK_ROWS)
     vmin = math.inf
@@ -736,7 +737,7 @@ def _product_extrema(tables: _Tables, resolution: int) -> Interval:
             rects = [products[key] for key in keys]
             sizes = [distinct.size for distinct, _ in rects]
             t = np.concatenate([distinct for distinct, _ in rects]) / scale
-            u = _posterior_means(np.repeat(cell_counts, sizes), total, tables.s, t)
+            u = _posterior_means(np.repeat(tables.counts, sizes), total, tables.s, t)
             summands = np.split(h(u, kernel), np.cumsum(sizes[:-1]))
             vals = row_part[va : va + nv, None] + col_part[wa : wa + nw]
             for i in range(d1):

@@ -19,6 +19,7 @@ from idmbounds import (
     CountVector,
     CredibleSpec,
     EntropyKernel,
+    GridSpec,
     IdmConfig,
     Interval,
     SimplexPoint,
@@ -27,6 +28,7 @@ from idmbounds import (
     entropy_interval_exact,
     entropy_summand,
     h,
+    lattice_mi_objective,
     lift,
     max_concave_sum,
     mi_estimate,
@@ -256,6 +258,16 @@ def test_mi_call_takes_one_pass(call, passes):
     if call is not mi_estimate:
         kernels |= {part.total + cfg.s for part in _parts(tbl)}
     assert all(kernel + 1.0 in passes[0] for kernel in kernels)
+
+
+def test_mi_lattice_objective_takes_two_passes(passes):
+    tbl, cfg = ContingencyCounts([[3.25, 1.0, 2.5], [1.0, 4.1, 0.0]]), IdmConfig(1.0)
+    grid = GridSpec(12)
+    lattice_mi_objective(tbl, cfg, grid)
+    # The kernel's psi(T + 1), then every cell, row and column table at once.
+    assert len(passes) == 2
+    assert passes[0].tolist() == [tbl.total + cfg.s + 1.0]
+    assert passes[1].size == (tbl.cells + sum(tbl.shape)) * (grid.resolution + 1)
 
 
 @pytest.mark.parametrize(

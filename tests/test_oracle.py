@@ -302,6 +302,35 @@ class TestGridExtrema:
             grid_extrema(bare, counts, CFG, grid, on_lattice=True)
 
     @pytest.mark.parametrize("kind", ["entropy", "mi"])
+    def test_objective_without_its_tables_raises(self, kind):
+        # A wrapper that drops the tables hands the objective posterior
+        # means, which would truncate to step 0 and give a wrong interval.
+        tbl, grid = ContingencyCounts([[3, 6, 1]]), GridSpec(20)
+        counts = tbl.joint_counts()
+        if kind == "entropy":
+            objective = lattice_entropy_objective(counts, CFG, grid)
+        else:
+            objective = lattice_mi_objective(tbl, CFG, grid)
+        with pytest.raises(ValueError, match="integer lattice rows"):
+            grid_extrema(lambda u: objective(u), counts, CFG, grid)
+        if kind == "mi":
+            with pytest.raises(ValueError, match="integer lattice rows"):
+                product_grid_extrema(lambda u: objective(u), tbl, CFG, grid)
+
+    @pytest.mark.parametrize("kind", ["entropy", "mi"])
+    def test_objective_takes_narrow_integer_rows(self, kind):
+        tbl, grid = ContingencyCounts([[3, 0, 2], [1, 4, 0]]), GridSpec(12)
+        if kind == "entropy":
+            objective = lattice_entropy_objective(tbl.joint_counts(), CFG, grid)
+        else:
+            objective = lattice_mi_objective(tbl, CFG, grid)
+        rows = compositions(grid.resolution, tbl.cells)
+        assert rows.dtype == np.int16
+        want = objective(rows.astype(np.intp))
+        assert np.array_equal(objective(rows), want)
+        assert np.array_equal(objective(rows.astype(np.uint8)), want)
+
+    @pytest.mark.parametrize("kind", ["entropy", "mi"])
     def test_wrapped_objective_keeps_its_tables(self, kind):
         # A functools.wraps wrapper, as a tracer installs, copies the
         # callable's attributes, so it is reduced exactly as the bare one.
@@ -753,7 +782,7 @@ def _product_tables_only(tbl, cfg, grid):
     def refuse(u):
         raise AssertionError("the product lattice must be reduced without the closure")
 
-    refuse.tables = oracle._product_tables(tbl, cfg, grid)
+    refuse.tables = lattice_mi_objective(tbl, cfg, grid).tables
     return refuse
 
 
@@ -813,16 +842,14 @@ class TestProductGrid:
             )
 
     def test_tables_of_another_kind_of_lattice_are_rejected(self):
+        # The entropy of the cells, and the MI of the 1x4 table of the same cells.
         grid, counts = GridSpec(12), self.TBL.joint_counts()
         for objective in (
             lattice_entropy_objective(counts, CFG, grid),
-            lattice_mi_objective(self.TBL, CFG, grid),
+            lattice_mi_objective(ContingencyCounts([counts.counts]), CFG, grid),
         ):
             with pytest.raises(ValueError, match="other counts"):
                 product_grid_extrema(objective, self.TBL, CFG, grid)
-        product = _product_tables_only(self.TBL, CFG, grid)
-        with pytest.raises(ValueError, match="other counts"):
-            grid_extrema(product, counts, CFG, grid, on_lattice=True)
 
     def test_oversized_lattice_is_refused_before_anything_is_built(self, monkeypatch):
         bounds = mi_interval_bounds(self.TBL, CFG)
