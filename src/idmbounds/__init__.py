@@ -3,9 +3,10 @@
 Exact, conservative, and approximate [lower, upper] intervals for
 statistical functionals of categorical data when the Dirichlet prior mean
 ranges over the whole simplex: expected entropy (exact), expected mutual
-information (conservative, O(sigma^2)-tight), and robust credible
-intervals, all validated against brute-force lattice and Monte-Carlo
-oracles.
+information (conservative; O(sigma^2)-tight when every cell count is
+positive, O(sigma) at the lower end when a cell count is 0), and robust
+credible intervals, all validated against brute-force lattice and
+Monte-Carlo oracles.
 """
 
 from . import credible, exact_extrema, mutual_info, oracle, simplex_core, special_fn, taylor_bounds

@@ -14,6 +14,7 @@ with the same witnesses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -61,12 +62,31 @@ class ConcaveSummand:
         if np.any(np.diff(d) > slack):
             raise ValueError("declared concave but derivative increases on [0, 1]")
 
+    def _values_and_derivs(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(fn(points), deriv(points))``, each checked to have the points' shape.
 
+        Calls ``deriv`` first, then ``fn``, once each.
+        """
+        derivs = _summand_values(self.deriv, points, "deriv")
+        return _summand_values(self.fn, points, "fn"), derivs
+
+
+@dataclass(frozen=True)
 class _EntropySummand(ConcaveSummand):
-    """``h`` is concave by theorem, so its concavity is not spot-checked."""
+    """``h`` on ``kernel``: concave by theorem, so not spot-checked.
+
+    Its values and derivatives at a point set take one special-function pass
+    together, with the bits of ``fn`` and ``deriv``, which it does not call.
+    """
+
+    kernel: EntropyKernel
 
     def __post_init__(self):
         pass
+
+    def _values_and_derivs(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        [(values, derivs)] = _entropy_terms([(self.kernel.total, points)])
+        return values, derivs
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,6 +118,7 @@ def entropy_summand(kernel: EntropyKernel) -> ConcaveSummand:
     return _EntropySummand(
         fn=lambda u: h(u, kernel),
         deriv=lambda u: h_prime(u, kernel),
+        kernel=kernel,
     )
 
 
@@ -139,10 +160,11 @@ def _extremum(counts, cfg, f, t, vertex_index, m_star=None) -> ExtremumResult:
 def _leveled_prior(counts: CountVector, cfg: IdmConfig) -> tuple[np.ndarray, int, Optional[int]]:
     """The water-filling maximum's prior mean ``t*``, a plain array, its
     leveling count ``m*`` and, when ``t*`` is a vertex, that vertex's index."""
-    u0 = _posterior_means(counts.counts, counts.total, cfg.s, 0.0)
+    n = counts.counts
+    u0 = _posterior_means(n, counts.total, cfg.s, 0.0)
     denom = counts.total + cfg.s
-    order = np.argsort(counts.counts, kind="stable")
-    prefix = np.cumsum(counts.counts[order])
+    order = n.argsort(kind="stable")
+    prefix = n[order].cumsum()
     m = np.arange(1, counts.dim + 1)
     # m (n+s) overflows when n + s is within a factor m of the float
     # maximum: divide in two steps there instead of by infinity.
@@ -151,13 +173,13 @@ def _leveled_prior(counts: CountVector, cfg: IdmConfig) -> tuple[np.ndarray, int
     candidates = (cfg.s + prefix) / scale
     big = np.isinf(scale)
     candidates[big] = (cfg.s + prefix[big]) / m[big] / denom
-    m_star = int(np.argmin(candidates)) + 1
+    m_star = int(candidates.argmin()) + 1
     u_tilde = float(candidates[m_star - 1])
 
     u_vec = np.maximum(u0, u_tilde)
     # t* = (u* (n+s) - n) / s loses digits when s << n: clip and renormalise
     # so the witness is on the simplex by construction.
-    t = np.maximum(u_vec * denom - counts.counts, 0.0)
+    t = np.maximum(u_vec * denom - n, 0.0)
     if not t.any():
         # s too small to move u in floating point: u == u0 for every t; any
         # witness is valid.
@@ -166,9 +188,9 @@ def _leveled_prior(counts: CountVector, cfg: IdmConfig) -> tuple[np.ndarray, int
         mass = t.sum()
     # With s near the float maximum the mass can round past it, and t / inf
     # is all zeros; halving first is exact at that scale.
-    t = t / mass if np.isfinite(mass) else t / 2.0 / (t / 2.0).sum()
+    t = t / mass if math.isfinite(mass) else t / 2.0 / (t / 2.0).sum()
     # Rounding can leave t* at a vertex whatever m* is.
-    nonzero = np.flatnonzero(t)
+    nonzero = t.nonzero()[0]
     if nonzero.size == 1:
         return t, m_star, int(nonzero[0])
     return t, m_star, int(order[0]) if m_star == 1 else None
@@ -192,13 +214,15 @@ def _point_set(counts: CountVector, cfg: IdmConfig, priors: np.ndarray) -> np.nd
 
 def _extreme_points(counts: CountVector, cfg: IdmConfig) -> np.ndarray:
     """The minimum's and the maximum's posterior means, stacked: ``2 d`` points."""
-    lowest = np.arange(counts.dim) == np.argmax(counts.counts)
-    return _point_set(counts, cfg, np.stack([lowest, _leveled_prior(counts, cfg)[0]]))
+    priors = np.zeros((2, counts.dim))
+    priors[0, counts.counts.argmax()] = 1.0
+    priors[1] = _leveled_prior(counts, cfg)[0]
+    return _point_set(counts, cfg, priors)
 
 
 def _extreme_interval(values: np.ndarray) -> Interval:
     """The interval from summand values at :func:`_extreme_points`."""
-    lower, upper = (float(np.sum(part)) for part in values.reshape(2, -1))
+    lower, upper = (float(part.sum()) for part in values.reshape(2, -1))
     # The minimiser is feasible too, so the maximum is at least its value;
     # with huge counts and a tiny s, rounding alone can cross the two.
     return Interval(lower, max(lower, upper))

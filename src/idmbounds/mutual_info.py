@@ -6,10 +6,16 @@ table decomposes into three expected entropies,
     I(u) = H(u_rows) + H(u_cols) - H(u_cells),
 
 each a sum of the concave summand ``h``.  This yields a crude interval
-from the exact marginal entropy extrema, an O(sigma^2)-tight conservative
-interval by per-cell remainder propagation, the leading-order posterior
-variance, and an exhaustive check that the bounds also cover the smaller
-outer-product (row x column) family of hyperparameters.
+from the exact marginal entropy extrema, a conservative interval by
+per-cell remainder propagation, the leading-order posterior variance, and
+an exhaustive check that the bounds also cover the smaller outer-product
+(row x column) family of hyperparameters.
+
+The conservative interval overshoots the inner one by O(sigma^2) when
+every cell count is positive.  A zero cell count makes its lower end
+O(sigma): on ``[[1, 0], [0, 1]]`` at ``s = 1``, scaling the table from x64
+to x256 shrinks that gap 4.0x, where O(sigma^2) would give about 16x.  An
+empty row or column makes both ends O(sigma).
 """
 
 from __future__ import annotations
@@ -25,9 +31,7 @@ from .simplex_core import (
     CountVector, IdmConfig, Interval, SimplexPoint, _count_array, _posterior_means, sigma_of
 )
 from .special_fn import EntropyKernel, _entropy_terms, h
-from .taylor_bounds import (
-    RobustEstimate, _remainder_estimate, _remainder_points, lift, negate, propagate_sum
-)
+from .taylor_bounds import RobustEstimate, _remainder_parts, _remainder_points
 
 __all__ = [
     "ContingencyCounts", "MiBounds", "expected_mi", "mi_estimate", "mi_interval_bounds",
@@ -147,18 +151,23 @@ def mi_interval_crude(tbl: ContingencyCounts, cfg: IdmConfig) -> Interval:
 
 
 def mi_estimate(tbl: ContingencyCounts, cfg: IdmConfig) -> RobustEstimate:
-    """O(sigma^2)-tight remainder bounds on the expected MI, per cell.
+    """Remainder bounds on the expected MI, per cell.
 
     The row, column, and cell entropies each get the concave-summand
     remainder bounds of :func:`concave_remainder_bounds`, all with kernel
-    ``n + s``; the three take one special-function pass together.  The row
-    and column estimates are lifted to the ``d1*d2`` cells in row-major
-    order and the cell estimate enters through ``negate``, so the three
-    combine per cell before any aggregation; the vertex values at the
-    extremizing cells are the inner bounds.
+    ``n + s``; the three take one special-function pass together.  They
+    combine per cell, over the ``d1*d2`` cells in row-major order, before
+    any aggregation: the result has the bits of ``propagate_sum(
+    propagate_sum(lift(rows, i), lift(cols, j)), negate(cells))``, with
+    ``i`` and ``j`` each cell's row and column, and is the one
+    :class:`RobustEstimate` the call builds.  The vertex values at the
+    extremizing cells are the inner bounds.  The conservative interval is
+    O(sigma^2)-tight when every cell count is positive; a zero cell count
+    makes its lower end O(sigma) (see the module docstring).
     """
     parts = _parts(tbl)
-    return _estimate(tbl, parts, cfg, _entropy_terms(_estimate_groups(tbl, parts, cfg)))
+    terms = _entropy_terms(_estimate_groups(tbl, parts, cfg))
+    return RobustEstimate(*_estimate(tbl, parts, cfg, terms))
 
 
 def mi_interval_bounds(tbl: ContingencyCounts, cfg: IdmConfig) -> MiBounds:
@@ -166,15 +175,15 @@ def mi_interval_bounds(tbl: ContingencyCounts, cfg: IdmConfig) -> MiBounds:
 
     The remainder and inner bounds are those of :func:`mi_estimate` and the
     crude interval that of :func:`mi_interval_crude`; every value both need
-    takes one special-function pass.  The upper witness ``cell1`` is the
-    first row-major cell attaining the float maximum of the per-cell upper
-    remainders, and ``cell2`` the first one attaining the float minimum of
-    the lower remainders.
+    takes one special-function pass, and the result is the one estimate
+    the call builds.  The upper witness ``cell1`` is the first row-major
+    cell attaining the float maximum of the per-cell upper remainders, and
+    ``cell2`` the first one attaining the float minimum of the lower
+    remainders.
     """
     parts = _parts(tbl)
     terms = _entropy_terms(_estimate_groups(tbl, parts, cfg) + _crude_groups(parts, cfg))
-    est = _estimate(tbl, parts, cfg, terms[:3])
-    primaries = (est.f0, est.r_ub_per_i, est.r_lb_per_i, est.vertex_values, est.sigma, est.nonneg)
+    primaries = _estimate(tbl, parts, cfg, terms[:3])
     return MiBounds(*primaries, crude=_crude(terms[3:]), shape=tbl.shape)
 
 
@@ -194,16 +203,32 @@ def _crude_groups(parts, cfg: IdmConfig) -> list:
     return [(part.total + cfg.s, _extreme_points(part, cfg)) for part in parts]
 
 
-def _estimate(tbl: ContingencyCounts, parts, cfg: IdmConfig, terms) -> RobustEstimate:
-    rows, cols, cells = (
-        _remainder_estimate(sigma_of(part, cfg), slopes, values)
-        for part, (values, slopes) in zip(parts, terms)
+def _estimate(tbl: ContingencyCounts, parts, cfg: IdmConfig, terms) -> tuple:
+    """The primaries ``(f0, r_ub_per_i, r_lb_per_i, vertex_values, sigma)`` of the MI.
+
+    The row vectors broadcast over the columns, the column vectors over the
+    rows, and the cell vectors are subtracted, which has the bits of the
+    lift, negate and sum composition (``x - y`` is ``x + (-y)`` in floating
+    point) and builds no estimate on the way.
+    """
+    sigmas = [sigma_of(part, cfg) for part in parts]
+    (f_r, ub_r, lb_r, v_r), (f_c, ub_c, lb_c, v_c), (f_x, ub_x, lb_x, v_x) = (
+        _remainder_parts(sigma, slopes, values) for sigma, (values, slopes) in zip(sigmas, terms)
     )
     d1, d2 = tbl.shape
-    marginals = propagate_sum(
-        lift(rows, np.repeat(np.arange(d1), d2)), lift(cols, np.tile(np.arange(d2), d1))
+
+    def per_cell(row, col, cell):
+        # Cell (i, j): row i's entry plus column j's, minus the cell's own.
+        return (row[:, None] + col - cell.reshape(d1, d2)).ravel()
+
+    # Negating the cells swaps their upper and lower remainders.
+    return (
+        f_r + f_c - f_x,
+        per_cell(ub_r, ub_c, lb_x),
+        per_cell(lb_r, lb_c, ub_x),
+        per_cell(v_r, v_c, v_x),
+        sigmas[0],
     )
-    return propagate_sum(marginals, negate(cells))
 
 
 def _crude(terms) -> Interval:

@@ -18,8 +18,9 @@ an element's value never depends on the other elements of its array.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 from statistics import NormalDist
 
@@ -152,17 +153,22 @@ def trigamma(x):
 class EntropyKernel:
     """The posterior weight ``total = n + s`` parameterizing ``h``.
 
-    ``psi_total`` is ``psi(total + 1)``, computed once and shared by every
-    ``h`` and ``h_prime`` call on this kernel.
+    Construction checks ``total`` and runs no special-function pass.
+    ``psi_total`` is ``psi(total + 1)``, computed on first read and cached
+    for every later ``h`` and ``h_prime`` call on this kernel.  It is a
+    property, not a dataclass field, so equality, hashing and ``repr`` see
+    ``total`` alone.  The fused paths (see :func:`_entropy_terms`) take
+    ``psi(total + 1)`` in their own pass and never read it.
     """
 
     total: float
-    psi_total: float = field(init=False)
 
     def __post_init__(self):
-        total = _kernel_total(self.total)
-        object.__setattr__(self, "total", total)
-        object.__setattr__(self, "psi_total", digamma(total + 1.0))
+        object.__setattr__(self, "total", _kernel_total(self.total))
+
+    @cached_property
+    def psi_total(self) -> float:
+        return digamma(self.total + 1.0)
 
 
 def _kernel_total(total) -> float:

@@ -8,11 +8,13 @@ bounds the robust extremes by
     max F  <=  F(u0) + sigma * max_i [max ∂_i F],
 
 where the inner extremizations run over the sum-relaxed region.  The
-widening against the true extremes is O(sigma^2).  Evaluating ``F`` at the
-remainder-extremizing vertices gives *inner* bounds that certify the
-approximation quality from the other side.  Per-component remainder
-vectors are kept so that sums and products of estimators propagate without
-losing the O(sigma^2) tightness.
+widening against the true extremes is O(sigma^2) where the second
+derivative stays bounded over the region; near ``u = 0`` the entropy
+summand's slope moves by O(1) across it, so a zero count makes the
+widening O(sigma).  Evaluating ``F`` at the remainder-extremizing vertices
+gives *inner* bounds that certify the approximation quality from the other
+side.  Per-component remainder vectors are kept so that sums and products
+of estimators propagate without losing that tightness.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .exact_extrema import _extreme_interval, _extreme_points, _point_set, _summand_values
+from .exact_extrema import ConcaveSummand, _extreme_interval, _extreme_points, _point_set
 from .simplex_core import CountVector, IdmConfig, Interval, _posterior_means, sigma_of
 from .special_fn import _BLOCK_ROWS, _entropy_terms
 
@@ -158,14 +160,18 @@ def concave_remainder_bounds(counts: CountVector, cfg: IdmConfig, f) -> RobustEs
     derivative at a baseline point (e.g. a plug-in entropy summand with a
     zero count) is refused rather than silently emitting an infinite bound,
     and a summand whose output does not match its argument's shape raises
-    ``ValueError``.  ``f.deriv`` and ``f.fn`` are each called once, on the
-    baseline and vertex points together.
+    ``ValueError``.  The summand's values and derivatives are taken once,
+    on the baseline and vertex points together.  For a
+    :class:`~idmbounds.exact_extrema.ConcaveSummand`, or any other object
+    with elementwise ``fn`` and ``deriv``, ``f.deriv`` and then ``f.fn`` are
+    each called once.  The summand of
+    :func:`~idmbounds.exact_extrema.entropy_summand` calls neither: it takes
+    ``h`` and ``h'`` in one special-function pass, with the same bits.
     """
-    sigma = sigma_of(counts, cfg)
-    points = _remainder_points(counts, cfg)
-    derivs = _summand_values(f.deriv, points, "deriv")
-    values = _summand_values(f.fn, points, "fn")
-    return _remainder_estimate(sigma, derivs, values)
+    # An object that is not a ConcaveSummand takes the generic method.
+    terms = getattr(type(f), "_values_and_derivs", ConcaveSummand._values_and_derivs)
+    values, derivs = terms(f, _remainder_points(counts, cfg))
+    return _remainder_estimate(sigma_of(counts, cfg), derivs, values)
 
 
 def _remainder_points(counts: CountVector, cfg: IdmConfig) -> np.ndarray:
@@ -181,6 +187,16 @@ def _remainder_estimate(sigma: float, derivs: np.ndarray, values: np.ndarray) ->
     The summand is elementwise, so values taken on both point sets at once
     are the ones separate calls would give.
     """
+    return RobustEstimate(*_remainder_parts(sigma, derivs, values), sigma)
+
+
+def _remainder_parts(sigma: float, derivs: np.ndarray, values: np.ndarray):
+    """The primaries of :func:`_remainder_estimate` before any estimate is built.
+
+    ``(f0, r_ub_per_i, r_lb_per_i, vertex_values)``, with ``f0`` a float
+    and the vectors plain arrays, so that callers can combine several parts
+    into one :class:`RobustEstimate`.
+    """
     deriv_low, deriv_high = derivs.reshape(2, -1)
     bad = ~(np.isfinite(deriv_low) & np.isfinite(deriv_high))
     if bad.any():
@@ -195,7 +211,7 @@ def _remainder_estimate(sigma: float, derivs: np.ndarray, values: np.ndarray) ->
     f0 = float(f_low.sum())
     # F at the k-th vertex differs from F(u0) only in coordinate k.
     vertex_values = f0 - f_low + f_high
-    return RobustEstimate(f0, sigma * deriv_low, sigma * deriv_high, vertex_values, sigma)
+    return f0, sigma * deriv_low, sigma * deriv_high, vertex_values
 
 
 def _entropy_rows(rows):

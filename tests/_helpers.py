@@ -3,7 +3,7 @@
 Everything here deliberately avoids the package's own code paths: scipy
 special functions, plain numpy formulas, exact Fraction arithmetic and
 60-digit mpmath act as the second route that the package's closed forms are
-checked against.
+checked against.  ``assert_same_bits`` compares two results field by field.
 """
 
 import math
@@ -193,3 +193,25 @@ def entropy_extrema_exact(counts, s) -> tuple[mpmath.mpf, mpmath.mpf]:
     )
     leveled = [(max(n, level) - n) / s for n in ns]
     return expected_entropy_mp(ns, s, vertex), expected_entropy_mp(ns, s, leveled)
+
+
+#: Every field of a ``RobustEstimate``, primaries and aggregates.
+ESTIMATE_FIELDS = (
+    "f0", "r_ub_per_i", "r_lb_per_i", "vertex_values", "sigma", "nonneg",
+    "r_ub", "r_lb", "inner_upper", "inner_lower", "i1", "i2",
+)
+
+
+def assert_same_bits(got, want, names, context):
+    """Every named field equal: arrays by dtype, shape and bytes, scalars by
+    type, ``==`` and the sign of zero."""
+    for name in names:
+        a, b = getattr(got, name), getattr(want, name)
+        if isinstance(b, np.ndarray):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), (
+                name, context,
+            )
+        else:
+            assert type(a) is type(b) and a == b, (name, context)
+            if isinstance(b, float):
+                assert math.copysign(1.0, a) == math.copysign(1.0, b), (name, context)

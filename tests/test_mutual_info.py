@@ -11,20 +11,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idmbounds import (
+    ConcaveSummand,
     ContingencyCounts,
+    EntropyKernel,
     GridSpec,
     IdmConfig,
     SimplexPoint,
+    concave_remainder_bounds,
     expected_mi,
     grid_extrema,
+    h,
+    h_prime,
     lattice_mi_objective,
+    lift,
+    mi_estimate,
     mi_interval_bounds,
     mi_interval_crude,
     mi_variance_leading,
+    negate,
     product_grid_extrema,
     product_idm_check,
+    propagate_sum,
 )
 from _helpers import (
+    ESTIMATE_FIELDS,
+    assert_same_bits,
     expected_mi_mp,
     expected_mi_scipy,
     mi_objective_direct,
@@ -183,6 +194,80 @@ class TestConservativeBounds:
         bounds = mi_interval_bounds(tbl, CFG)
         assert bounds.cell1 == (0, 0)
         assert bounds.cell2 == (0, 0)
+
+
+def _composed_estimate(tbl, cfg):
+    """The public composition of per-part remainder bounds on kernel ``n + s``.
+
+    Each part goes through a plain summand of ``h`` and ``h'``, the generic
+    path, and the three combine through ``lift``, ``negate`` and
+    ``propagate_sum`` with each cell's row and column in row-major order.
+    """
+    kernel = EntropyKernel(tbl.total + cfg.s)
+    f = ConcaveSummand(fn=lambda u: h(u, kernel), deriv=lambda u: h_prime(u, kernel))
+    rows, cols, cells = (
+        concave_remainder_bounds(part, cfg, f)
+        for part in (tbl.row_counts(), tbl.col_counts(), tbl.joint_counts())
+    )
+    i, j = np.divmod(np.arange(tbl.cells), tbl.shape[1])
+    return propagate_sum(propagate_sum(lift(rows, i), lift(cols, j)), negate(cells))
+
+
+def _pin_tables():
+    """Seeded tables: 1 x d and d x 1 among them, zero cells and zero margins,
+    2-decimal and integer counts up to 1e12, and s from 1e-12 to 1e3."""
+    rng = np.random.default_rng(2610)
+    strengths = [1e-12, 1e3] + [float(10.0 ** rng.uniform(-12, 3)) for _ in range(178)]
+    for k, s in enumerate(strengths):
+        d = int(rng.integers(1, 6))
+        shape = [(1, d), (d, 1)][k % 2] if k % 3 == 0 else tuple(rng.integers(1, 6, 2))
+        if rng.uniform() < 0.5:
+            table = rng.integers(0, 10 ** int(rng.integers(0, 13)), shape, endpoint=True)
+        else:
+            table = np.round(rng.uniform(0.0, 10 ** rng.uniform(0, 6), shape), 2)
+        table = table * (rng.uniform(size=shape) > 0.3)
+        if k % 5 == 1:
+            table[int(rng.integers(shape[0]))] = 0
+        elif k % 5 == 2:
+            table[:, int(rng.integers(shape[1]))] = 0
+        yield ContingencyCounts(table.astype(float)), IdmConfig(s)
+
+
+class TestAssemblyBits:
+    """The one-estimate assembly against the public lift/negate/sum composition."""
+
+    CASES = list(_pin_tables())
+
+    def test_corpus_covers_the_edges(self):
+        tables = [tbl.table for tbl, _ in self.CASES]
+        assert any(t.shape[0] == 1 and t.shape[1] > 1 for t in tables)
+        assert any(t.shape[1] == 1 and t.shape[0] > 1 for t in tables)
+        assert any((t == 0).any() and t.any() for t in tables)
+        assert any(
+            t.shape[0] > 1 and t.shape[1] > 1 and (~t.any(axis=0)).any() and t.any()
+            for t in tables
+        )
+        assert any(
+            t.shape[0] > 1 and t.shape[1] > 1 and (~t.any(axis=1)).any() and t.any()
+            for t in tables
+        )
+        assert any(t.max() > 1e11 for t in tables)
+        assert any((t != np.round(t)).any() for t in tables)
+        strengths = [cfg.s for _, cfg in self.CASES]
+        assert min(strengths) == 1e-12 and max(strengths) == 1e3
+
+    @pytest.mark.parametrize("call", [mi_estimate, mi_interval_bounds])
+    def test_equals_the_public_composition(self, call):
+        for tbl, cfg in self.CASES:
+            got, want = call(tbl, cfg), _composed_estimate(tbl, cfg)
+            assert_same_bits(got, want, ESTIMATE_FIELDS, (tbl.table, cfg.s))
+
+    def test_bounds_carry_the_crude_interval_and_the_shape(self):
+        for tbl, cfg in self.CASES:
+            bounds = mi_interval_bounds(tbl, cfg)
+            crude = mi_interval_crude(tbl, cfg)
+            assert (bounds.crude.lower, bounds.crude.upper) == (crude.lower, crude.upper)
+            assert bounds.shape == tbl.shape
 
 
 class TestVarianceLeading:

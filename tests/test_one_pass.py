@@ -3,9 +3,11 @@
 Each fused call is compared with a reference built here from separate
 public calls: the bits of every field, the sign of every zero, and the
 type and message of every error must agree.  The CLI's entropy and sweep
-requests batch their rows into one pass per block of points.
+requests batch their rows into one pass per block of points.  The cost
+guards count work, never time it: passes, summand calls and estimates built.
 """
 
+import dataclasses
 import io
 import tracemalloc
 import warnings
@@ -22,9 +24,11 @@ from idmbounds import (
     GridSpec,
     IdmConfig,
     Interval,
+    RobustEstimate,
     SimplexPoint,
     concave_remainder_bounds,
     credible_mi_interval,
+    digamma,
     entropy_interval_exact,
     entropy_summand,
     h,
@@ -268,6 +272,51 @@ def test_mi_lattice_objective_takes_two_passes(passes):
     assert len(passes) == 2
     assert passes[0].tolist() == [tbl.total + cfg.s + 1.0]
     assert passes[1].size == (tbl.cells + sum(tbl.shape)) * (grid.resolution + 1)
+
+
+def test_kernel_takes_its_pass_on_first_read_only(passes):
+    want = digamma(8.5)
+    passes.clear()
+    kernel = EntropyKernel(7.5)
+    assert passes == []
+    assert kernel.psi_total == want
+    assert [p.tolist() for p in passes] == [[8.5]]
+    # Cached: a second read makes no pass.
+    assert kernel.psi_total == want
+    assert len(passes) == 1
+    assert [f.name for f in dataclasses.fields(EntropyKernel)] == ["total"]
+    assert repr(kernel) == "EntropyKernel(total=7.5)"
+
+
+def test_entropy_summand_remainder_bounds_take_one_pass(passes, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the summand's fn or deriv was called")
+
+    kernel = EntropyKernel(11.5)
+    f = entropy_summand(kernel)
+    monkeypatch.setattr(exact_extrema, "h", refuse)
+    monkeypatch.setattr(exact_extrema, "h_prime", refuse)
+    counts, cfg = CountVector([3, 6, 1, 0, 0.5]), IdmConfig(1.0)
+    concave_remainder_bounds(counts, cfg, f)
+    # psi(T + 1), then the baseline and vertex points: 1 + 2 d arguments.
+    assert len(passes) == 1
+    assert passes[0].size == 1 + 2 * counts.dim
+    assert passes[0][0] == kernel.total + 1.0
+
+
+@pytest.mark.parametrize("call", [mi_estimate, mi_interval_bounds])
+def test_mi_call_builds_one_estimate(call, monkeypatch):
+    built = []
+    original = RobustEstimate.__post_init__
+
+    def counting(self):
+        built.append(type(self))
+        original(self)
+
+    monkeypatch.setattr(RobustEstimate, "__post_init__", counting)
+    tbl, cfg = ContingencyCounts([[3.25, 1.0, 2.5], [1.0, 4.1, 0.0]]), IdmConfig(1.0)
+    result = call(tbl, cfg)
+    assert built == [type(result)]
 
 
 @pytest.mark.parametrize(

@@ -125,6 +125,33 @@ def test_row_and_column_permutation_invariance(table, s, rnd):
     _assert_same_interval(_conservative(table, s), _conservative(table[rows][:, cols], s))
 
 
+@st.composite
+def positive_tables(draw):
+    """2x2 to 4x4 tables of total 64 in which every cell holds at least one count."""
+    d1, d2 = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    weights = draw(st.lists(st.floats(1.0, 4.0), min_size=d1 * d2, max_size=d1 * d2))
+    table = np.array(weights).reshape(d1, d2)
+    return table / table.sum() * 64.0
+
+
+def _mi_gaps(table):
+    """How far the conservative MI interval reaches past the inner one, at s = 1."""
+    b = mi_interval_bounds(ContingencyCounts(table), IdmConfig(1.0))
+    cons, inner = b.conservative_interval(), b.inner_interval()
+    return inner.lower - cons.lower, cons.upper - inner.upper
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(positive_tables())
+def test_mi_gaps_are_second_order_when_every_cell_is_positive(table):
+    # Scaling n from 64 to 256 takes sigma from 1/65 to 1/257: an O(sigma^2)
+    # gap shrinks about 15.6x, an O(sigma) one about 4x.  A zero cell makes
+    # the lower end O(sigma) (4.0x on [[1, 0], [0, 1]]), so it is not drawn.
+    (lower64, upper64), (lower256, upper256) = _mi_gaps(table), _mi_gaps(table * 4.0)
+    assert lower64 >= 8.0 * lower256
+    assert upper64 >= 8.0 * upper256
+
+
 special_fn_args = st.one_of(
     st.floats(math.log(1e-8), math.log(1e15)).map(math.exp),
     st.integers(1, 10**7).map(float),

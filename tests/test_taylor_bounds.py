@@ -34,7 +34,7 @@ from idmbounds import (
     sigma_of,
 )
 from idmbounds.simplex_core import _posterior_means
-from _helpers import entropy_objective_direct
+from _helpers import assert_same_bits, entropy_objective_direct
 
 COUNTS = CountVector([3, 6])
 CFG = IdmConfig(1.0)
@@ -219,6 +219,41 @@ class TestStackedSummandCalls:
         bad = dict(good, **{which: lambda u: good[which](u)[:2]})
         with pytest.raises(ValueError, match=f"summand {which} returned shape"):
             concave_remainder_bounds(CountVector([3, 6, 1]), IdmConfig(1.0), SimpleNamespace(**bad))
+
+
+def _plain_entropy_summand(kernel):
+    """``h`` and ``h'`` as an ordinary summand, which takes the generic path."""
+    return ConcaveSummand(fn=lambda u: h(u, kernel), deriv=lambda u: h_prime(u, kernel))
+
+
+def _pin_vectors():
+    """Seeded counts: 2-decimal and integer up to 1e12, zeros, s in [1e-12, 1e3]."""
+    rng = np.random.default_rng(2026)
+    strengths = [1e-12, 1e3] + [float(10.0 ** rng.uniform(-12, 3)) for _ in range(118)]
+    for s in strengths:
+        d = int(rng.integers(1, 16))
+        if rng.uniform() < 0.5:
+            counts = rng.integers(0, 10 ** int(rng.integers(0, 13)), d, endpoint=True)
+        else:
+            counts = np.round(rng.uniform(0.0, 10 ** rng.uniform(0, 6), d), 2)
+        counts = counts * (rng.uniform(size=d) > 0.3)
+        yield CountVector(counts.astype(float)), IdmConfig(s)
+
+
+class TestEntropySummandPass:
+    def test_one_pass_matches_the_generic_path(self):
+        # The entropy summand takes h and h' in one pass; a plain summand of
+        # the same functions calls deriv, then fn.  Every bit must agree.
+        cases = list(_pin_vectors())
+        values = [c.counts for c, _ in cases]
+        assert any(v.max() > 1e11 for v in values)
+        assert any((v == 0).any() for v in values)
+        assert any((v != np.round(v)).any() for v in values)
+        for counts, cfg in cases:
+            kernel = EntropyKernel(counts.total + cfg.s)
+            got = concave_remainder_bounds(counts, cfg, entropy_summand(kernel))
+            want = concave_remainder_bounds(counts, cfg, _plain_entropy_summand(kernel))
+            assert_same_bits(got, want, _FIELDS, (counts.counts, cfg.s))
 
 
 class TestGeneralProvider:
