@@ -144,6 +144,10 @@ def robust_credible_mi_parts(
     :func:`mi_estimate`, the leading-order variance at the uniform cell
     hyperparameter (it varies with ``t`` only at higher order; a zero cell
     there raises ``ValueError``), and :func:`credible_mi_interval` of both.
+    The estimate takes at most one special-function pass, none when the
+    table has already answered at this strength (see
+    :class:`~idmbounds.mutual_info.ContingencyCounts`); the variance takes
+    none.
     """
     est = mi_estimate(tbl, cfg)
     variance = mi_variance_leading(tbl, cfg, SimplexPoint.uniform(tbl.cells))

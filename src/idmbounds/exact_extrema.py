@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .simplex_core import CountVector, IdmConfig, Interval, SimplexPoint, _posterior_means, u_from_t
-from .special_fn import EntropyKernel, _entropy_terms, _h_fractions, h, h_prime
+from .special_fn import _BLOCK_ROWS, EntropyKernel, _entropy_terms, _h_fractions, h, h_prime
 
 __all__ = [
     "ConcaveSummand", "ExtremumResult", "entropy_interval_exact", "entropy_interval_rational",
@@ -75,18 +75,14 @@ class ConcaveSummand:
 class _EntropySummand(ConcaveSummand):
     """``h`` on ``kernel``: concave by theorem, so not spot-checked.
 
-    Its values and derivatives at a point set take one special-function pass
-    together, with the bits of ``fn`` and ``deriv``, which it does not call.
+    Its remainder terms come from :func:`_row_terms`, with the bits of
+    ``fn`` and ``deriv``, which it does not call.
     """
 
     kernel: EntropyKernel
 
     def __post_init__(self):
         pass
-
-    def _values_and_derivs(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        [(values, derivs)] = _entropy_terms([(self.kernel.total, points)])
-        return values, derivs
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,6 +216,59 @@ def _extreme_points(counts: CountVector, cfg: IdmConfig) -> np.ndarray:
     return _point_set(counts, cfg, priors)
 
 
+def _remainder_points(counts: CountVector, cfg: IdmConfig) -> np.ndarray:
+    """The baseline ``u0`` and the vertex coordinates, stacked: ``2 d`` points."""
+    # t = 0 and t = 1 broadcast against the counts: the baseline u0 and every
+    # vertex coordinate (n_k + s)/(n + s), in one map.
+    return _point_set(counts, cfg, np.array([[0.0], [1.0]]))
+
+
+def _row_terms(rows, *, extreme: bool, remainder: bool) -> list:
+    """The entropy terms of each ``(counts, cfg, total)`` row, in at most one pass.
+
+    Per row, ``(extreme_values, values, slopes)``: ``h`` at
+    :func:`_extreme_points` on kernel ``counts.total + cfg.s``, and ``h`` and
+    ``h'`` at :func:`_remainder_points` on kernel ``total``, with the bits of
+    separate :func:`~idmbounds.special_fn._entropy_terms` calls.  A set not
+    asked for may be ``None``.
+
+    Each count vector keeps the terms of its last ``(s, total)`` in one
+    entry, stored in a single assignment after the pass succeeds.  Rows whose
+    entry holds what they need take no pass; the others share one.  A row
+    asked for its extreme set takes its remainder set in the same pass (one
+    broadcast map), but not the reverse, which would sort the counts.  A row
+    whose two sets would exceed one ``_BLOCK_ROWS`` block, or whose
+    ``total`` is not finite, takes only what it is asked for and stores
+    nothing.
+    """
+    groups, plans = [], []
+    for counts, cfg, total in rows:
+        key = (cfg.s, total)
+        entry = counts.__dict__.get("_terms")
+        if entry is None or entry[0] != key:
+            entry = (key, None, None, None)
+        # A row that may not store never has an entry to read.
+        keep = 4 * counts.counts.size <= _BLOCK_ROWS and math.isfinite(total)
+        take_extreme = extreme and entry[1] is None
+        take_remainder = (remainder or keep) and entry[2] is None
+        if take_extreme:
+            groups.append((counts.total + cfg.s, _extreme_points(counts, cfg)))
+        if take_remainder:
+            groups.append((total, _remainder_points(counts, cfg)))
+        plans.append((counts, entry, take_extreme, take_remainder, keep))
+    terms = iter(_entropy_terms(groups) if groups else ())
+    out = []
+    for counts, (key, extreme_values, values, slopes), take_extreme, take_remainder, keep in plans:
+        if take_extreme:
+            extreme_values = next(terms)[0]
+        if take_remainder:
+            values, slopes = next(terms)
+        if keep and (take_extreme or take_remainder):
+            object.__setattr__(counts, "_terms", (key, extreme_values, values, slopes))
+        out.append((extreme_values, values, slopes))
+    return out
+
+
 def _extreme_interval(values: np.ndarray) -> Interval:
     """The interval from summand values at :func:`_extreme_points`."""
     lower, upper = (float(part.sum()) for part in values.reshape(2, -1))
@@ -231,11 +280,14 @@ def _extreme_interval(values: np.ndarray) -> Interval:
 def entropy_interval_exact(counts: CountVector, cfg: IdmConfig) -> Interval:
     """The exact robust interval of the expected entropy.
 
-    Both extrema's points and ``psi(n + s + 1)`` take one special-function
-    pass; every bit is that of :func:`min_concave_sum` and
-    :func:`max_concave_sum` with :func:`entropy_summand`.
+    Both extrema's points and ``psi(n + s + 1)`` take at most one
+    special-function pass; none when ``counts`` has already answered at this
+    strength (see :class:`~idmbounds.simplex_core.CountVector`).  Every bit
+    is that of :func:`min_concave_sum` and :func:`max_concave_sum` with
+    :func:`entropy_summand`.
     """
-    [(values, _)] = _entropy_terms([(counts.total + cfg.s, _extreme_points(counts, cfg))])
+    rows = [(counts, cfg, counts.total + cfg.s)]
+    [(values, _, _)] = _row_terms(rows, extreme=True, remainder=False)
     return _extreme_interval(values)
 
 

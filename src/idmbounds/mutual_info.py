@@ -25,13 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact_extrema import _extreme_interval, _extreme_points
+from .exact_extrema import _extreme_interval, _row_terms
 from .oracle import GridSpec, lattice_mi_objective, product_grid_extrema
 from .simplex_core import (
     CountVector, IdmConfig, Interval, SimplexPoint, _count_array, _posterior_means, sigma_of
 )
-from .special_fn import EntropyKernel, _entropy_terms, h
-from .taylor_bounds import RobustEstimate, _remainder_parts, _remainder_points
+from .special_fn import EntropyKernel, _entropy_terms
+from .taylor_bounds import RobustEstimate, _remainder_parts
 
 __all__ = [
     "ContingencyCounts", "MiBounds", "expected_mi", "mi_estimate", "mi_interval_bounds",
@@ -45,7 +45,18 @@ class _FloatRangeError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class ContingencyCounts:
-    """Joint category counts ``n_ij`` with cached marginals; the total must be finite."""
+    """Joint category counts ``n_ij`` with cached marginals; the total must be finite.
+
+    :meth:`row_counts`, :meth:`col_counts` and :meth:`joint_counts` build
+    their :class:`CountVector` on first call and return that same object on
+    every later one.  So the entropy terms a part stores (see
+    :class:`CountVector`) serve every later question on the table: an
+    :func:`~idmbounds.exact_extrema.entropy_interval_exact` of the joint
+    counts also serves the cell part of :func:`mi_interval_bounds` when the
+    cells total the table's ``n``.  The cached parts are not dataclass
+    fields: ``repr``, equality and :func:`dataclasses.fields` do not see
+    them.
+    """
 
     table: np.ndarray
 
@@ -70,13 +81,18 @@ class ContingencyCounts:
 
     def joint_counts(self) -> CountVector:
         """The cells flattened row-major, as a plain count vector."""
-        return CountVector(self.table.ravel())
+        return self._part("_joint", self.table.ravel())
 
     def row_counts(self) -> CountVector:
-        return CountVector(self.row_sums)
+        return self._part("_rows", self.row_sums)
 
     def col_counts(self) -> CountVector:
-        return CountVector(self.col_sums)
+        return self._part("_cols", self.col_sums)
+
+    def _part(self, name: str, counts: np.ndarray) -> CountVector:
+        # setdefault keeps the first part built, should two threads race.
+        part = self.__dict__.get(name)
+        return part if part is not None else self.__dict__.setdefault(name, CountVector(counts))
 
 
 @dataclass(frozen=True, eq=False, kw_only=True)
@@ -117,12 +133,15 @@ def _cell_means(tbl: ContingencyCounts, cfg: IdmConfig, t: SimplexPoint) -> np.n
 
 
 def _three_entropies(u: np.ndarray, kernel: EntropyKernel) -> np.ndarray:
-    """Row plus column minus cell entropy of posterior means ``u[..., d1, d2]``."""
-    return (
-        h(u.sum(axis=-1), kernel).sum(axis=-1)
-        + h(u.sum(axis=-2), kernel).sum(axis=-1)
-        - h(u, kernel).sum(axis=(-2, -1))
-    )
+    """Row plus column minus cell entropy of posterior means ``u[..., d1, d2]``.
+
+    The row, column and cell groups take one special-function pass, with
+    the bits of ``h`` on each.
+    """
+    parts = (u.sum(axis=-1), u.sum(axis=-2), u)
+    terms = _entropy_terms([(kernel.total, part.ravel()) for part in parts], slopes=False)
+    rows, cols, cells = (values.reshape(part.shape) for (values, _), part in zip(terms, parts))
+    return rows.sum(axis=-1) + cols.sum(axis=-1) - cells.sum(axis=(-2, -1))
 
 
 def expected_mi(tbl: ContingencyCounts, cfg: IdmConfig, t: SimplexPoint) -> float:
@@ -130,7 +149,7 @@ def expected_mi(tbl: ContingencyCounts, cfg: IdmConfig, t: SimplexPoint) -> floa
 
     ``t`` runs over the flattened cells in row-major order.  The value is
     the three-entropy combination of the row, column, and joint posterior
-    means, all with kernel ``n + s``.
+    means, all with kernel ``n + s``, in one special-function pass.
     """
     u = _cell_means(tbl, cfg, t)
     return float(_three_entropies(u, EntropyKernel(tbl.total + cfg.s)))
@@ -143,11 +162,12 @@ def mi_interval_crude(tbl: ContingencyCounts, cfg: IdmConfig) -> Interval:
     exact entropy machinery applies to rows, columns, and joint cells
     independently; the combination bounds the MI from both sides.  Valid
     but potentially very loose on unbalanced tables.  The three entropy
-    intervals take one special-function pass, with the bits of three
-    :func:`entropy_interval_exact` calls.
+    intervals take at most one special-function pass, with the bits of
+    three :func:`entropy_interval_exact` calls; none when the table has
+    already answered at this strength (see :class:`ContingencyCounts`).
     """
-    parts = _parts(tbl)
-    return _crude(_entropy_terms(_crude_groups(parts, cfg)))
+    rows = _part_rows(tbl, _parts(tbl), cfg)
+    return _crude(_row_terms(rows, extreme=True, remainder=False))
 
 
 def mi_estimate(tbl: ContingencyCounts, cfg: IdmConfig) -> RobustEstimate:
@@ -155,7 +175,8 @@ def mi_estimate(tbl: ContingencyCounts, cfg: IdmConfig) -> RobustEstimate:
 
     The row, column, and cell entropies each get the concave-summand
     remainder bounds of :func:`concave_remainder_bounds`, all with kernel
-    ``n + s``; the three take one special-function pass together.  They
+    ``n + s``; the three take at most one special-function pass together,
+    none when the table has already answered at this strength.  They
     combine per cell, over the ``d1*d2`` cells in row-major order, before
     any aggregation: the result has the bits of ``propagate_sum(
     propagate_sum(lift(rows, i), lift(cols, j)), negate(cells))``, with
@@ -166,7 +187,7 @@ def mi_estimate(tbl: ContingencyCounts, cfg: IdmConfig) -> RobustEstimate:
     makes its lower end O(sigma) (see the module docstring).
     """
     parts = _parts(tbl)
-    terms = _entropy_terms(_estimate_groups(tbl, parts, cfg))
+    terms = _row_terms(_part_rows(tbl, parts, cfg), extreme=False, remainder=True)
     return RobustEstimate(*_estimate(tbl, parts, cfg, terms))
 
 
@@ -175,16 +196,16 @@ def mi_interval_bounds(tbl: ContingencyCounts, cfg: IdmConfig) -> MiBounds:
 
     The remainder and inner bounds are those of :func:`mi_estimate` and the
     crude interval that of :func:`mi_interval_crude`; every value both need
-    takes one special-function pass, and the result is the one estimate
+    takes at most one special-function pass, none when the table has
+    already answered at this strength, and the result is the one estimate
     the call builds.  The upper witness ``cell1`` is the first row-major
     cell attaining the float maximum of the per-cell upper remainders, and
     ``cell2`` the first one attaining the float minimum of the lower
     remainders.
     """
     parts = _parts(tbl)
-    terms = _entropy_terms(_estimate_groups(tbl, parts, cfg) + _crude_groups(parts, cfg))
-    primaries = _estimate(tbl, parts, cfg, terms[:3])
-    return MiBounds(*primaries, crude=_crude(terms[3:]), shape=tbl.shape)
+    terms = _row_terms(_part_rows(tbl, parts, cfg), extreme=True, remainder=True)
+    return MiBounds(*_estimate(tbl, parts, cfg, terms), crude=_crude(terms), shape=tbl.shape)
 
 
 def _parts(tbl: ContingencyCounts) -> tuple[CountVector, CountVector, CountVector]:
@@ -195,12 +216,9 @@ def _parts(tbl: ContingencyCounts) -> tuple[CountVector, CountVector, CountVecto
 # parts, while each part's posterior means and its exact interval's kernel
 # use the part's own total: row and column sums of a fractional table can
 # differ from the table's total by an ulp.
-def _estimate_groups(tbl: ContingencyCounts, parts, cfg: IdmConfig) -> list:
-    return [(tbl.total + cfg.s, _remainder_points(part, cfg)) for part in parts]
-
-
-def _crude_groups(parts, cfg: IdmConfig) -> list:
-    return [(part.total + cfg.s, _extreme_points(part, cfg)) for part in parts]
+def _part_rows(tbl: ContingencyCounts, parts, cfg: IdmConfig) -> list:
+    total = tbl.total + cfg.s
+    return [(part, cfg, total) for part in parts]
 
 
 def _estimate(tbl: ContingencyCounts, parts, cfg: IdmConfig, terms) -> tuple:
@@ -213,7 +231,8 @@ def _estimate(tbl: ContingencyCounts, parts, cfg: IdmConfig, terms) -> tuple:
     """
     sigmas = [sigma_of(part, cfg) for part in parts]
     (f_r, ub_r, lb_r, v_r), (f_c, ub_c, lb_c, v_c), (f_x, ub_x, lb_x, v_x) = (
-        _remainder_parts(sigma, slopes, values) for sigma, (values, slopes) in zip(sigmas, terms)
+        _remainder_parts(sigma, slopes, values)
+        for sigma, (_, values, slopes) in zip(sigmas, terms)
     )
     d1, d2 = tbl.shape
 
@@ -232,7 +251,7 @@ def _estimate(tbl: ContingencyCounts, parts, cfg: IdmConfig, terms) -> tuple:
 
 
 def _crude(terms) -> Interval:
-    rows, cols, joint = (_extreme_interval(values) for values, _ in terms)
+    rows, cols, joint = (_extreme_interval(values) for values, _, _ in terms)
     return Interval(
         rows.lower + cols.lower - joint.upper,
         rows.upper + cols.upper - joint.lower,

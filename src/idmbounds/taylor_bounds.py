@@ -24,7 +24,10 @@ from typing import Callable
 
 import numpy as np
 
-from .exact_extrema import ConcaveSummand, _extreme_interval, _extreme_points, _point_set
+from .exact_extrema import (
+    ConcaveSummand, _EntropySummand, _extreme_interval, _extreme_points, _remainder_points,
+    _row_terms,
+)
 from .simplex_core import CountVector, IdmConfig, Interval, _posterior_means, sigma_of
 from .special_fn import _BLOCK_ROWS, _entropy_terms
 
@@ -166,19 +169,16 @@ def concave_remainder_bounds(counts: CountVector, cfg: IdmConfig, f) -> RobustEs
     with elementwise ``fn`` and ``deriv``, ``f.deriv`` and then ``f.fn`` are
     each called once.  The summand of
     :func:`~idmbounds.exact_extrema.entropy_summand` calls neither: it takes
-    ``h`` and ``h'`` in one special-function pass, with the same bits.
+    ``h`` and ``h'`` in at most one special-function pass, with the same
+    bits; none when ``counts`` has already answered at this strength and
+    kernel (see :class:`~idmbounds.simplex_core.CountVector`).
     """
-    # An object that is not a ConcaveSummand takes the generic method.
-    terms = getattr(type(f), "_values_and_derivs", ConcaveSummand._values_and_derivs)
-    values, derivs = terms(f, _remainder_points(counts, cfg))
+    if isinstance(f, _EntropySummand):
+        rows = [(counts, cfg, f.kernel.total)]
+        [(_, values, derivs)] = _row_terms(rows, extreme=False, remainder=True)
+    else:
+        values, derivs = ConcaveSummand._values_and_derivs(f, _remainder_points(counts, cfg))
     return _remainder_estimate(sigma_of(counts, cfg), derivs, values)
-
-
-def _remainder_points(counts: CountVector, cfg: IdmConfig) -> np.ndarray:
-    """The baseline ``u0`` and the vertex coordinates, stacked: ``2 d`` points."""
-    # t = 0 and t = 1 broadcast against the counts: the baseline u0 and every
-    # vertex coordinate (n_k + s)/(n + s), in one map.
-    return _point_set(counts, cfg, np.array([[0.0], [1.0]]))
 
 
 def _remainder_estimate(sigma: float, derivs: np.ndarray, values: np.ndarray) -> RobustEstimate:

@@ -1,10 +1,13 @@
-"""Entropy intervals, MI bounds and CLI requests take one special-function pass.
+"""Entropy intervals, MI bounds and CLI requests take at most one special-function pass.
 
 Each fused call is compared with a reference built here from separate
 public calls: the bits of every field, the sign of every zero, and the
-type and message of every error must agree.  The CLI's entropy and sweep
-requests batch their rows into one pass per block of points.  The cost
-guards count work, never time it: passes, summand calls and estimates built.
+type and message of every error must agree.  A count vector keeps the
+terms of its last pass, so a later question at the same strength takes
+none; its answers are compared with those of fresh objects.  The CLI's
+entropy and sweep requests batch their rows into one pass per block of
+points.  The cost guards count work, never time it: passes, summand calls
+and estimates built.
 """
 
 import dataclasses
@@ -15,6 +18,8 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from idmbounds import (
     ContingencyCounts,
@@ -30,6 +35,7 @@ from idmbounds import (
     credible_mi_interval,
     digamma,
     entropy_interval_exact,
+    expected_mi,
     entropy_summand,
     h,
     lattice_mi_objective,
@@ -42,6 +48,7 @@ from idmbounds import (
     min_concave_sum,
     negate,
     propagate_sum,
+    robust_credible_mi,
     robust_credible_mi_parts,
 )
 from idmbounds import exact_extrema, special_fn, taylor_bounds
@@ -226,20 +233,6 @@ def test_errors_keep_their_type_and_message(name):
         else:
             _assert_same(got, want, (table, cfg.s))
     assert "total must be a positive finite real" in seen
-
-
-@pytest.fixture
-def passes(monkeypatch):
-    """The arguments of every ``_shift_and_series`` call, as float arrays."""
-    calls = []
-    original = special_fn._shift_and_series
-
-    def counting(x, orders):
-        calls.append(np.atleast_1d(np.asarray(x, dtype=float)).copy())
-        return original(x, orders)
-
-    monkeypatch.setattr(special_fn, "_shift_and_series", counting)
-    return calls
 
 
 def test_entropy_interval_takes_one_pass(passes):
@@ -437,3 +430,151 @@ def test_wide_sweep_memory_stays_bounded():
     assert status == 0
     assert len(out.getvalue().splitlines()) == 201
     assert peak < 20 * 2**20
+
+
+# The six public questions, each asked of a table: the vector questions of
+# one of its parts, the remainder bounds on the part's own kernel or on the
+# table's, which the MI bounds use.
+def _remainder(part, cfg, total):
+    return concave_remainder_bounds(part, cfg, entropy_summand(EntropyKernel(total)))
+
+
+QUESTIONS = {
+    "entropy_interval_exact": lambda tbl, cfg, k, own: entropy_interval_exact(_parts(tbl)[k], cfg),
+    "concave_remainder_bounds": lambda tbl, cfg, k, own: _remainder(
+        _parts(tbl)[k], cfg, (_parts(tbl)[k].total if own else tbl.total) + cfg.s
+    ),
+    "mi_estimate": lambda tbl, cfg, k, own: mi_estimate(tbl, cfg),
+    "mi_interval_bounds": lambda tbl, cfg, k, own: _bounds_fused(tbl, cfg),
+    "mi_interval_crude": lambda tbl, cfg, k, own: mi_interval_crude(tbl, cfg),
+    "robust_credible_mi": lambda tbl, cfg, k, own: robust_credible_mi_parts(tbl, cfg, SPEC),
+}
+
+_cells = st.sampled_from([0.0, 1.0, 2.0, 3.25, 0.1, 7.7, 1e6, 123456.78])
+
+
+@st.composite
+def _small_tables(draw):
+    d1, d2 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    return np.array([[draw(_cells) for _ in range(d2)] for _ in range(d1)])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    _small_tables(),
+    st.sampled_from([(1.0, 2.0), (0.5, 1e3), (1e-12, 1.0), (1e-12, 2e-12), (2.0, 2.0)]),
+    st.lists(
+        st.tuples(st.sampled_from(list(QUESTIONS)), st.integers(0, 2), st.booleans()),
+        min_size=1,
+        max_size=8,
+    ),
+)
+# The row and column sums of this table total an ulp above its n: a part's
+# own kernel and the table's are two entries.
+@example(
+    np.array([[0.1, 123456.78, 2.0], [1e6, 7.7, 0.0]]),
+    (1.0, 2.0),
+    [
+        ("mi_estimate", 0, True),
+        ("entropy_interval_exact", 2, True),
+        ("concave_remainder_bounds", 0, True),
+        ("concave_remainder_bounds", 1, False),
+        ("concave_remainder_bounds", 1, True),
+    ],
+)
+# n + s rounds to n at both strengths: the strength is part of the entry's key.
+@example(
+    np.array([[1e6, 0.0], [1.0, 7.7]]),
+    (1e-12, 2e-12),
+    [("mi_interval_bounds", 0, True), ("mi_interval_bounds", 0, True)],
+)
+def test_questions_on_one_object_match_fresh_objects(table, strengths, questions):
+    tbl = ContingencyCounts(table)
+    for i, (name, k, own) in enumerate(questions):
+        cfg = IdmConfig(strengths[i % 2])
+        ask = QUESTIONS[name]
+        got = _run(lambda: ask(tbl, cfg, k, own))
+        want = _run(lambda: ask(ContingencyCounts(table), cfg, k, own))
+        if isinstance(want, ValueError):
+            assert (type(got), str(got)) == (type(want), str(want)), (name, table, cfg.s)
+        else:
+            _assert_same(got, want, (name, table, cfg.s))
+
+
+_TABLE = [[3.25, 1.0, 2.5], [1.0, 4.1, 0.5]]
+
+
+@pytest.mark.parametrize("name", list(QUESTIONS))
+def test_second_question_takes_no_pass(name, passes):
+    tbl, cfg = ContingencyCounts(_TABLE), IdmConfig(1.0)
+    first = QUESTIONS[name](tbl, cfg, 2, True)
+    assert len(passes) == 1
+    passes.clear()
+    _assert_same(QUESTIONS[name](tbl, cfg, 2, True), first, name)
+    assert passes == []
+    # Another strength is another entry: it takes a pass again.
+    QUESTIONS[name](tbl, IdmConfig(2.0), 2, True)
+    assert len(passes) == 1
+
+
+def test_mi_bounds_after_the_joint_entropy_take_the_margins_only(passes):
+    # Integral cells: every part totals the table's n, so one kernel serves all.
+    tbl, cfg = ContingencyCounts([[3.0, 1.0, 2.0], [1.0, 4.0, 5.0]]), IdmConfig(1.0)
+    joint = tbl.joint_counts()
+    entropy_interval_exact(joint, cfg)
+    _remainder(joint, cfg, joint.total + cfg.s)
+    assert len(passes) == 1
+    passes.clear()
+    mi_interval_bounds(tbl, cfg)
+    # psi(n + s + 1), then both point sets of the rows and the columns.
+    assert len(passes) == 1
+    assert passes[0].size == 1 + 4 * sum(tbl.shape)
+    assert passes[0][0] == tbl.total + cfg.s + 1.0
+    passes.clear()
+    robust_credible_mi(tbl, cfg, SPEC)
+    assert passes == []
+
+
+def test_a_row_wider_than_one_block_stores_nothing(passes):
+    d = special_fn._BLOCK_ROWS // 4 + 1
+    counts, cfg = CountVector(np.arange(d) % 7.0), IdmConfig(1.0)
+    for _ in range(2):
+        entropy_interval_exact(counts, cfg)
+        _remainder(counts, cfg, counts.total + cfg.s)
+    # Each call takes its own set alone: psi(n + s + 1) and 2 d points.
+    assert [p.size for p in passes] == [1 + 2 * d] * 4
+    # One block holds both sets of a row one category narrower.
+    passes.clear()
+    narrow = CountVector(np.arange(d - 1) % 7.0)
+    entropy_interval_exact(narrow, cfg)
+    _remainder(narrow, cfg, narrow.total + cfg.s)
+    assert [p.size for p in passes] == [1 + 4 * (d - 1)]
+
+
+def test_a_failed_pass_stores_nothing(passes, monkeypatch):
+    def fail(groups):
+        raise RuntimeError("the pass failed")
+
+    tbl, cfg = ContingencyCounts(_TABLE), IdmConfig(1.0)
+    with monkeypatch.context() as patch:
+        patch.setattr(exact_extrema, "_entropy_terms", fail)
+        for name, ask in QUESTIONS.items():
+            with pytest.raises(RuntimeError, match="the pass failed"):
+                ask(tbl, cfg, 2, True)
+    assert passes == []
+    taken = []
+    for name, ask in QUESTIONS.items():
+        passes.clear()
+        got = ask(tbl, cfg, 2, True)
+        taken.append(len(passes))
+        _assert_same(got, ask(ContingencyCounts(_TABLE), cfg, 2, True), name)
+    # Nothing was stored: the first question takes a pass of its own.
+    assert taken[0] == 1
+
+
+def test_expected_mi_takes_one_pass(passes):
+    tbl, cfg = ContingencyCounts(_TABLE), IdmConfig(1.0)
+    expected_mi(tbl, cfg, SimplexPoint.uniform(tbl.cells))
+    # psi(n + s + 1), then the rows, the columns and the cells.
+    assert len(passes) == 1
+    assert passes[0].size == 1 + sum(tbl.shape) + tbl.cells

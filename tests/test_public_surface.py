@@ -1,5 +1,6 @@
 """The package's public names and the README's code examples."""
 
+import dataclasses
 import importlib
 import inspect
 import re
@@ -61,3 +62,22 @@ def test_readme_python_blocks_run_in_order():
         warnings.simplefilter("error", RuntimeWarning)
         for block in blocks:
             exec(compile(block, str(README), "exec"), namespace)
+
+
+def test_stored_terms_and_cached_parts_leave_the_count_types_alone():
+    counts = idmbounds.CountVector([3.0, 6.0, 1.0])
+    tbl = idmbounds.ContingencyCounts([[3.0, 1.0], [0.0, 2.5]])
+    cfg = idmbounds.IdmConfig(1.0)
+    kernel = idmbounds.EntropyKernel(counts.total + cfg.s)
+    idmbounds.entropy_interval_exact(counts, cfg)
+    idmbounds.concave_remainder_bounds(counts, cfg, idmbounds.entropy_summand(kernel))
+    idmbounds.mi_interval_bounds(tbl, cfg)
+    assert [f.name for f in dataclasses.fields(idmbounds.CountVector)] == ["counts"]
+    assert [f.name for f in dataclasses.fields(idmbounds.ContingencyCounts)] == ["table"]
+    assert repr(counts) == "CountVector(counts=array([3., 6., 1.]))"
+    assert repr(tbl) == "ContingencyCounts(table=array([[3. , 1. ],\n       [0. , 2.5]]))"
+    assert repr(tbl.joint_counts()) == "CountVector(counts=array([3. , 1. , 0. , 2.5]))"
+    # Equality stays identity, and each part is built once.
+    assert counts != idmbounds.CountVector([3.0, 6.0, 1.0])
+    for part in ("joint_counts", "row_counts", "col_counts"):
+        assert getattr(tbl, part)() is getattr(tbl, part)()
