@@ -1,6 +1,7 @@
 """Command-line interface: golden runs, formats, and error codes."""
 
 import argparse
+import hashlib
 import io
 import json
 import math
@@ -13,6 +14,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -562,3 +564,84 @@ class TestHostileArgv:
             assert err.getvalue().startswith(f"error [{code}]: ")
         else:
             assert err.getvalue().startswith("ok: ")
+
+
+def _seeded_requests():
+    """About 300 seeded ``entropy`` and ``sweep`` argvs, JSON and CSV alike.
+
+    Integral counts with ``n + s`` up to 1000 (rational endpoints are
+    attempted), fractional counts over ten decades, ``n:`` sweeps of up to 60
+    rows and ``ratio:`` sweeps, d from 1 to 40, and strengths from 1e-17 to
+    the float maximum, where the leveled prior takes its edge branches, and
+    a few totals below the normal range.
+    """
+    rng = np.random.default_rng(2028)
+    fmts, modes = ("json", "csv"), ("both", "exact", "approx")
+    strengths = ("1e-17", "1e-9", "0.5", "1", "2.5", "1000", "1e300", "1.7976931348623157e308")
+
+    def text(counts):
+        return ",".join(repr(float(c)) for c in counts)
+
+    def split(total, d, integral):
+        weights = rng.dirichlet(np.ones(d)) * (rng.uniform(size=d) > 0.3)
+        if not weights.any():
+            weights[rng.integers(d)] = 1.0
+        weights /= weights.sum()
+        if integral:
+            return rng.multinomial(total, weights)
+        return np.round(weights * total, 2)
+
+    for i in range(120):
+        d, s = int(rng.integers(1, 41)), int(rng.integers(1, 4))
+        if i % 2:
+            total = int(rng.integers(s, 1001))
+            counts = split(total - s, d, integral=True)
+            fmt, mode = fmts[i // 2 % 2], modes[i % 3]
+        else:
+            # Gaps of at least s level only the smallest count: on the grid.
+            d = int(rng.integers(1, 13))
+            counts = np.cumsum(rng.integers(3, 1990 // (d * (d + 1)) + 1, size=d)) - 3
+            rng.shuffle(counts)
+            fmt, mode = "json", modes[i % 4 // 2]
+        yield ["entropy", "--inline", text(counts), "--s", str(s), "--mode", mode,
+               "--format", fmt]
+    # n + s below the normal range: the posterior means are rescaled.
+    for counts, s in (("0,0,0", "5e-324"), ("0", "1e-310"), ("5e-324,0", "5e-324"),
+                      ("1e-310,3e-310,0", "2e-310")):
+        yield ["entropy", "--inline", counts, "--s", s]
+    for i in range(66):
+        d = int(rng.integers(1, 41))
+        counts = split(10 ** rng.uniform(-2, 8), d, integral=False)
+        s = strengths[i % len(strengths)] if i % 2 else repr(float(10 ** rng.uniform(-3, 3)))
+        yield ["entropy", "--inline", text(counts), "--s", s, "--mode", modes[i % 3],
+               "--format", fmts[i % 2]]
+    for i in range(80):
+        d = int(rng.integers(1, 41))
+        counts = rng.integers(0, 21, size=d)
+        counts[rng.integers(d)] += 1
+        lo = int(rng.integers(1, 200))
+        hi = lo + int(rng.integers(0, 60))
+        s = strengths[i % len(strengths)]
+        yield ["sweep", "--inline", text(counts), "--sweep", f"n:{lo}:{hi}", "--s", s,
+               "--format", fmts[i % 2]]
+    for i in range(30):
+        n = repr(float(np.round(10 ** rng.uniform(0, 6), 3)))
+        yield ["sweep", "--sweep", f"ratio:{n}", "--s", strengths[i % len(strengths)],
+               "--format", fmts[i % 2]]
+
+
+#: sha256 of every seeded request's status and stdout, in order.
+SEEDED_DIGEST = "052a15d7b8bc5b8621341eb429774f911e23ad8e1bc960e061ad9f4fd8eb1781"
+
+
+def test_seeded_requests_keep_their_bytes():
+    digest = hashlib.sha256()
+    statuses = []
+    for argv in _seeded_requests():
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            status = main(argv)
+        statuses.append(status)
+        digest.update(f"{status}\n{out.getvalue()}".encode())
+    assert len(statuses) == 300
+    assert digest.hexdigest() == SEEDED_DIGEST
