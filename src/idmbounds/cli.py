@@ -15,7 +15,12 @@ command, ``s`` and ``grid_check`` to the result and writes it.
 
 ``entropy`` and ``sweep`` take every ``h``, ``h'`` and ``psi(T + 1)`` they
 need from one special-function pass per request (per 2^16 points: a long
-sweep takes one pass per block of rows, so its memory stays bounded).
+sweep takes one pass per block of rows, so its memory stays bounded).  A
+sweep's axis is one ``(rows, d)`` count array: its rows are leveled,
+mapped and summed as a stack, with array operations, and only the
+per-row result objects and the output are built row by row.  Exact
+rational endpoints are integer sums over one harmonic table, built on the
+first integral request.
 """
 
 from __future__ import annotations
@@ -202,9 +207,13 @@ def _config(args, total: float = 0.0) -> IdmConfig:
         cfg = IdmConfig(args.s)
     except ValueError as exc:
         raise CliError("BAD_STRENGTH", str(exc)) from exc
+    _check_total(cfg, total)
+    return cfg
+
+
+def _check_total(cfg: IdmConfig, total: float) -> None:
     if not math.isfinite(total + cfg.s):
         raise CliError("BAD_STRENGTH", f"n + s overflows (n = {total:g}, s = {cfg.s:g})")
-    return cfg
 
 
 def _grid_spec(args, minimum: int = 1) -> Optional[GridSpec]:
@@ -333,7 +342,7 @@ def _plugin_entropy(counts: CountVector) -> float:
 
 
 def run_sweep(args) -> tuple[dict, dict]:
-    _config(args)  # a bad --s is reported before a bad --sweep
+    cfg = _config(args)  # a bad --s is reported before a bad --sweep
     spec = args.sweep
     parts = spec.split(":")
     if parts[0] == "n" and len(parts) == 3:
@@ -354,7 +363,8 @@ def run_sweep(args) -> tuple[dict, dict]:
         if counts.total <= 0:
             raise CliError("BAD_SWEEP_SPEC", "n-sweep needs counts with a positive total")
         ratios = counts.counts / counts.total
-        axis = ((float(nv), ratios * nv) for nv in range(lo, hi + 1))
+        xs = np.array([float(nv) for nv in range(lo, hi + 1)])
+        axis = xs[:, None] * ratios
         inputs = {"sweep": spec, "ratios": [_round12(r) for r in ratios]}
     elif parts[0] == "ratio" and len(parts) == 2:
         try:
@@ -366,24 +376,26 @@ def run_sweep(args) -> tuple[dict, dict]:
         if args.inline is not None or args.input is not None:
             raise CliError("INPUT_CONFLICT", "a ratio sweep fixes its counts; give no input")
         # Step 1/60 keeps simple rational ratios (1/3, 1/4, ...) on the grid.
-        axis = [(x, np.array([x * n_fixed, (1.0 - x) * n_fixed])) for x in np.arange(31) / 60.0]
+        xs = np.arange(31) / 60.0
+        axis = np.stack([xs * n_fixed, (1.0 - xs) * n_fixed], axis=1)
         inputs = {"sweep": spec, "n": _round12(n_fixed)}
     else:
         raise CliError(
             "BAD_SWEEP_SPEC", f"sweep spec must be n:<min>:<max> or ratio:<n>, got {spec!r}"
         )
 
-    # Every row is checked, in order, before any is computed: the first
-    # error is the one a row-by-row loop would raise.  Validated rows cannot
-    # raise in the pass: n + s is finite and positive, n is positive (each
-    # axis row totals at least about 1) and every point lies on [0, 1].
+    # The axis is one (rows, d) array.  Every row is checked, in order, in
+    # one pass before any is computed: the first error is the one a
+    # row-by-row loop would raise.  Validated rows cannot raise in the pass:
+    # n + s is finite and positive, n is positive (each axis row totals at
+    # least about 1) and every point lies on [0, 1].
     cases = []
-    for x, raw in axis:
-        counts = CountVector(raw)
-        cases.append((x, counts, _config(args, counts.total)))
-    batch = _entropy_rows((counts, cfg, _point_groups(counts)) for _, counts, cfg in cases)
+    for raw in axis:
+        cases.append(CountVector(raw))
+        _check_total(cfg, cases[-1].total)
+    batch = _entropy_rows((counts, cfg, _point_groups(counts)) for counts in cases)
     rows = []
-    for (x, counts, _), (exact, est, (ml, half)) in zip(cases, batch):
+    for x, counts, (exact, est, (ml, half)) in zip(xs.tolist(), cases, batch):
         cons = est.conservative_interval()
         plugin = _plugin_entropy(counts)
         row = (x, exact.lower, exact.upper, cons.lower, cons.upper, ml, half, plugin)

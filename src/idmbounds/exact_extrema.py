@@ -17,12 +17,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from functools import cache
+from itertools import accumulate
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .simplex_core import CountVector, IdmConfig, Interval, SimplexPoint, _posterior_means, u_from_t
-from .special_fn import _BLOCK_ROWS, EntropyKernel, _entropy_terms, _h_fractions, h, h_prime
+from .special_fn import _BLOCK_ROWS, EntropyKernel, _entropy_terms, h, h_prime
 
 __all__ = [
     "ConcaveSummand", "ExtremumResult", "entropy_interval_exact", "entropy_interval_rational",
@@ -141,7 +143,14 @@ def max_concave_sum(counts: CountVector, cfg: IdmConfig, f: ConcaveSummand) -> E
     vertex of the least-observed category.  A summand whose output does not
     match its argument's shape raises ``ValueError``.
     """
-    t, m_star, vertex_index = _leveled_prior(counts, cfg)
+    t, m_star = _leveled_prior(_one_row(counts, cfg))
+    t, m_star = t[0, 0], int(m_star[0])
+    # Rounding can leave t* at a vertex whatever m* is.
+    nonzero = t.nonzero()[0]
+    if nonzero.size == 1:
+        vertex_index = int(nonzero[0])
+    else:
+        vertex_index = int(counts.counts.argmin()) if m_star == 1 else None
     return _extremum(counts, cfg, f, t, vertex_index, m_star)
 
 
@@ -153,43 +162,74 @@ def _extremum(counts, cfg, f, t, vertex_index, m_star=None) -> ExtremumResult:
     return ExtremumResult(value, u_star, t_star, vertex_index, m_star)
 
 
-def _leveled_prior(counts: CountVector, cfg: IdmConfig) -> tuple[np.ndarray, int, Optional[int]]:
-    """The water-filling maximum's prior mean ``t*``, a plain array, its
-    leveling count ``m*`` and, when ``t*`` is a vertex, that vertex's index."""
-    n = counts.counts
-    u0 = _posterior_means(n, counts.total, cfg.s, 0.0)
-    denom = counts.total + cfg.s
-    order = n.argsort(kind="stable")
-    prefix = n[order].cumsum()
-    m = np.arange(1, counts.dim + 1)
-    # m (n+s) overflows when n + s is within a factor m of the float
-    # maximum: divide in two steps there instead of by infinity.
-    with np.errstate(over="ignore"):
-        scale = m * denom
-    candidates = (cfg.s + prefix) / scale
-    big = np.isinf(scale)
-    candidates[big] = (cfg.s + prefix[big]) / m[big] / denom
-    m_star = int(candidates.argmin()) + 1
-    u_tilde = float(candidates[m_star - 1])
+class _Stack(NamedTuple):
+    """Count rows of one dimension, questioned together.
 
-    u_vec = np.maximum(u0, u_tilde)
-    # t* = (u* (n+s) - n) / s loses digits when s << n: clip and renormalise
-    # so the witness is on the simplex by construction.
-    t = np.maximum(u_vec * denom - n, 0.0)
-    if not t.any():
-        # s too small to move u in floating point: u == u0 for every t; any
-        # witness is valid.
-        t[order[0]] = 1.0
+    ``counts`` is a ``(rows, 1, d)`` array, and ``total`` (each row's ``n``)
+    and ``s`` (each row's strength) are ``(rows, 1, 1)`` arrays, so that they
+    broadcast against the counts and against ``(rows, k, d)`` prior means:
+    ``k`` point sets a row.  One count vector is a one-row stack whose
+    ``total`` and ``s`` are floats, which broadcast the same way.
+    """
+
+    counts: np.ndarray
+    total: np.ndarray
+    s: np.ndarray
+
+
+def _stack(pairs) -> _Stack:
+    """The stack of ``(counts, cfg)`` pairs whose count vectors share one dimension."""
+    return _Stack(
+        np.array([counts.counts for counts, _ in pairs])[:, None],
+        np.array([counts.total for counts, _ in pairs])[:, None, None],
+        np.array([cfg.s for _, cfg in pairs])[:, None, None],
+    )
+
+
+def _one_row(counts: CountVector, cfg: IdmConfig) -> _Stack:
+    return _Stack(counts.counts[None, None], counts.total, cfg.s)
+
+
+def _leveled_prior(stack: _Stack) -> tuple[np.ndarray, np.ndarray]:
+    """The water-filling maximum's prior means ``t*``, shaped like the
+    stack's counts, and each row's leveling count ``m*``.
+
+    Every edge case is a mask over the rows, so a row's bits do not depend
+    on the rows stacked with it.
+    """
+    n, total, s = stack
+    u0 = _posterior_means(n, total, s, 0.0)
+    denom = total + s
+    prefix = n.copy()
+    prefix.sort(axis=-1)
+    np.add.accumulate(prefix, axis=-1, out=prefix)
+    m = np.arange(1, n.shape[-1] + 1)
     with np.errstate(over="ignore"):
-        mass = t.sum()
+        # m (n+s) overflows when n + s is within a factor m of the float
+        # maximum: divide in two steps there instead of by infinity.
+        scale = m * denom
+        candidates = (s + prefix) / scale
+        if scale.max() == np.inf:
+            candidates = np.where(np.isinf(scale), (s + prefix) / m / denom, candidates)
+        m_star = candidates.argmin(axis=-1)[:, 0] + 1
+        u_vec = np.maximum(u0, candidates.min(axis=-1, keepdims=True))
+        # t* = (u* (n+s) - n) / s loses digits when s << n: clip and
+        # renormalise so the witness is on the simplex by construction.
+        t = np.maximum(u_vec * denom - n, 0.0)
+        mass = t.sum(axis=-1, keepdims=True)
+    if not mass.all():
+        # s too small to move u in floating point: u == u0 for every t; any
+        # witness is valid.  The first least-observed category takes it.
+        still = mass[:, 0, 0] == 0.0
+        t[still, 0, n[still, 0].argmin(axis=-1)] = 1.0
+        mass[still] = 1.0
+    if mass.max() < np.inf:
+        return t / mass, m_star
     # With s near the float maximum the mass can round past it, and t / inf
     # is all zeros; halving first is exact at that scale.
-    t = t / mass if math.isfinite(mass) else t / 2.0 / (t / 2.0).sum()
-    # Rounding can leave t* at a vertex whatever m* is.
-    nonzero = t.nonzero()[0]
-    if nonzero.size == 1:
-        return t, m_star, int(nonzero[0])
-    return t, m_star, int(order[0]) if m_star == 1 else None
+    half = t / 2.0
+    finite = np.isfinite(mass)
+    return np.where(finite, t / mass, half / half.sum(axis=-1, keepdims=True)), m_star
 
 
 def _summand_values(fn: Callable, points: np.ndarray, name: str) -> np.ndarray:
@@ -203,31 +243,41 @@ def _summand_values(fn: Callable, points: np.ndarray, name: str) -> np.ndarray:
     return out
 
 
-def _point_set(counts: CountVector, cfg: IdmConfig, priors: np.ndarray) -> np.ndarray:
-    """The posterior means of each row of the prior means ``priors``, in turn."""
-    return _posterior_means(counts.counts, counts.total, cfg.s, priors).ravel()
+def _point_set(stack: _Stack, priors) -> np.ndarray:
+    """Each row's posterior means at its prior means ``priors``, ``(rows, k, d)``
+    or broadcast to it, in turn: ``k d`` points a row."""
+    n, total, s = stack
+    return _posterior_means(n, total, s, priors).reshape(n.shape[0], -1)
 
 
-def _extreme_points(counts: CountVector, cfg: IdmConfig) -> np.ndarray:
-    """The minimum's and the maximum's posterior means, stacked: ``2 d`` points."""
-    priors = np.zeros((2, counts.dim))
-    priors[0, counts.counts.argmax()] = 1.0
-    priors[1] = _leveled_prior(counts, cfg)[0]
-    return _point_set(counts, cfg, priors)
+def _point_sets(stack: _Stack) -> np.ndarray:
+    """Each row's extreme set, then its remainder set: ``4 d`` points a row.
+
+    The extreme set is the minimum's and the maximum's posterior means, the
+    remainder set the baseline ``u0`` and every vertex coordinate ``(n_k +
+    s)/(n + s)`` (see :func:`_remainder_points`); one map of stacked prior
+    means gives both.
+    """
+    rows, _, d = stack.counts.shape
+    priors = np.zeros((rows, 4, d))
+    priors[np.arange(rows), 0, stack.counts.argmax(axis=-1)[:, 0]] = 1.0
+    priors[:, 1:2] = _leveled_prior(stack)[0]
+    priors[:, 3] = 1.0
+    return _point_set(stack, priors)
 
 
-def _remainder_points(counts: CountVector, cfg: IdmConfig) -> np.ndarray:
-    """The baseline ``u0`` and the vertex coordinates, stacked: ``2 d`` points."""
+def _remainder_points(stack: _Stack) -> np.ndarray:
+    """Each row's baseline ``u0`` and vertex coordinates: ``2 d`` points a row."""
     # t = 0 and t = 1 broadcast against the counts: the baseline u0 and every
     # vertex coordinate (n_k + s)/(n + s), in one map.
-    return _point_set(counts, cfg, np.array([[0.0], [1.0]]))
+    return _point_set(stack, np.array([[0.0], [1.0]]))
 
 
 def _row_terms(rows, *, extreme: bool, remainder: bool) -> list:
     """The entropy terms of each ``(counts, cfg, total)`` row, in at most one pass.
 
-    Per row, ``(extreme_values, values, slopes)``: ``h`` at
-    :func:`_extreme_points` on kernel ``counts.total + cfg.s``, and ``h`` and
+    Per row, ``(extreme_values, values, slopes)``: ``h`` at the extreme set
+    of :func:`_point_sets` on kernel ``counts.total + cfg.s``, and ``h`` and
     ``h'`` at :func:`_remainder_points` on kernel ``total``, with the bits of
     separate :func:`~idmbounds.special_fn._entropy_terms` calls.  A set not
     asked for may be ``None``.
@@ -236,7 +286,7 @@ def _row_terms(rows, *, extreme: bool, remainder: bool) -> list:
     entry, stored in a single assignment after the pass succeeds.  Rows whose
     entry holds what they need take no pass; the others share one.  A row
     asked for its extreme set takes its remainder set in the same pass (one
-    broadcast map), but not the reverse, which would sort the counts.  A row
+    map), but not the reverse, which would sort the counts.  A row
     whose two sets would exceed one ``_BLOCK_ROWS`` block, or whose
     ``total`` is not finite, takes only what it is asked for and stores
     nothing.
@@ -252,9 +302,12 @@ def _row_terms(rows, *, extreme: bool, remainder: bool) -> list:
         take_extreme = extreme and entry[1] is None
         take_remainder = (remainder or keep) and entry[2] is None
         if take_extreme:
-            groups.append((counts.total + cfg.s, _extreme_points(counts, cfg)))
+            points = _point_sets(_one_row(counts, cfg))[0]
+            groups.append((counts.total + cfg.s, points[: 2 * counts.dim]))
         if take_remainder:
-            groups.append((total, _remainder_points(counts, cfg)))
+            if not take_extreme:
+                points = _remainder_points(_one_row(counts, cfg))[0]
+            groups.append((total, points[-2 * counts.dim :]))
         plans.append((counts, entry, take_extreme, take_remainder, keep))
     terms = iter(_entropy_terms(groups) if groups else ())
     out = []
@@ -269,12 +322,18 @@ def _row_terms(rows, *, extreme: bool, remainder: bool) -> list:
     return out
 
 
-def _extreme_interval(values: np.ndarray) -> Interval:
-    """The interval from summand values at :func:`_extreme_points`."""
-    lower, upper = (float(part.sum()) for part in values.reshape(2, -1))
+def _extreme_ends(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's interval ends from summand values at the extreme set of
+    :func:`_point_sets`.
+
+    ``values`` has ``2 d`` values a row along its last axis; the ends have
+    its other axes.
+    """
+    sums = values.reshape(*values.shape[:-1], 2, -1).sum(axis=-1)
+    lower, upper = sums[..., 0], sums[..., 1]
     # The minimiser is feasible too, so the maximum is at least its value;
     # with huge counts and a tiny s, rounding alone can cross the two.
-    return Interval(lower, max(lower, upper))
+    return lower, np.where(upper > lower, upper, lower)
 
 
 def entropy_interval_exact(counts: CountVector, cfg: IdmConfig) -> Interval:
@@ -288,7 +347,7 @@ def entropy_interval_exact(counts: CountVector, cfg: IdmConfig) -> Interval:
     """
     rows = [(counts, cfg, counts.total + cfg.s)]
     [(values, _, _)] = _row_terms(rows, extreme=True, remainder=False)
-    return _extreme_interval(values)
+    return Interval(*_extreme_ends(values))
 
 
 def _integral(x: float) -> Optional[int]:
@@ -303,9 +362,11 @@ def entropy_interval_rational(
     Requires exactly integral counts and ``s`` with ``n + s`` at most
     :data:`RATIONAL_TOTAL_LIMIT`, and an upper extremum whose leveled
     coordinates stay on the ``1/(n+s)`` grid.  Returns ``None`` whenever
-    any of that fails, before any ``Fraction`` is summed; the float interval
-    is always available instead.  Both endpoints share one harmonic tail
-    sum of at most ``n + s`` terms.
+    any of that fails, before the harmonic table is read; the float interval
+    is always available instead.  With ``T = n + s``, each endpoint is
+    ``sum_i k_i (N_T - N_k_i) / (L T)`` over its numerators ``k_i``, an
+    integer sum over the table of :func:`_harmonic_table` and one
+    ``Fraction``.
     """
     s = _integral(cfg.s)
     if s is None:
@@ -317,29 +378,40 @@ def entropy_interval_rational(
     if not 1 <= total <= RATIONAL_TOTAL_LIMIT:
         return None
 
-    # Upper endpoint first: the leveling value over sorted counts must put
-    # every coordinate on the grid before any Fraction is summed.
+    # Upper endpoint first: the leveling value over sorted counts, the least
+    # (s + prefix) / (m total) compared by cross-multiplication, is above the
+    # smallest count, so it must be a whole multiple of 1/total.
     ordered = sorted(ints)
-    prefix = 0
-    u_tilde = None
-    for m, c in enumerate(ordered, start=1):
+    level, least = s + ordered[0], 1
+    prefix = ordered[0]
+    for m, c in enumerate(ordered[1:], start=2):
         prefix += c
-        cand = Fraction(s + prefix, m * total)
-        if u_tilde is None or cand < u_tilde:
-            u_tilde = cand
-    numers = []
-    for c in ints:
-        ui = max(Fraction(c, total), u_tilde)
-        scaled = ui * total
-        if scaled.denominator != 1:
-            return None
-        numers.append(int(scaled))
+        if (s + prefix) * least < level * m:
+            level, least = s + prefix, m
+    level, off_grid = divmod(level, least)
+    if off_grid:
+        return None
+    numers = [max(c, level) for c in ints]
 
-    # Lower endpoint: vertex at the most-observed category.  One harmonic
-    # tail serves every coordinate of both endpoints.
+    # Lower endpoint: vertex at the most-observed category.
     i_star = int(np.argmax(counts.counts))
     lower_numers = [c + (s if i == i_star else 0) for i, c in enumerate(ints)]
-    hs = _h_fractions(lower_numers + numers, total)
-    lower = sum((hs[k] for k in lower_numers), Fraction(0))
-    upper = sum((hs[k] for k in numers), Fraction(0))
+    lcm, harmonic = _harmonic_table()
+    tail = harmonic[total]
+    lower, upper = (
+        Fraction(sum(k * (tail - harmonic[k]) for k in ks), lcm * total)
+        for ks in (lower_numers, numers)
+    )
     return lower, upper
+
+
+@cache
+def _harmonic_table() -> tuple[int, list[int]]:
+    """``(L, N)`` with ``L = lcm(1, ..., RATIONAL_TOTAL_LIMIT)`` and
+    ``N[k] = L H_k``, an integer for every ``k`` up to the limit.
+
+    Built on first use (about 0.5 ms, 200 KB) and kept: the cache stores the
+    finished table in one step, so a thread never sees it half built.
+    """
+    lcm = math.lcm(*range(1, RATIONAL_TOTAL_LIMIT + 1))
+    return lcm, list(accumulate((lcm // k for k in range(1, RATIONAL_TOTAL_LIMIT + 1)), initial=0))

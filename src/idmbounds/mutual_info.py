@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact_extrema import _extreme_interval, _row_terms
+from .exact_extrema import _extreme_ends, _row_terms
 from .oracle import GridSpec, lattice_mi_objective, product_grid_extrema
 from .simplex_core import (
     CountVector, IdmConfig, Interval, SimplexPoint, _count_array, _posterior_means, sigma_of
@@ -251,7 +251,7 @@ def _estimate(tbl: ContingencyCounts, parts, cfg: IdmConfig, terms) -> tuple:
 
 
 def _crude(terms) -> Interval:
-    rows, cols, joint = (_extreme_interval(values) for values, _, _ in terms)
+    rows, cols, joint = (Interval(*_extreme_ends(values)) for values, _, _ in terms)
     return Interval(
         rows.lower + cols.lower - joint.upper,
         rows.upper + cols.upper - joint.lower,

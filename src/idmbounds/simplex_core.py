@@ -51,15 +51,28 @@ def _count_array(values, ndim: int, name: str) -> tuple[np.ndarray, float]:
     return arr, total
 
 
-def _posterior_means(counts, total: float, s: float, t) -> np.ndarray:
+def _posterior_means(counts, total, s, t) -> np.ndarray:
     """``(n_i + s * t_i) / (n + s)`` elementwise, with ``total = n`` and ``counts``
-    and ``t`` broadcast.  A non-finite ``n + s`` raises ``ValueError``, unwarned;
-    one below the normal range is first scaled by the exact ``2**600``."""
-    denom = total + s
-    if not math.isfinite(denom):
+    and ``t`` broadcast.  ``total`` and ``s`` are floats, or, for a stack of
+    count rows, arrays of one value per row that broadcast against them.  A
+    non-finite ``n + s`` raises ``ValueError``, unwarned; one below the normal
+    range is first scaled by the exact ``2**600``, row by row."""
+    if isinstance(total, np.ndarray):
+        with np.errstate(over="ignore"):
+            denom = total + s
+        finite = np.isfinite(denom).all()
+        tiny = denom < 2.0**-1022
+        rescale = tiny.any()
+    else:
+        denom = total + s
+        finite = math.isfinite(denom)
+        rescale = tiny = denom < 2.0**-1022
+    if not finite:
         raise ValueError("total must be a positive finite real")
-    if denom < 2.0**-1022:
-        counts, s, denom = counts * 2.0**600, s * 2.0**600, denom * 2.0**600
+    if rescale:
+        # Rows in the normal range are scaled by 1, which keeps their bits.
+        scale = np.where(tiny, 2.0**600, 1.0)
+        counts, s, denom = counts * scale, s * scale, denom * scale
     return (counts + s * t) / denom
 
 
@@ -169,7 +182,7 @@ class Interval:
     def __post_init__(self):
         lower = float(self.lower)
         upper = float(self.upper)
-        if not (np.isfinite(lower) and np.isfinite(upper)):
+        if not (math.isfinite(lower) and math.isfinite(upper)):
             raise ValueError("interval endpoints must be finite")
         if lower > upper:
             raise ValueError(f"interval endpoints out of order: [{lower}, {upper}]")

@@ -21,7 +21,6 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
 from statistics import NormalDist
 
 import numpy as np
@@ -233,24 +232,35 @@ def _summand_slope(tu, psi_total, psi, psi1):
 def _entropy_terms(groups, *, slopes: bool = True) -> list[tuple[np.ndarray, np.ndarray]]:
     """``h`` and ``h'`` at every point of every ``(total, u)`` group, in one pass.
 
-    ``total`` is a kernel total ``T``, each one checked here by
-    :func:`_kernel_total`, and ``u`` a 1-D array on [0, 1].  A single
-    :func:`_shift_and_series` call takes ``psi`` and ``psi'`` at each
-    distinct ``T + 1`` and at every ``T u + 1``; each element is evaluated
-    independently of its neighbours, so every value is the one
+    ``u`` is an array of points on [0, 1] and ``total`` a kernel total ``T``
+    for all of them, or, for a stack of rows, a 1-D array of one ``T`` per
+    row of ``u``'s leading axis; every ``T`` must be positive and finite.
+    A single :func:`_shift_and_series` call takes ``psi`` and ``psi'`` at
+    each distinct ``T + 1`` and at every ``T u + 1``; each element is
+    evaluated independently of its neighbours, so every value is the one
     ``h(u, EntropyKernel(T))`` and ``h_prime`` give.  Returns one
-    ``(h, h')`` pair of read-only arrays per group, in order, so that a
-    caller may keep them (see :func:`~idmbounds.exact_extrema._row_terms`).
-    Without ``slopes`` the pass takes ``psi`` alone, which costs about half
-    as much where ``T u`` is small, and each ``h'`` is ``None``.
+    ``(h, h')`` pair of read-only arrays of ``u``'s shape per group, in
+    order, so that a caller may keep them (see
+    :func:`~idmbounds.exact_extrema._row_terms`).  Without ``slopes`` the
+    pass takes ``psi`` alone, which costs about half as much where ``T u``
+    is small, and each ``h'`` is ``None``.
     """
-    totals = [total for total, _ in groups]
+    # One (total, points) run per group, or per row of a stacked group.
+    totals, sizes = [], []
+    for total, u in groups:
+        if isinstance(total, np.ndarray):
+            totals += total.tolist()
+            sizes += [u.size // total.size] * total.size
+        else:
+            totals.append(total)
+            sizes.append(u.size)
     # Each distinct total's position among the kernels, in order of first use.
-    index = {}
-    for total in totals:
-        index.setdefault(_kernel_total(total), len(index))
-    sizes = [u.size for _, u in groups]
-    arr = _as_unit_interval(np.concatenate([u for _, u in groups]))[0]
+    index = dict.fromkeys(totals)
+    if not all(0.0 < total < np.inf for total in index):
+        raise ValueError("total must be a positive finite real")
+    for position, total in enumerate(index):
+        index[total] = position
+    arr = _as_unit_interval(np.concatenate([u.ravel() for _, u in groups]))[0]
     tu = np.repeat(totals, sizes) * arr
     x = np.concatenate([np.add(list(index), 1.0), tu + 1.0])
     psi, *psi1 = _shift_and_series(x, (0, 1) if slopes else (0,))
@@ -258,13 +268,17 @@ def _entropy_terms(groups, *, slopes: bool = True) -> list[tuple[np.ndarray, np.
     psi_total = np.repeat(psi[[index[total] for total in totals]], sizes)
     values = _summand(arr, psi_total, psi[k:])
     values.flags.writeable = False
-    ends = list(accumulate(sizes))
-    parts = [values[end - size:end] for size, end in zip(sizes, ends)]
-    if not slopes:
-        return [(part, None) for part in parts]
-    derivs = _summand_slope(tu, psi_total, psi[k:], psi1[0][k:])
-    derivs.flags.writeable = False
-    return [(part, derivs[end - size:end]) for part, size, end in zip(parts, sizes, ends)]
+    derivs = None
+    if slopes:
+        derivs = _summand_slope(tu, psi_total, psi[k:], psi1[0][k:])
+        derivs.flags.writeable = False
+    out, end = [], 0
+    for _, u in groups:
+        part = slice(end, end + u.size)
+        end += u.size
+        slope = None if derivs is None else derivs[part].reshape(u.shape)
+        out.append((values[part].reshape(u.shape), slope))
+    return out
 
 
 def _require_integer(**values) -> None:
@@ -288,26 +302,6 @@ def _harmonic_pair(a: int, b: int) -> tuple[int, int]:
     return p1 * q2 + p2 * q1, q1 * q2
 
 
-def _h_fractions(numers, total: int) -> dict[int, Fraction]:
-    """Exact ``h(k/total)`` for every distinct integer ``k`` in ``numers``.
-
-    Walks the distinct numerators in descending order and extends one
-    harmonic tail ``sum_{j=k+1}^{total} 1/j`` by each gap between
-    consecutive numerators, so the whole call sums at most ``total`` terms
-    however many numerators it is given.  Every ``k`` must lie in
-    ``[0, total]``.
-    """
-    out = {}
-    tail = Fraction(0)
-    upper = total
-    for k in sorted(set(numers), reverse=True):
-        if k < upper:
-            tail += Fraction(*_harmonic_pair(k, upper))
-            upper = k
-        out[k] = Fraction(k, total) * tail
-    return out
-
-
 def h_fraction(numer: int, total: int) -> Fraction:
     """Exact rational ``h(numer/total)`` for integer arguments.
 
@@ -321,7 +315,9 @@ def h_fraction(numer: int, total: int) -> Fraction:
     if not 0 <= numer <= total:
         raise ValueError("numer must lie in [0, total]")
     numer, total = int(numer), int(total)
-    return _h_fractions([numer], total)[numer]
+    if numer == total:
+        return Fraction(0)
+    return Fraction(numer, total) * Fraction(*_harmonic_pair(numer, total))
 
 
 def kappa_from_alpha(alpha: float) -> float:

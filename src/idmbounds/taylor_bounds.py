@@ -20,13 +20,14 @@ of estimators propagate without losing that tightness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Callable
 
 import numpy as np
 
 from .exact_extrema import (
-    ConcaveSummand, _EntropySummand, _extreme_interval, _extreme_points, _remainder_points,
-    _row_terms,
+    ConcaveSummand, _EntropySummand, _extreme_ends, _one_row, _point_sets, _remainder_points,
+    _row_terms, _stack,
 )
 from .simplex_core import CountVector, IdmConfig, Interval, _posterior_means, sigma_of
 from .special_fn import _BLOCK_ROWS, _entropy_terms
@@ -93,15 +94,16 @@ class RobustEstimate:
     i2: int = field(init=False)
 
     def __post_init__(self):
-        def put(**values):
-            for name, value in values.items():
-                object.__setattr__(self, name, value)
-
         r_ub, r_lb, vertex = map(_readonly, (self.r_ub_per_i, self.r_lb_per_i, self.vertex_values))
-        i1, i2 = int(np.argmax(r_ub)), int(np.argmin(r_lb))
-        put(f0=float(self.f0), r_ub_per_i=r_ub, r_lb_per_i=r_lb, vertex_values=vertex)
-        put(sigma=float(self.sigma), i1=i1, i2=i2, r_ub=float(r_ub[i1]), r_lb=float(r_lb[i2]))
-        put(inner_upper=float(vertex[i1]), inner_lower=float(vertex[i2]))
+        i1, i2 = int(r_ub.argmax()), int(r_lb.argmin())
+        values = {
+            "f0": float(self.f0), "r_ub_per_i": r_ub, "r_lb_per_i": r_lb, "vertex_values": vertex,
+            "sigma": float(self.sigma), "i1": i1, "i2": i2, "r_ub": float(r_ub[i1]),
+            "r_lb": float(r_lb[i2]), "inner_upper": float(vertex[i1]),
+            "inner_lower": float(vertex[i2]),
+        }
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
@@ -177,7 +179,8 @@ def concave_remainder_bounds(counts: CountVector, cfg: IdmConfig, f) -> RobustEs
         rows = [(counts, cfg, f.kernel.total)]
         [(_, values, derivs)] = _row_terms(rows, extreme=False, remainder=True)
     else:
-        values, derivs = ConcaveSummand._values_and_derivs(f, _remainder_points(counts, cfg))
+        points = _remainder_points(_one_row(counts, cfg))[0]
+        values, derivs = ConcaveSummand._values_and_derivs(f, points)
     return _remainder_estimate(sigma_of(counts, cfg), derivs, values)
 
 
@@ -190,27 +193,33 @@ def _remainder_estimate(sigma: float, derivs: np.ndarray, values: np.ndarray) ->
     return RobustEstimate(*_remainder_parts(sigma, derivs, values), sigma)
 
 
-def _remainder_parts(sigma: float, derivs: np.ndarray, values: np.ndarray):
+def _remainder_parts(sigma, derivs: np.ndarray, values: np.ndarray):
     """The primaries of :func:`_remainder_estimate` before any estimate is built.
 
     ``(f0, r_ub_per_i, r_lb_per_i, vertex_values)``, with ``f0`` a float
     and the vectors plain arrays, so that callers can combine several parts
-    into one :class:`RobustEstimate`.
+    into one :class:`RobustEstimate`.  For a stack of rows, ``derivs`` and
+    ``values`` are ``(rows, 2 d)`` and ``sigma`` a ``(rows, 1)`` column;
+    each primary then has one entry or row per row.
     """
-    deriv_low, deriv_high = derivs.reshape(2, -1)
+    d = derivs.shape[-1] // 2
+    deriv_low, deriv_high = derivs[..., :d], derivs[..., d:]
     bad = ~(np.isfinite(deriv_low) & np.isfinite(deriv_high))
     if bad.any():
+        # The first row with a bad component, as a row-by-row loop meets it.
+        rows = bad.reshape(-1, d)
         raise UnboundedDerivativeError(
             f"summand derivative is non-finite at baseline component(s) "
-            f"{np.flatnonzero(bad).tolist()}; the remainder bound would be infinite"
+            f"{np.flatnonzero(rows[rows.any(axis=1).argmax()]).tolist()}; "
+            f"the remainder bound would be infinite"
         )
     # f' is non-increasing; with huge counts and a tiny s, the vertex is an
     # ulp from u0 and rounding alone can put f' there above f'(u0).
     deriv_high = np.minimum(deriv_high, deriv_low)
-    f_low, f_high = values.reshape(2, -1)
-    f0 = float(f_low.sum())
+    f_low, f_high = values[..., :d], values[..., d:]
+    f0 = f_low.sum(axis=-1)
     # F at the k-th vertex differs from F(u0) only in coordinate k.
-    vertex_values = f0 - f_low + f_high
+    vertex_values = f0[..., None] - f_low + f_high
     return f0, sigma * deriv_low, sigma * deriv_high, vertex_values
 
 
@@ -228,29 +237,52 @@ def _entropy_rows(rows):
     Rows are read one ahead of the pass that takes them.
     """
     block, size = [], 0
-    for counts, cfg, extras in rows:
-        total = counts.total + cfg.s
-        groups = [
-            (total, _extreme_points(counts, cfg)),
-            (total, _remainder_points(counts, cfg)),
-            *extras,
-        ]
-        points = sum(u.size for _, u in groups)
+    for row in rows:
+        counts, _, extras = row
+        points = 4 * counts.dim + sum(u.size for _, u in extras)
         if block and size + points > _BLOCK_ROWS:
             yield from _entropy_pass(block)
             block, size = [], 0
-        block.append((sigma_of(counts, cfg), groups))
+        block.append(row)
         size += points
     if block:
         yield from _entropy_pass(block)
 
 
+def _shape(row) -> tuple:
+    counts, _, extras = row
+    return counts.dim, tuple(u.shape for _, u in extras)
+
+
 def _entropy_pass(block):
-    terms = iter(_entropy_terms([group for _, groups in block for group in groups]))
-    for sigma, groups in block:
+    """One special-function pass over a block of rows.
+
+    Consecutive rows of one shape (dimension and extra groups) form one
+    :class:`~idmbounds.exact_extrema._Stack`, whose points, terms and sums
+    are taken with array operations: a few groups a stack, not a few a row.
+    """
+    runs = [list(run) for _, run in groupby(block, key=_shape)]
+    stacks, groups = [], []
+    for run in runs:
+        stack = _stack([(counts, cfg) for counts, cfg, _ in run])
+        kernel, points = (stack.total + stack.s).ravel(), _point_sets(stack)
+        d = points.shape[-1] // 4
+        groups += [(kernel, points[:, : 2 * d]), (kernel, points[:, 2 * d :])]
+        for parts in zip(*(extras for _, _, extras in run)):
+            groups.append((np.array([total for total, _ in parts]), np.array([u for _, u in parts])))
+        stacks.append(stack)
+    terms = iter(_entropy_terms(groups))
+    for run, stack in zip(runs, stacks):
         (extreme, _), (values, slopes) = next(terms), next(terms)
-        sums = [float(np.sum(next(terms)[0])) for _ in groups[2:]]
-        yield _extreme_interval(extreme), _remainder_estimate(sigma, slopes, values), sums
+        # Each row's h sum of each extra group, as floats.
+        sums = [next(terms)[0].reshape(len(run), -1).sum(axis=-1) for _ in run[0][2]]
+        sums = np.array(sums).reshape(-1, len(run)).T.tolist()
+        ends = zip(*(end.tolist() for end in _extreme_ends(extreme)))
+        sigma = _posterior_means(0.0, stack.total[:, 0], stack.s[:, 0], 1.0)
+        f0, r_ub, r_lb, vertex = _remainder_parts(sigma, slopes, values)
+        parts = zip(f0.tolist(), r_ub, r_lb, vertex, sigma.ravel().tolist())
+        for row_ends, row_parts, row_sums in zip(ends, parts, sums):
+            yield Interval(*row_ends), RobustEstimate(*row_parts), row_sums
 
 
 def approx_interval_general(

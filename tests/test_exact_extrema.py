@@ -73,12 +73,13 @@ def _integral_requests(draw):
     return [b - a for a, b in zip(bounds, bounds[1:])], s
 
 
-def _record_tail_sums(monkeypatch):
-    """Record every shared-tail call of the rational path and every harmonic sum."""
-    calls = {"tails": [], "sums": []}
-    tails, pair = exact_extrema._h_fractions, special_fn._harmonic_pair
+def _record_table_reads(monkeypatch):
+    """Record every read of the rational path's harmonic table and every
+    harmonic series summed by binary splitting."""
+    calls = {"table": [], "sums": []}
+    table, pair = exact_extrema._harmonic_table, special_fn._harmonic_pair
     monkeypatch.setattr(
-        exact_extrema, "_h_fractions", lambda *a: calls["tails"].append(a) or tails(*a)
+        exact_extrema, "_harmonic_table", lambda: calls["table"].append(()) or table()
     )
     monkeypatch.setattr(
         special_fn, "_harmonic_pair", lambda *a: calls["sums"].append(a) or pair(*a)
@@ -360,23 +361,31 @@ class TestEntropyInterval:
         assert entropy_interval_rational(CountVector([3.0000000005, 6]), IdmConfig(1.0)) is None
         assert entropy_interval_rational(CountVector([3, 6]), IdmConfig(1.0000000004)) is None
 
-    def test_rational_path_declines_before_summing_fractions(self, monkeypatch):
-        # Leveling value 20/1000 puts (n+s)*u at 20/19 for the nineteen 1s.
-        calls = _record_tail_sums(monkeypatch)
-        counts = CountVector([1.0] * 19 + [980.0])
-        assert entropy_interval_rational(counts, IdmConfig(1.0)) is None
-        assert calls == {"tails": [], "sums": []}
+    @pytest.mark.parametrize(
+        "counts, s",
+        [
+            # Leveling value 20/1000 puts (n+s)*u at 20/19 for the nineteen 1s.
+            ([1.0] * 19 + [980.0], 1.0),
+            ([1.5, 2.0], 1.0),
+            ([3.0, 6.0], 1.5),
+            ([500.0, 500.0], 1.0),
+        ],
+        ids=["off-grid", "fractional-count", "fractional-s", "above-the-limit"],
+    )
+    def test_rational_path_declines_before_reading_the_table(self, counts, s, monkeypatch):
+        calls = _record_table_reads(monkeypatch)
+        assert entropy_interval_rational(CountVector(counts), IdmConfig(s)) is None
+        assert calls == {"table": [], "sums": []}
 
-    def test_rational_path_sums_one_shared_tail(self, monkeypatch):
-        calls = _record_tail_sums(monkeypatch)
+    def test_rational_path_sums_no_harmonic_series(self, monkeypatch):
+        exact_extrema._harmonic_table()
+        calls = _record_table_reads(monkeypatch)
         counts = CountVector([36.0, 62.0, 1.0, 9.0, 131.0, 760.0])
         expected = _rational_by_resum([36, 62, 1, 9, 131, 760], 1)
         assert expected is not None
         assert entropy_interval_rational(counts, IdmConfig(1.0)) == expected
-        assert len(calls["tails"]) == 1
-        # The tail is extended gap by gap: one term per integer above the
-        # smallest numerator, never a term twice.
-        assert sum(1 for a, b in calls["sums"] if b - a == 1) == 1000 - 1
+        # Both endpoints are integer sums over one read of the built table.
+        assert calls == {"table": [()], "sums": []}
 
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(_integral_requests())

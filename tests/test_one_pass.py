@@ -12,6 +12,7 @@ and estimates built.
 
 import dataclasses
 import io
+import math
 import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -430,6 +431,111 @@ def test_wide_sweep_memory_stays_bounded():
     assert status == 0
     assert len(out.getvalue().splitlines()) == 201
     assert peak < 20 * 2**20
+
+
+# Dimensions at which the float maximum as s rounds a small row's prior
+# mass past the float range.
+_MASS_DIMS = (3, 9, 11, 12)
+_FLOAT_MAX = float(np.finfo(float).max)
+
+
+def _edge_rows(rng, d):
+    """One row for each masked edge of the leveled prior, at dimension ``d``.
+
+    Each row takes its mask by construction; every total is positive, so
+    every row has the sweep's extra groups.
+    """
+    # m (n+s) overflows for every m >= 2.
+    total = rng.uniform(0.9, 1.5) * 1e308
+    weights = rng.uniform(1.0, 10.0, d)
+    overflow = (weights / weights.sum() * total, float(10.0 ** rng.uniform(-3, 300)))
+    # n + s below the normal range: the posterior means are rescaled.
+    tiny = rng.integers(0, 50, d) * 5e-324
+    tiny[0] += 5e-324
+    subnormal = (tiny, 5e-324 * int(rng.integers(1, 1000)))
+    # Powers of two that sum to one, scaled: every u0_k (n+s) is n_k exactly,
+    # and s is below half an ulp of the smallest count, so s moves no t.
+    parts = [1.0]
+    for _ in range(d - 1):
+        half = parts.pop(int(rng.integers(len(parts)))) / 2.0
+        parts += [half, half]
+    dyadic = np.array(parts) * 2.0 ** int(rng.integers(60, 900))
+    still = (rng.permutation(dyadic), float(dyadic.min() * 2.0**-60 * rng.uniform(0.5, 1.0)))
+    # s at the float maximum: the prior mass rounds past it at these d.
+    small = rng.integers(0, 50, d).astype(float)
+    small[0] += 1.0
+    mass = (small, _FLOAT_MAX)
+    rows = [overflow, subnormal, still, mass]
+    assert math.isinf(2.0 * (float(overflow[0].sum()) + overflow[1]))
+    assert subnormal[0].sum() + subnormal[1] < 2.0**-1022
+    assert dyadic.min() + still[1] == dyadic.min()
+    return [(CountVector(counts), IdmConfig(s)) for counts, s in rows]
+
+
+@st.composite
+def _edge_stacks(draw):
+    """A stack of one dimension: every edge row among 1-4 ordinary rows, in
+    a drawn order, each row with its own s."""
+    d = draw(st.sampled_from(_MASS_DIMS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = _edge_rows(rng, d)
+    for _ in range(draw(st.integers(1, 4))):
+        counts = np.round(rng.uniform(0.0, 10 ** rng.uniform(0, 6), d), 2)
+        counts = counts * (rng.uniform(size=d) > 0.3)
+        counts[int(rng.integers(d))] += 1.0
+        rows.append((CountVector(counts), IdmConfig(float(10.0 ** rng.uniform(-3, 3)))))
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_edge_stacks())
+def test_stacked_edge_rows_are_bit_identical_to_separate_calls(rows):
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        original = exact_extrema._leveled_prior
+        patch.setattr(exact_extrema, "_leveled_prior", lambda *a: calls.append(a) or original(*a))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = list(taylor_bounds._entropy_rows((c, cfg, _point_groups(c)) for c, cfg in rows))
+    # One stack: every row's prior means were leveled together.
+    assert len(calls) == 1
+    for (exact, est, sums), (counts, cfg) in zip(got, rows):
+        _assert_same((exact, est, *sums), _row_reference(counts, cfg), (counts.counts, cfg.s))
+    # The entropy of a total below the normal range rounds to 0 however its
+    # points round, so the points themselves are compared too.
+    stacked = exact_extrema._point_sets(exact_extrema._stack(rows))
+    for points, (counts, cfg) in zip(stacked, rows):
+        alone = exact_extrema._point_sets(exact_extrema._one_row(counts, cfg))[0]
+        assert np.array_equal(points, alone), (counts.counts, cfg.s)
+
+
+def test_a_sweep_levels_once_per_stack_and_passes_once_per_block(passes, monkeypatch):
+    calls = []
+    original = exact_extrema._leveled_prior
+    monkeypatch.setattr(exact_extrema, "_leveled_prior", lambda *a: calls.append(a) or original(*a))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        assert main(["sweep", "--inline", "3,6,1", "--sweep", "n:1:60"]) == 0
+        assert main(["sweep", "--sweep", "ratio:9"]) == 0
+    assert [len(stack.counts) for stack, in calls] == [60, 31]
+    assert len(passes) == 2
+    # 18 points a row (12 entropy points and 6 extra): 5 rows a block of 100.
+    calls.clear()
+    passes.clear()
+    monkeypatch.setattr(taylor_bounds, "_BLOCK_ROWS", 100)
+    with redirect_stdout(out), redirect_stderr(err):
+        assert main(["sweep", "--inline", "3,6,1", "--sweep", "n:1:60"]) == 0
+    assert [len(stack.counts) for stack, in calls] == [5] * 12
+    assert len(passes) == 12
+    # Rows of another shape start a stack of their own within the pass.
+    calls.clear()
+    passes.clear()
+    cfg = IdmConfig(0.5)
+    three, four = CountVector([3.0, 6.0, 1.0]), CountVector([3.0, 6.0, 1.0, 2.0])
+    rows = [(three, cfg, []), (three, cfg, []), (four, cfg, []), (three, cfg, [])]
+    list(taylor_bounds._entropy_rows(rows))
+    assert [len(stack.counts) for stack, in calls] == [2, 1, 1]
+    assert len(passes) == 1
 
 
 # The six public questions, each asked of a table: the vector questions of

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import idmbounds.exact_extrema as exact_extrema
 import idmbounds.special_fn as special_fn
 from idmbounds import (
     EULER_GAMMA,
@@ -260,15 +261,22 @@ class TestEntropySummand:
         tail = sum((Fraction(1, k) for k in range(numer + 1, total + 1)), Fraction(0))
         assert h_fraction(numer, total) == Fraction(numer, total) * tail
 
-    def test_shared_tails_against_explicit_sums(self):
-        # Duplicates, both ends and unsorted input share one descending walk.
-        numers = [500, 0, 7, 1000, 7, 999, 1, 500]
-        got = special_fn._h_fractions(numers, 1000)
-        assert sorted(got) == sorted(set(numers))
-        for k in numers:
-            assert got[k] == h_fraction(k, 1000) == (
-                Fraction(k, 1000) * (harmonic_exact(1000) - harmonic_exact(k))
-            )
+    def test_harmonic_table_against_h_fraction(self):
+        # N_k = L H_k gives h(k/T) = k (N_T - N_k) / (L T): every k <= T <= 60,
+        # both ends of the table and seeded points up to its limit.
+        lcm, harmonic = exact_extrema._harmonic_table()
+        limit = exact_extrema.RATIONAL_TOTAL_LIMIT
+        assert lcm == math.lcm(*range(1, limit + 1))
+        assert len(harmonic) == limit + 1 and harmonic[0] == 0
+        rng = np.random.default_rng(2028)
+        pairs = [(k, total) for total in range(1, 61) for k in range(total + 1)]
+        pairs += [(0, limit), (1, limit), (limit - 1, limit), (limit, limit)]
+        for total in rng.integers(61, limit + 1, 40):
+            pairs += [(int(k), int(total)) for k in rng.integers(0, total + 1, 5)]
+        for k, total in pairs:
+            got = Fraction(k * (harmonic[total] - harmonic[k]), lcm * total)
+            assert got == h_fraction(k, total), (k, total)
+        assert harmonic[limit] == lcm * harmonic_exact(limit)
 
     @pytest.mark.parametrize(
         "numer, total", [(True, 10), (3, True), (3.0, 10), (3, 10.0), (np.float64(3), 10), ("3", 10)]
