@@ -307,6 +307,7 @@ def _row_terms(rows, *, extreme: bool, remainder: bool) -> list:
         if take_remainder:
             if not take_extreme:
                 points = _remainder_points(_one_row(counts, cfg))[0]
+            # The remainder set is the last 2 d points either way.
             groups.append((total, points[-2 * counts.dim :]))
         plans.append((counts, entry, take_extreme, take_remainder, keep))
     terms = iter(_entropy_terms(groups) if groups else ())
