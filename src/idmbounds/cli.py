@@ -16,11 +16,12 @@ command, ``s`` and ``grid_check`` to the result and writes it.
 ``entropy`` and ``sweep`` take every ``h``, ``h'`` and ``psi(T + 1)`` they
 need from one special-function pass per request (per 2^16 points: a long
 sweep takes one pass per block of rows, so its memory stays bounded).  A
-sweep's axis is one ``(rows, d)`` count array: its rows are leveled,
-mapped and summed as a stack, with array operations, and only the
-per-row result objects and the output are built row by row.  Exact
-rational endpoints are integer sums over one harmonic table, built on the
-first integral request.
+sweep's axis is one ``(rows, d)`` count array: its rows are checked,
+leveled, mapped and summed as a stack, every column (the plug-in entropy
+too) is taken from it with array operations, and only the rounded output
+rows are built row by row; no row builds a count vector, an estimate or an
+interval.  Exact rational endpoints are integer sums over one harmonic
+table, built on the first integral request.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .credible import CredibleSpec, robust_credible_mi_parts
-from .exact_extrema import entropy_interval_rational
+from .exact_extrema import _stack, _Stack, entropy_interval_rational
 from .mutual_info import (
     ContingencyCounts,
     _FloatRangeError,
@@ -251,7 +252,8 @@ def run_entropy(args) -> tuple[dict, dict]:
     }
     body = {"diagnostics": diagnostics, "intervals": {}}
     checked = {}
-    [(exact, est, _)] = _entropy_rows([(counts, cfg, ())])
+    [record] = _entropy_rows([(_stack([(counts, cfg)]), ())])
+    exact, est, _ = record.row(0)
     if args.mode in ("exact", "both"):
         checked["exact"] = exact
         body["intervals"]["exact"] = _interval_payload(
@@ -326,23 +328,9 @@ def run_credible(args) -> tuple[dict, dict]:
     return inputs, {"diagnostics": diagnostics, "intervals": intervals}
 
 
-def _point_groups(counts: CountVector) -> list:
-    """The ``(total, u)`` groups whose ``h`` sums are ``H_point_ml`` (kernel
-    ``n``, the frequencies) and ``H_point_half`` (kernel ``n + 1``, the points
-    ``(n_i + 1/2)/(n + 1)``)."""
-    n = counts.total
-    return [(n, counts.counts / n), (n + 1.0, (counts.counts + 0.5) / (n + 1.0))]
-
-
-def _plugin_entropy(counts: CountVector) -> float:
-    freq = counts.counts / counts.total
-    pos = freq[freq > 0]
-    # 0 - sum, not -sum: a single category gives +0.0, not -0.0.
-    return float(0.0 - (pos * np.log(pos)).sum())
-
-
-def run_sweep(args) -> tuple[dict, dict]:
-    cfg = _config(args)  # a bad --s is reported before a bad --sweep
+def _sweep_axis(args) -> tuple[dict, np.ndarray, np.ndarray]:
+    """The ``--sweep`` spec's inputs record, its ``x`` column and its ``(rows,
+    d)`` count axis; a bad spec is reported before the input is read."""
     spec = args.sweep
     parts = spec.split(":")
     if parts[0] == "n" and len(parts) == 3:
@@ -364,9 +352,9 @@ def run_sweep(args) -> tuple[dict, dict]:
             raise CliError("BAD_SWEEP_SPEC", "n-sweep needs counts with a positive total")
         ratios = counts.counts / counts.total
         xs = np.array([float(nv) for nv in range(lo, hi + 1)])
-        axis = xs[:, None] * ratios
         inputs = {"sweep": spec, "ratios": [_round12(r) for r in ratios]}
-    elif parts[0] == "ratio" and len(parts) == 2:
+        return inputs, xs, xs[:, None] * ratios
+    if parts[0] == "ratio" and len(parts) == 2:
         try:
             n_fixed = float(parts[1])
         except ValueError as exc:
@@ -377,29 +365,84 @@ def run_sweep(args) -> tuple[dict, dict]:
             raise CliError("INPUT_CONFLICT", "a ratio sweep fixes its counts; give no input")
         # Step 1/60 keeps simple rational ratios (1/3, 1/4, ...) on the grid.
         xs = np.arange(31) / 60.0
-        axis = np.stack([xs * n_fixed, (1.0 - xs) * n_fixed], axis=1)
         inputs = {"sweep": spec, "n": _round12(n_fixed)}
-    else:
-        raise CliError(
-            "BAD_SWEEP_SPEC", f"sweep spec must be n:<min>:<max> or ratio:<n>, got {spec!r}"
-        )
+        return inputs, xs, np.stack([xs * n_fixed, (1.0 - xs) * n_fixed], axis=1)
+    raise CliError(
+        "BAD_SWEEP_SPEC", f"sweep spec must be n:<min>:<max> or ratio:<n>, got {spec!r}"
+    )
 
-    # The axis is one (rows, d) array.  Every row is checked, in order, in
-    # one pass before any is computed: the first error is the one a
-    # row-by-row loop would raise.  Validated rows cannot raise in the pass:
-    # n + s is finite and positive, n is positive (each axis row totals at
-    # least about 1) and every point lies on [0, 1].
-    cases = []
-    for raw in axis:
-        cases.append(CountVector(raw))
-        _check_total(cfg, cases[-1].total)
-    batch = _entropy_rows((counts, cfg, _point_groups(counts)) for counts in cases)
-    rows = []
-    for x, counts, (exact, est, (ml, half)) in zip(xs.tolist(), cases, batch):
-        cons = est.conservative_interval()
-        plugin = _plugin_entropy(counts)
-        row = (x, exact.lower, exact.upper, cons.lower, cons.upper, ml, half, plugin)
-        rows.append([_round12(v) for v in row])
+
+def _checked_totals(xs: np.ndarray, axis: np.ndarray, cfg: IdmConfig) -> np.ndarray:
+    """Each axis row's total ``n``, checked row by row, in order.
+
+    A row whose counts total past the float range is a bad spec, and one
+    whose ``n + s`` does is a bad strength; the first bad row reports its
+    first error, the one a row-by-row loop would raise.
+    """
+    with np.errstate(over="ignore"):
+        totals = axis.sum(axis=1)
+        bad_total = ~np.isfinite(totals)
+        bad = bad_total | ~np.isfinite(totals + cfg.s)
+    if bad.any():
+        k = int(bad.argmax())
+        if bad_total[k]:
+            raise CliError(
+                "BAD_SWEEP_SPEC", f"the counts at x = {xs[k]:g} total beyond the float range"
+            )
+        _check_total(cfg, float(totals[k]))
+    return totals
+
+
+def _point_groups(axis: np.ndarray, n: np.ndarray) -> tuple:
+    """The stacked ``(totals, u)`` groups whose ``h`` sums are ``H_point_ml``
+    (kernel ``n``, the frequencies) and ``H_point_half`` (kernel ``n + 1``,
+    the points ``(n_i + 1/2)/(n + 1)``) of count rows ``axis`` with totals ``n``."""
+    half = n + 1.0
+    return (n, axis / n[:, None]), (half, (axis + 0.5) / half[:, None])
+
+
+def _plugin_entropies(freq: np.ndarray) -> np.ndarray:
+    """Each row's plug-in Shannon entropy of its frequencies ``freq``.
+
+    Consecutive rows with one pattern of positive frequencies are taken
+    together, so each row sums the same entries, in the same order, as it
+    would alone: numpy's pairwise summation depends on the length.
+    """
+    positive = freq > 0
+    bounds = [0, *(np.flatnonzero((positive[1:] != positive[:-1]).any(axis=1)) + 1).tolist()]
+    # Mixed slicing and masking returns a column-major copy: a row's sum
+    # takes its pairwise order only along contiguous memory.
+    runs = [
+        np.ascontiguousarray(freq[a:b, positive[a]]) for a, b in zip(bounds, bounds[1:] + [len(freq)])
+    ]
+    # 0 - sum, not -sum: a single category gives +0.0, not -0.0.
+    return np.concatenate([0.0 - (pos * np.log(pos)).sum(axis=1) for pos in runs])
+
+
+def _sweep_table(xs: np.ndarray, axis: np.ndarray, cfg: IdmConfig) -> np.ndarray:
+    """The sweep's columns, one row per axis row, before rounding.
+
+    The axis is checked, then leveled, mapped and summed as one stack, and
+    every column is taken with array operations from the records of
+    :func:`~idmbounds.taylor_bounds._entropy_rows`.  Checked rows cannot
+    raise there: ``n + s`` is finite and positive, ``n`` is positive (each
+    axis row totals at least about 1) and every point lies on [0, 1].
+    """
+    totals = _checked_totals(xs, axis, cfg)
+    groups = _point_groups(axis, totals)
+    stack = _Stack(axis[:, None], totals[:, None, None], np.full((len(axis), 1, 1), cfg.s))
+    parts = [
+        (record.lower, record.upper, *record.conservative(), *record.sums)
+        for record in _entropy_rows([(stack, groups)])
+    ]
+    columns = [np.concatenate(column) for column in zip(*parts)]
+    return np.column_stack([xs, *columns, _plugin_entropies(groups[0][1])])
+
+
+def run_sweep(args) -> tuple[dict, dict]:
+    cfg = _config(args)  # a bad --s is reported before a bad --sweep
+    inputs, xs, axis = _sweep_axis(args)
+    rows = [[_round12(v) for v in row] for row in _sweep_table(xs, axis, cfg).tolist()]
     return inputs, {"columns": list(SWEEP_COLUMNS), "rows": rows}
 
 

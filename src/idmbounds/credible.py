@@ -18,8 +18,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .mutual_info import ContingencyCounts, mi_estimate, mi_variance_leading
-from .simplex_core import IdmConfig, Interval, SimplexPoint
+import numpy as np
+
+from .mutual_info import ContingencyCounts, _leading_variance, mi_estimate
+from .simplex_core import IdmConfig, Interval
 from .special_fn import kappa_from_alpha
 from .taylor_bounds import RobustEstimate
 
@@ -145,12 +147,14 @@ def robust_credible_mi_parts(
     hyperparameter (it varies with ``t`` only at higher order; a zero cell
     there raises ``ValueError``), and :func:`credible_mi_interval` of both.
     The estimate takes at most one special-function pass, none when the
-    table has already answered at this strength (see
+    table has already answered at this strength, and then no remainder
+    assembly either (see
     :class:`~idmbounds.mutual_info.ContingencyCounts`); the variance takes
     none.
     """
     est = mi_estimate(tbl, cfg)
-    variance = mi_variance_leading(tbl, cfg, SimplexPoint.uniform(tbl.cells))
+    # The uniform prior's array: the values SimplexPoint.uniform holds.
+    variance = _leading_variance(tbl, cfg, np.full(tbl.cells, 1.0 / tbl.cells))
     return est, variance, credible_mi_interval(est, variance, spec)
 
 

@@ -53,9 +53,12 @@ class ContingencyCounts:
     :class:`CountVector`) serve every later question on the table: an
     :func:`~idmbounds.exact_extrema.entropy_interval_exact` of the joint
     counts also serves the cell part of :func:`mi_interval_bounds` when the
-    cells total the table's ``n``.  The cached parts are not dataclass
-    fields: ``repr``, equality and :func:`dataclasses.fields` do not see
-    them.
+    cells total the table's ``n``.  The table also keeps the MI primaries
+    ``(f0, r_ub_per_i, r_lb_per_i, vertex_values, sigma)`` of its last
+    strength ``s``, stored in one assignment after they are computed, so a
+    later :func:`mi_estimate` at that strength builds its estimate from them
+    alone.  The cached parts and primaries are not dataclass fields:
+    ``repr``, equality and :func:`dataclasses.fields` do not see them.
     """
 
     table: np.ndarray
@@ -123,13 +126,14 @@ class MiBounds(RobustEstimate):
         return divmod(self.i2, self.shape[1])
 
 
-def _cell_means(tbl: ContingencyCounts, cfg: IdmConfig, t: SimplexPoint) -> np.ndarray:
+def _cell_means(tbl: ContingencyCounts, cfg: IdmConfig, t: np.ndarray) -> np.ndarray:
+    """The posterior means of the cells at the flattened prior means ``t``."""
     d1, d2 = tbl.shape
-    if t.dim != d1 * d2:
+    if t.size != d1 * d2:
         raise ValueError(
-            f"dimension mismatch: table has {d1 * d2} cells, t has {t.dim} components"
+            f"dimension mismatch: table has {d1 * d2} cells, t has {t.size} components"
         )
-    return _posterior_means(tbl.table, tbl.total, cfg.s, t.t.reshape(d1, d2))
+    return _posterior_means(tbl.table, tbl.total, cfg.s, t.reshape(d1, d2))
 
 
 def _three_entropies(u: np.ndarray, kernel: EntropyKernel) -> np.ndarray:
@@ -151,7 +155,7 @@ def expected_mi(tbl: ContingencyCounts, cfg: IdmConfig, t: SimplexPoint) -> floa
     the three-entropy combination of the row, column, and joint posterior
     means, all with kernel ``n + s``, in one special-function pass.
     """
-    u = _cell_means(tbl, cfg, t)
+    u = _cell_means(tbl, cfg, t.t)
     return float(_three_entropies(u, EntropyKernel(tbl.total + cfg.s)))
 
 
@@ -184,8 +188,13 @@ def mi_estimate(tbl: ContingencyCounts, cfg: IdmConfig) -> RobustEstimate:
     :class:`RobustEstimate` the call builds.  The vertex values at the
     extremizing cells are the inner bounds.  The conservative interval is
     O(sigma^2)-tight when every cell count is positive; a zero cell count
-    makes its lower end O(sigma) (see the module docstring).
+    makes its lower end O(sigma) (see the module docstring).  A table that
+    has already answered :func:`mi_estimate` or :func:`mi_interval_bounds`
+    at this strength gives the primaries it kept, with the same bits.
     """
+    entry = tbl.__dict__.get("_mi")
+    if entry is not None and entry[0] == cfg.s:
+        return RobustEstimate(*entry[1])
     parts = _parts(tbl)
     terms = _row_terms(_part_rows(tbl, parts, cfg), extreme=False, remainder=True)
     return RobustEstimate(*_estimate(tbl, parts, cfg, terms))
@@ -227,7 +236,8 @@ def _estimate(tbl: ContingencyCounts, parts, cfg: IdmConfig, terms) -> tuple:
     The row vectors broadcast over the columns, the column vectors over the
     rows, and the cell vectors are subtracted, which has the bits of the
     lift, negate and sum composition (``x - y`` is ``x + (-y)`` in floating
-    point) and builds no estimate on the way.
+    point) and builds no estimate on the way.  The table keeps them for
+    ``cfg.s`` (see :class:`ContingencyCounts`).
     """
     sigmas = [sigma_of(part, cfg) for part in parts]
     (f_r, ub_r, lb_r, v_r), (f_c, ub_c, lb_c, v_c), (f_x, ub_x, lb_x, v_x) = (
@@ -241,13 +251,15 @@ def _estimate(tbl: ContingencyCounts, parts, cfg: IdmConfig, terms) -> tuple:
         return (row[:, None] + col - cell.reshape(d1, d2)).ravel()
 
     # Negating the cells swaps their upper and lower remainders.
-    return (
+    primaries = (
         f_r + f_c - f_x,
         per_cell(ub_r, ub_c, lb_x),
         per_cell(lb_r, lb_c, ub_x),
         per_cell(v_r, v_c, v_x),
         sigmas[0],
     )
+    object.__setattr__(tbl, "_mi", (cfg.s, primaries))
+    return primaries
 
 
 def _crude(terms) -> Interval:
@@ -269,6 +281,11 @@ def mi_variance_leading(tbl: ContingencyCounts, cfg: IdmConfig, t: SimplexPoint)
     rejected (the log diverges), and so is an ``n + s`` so small that the
     variance exceeds the float range.
     """
+    return _leading_variance(tbl, cfg, t.t)
+
+
+def _leading_variance(tbl: ContingencyCounts, cfg: IdmConfig, t: np.ndarray) -> float:
+    """:func:`mi_variance_leading` at the prior means ``t``, a plain array."""
     u = _cell_means(tbl, cfg, t)
     if np.any(u <= 0):
         raise ValueError("zero cell in the posterior mean; variance needs positive logs")

@@ -20,14 +20,13 @@ of estimators propagate without losing that tightness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import groupby
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .exact_extrema import (
     ConcaveSummand, _EntropySummand, _extreme_ends, _one_row, _point_sets, _remainder_points,
-    _row_terms, _stack,
+    _row_terms, _Stack,
 )
 from .simplex_core import CountVector, IdmConfig, Interval, _posterior_means, sigma_of
 from .special_fn import _BLOCK_ROWS, _entropy_terms
@@ -223,66 +222,100 @@ def _remainder_parts(sigma, derivs: np.ndarray, values: np.ndarray):
     return f0, sigma * deriv_low, sigma * deriv_high, vertex_values
 
 
-def _entropy_rows(rows):
+class _EntropyColumns(NamedTuple):
+    """The entropy answers of a stack of count rows, as columns.
+
+    ``lower`` and ``upper`` are the exact interval's ends, and ``f0``,
+    ``r_ub``, ``r_lb``, ``vertex`` and ``sigma`` the primaries of the
+    remainder estimate, with one entry (or, for the per-component arrays,
+    one row) per count row; ``sums`` holds one column per extra group, each
+    row's ``h`` sum over that group.
+    """
+
+    lower: np.ndarray
+    upper: np.ndarray
+    f0: np.ndarray
+    r_ub: np.ndarray
+    r_lb: np.ndarray
+    vertex: np.ndarray
+    sigma: np.ndarray
+    sums: tuple
+
+    def conservative(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's conservative ends, ``f0 + r_lb`` and ``f0 + r_ub``.
+
+        The remainders are read at the same components :class:`RobustEstimate`
+        picks (the first extremizing index), so the ends are its floats,
+        signed zeros included.
+        """
+        rows = np.arange(len(self.f0))
+        return (
+            self.f0 + self.r_lb[rows, self.r_lb.argmin(axis=-1)],
+            self.f0 + self.r_ub[rows, self.r_ub.argmax(axis=-1)],
+        )
+
+    def row(self, k: int) -> tuple[Interval, RobustEstimate, list]:
+        """Row ``k``'s exact interval, remainder estimate and extra sums."""
+        estimate = RobustEstimate(
+            self.f0[k], self.r_ub[k], self.r_lb[k], self.vertex[k], self.sigma[k]
+        )
+        return Interval(self.lower[k], self.upper[k]), estimate, [float(s[k]) for s in self.sums]
+
+
+def _entropy_rows(stacks):
     """The exact entropy interval and remainder estimate of every row, batched.
 
-    Each row is ``(counts, cfg, extras)``; ``extras`` are further ``(total,
-    u)`` groups (see :func:`~idmbounds.special_fn._entropy_terms`).  Yields,
-    row by row, the :func:`~idmbounds.exact_extrema.entropy_interval_exact`
-    interval, the :func:`concave_remainder_bounds` estimate with summand
+    Each item is ``(stack, extras)``: an :class:`~idmbounds.exact_extrema._Stack`
+    of count rows of one dimension and a tuple of further stacked ``(totals,
+    u)`` groups, ``totals`` one kernel total per row and ``u`` one row of
+    points per count row (see :func:`~idmbounds.special_fn._entropy_terms`).
+    Yields :class:`_EntropyColumns`: per row, the
+    :func:`~idmbounds.exact_extrema.entropy_interval_exact` interval, the
+    primaries of the :func:`concave_remainder_bounds` estimate with summand
     ``h`` on kernel ``n + s``, and the ``h`` sum of each extra group, all
     with the bits of those calls.  Rows join one special-function pass until
     the next would take it over ``_BLOCK_ROWS`` points, so memory stays
     bounded however many rows there are; a larger row takes a pass alone.
-    Rows are read one ahead of the pass that takes them.
+    A pass yields one record per item, or per part of an item, that it
+    takes.
     """
     block, size = [], 0
-    for row in rows:
-        counts, _, extras = row
-        points = 4 * counts.dim + sum(u.size for _, u in extras)
-        if block and size + points > _BLOCK_ROWS:
-            yield from _entropy_pass(block)
-            block, size = [], 0
-        block.append(row)
-        size += points
+    for stack, extras in stacks:
+        rows = len(stack.counts)
+        points = 4 * stack.counts.shape[-1] + sum(u.shape[-1] for _, u in extras)
+        start = 0
+        while start < rows:
+            room = (_BLOCK_ROWS - size) // points
+            if block and room <= 0:
+                yield from _entropy_pass(block)
+                block, size = [], 0
+                continue
+            stop = min(rows, start + max(room, 1))
+            part = slice(start, stop)
+            block.append((_Stack(*(column[part] for column in stack)),
+                          tuple((total[part], u[part]) for total, u in extras)))
+            size += (stop - start) * points
+            start = stop
     if block:
         yield from _entropy_pass(block)
 
 
-def _shape(row) -> tuple:
-    counts, _, extras = row
-    return counts.dim, tuple(u.shape for _, u in extras)
-
-
 def _entropy_pass(block):
-    """One special-function pass over a block of rows.
-
-    Consecutive rows of one shape (dimension and extra groups) form one
-    :class:`~idmbounds.exact_extrema._Stack`, whose points, terms and sums
-    are taken with array operations: a few groups a stack, not a few a row.
-    """
-    runs = [list(run) for _, run in groupby(block, key=_shape)]
-    stacks, groups = [], []
-    for run in runs:
-        stack = _stack([(counts, cfg) for counts, cfg, _ in run])
+    """One special-function pass over a block of stacks, whose points, terms
+    and sums are taken with array operations: a few groups a stack, not a
+    few a row."""
+    groups = []
+    for stack, extras in block:
         kernel, points = (stack.total + stack.s).ravel(), _point_sets(stack)
         d = points.shape[-1] // 4
-        groups += [(kernel, points[:, : 2 * d]), (kernel, points[:, 2 * d :])]
-        for parts in zip(*(extras for _, _, extras in run)):
-            groups.append((np.array([total for total, _ in parts]), np.array([u for _, u in parts])))
-        stacks.append(stack)
+        groups += [(kernel, points[:, : 2 * d]), (kernel, points[:, 2 * d :]), *extras]
     terms = iter(_entropy_terms(groups))
-    for run, stack in zip(runs, stacks):
+    for stack, extras in block:
         (extreme, _), (values, slopes) = next(terms), next(terms)
-        # Each row's h sum of each extra group, as floats.
-        sums = [next(terms)[0].reshape(len(run), -1).sum(axis=-1) for _ in run[0][2]]
-        sums = np.array(sums).reshape(-1, len(run)).T.tolist()
-        ends = zip(*(end.tolist() for end in _extreme_ends(extreme)))
+        sums = tuple(next(terms)[0].sum(axis=-1) for _ in extras)
         sigma = _posterior_means(0.0, stack.total[:, 0], stack.s[:, 0], 1.0)
         f0, r_ub, r_lb, vertex = _remainder_parts(sigma, slopes, values)
-        parts = zip(f0.tolist(), r_ub, r_lb, vertex, sigma.ravel().tolist())
-        for row_ends, row_parts, row_sums in zip(ends, parts, sums):
-            yield Interval(*row_ends), RobustEstimate(*row_parts), row_sums
+        yield _EntropyColumns(*_extreme_ends(extreme), f0, r_ub, r_lb, vertex, sigma[:, 0], sums)
 
 
 def approx_interval_general(

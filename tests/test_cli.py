@@ -34,6 +34,8 @@ from idmbounds.cli import SWEEP_COLUMNS, main
 
 #: A 401-digit integer, far beyond the float range.
 BIG = "1" + "0" * 400
+#: The float maximum as an integer: a sweep bound inside the float range.
+FLOAT_MAX = str(int(sys.float_info.max))
 
 
 def run_cli(capsys, *argv):
@@ -202,6 +204,12 @@ class TestErrorCodes:
             "BAD_SWEEP_SPEC",
             "sweep-n-overflow",
         ),
+        # The bound is a float, but the row's counts total past the float range.
+        (
+            ("sweep", "--inline", "6,5,3,3,1,1,1", "--sweep", f"n:{FLOAT_MAX}:{FLOAT_MAX}"),
+            "BAD_SWEEP_SPEC",
+            "sweep-row-total-overflow",
+        ),
         # A ratio sweep fixes its counts, so any input conflicts with it.
         (("sweep", "--inline", "garbage", "--sweep", "ratio:3"), "INPUT_CONFLICT", "ratio-inline"),
         (("sweep", "--inline", "", "--sweep", "ratio:3"), "INPUT_CONFLICT", "ratio-empty-inline"),
@@ -351,6 +359,16 @@ class TestSweepCommand:
         row = lines[1].split(",")
         assert float(row[1]) == pytest.approx(0.563968253968, abs=1e-9)
 
+    @pytest.mark.parametrize("s", ["1", "1e308"])
+    def test_row_total_past_the_float_range_is_a_bad_spec(self, capsys, s):
+        # At the float maximum these ratios scale to counts whose total rounds
+        # past it.  The row's bad total is reported before its bad n + s.
+        argv = ("--inline", "6,5,3,3,1,1,1", "--sweep", f"n:{FLOAT_MAX}:{FLOAT_MAX}", "--s", s)
+        status, result = run_json(capsys, "sweep", *argv)
+        assert status == 1
+        assert result["error"]["code"] == "BAD_SWEEP_SPEC"
+        assert f"x = {sys.float_info.max:g}" in result["error"]["message"]
+
     def test_conservative_band_shrinks_with_n(self, capsys):
         _, out = run_cli(
             capsys, "sweep", "--inline", "1,2", "--sweep", "n:8:64", "--format", "csv"
@@ -478,6 +496,7 @@ _SWEEPS = (
     "n:1:100000",
     f"n:{BIG}:{BIG}",
     f"n:5:{BIG}",
+    f"n:{FLOAT_MAX}:{FLOAT_MAX}",
     "n:a:b",
     "n:1",
     "ratio:0",
@@ -540,6 +559,7 @@ class TestHostileArgv:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(_argvs())
     @example((["sweep", "--inline", "1,2", "--sweep", f"n:{BIG}:{BIG}"], b""))
+    @example((["sweep", "--inline", "6,5,3,3,1,1,1", "--sweep", f"n:{FLOAT_MAX}:{FLOAT_MAX}"], b""))
     @example((["sweep", "--inline", "garbage", "--sweep", "ratio:3"], b""))
     @example((["entropy", "{file}"], b"\xff\xfe"))
     def test_result_or_documented_error(self, case):

@@ -16,6 +16,7 @@ import math
 import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -52,7 +53,7 @@ from idmbounds import (
     robust_credible_mi,
     robust_credible_mi_parts,
 )
-from idmbounds import exact_extrema, special_fn, taylor_bounds
+from idmbounds import cli, exact_extrema, mutual_info, special_fn, taylor_bounds
 from idmbounds.cli import _point_groups, main
 
 
@@ -313,6 +314,32 @@ def test_mi_call_builds_one_estimate(call, monkeypatch):
     assert built == [type(result)]
 
 
+def test_a_tables_second_mi_question_reuses_its_first(monkeypatch):
+    tbl, cfg = ContingencyCounts([[3.25, 1.0, 2.5], [1.0, 4.1, 0.0]]), IdmConfig(1.0)
+    mi_interval_bounds(tbl, cfg)
+    calls = []
+    for name in ("_row_terms", "_remainder_parts"):
+        original = getattr(mutual_info, name)
+        monkeypatch.setattr(
+            mutual_info, name, lambda *a, _f=original, _n=name, **k: calls.append(_n) or _f(*a, **k)
+        )
+
+    def refuse(*args):
+        raise AssertionError("a simplex point was built")
+
+    monkeypatch.setattr(SimplexPoint, "__post_init__", refuse)
+    est, variance, interval = robust_credible_mi_parts(tbl, cfg, SPEC)
+    assert calls == []
+    monkeypatch.undo()
+    fresh = ContingencyCounts(tbl.table)
+    _assert_same((est, variance, interval), _credible_reference(fresh, cfg, SPEC), tbl.table)
+    # Another strength computes afresh, and is kept in turn.
+    monkeypatch.setattr(mutual_info, "_row_terms", lambda *a, **k: calls.append(a) or [])
+    with pytest.raises(ValueError):
+        mi_estimate(tbl, IdmConfig(2.0))
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -360,9 +387,36 @@ def _row_reference(counts, cfg):
     return entropy_interval_exact(counts, cfg), est, ml, half
 
 
+def _groups(counts):
+    """The sweep's extra groups of one count vector, stacked as one row."""
+    return _point_groups(counts.counts[None], np.array([counts.total]))
+
+
 def _extras(counts):
     # A zero total has no frequencies: such a row takes no extra groups.
-    return _point_groups(counts) if counts.total > 0 else []
+    return _groups(counts) if counts.total > 0 else ()
+
+
+def _stacks(rows):
+    """``(counts, cfg, extras)`` rows as ``_entropy_rows`` items: consecutive
+    rows of one dimension and one shape of extra groups form one stack."""
+
+    def shape(row):
+        counts, _, extras = row
+        return counts.dim, tuple(u.shape for _, u in extras)
+
+    for _, run in groupby(rows, key=shape):
+        run = list(run)
+        extras = tuple(
+            (np.concatenate([total for total, _ in parts]), np.concatenate([u for _, u in parts]))
+            for parts in zip(*(extras for _, _, extras in run))
+        )
+        yield exact_extrema._stack([(counts, cfg) for counts, cfg, _ in run]), extras
+
+
+def _rows(records):
+    """Each row of ``_entropy_rows`` records: its interval, estimate and sums."""
+    return [record.row(k) for record in records for k in range(len(record.f0))]
 
 
 def _row_corpus():
@@ -391,7 +445,7 @@ def test_batched_rows_are_bit_identical_to_separate_calls(block, monkeypatch):
     rows = [(counts, cfg, _extras(counts)) for counts, cfg in cases]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        got = list(taylor_bounds._entropy_rows(rows))
+        got = _rows(taylor_bounds._entropy_rows(_stacks(rows)))
         want = [_row_reference(counts, cfg) for counts, cfg in cases]
     assert len(got) == len(want)
     for (exact, est, sums), reference, (counts, cfg) in zip(got, want, cases):
@@ -404,13 +458,13 @@ def test_rows_join_a_pass_until_the_next_would_overflow_it(passes, monkeypatch):
     small, wide = CountVector([3.0, 6.0, 1.0]), CountVector(np.arange(12.0))
     # Points per row: 18, 18, 12, 72 and 18, so the passes take 36, 12, 72 and 18.
     rows = [
-        (small, cfg, _point_groups(small)),
-        (small, cfg, _point_groups(small)),
-        (small, cfg, []),
-        (wide, cfg, _point_groups(wide)),
-        (small, cfg, _point_groups(small)),
+        (small, cfg, _groups(small)),
+        (small, cfg, _groups(small)),
+        (small, cfg, ()),
+        (wide, cfg, _groups(wide)),
+        (small, cfg, _groups(small)),
     ]
-    list(taylor_bounds._entropy_rows(rows))
+    list(taylor_bounds._entropy_rows(_stacks(rows)))
     kernels = [3, 1, 3, 3]  # distinct n + s + 1, n + 1 and n + 2 in each pass
     assert [p.size for p in passes] == [k + size for k, size in zip(kernels, [36, 12, 72, 18])]
 
@@ -431,6 +485,70 @@ def test_wide_sweep_memory_stays_bounded():
     assert status == 0
     assert len(out.getvalue().splitlines()) == 201
     assert peak < 20 * 2**20
+
+
+@pytest.mark.parametrize("rows", [1, 60])
+def test_a_sweep_builds_no_result_objects_per_row(rows, monkeypatch):
+    built = []
+    for cls in (CountVector, RobustEstimate, Interval):
+        original = cls.__post_init__
+        monkeypatch.setattr(
+            cls, "__post_init__", lambda self, _f=original: built.append(type(self)) or _f(self)
+        )
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        assert main(["sweep", "--inline", "3,6,1", "--sweep", f"n:1:{rows}"]) == 0
+        assert main(["sweep", "--sweep", "ratio:9"]) == 0
+    # The parsed input is the one count vector either request builds.
+    assert built == [CountVector]
+
+
+def _plugin_reference(counts):
+    freq = counts.counts / counts.total
+    pos = freq[freq > 0]
+    return float(0.0 - (pos * np.log(pos)).sum())
+
+
+_SWEEP_STRENGTHS = ("1e-17", "1e-9", "0.5", "1", "2.5", "1000", "1e300")
+
+
+@st.composite
+def _sweep_argvs(draw):
+    """An ``n:`` sweep of up to 41 rows of d = 1-40 counts with zero cells,
+    or a ``ratio:`` sweep, at a strength from 1e-17 to 1e300."""
+    s = draw(st.sampled_from(_SWEEP_STRENGTHS))
+    if draw(st.booleans()):
+        return ["sweep", "--sweep", f"ratio:{draw(st.sampled_from(('1', '2.5', '9', '1000.125', '123456.78')))}", "--s", s]
+    d = draw(st.integers(1, 40))
+    counts = draw(st.lists(st.integers(0, 20), min_size=d, max_size=d).filter(any))
+    lo = draw(st.integers(1, 200))
+    span = f"n:{lo}:{lo + draw(st.integers(0, 40))}"
+    return ["sweep", "--inline", ",".join(map(str, counts)), "--sweep", span, "--s", s]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_sweep_argvs(), st.sampled_from([special_fn._BLOCK_ROWS, 100, 30]))
+@example(["sweep", "--sweep", "ratio:9", "--s", "1e-17"], 30)
+@example(["sweep", "--inline", ",".join(["0", "3"] * 20), "--sweep", "n:1:41", "--s", "1e300"], 100)
+def test_sweep_columns_are_bit_identical_to_per_row_calls(argv, block):
+    args = cli._PARSER.parse_args(argv)
+    cfg = IdmConfig(args.s)
+    _, xs, axis = cli._sweep_axis(args)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(taylor_bounds, "_BLOCK_ROWS", block)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            totals = cli._checked_totals(xs, axis, cfg)
+            table = cli._sweep_table(xs, axis, cfg)
+    assert table.shape == (len(xs), len(cli.SWEEP_COLUMNS))
+    for x, row, total, got in zip(xs, axis, totals, table):
+        counts = CountVector(row)
+        exact, est, ml, half = _row_reference(counts, cfg)
+        cons = est.conservative_interval()
+        want = [x, exact.lower, exact.upper, cons.lower, cons.upper, ml, half]
+        want += [_plugin_reference(counts)]
+        for name, a, b in zip(("total", *cli.SWEEP_COLUMNS), [total, *got], [counts.total, *want]):
+            assert a == b and np.signbit(a) == np.signbit(b), (name, argv, x)
 
 
 # Dimensions at which the float maximum as s rounds a small row's prior
@@ -496,7 +614,7 @@ def test_stacked_edge_rows_are_bit_identical_to_separate_calls(rows):
         patch.setattr(exact_extrema, "_leveled_prior", lambda *a: calls.append(a) or original(*a))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            got = list(taylor_bounds._entropy_rows((c, cfg, _point_groups(c)) for c, cfg in rows))
+            got = _rows(taylor_bounds._entropy_rows(_stacks((c, cfg, _groups(c)) for c, cfg in rows)))
     # One stack: every row's prior means were leveled together.
     assert len(calls) == 1
     for (exact, est, sums), (counts, cfg) in zip(got, rows):
@@ -532,8 +650,8 @@ def test_a_sweep_levels_once_per_stack_and_passes_once_per_block(passes, monkeyp
     passes.clear()
     cfg = IdmConfig(0.5)
     three, four = CountVector([3.0, 6.0, 1.0]), CountVector([3.0, 6.0, 1.0, 2.0])
-    rows = [(three, cfg, []), (three, cfg, []), (four, cfg, []), (three, cfg, [])]
-    list(taylor_bounds._entropy_rows(rows))
+    rows = [(three, cfg, ()), (three, cfg, ()), (four, cfg, ()), (three, cfg, ())]
+    list(taylor_bounds._entropy_rows(_stacks(rows)))
     assert [len(stack.counts) for stack, in calls] == [2, 1, 1]
     assert len(passes) == 1
 
