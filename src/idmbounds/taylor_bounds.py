@@ -242,17 +242,10 @@ class _EntropyColumns(NamedTuple):
     sums: tuple
 
     def conservative(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each row's conservative ends, ``f0 + r_lb`` and ``f0 + r_ub``.
-
-        The remainders are read at the same components :class:`RobustEstimate`
-        picks (the first extremizing index), so the ends are its floats,
-        signed zeros included.
-        """
-        rows = np.arange(len(self.f0))
-        return (
-            self.f0 + self.r_lb[rows, self.r_lb.argmin(axis=-1)],
-            self.f0 + self.r_ub[rows, self.r_ub.argmax(axis=-1)],
-        )
+        """Each row's conservative ends, ``f0 + r_lb`` and ``f0 + r_ub``: the
+        floats :class:`RobustEstimate` gives, since its extremes are the
+        components' minimum and maximum."""
+        return self.f0 + self.r_lb.min(axis=-1), self.f0 + self.r_ub.max(axis=-1)
 
     def row(self, k: int) -> tuple[Interval, RobustEstimate, list]:
         """Row ``k``'s exact interval, remainder estimate and extra sums."""
