@@ -285,8 +285,8 @@ def _entropy_rows(stacks):
                 continue
             stop = min(rows, start + max(room, 1))
             part = slice(start, stop)
-            block.append((_Stack(*(column[part] for column in stack)),
-                          tuple((total[part], u[part]) for total, u in extras)))
+            part_extras = tuple((total[part], u[part]) for total, u in extras)
+            block.append((_Stack(*(column[part] for column in stack)), part_extras))
             size += (stop - start) * points
             start = stop
     if block:
