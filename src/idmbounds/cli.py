@@ -52,6 +52,7 @@ from .oracle import (
     lattice_mi_objective,
 )
 from .simplex_core import CountVector, IdmConfig, Interval, sigma_of
+from .special_fn import _BLOCK_ROWS
 from .taylor_bounds import _entropy_rows
 
 SCHEMA = "idmbounds.result/1"
@@ -410,33 +411,49 @@ def _plugin_entropies(freq: np.ndarray) -> np.ndarray:
     """
     positive = freq > 0
     bounds = [0, *(np.flatnonzero((positive[1:] != positive[:-1]).any(axis=1)) + 1).tolist()]
-    # Mixed slicing and masking returns a column-major copy: a row's sum
-    # takes its pairwise order only along contiguous memory.
-    runs = [
-        np.ascontiguousarray(freq[a:b, positive[a]]) for a, b in zip(bounds, bounds[1:] + [len(freq)])
-    ]
-    # 0 - sum, not -sum: a single category gives +0.0, not -0.0.
-    return np.concatenate([0.0 - (pos * np.log(pos)).sum(axis=1) for pos in runs])
+    out = []
+    for a, b in zip(bounds, bounds[1:] + [len(freq)]):
+        # compress copies in row-major order: each row's sum then runs along
+        # contiguous memory, in the pairwise order of the row alone.
+        pos = freq[a:b].compress(positive[a], axis=1)
+        terms = np.log(pos)
+        terms *= pos
+        # 0 - sum, not -sum: a single category gives +0.0, not -0.0.
+        out.append(0.0 - terms.sum(axis=1))
+    return np.concatenate(out)
+
+
+def _sweep_stacks(axis: np.ndarray, totals: np.ndarray, cfg: IdmConfig):
+    """The axis as :func:`~idmbounds.taylor_bounds._entropy_rows` items, a
+    block of rows at a time.
+
+    A row has ``4 d`` entropy points and ``2 d`` extra points, so an item
+    fills at most one special-function block, and only the extra groups of
+    the items in hand are held.
+    """
+    step = max(1, _BLOCK_ROWS // (6 * axis.shape[1]))
+    for k in range(0, len(axis), step):
+        counts, n = axis[k : k + step], totals[k : k + step]
+        stack = _Stack(counts[:, None], n[:, None, None], np.full((len(n), 1, 1), cfg.s))
+        yield stack, _point_groups(counts, n)
 
 
 def _sweep_table(xs: np.ndarray, axis: np.ndarray, cfg: IdmConfig) -> np.ndarray:
     """The sweep's columns, one row per axis row, before rounding.
 
-    The axis is checked, then leveled, mapped and summed as one stack, and
+    The axis is checked, then leveled, mapped and summed as a stack, and
     every column is taken with array operations from the records of
     :func:`~idmbounds.taylor_bounds._entropy_rows`.  Checked rows cannot
     raise there: ``n + s`` is finite and positive, ``n`` is positive (each
     axis row totals at least about 1) and every point lies on [0, 1].
     """
     totals = _checked_totals(xs, axis, cfg)
-    groups = _point_groups(axis, totals)
-    stack = _Stack(axis[:, None], totals[:, None, None], np.full((len(axis), 1, 1), cfg.s))
     parts = [
         (record.lower, record.upper, *record.conservative(), *record.sums)
-        for record in _entropy_rows([(stack, groups)])
+        for record in _entropy_rows(_sweep_stacks(axis, totals, cfg))
     ]
     columns = [np.concatenate(column) for column in zip(*parts)]
-    return np.column_stack([xs, *columns, _plugin_entropies(groups[0][1])])
+    return np.column_stack([xs, *columns, _plugin_entropies(axis / totals[:, None])])
 
 
 def run_sweep(args) -> tuple[dict, dict]:

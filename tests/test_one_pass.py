@@ -526,16 +526,22 @@ def _sweep_argvs(draw):
     return ["sweep", "--inline", ",".join(map(str, counts)), "--sweep", span, "--s", s]
 
 
+_BLOCKS = st.sampled_from([special_fn._BLOCK_ROWS, 100, 30])
+
+
+# The CLI feeds the axis a block of rows at a time and the pass driver
+# splits what it is fed; each takes its own block size here.
 @settings(max_examples=80, deadline=None, derandomize=True)
-@given(_sweep_argvs(), st.sampled_from([special_fn._BLOCK_ROWS, 100, 30]))
-@example(["sweep", "--sweep", "ratio:9", "--s", "1e-17"], 30)
-@example(["sweep", "--inline", ",".join(["0", "3"] * 20), "--sweep", "n:1:41", "--s", "1e300"], 100)
-def test_sweep_columns_are_bit_identical_to_per_row_calls(argv, block):
+@given(_sweep_argvs(), _BLOCKS, _BLOCKS)
+@example(["sweep", "--sweep", "ratio:9", "--s", "1e-17"], 30, 100)
+@example(["sweep", "--inline", ",".join(["0", "3"] * 20), "--sweep", "n:1:41", "--s", "1e300"], 100, 30)
+def test_sweep_columns_are_bit_identical_to_per_row_calls(argv, block, feed):
     args = cli._PARSER.parse_args(argv)
     cfg = IdmConfig(args.s)
     _, xs, axis = cli._sweep_axis(args)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(taylor_bounds, "_BLOCK_ROWS", block)
+        patch.setattr(cli, "_BLOCK_ROWS", feed)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             totals = cli._checked_totals(xs, axis, cfg)
