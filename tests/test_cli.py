@@ -204,12 +204,6 @@ class TestErrorCodes:
             "BAD_SWEEP_SPEC",
             "sweep-n-overflow",
         ),
-        # The bound is a float, but the row's counts total past the float range.
-        (
-            ("sweep", "--inline", "6,5,3,3,1,1,1", "--sweep", f"n:{FLOAT_MAX}:{FLOAT_MAX}"),
-            "BAD_SWEEP_SPEC",
-            "sweep-row-total-overflow",
-        ),
         # A ratio sweep fixes its counts, so any input conflicts with it.
         (("sweep", "--inline", "garbage", "--sweep", "ratio:3"), "INPUT_CONFLICT", "ratio-inline"),
         (("sweep", "--inline", "", "--sweep", "ratio:3"), "INPUT_CONFLICT", "ratio-empty-inline"),
