@@ -32,8 +32,10 @@ from __future__ import annotations
 
 import math
 import random
+import threading
 from array import array
-from functools import lru_cache
+from collections import OrderedDict
+from functools import lru_cache, partial, update_wrapper
 from itertools import chain
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
@@ -202,10 +204,12 @@ def grid_extrema(
     :func:`lattice_mi_objective` is reduced through its ``objective.tables``
     instead, without calling it, to the same bits as calling it on every
     point: per-coordinate entropy tables by convolution, the row, column and
-    cell tables through the margin-pair index.  That index is cached; it
-    holds 4 to 5 bytes a point on lattices it splits into groups, and
-    ``dim + 4`` bytes a point on those it keeps whole.  Tables built on
-    other counts, another ``s`` or another grid raise ``ValueError``.
+    cell tables through the margin-pair index.  Indices are cached up to 16
+    MiB in all.  With at most 2**16 margin pairs an index holds 2 to 3 bytes
+    a point on lattices it splits into groups, and ``dim + 2`` bytes a point
+    on those it keeps whole below resolution 256; with more pairs, 2 bytes a
+    point more.  Tables built on other counts, another ``s`` or another grid
+    raise ``ValueError``.
     ``on_lattice=True`` only asserts that the objective carries tables: a
     callable without them raises ``ValueError`` there.  Without the flag,
     the package objectives raise it themselves when walked.
@@ -374,7 +378,9 @@ class _MiGroup(NamedTuple):
     pattern: np.ndarray  # (lead, P) compositions of the total into the first cells, colex
     starts: np.ndarray  # (S,) first column of each colex sub-run of the pattern's shared cells
     runs: slice  # the group's Q runs, as columns of the index's trailing cells
-    pairs: np.ndarray  # (Q, P) int32 margin-pair id of the group's run q at pattern column p
+    # (Q, P) margin-pair id of the group's run q at pattern column p, uint16
+    # when the lattice has at most 2**16 margin pairs and int32 above
+    pairs: np.ndarray
 
 
 class _MiIndex(NamedTuple):
@@ -437,11 +443,86 @@ def _sub_run_starts(pattern: np.ndarray, shared: int) -> np.ndarray:
     return np.concatenate(found)
 
 
-@lru_cache(maxsize=3)
+class _CacheInfo(NamedTuple):
+    hits: int
+    misses: int
+    maxbytes: int
+    currbytes: int
+    currsize: int
+
+
+class _BytesLru:
+    """A thread-safe LRU cache of ``fn``'s results, bounded by the bytes
+    ``nbytes`` counts for them.
+
+    After a miss the least recently used results are evicted until the rest
+    fit in ``maxbytes``, but the newest result is kept whatever its size: so
+    the cache holds at most ``maxbytes`` plus the newest result.  As with
+    ``lru_cache``, ``fn`` runs outside the lock, and two threads that miss
+    on one key may both build it.
+    """
+
+    def __init__(self, fn: Callable, *, maxbytes: int, nbytes: Callable):
+        update_wrapper(self, fn)
+        self.maxbytes = maxbytes
+        self._fn, self._nbytes = fn, nbytes
+        self._lock = threading.Lock()
+        self._entries = OrderedDict()  # key -> (result, bytes), oldest first
+        self._held = self._hits = self._misses = 0
+
+    def __call__(self, *key):
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._hits += 1
+                self._entries.move_to_end(key)
+                return entry[0]
+            self._misses += 1
+        result = self._fn(*key)
+        size = self._nbytes(result)
+        with self._lock:
+            if key not in self._entries:
+                self._entries[key] = (result, size)
+                self._held += size
+                while self._held > self.maxbytes and len(self._entries) > 1:
+                    self._held -= self._entries.popitem(last=False)[1][1]
+        return result
+
+    def cache_info(self) -> _CacheInfo:
+        with self._lock:
+            return _CacheInfo(
+                self._hits, self._misses, self.maxbytes, self._held, len(self._entries)
+            )
+
+    def cache_clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self._held = self._hits = self._misses = 0
+
+
+def _index_nbytes(index: _MiIndex) -> int:
+    """Bytes an MI index keeps alive: the arrays its views are cut from,
+    each counted once."""
+    arrays = [a for group in index.groups for a in (group.pattern, group.starts, group.pairs)]
+    arrays += [index.trailing, index.row_margins, index.col_margins]
+    bases = {}
+    for a in arrays:
+        base = a if a.base is None else a.base
+        bases[id(base)] = base.nbytes
+    return sum(bases.values())
+
+
+#: Bytes of MI indices kept between calls: the ``lattice`` benchmark's three
+#: (2x2 at resolution 60, 2x3 and 3x2 at 40) take 6.5 MB.
+_INDEX_CACHE_BYTES = 1 << 24
+
+
+@partial(_BytesLru, maxbytes=_INDEX_CACHE_BYTES, nbytes=_index_nbytes)
 def _mi_index(resolution: int, d1: int, d2: int) -> _MiIndex:
     """Margin-pair ids of the ``d1 x d2`` lattice, grouped by the total of its
-    first cells (see :func:`_mi_split` for ``t`` and ``a``); the last 3
-    lattices asked for are cached, the least recently used evicted first.
+    first cells (see :func:`_mi_split` for ``t`` and ``a``).  Indices are
+    cached up to ``_INDEX_CACHE_BYTES`` (16 MiB), the least recently used
+    evicted first; the newest is kept whatever its size.
 
     In colex order the points that share their last ``t`` cells form a run,
     and a run whose first ``lead = d1*d2 - t`` cells sum to ``r`` goes
@@ -449,21 +530,22 @@ def _mi_index(resolution: int, d1: int, d2: int) -> _MiIndex:
     for every run of the group ``r``.  The patterns are column slices of one
     :func:`_build_compositions` array of ``lead + 1`` parts, the runs' last
     cells those of one array of ``t + 1`` parts, and each group keeps a
-    ``(Q, P)`` int32 matrix of pair ids for its ``Q`` runs by ``P`` pattern
-    columns, computed in blocks of at most 2**16 of them.  With ``t = 0``
+    ``(Q, P)`` matrix of pair ids for its ``Q`` runs by ``P`` pattern
+    columns, computed in blocks of at most 2**16 of them: uint16 when there
+    are at most 2**16 pair ids, int32 above.  With ``t = 0``
     there is one group, one run, and the pattern is the lattice itself.
     Every pair of row- and column-margin compositions is the margin pair of
     some table, so there are ``nr * nc`` pair ids, never more than the
     lattice has points.
 
-    For ``N`` points a cached index holds ``4 * N`` bytes of pair ids, the
-    ``(lead + 1) * C(R + lead, lead)`` and ``(t + 1) * C(R + t, t)`` entries
-    of its two builds (one byte each below ``resolution`` 256, two from
-    256) and 8 bytes per sub-run start: about ``4.6 * N`` bytes for the 2x3
-    lattice at ``R = 40``, and ``(d1*d2 + 4) * N`` with ``t = 0``, the
-    lattice's own cells included.  Refuses, before building anything, a
-    lattice whose compositions cost more than ``_MAX_BUILD_ENTRIES`` to
-    build.
+    For ``N`` points a cached index holds ``2 * N`` bytes of pair ids
+    (``4 * N`` above 2**16 pair ids), the ``(lead + 1) * C(R + lead, lead)``
+    and ``(t + 1) * C(R + t, t)`` entries of its two builds (one byte each
+    below ``resolution`` 256, two from 256) and 8 bytes per sub-run start:
+    about ``2.6 * N`` bytes for the 2x3 lattice at ``R = 40``, and
+    ``(d1*d2 + 2) * N`` with ``t = 0``, the lattice's own cells included.
+    Refuses, before building anything, a lattice whose compositions cost
+    more than ``_MAX_BUILD_ENTRIES`` to build.
     """
     cells = d1 * d2
     _check_build(resolution, cells)
@@ -492,6 +574,7 @@ def _mi_index(resolution: int, d1: int, d2: int) -> _MiIndex:
         for j in range(max(d1, d2))
     ]
     nc = composition_count(resolution, d2)
+    id_type = np.uint16 if composition_count(resolution, d1) * nc <= 1 << 16 else np.int32
     # The running sums of the row margins, then of the column margins, as the
     # cells each adds up; the last of each kind, all cells, is R.  Cells
     # among the last t are summed once per run, the first cells once per
@@ -510,7 +593,7 @@ def _mi_index(resolution: int, d1: int, d2: int) -> _MiIndex:
     for pattern, group_runs in parts:
         per_run = [sums[group_runs, None] for sums in run_sums]
         width = pattern.shape[1]
-        pairs = np.empty((group_runs.stop - group_runs.start, width), dtype=np.int32)
+        pairs = np.empty((group_runs.stop - group_runs.start, width), dtype=id_type)
         span = min(width, _CHUNK_ROWS)
         step = _CHUNK_ROWS // span
         for c0 in range(0, width, span):

@@ -35,10 +35,14 @@ EULER_GAMMA = 0.57721566490153286
 
 # Arguments below _SHIFT are moved up by exactly _SHIFT recurrence steps, into
 # [_SHIFT, 2 * _SHIFT), where seven Bernoulli terms of the asymptotic series
-# leave a truncation error below 1e-16.  The (rows x _SHIFT) grid of shifted
-# arguments is built _BLOCK_ROWS rows at a time, so its size stays bounded.
+# leave a truncation error below 1e-16.  An argument array is evaluated
+# _GRID_ROWS elements at a time, so the (rows x _SHIFT) grid of shifted
+# arguments (320 KiB) and the series temporaries stay in cache and bounded.
 _SHIFT = 10
 _STEPS = np.arange(_SHIFT, dtype=float)
+_GRID_ROWS = 1 << 12
+# Most points one pass over stacked rows takes, shared by the passes that
+# batch rows, the CLI sweep feed and the rule for which terms are kept.
 _BLOCK_ROWS = 1 << 16
 # The smallest arguments whose grid terms 1/x (order 0) and 1/x^2 (order 1)
 # are finite; below them psi ~ -1/x and psi' ~ 1/x^2 are beyond the float
@@ -52,7 +56,7 @@ def _as_positive_array(x, floor: float):
     # One min/max pass accepts the argument; the full checks run only to
     # choose which error to raise.
     arr = np.asarray(x, dtype=float)
-    flat = np.atleast_1d(arr)
+    flat = arr.ravel()
     if not (flat.size and floor <= flat.min() and flat.max() < np.inf):
         if not np.all(np.isfinite(arr)):
             raise ValueError("x must be finite")
@@ -96,25 +100,26 @@ def _shift_and_series(x, orders: tuple[int, ...]):
     reciprocals ``1/(x+j)`` serves both orders: ``psi`` sums it, and
     ``psi'`` sums it squared in place.  Every row of the grid sums the same
     ten terms in the same order, so an element's result does not depend on
-    its neighbours.
+    its neighbours, and the elements are taken ``_GRID_ROWS`` at a time.
     """
     arr, scalar, shape = _as_positive_array(x, _FLOORS[orders[-1]])
-    small = arr < _SHIFT
-    z = np.where(small, arr + _SHIFT, arr)
-    outs = [_SERIES[m](z) for m in orders]
-    if small.any():
-        xs = arr[small]
-        sums = [np.empty_like(xs) for _ in orders]
-        for start in range(0, xs.size, _BLOCK_ROWS):
-            rows = slice(start, start + _BLOCK_ROWS)
-            grid = xs[rows, None] + _STEPS
+    outs = [np.empty_like(arr) for _ in orders]
+    for start in range(0, arr.size, _GRID_ROWS):
+        block = slice(start, start + _GRID_ROWS)
+        part = arr[block]
+        small = part < _SHIFT
+        z = np.where(small, part + _SHIFT, part)
+        for m, out in zip(orders, outs):
+            out[block] = _SERIES[m](z)
+        xs = part[small]
+        if xs.size:
+            grid = xs[:, None] + _STEPS
             np.reciprocal(grid, out=grid)
-            for m, acc in zip(orders, sums):
+            for m, out in zip(orders, outs):
                 if m == 1:
                     np.square(grid, out=grid)
-                np.sum(grid, axis=1, out=acc[rows])
-        for m, out, acc in zip(orders, outs, sums):
-            out[small] += acc if m == 1 else -acc
+                acc = np.sum(grid, axis=1)
+                out[block][small] += acc if m == 1 else -acc
     if scalar:
         return [float(out[0]) for out in outs]
     return [out.reshape(shape) for out in outs]

@@ -3,10 +3,12 @@
 Everything here deliberately avoids the package's own code paths: scipy
 special functions, plain numpy formulas, exact Fraction arithmetic and
 60-digit mpmath act as the second route that the package's closed forms are
-checked against.  ``assert_same_bits`` compares two results field by field.
+checked against.  ``assert_same_bits`` compares two results field by field,
+and ``peak_traced`` measures what a call allocates.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -215,3 +217,15 @@ def assert_same_bits(got, want, names, context):
             assert type(a) is type(b) and a == b, (name, context)
             if isinstance(b, float):
                 assert math.copysign(1.0, a) == math.copysign(1.0, b), (name, context)
+
+
+def peak_traced(fn):
+    """``(fn(), peak)``: the result of ``fn()`` and the most bytes that
+    ``tracemalloc`` saw allocated at once while it ran, the result included."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak

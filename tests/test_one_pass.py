@@ -13,7 +13,6 @@ and estimates built.
 import dataclasses
 import io
 import math
-import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import groupby
@@ -55,6 +54,7 @@ from idmbounds import (
 )
 from idmbounds import cli, exact_extrema, mutual_info, special_fn, taylor_bounds
 from idmbounds.cli import _point_groups, main
+from _helpers import peak_traced
 
 
 def _parts(tbl):
@@ -475,13 +475,8 @@ def test_wide_sweep_memory_stays_bounded():
     counts = ",".join(str(k % 50) for k in range(2000))
     argv = ["sweep", "--inline", counts, "--sweep", "n:1:200"]
     out, err = io.StringIO(), io.StringIO()
-    tracemalloc.start()
-    try:
-        with redirect_stdout(out), redirect_stderr(err):
-            status = main(argv)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    with redirect_stdout(out), redirect_stderr(err):
+        status, peak = peak_traced(lambda: main(argv))
     assert status == 0
     assert len(out.getvalue().splitlines()) == 201
     assert peak < 20 * 2**20

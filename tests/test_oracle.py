@@ -3,8 +3,9 @@
 import functools
 import hashlib
 import math
+import sys
+import threading
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from idmbounds.mutual_info import _three_entropies
 from _helpers import (
     entropy_objective_direct,
     mi_objective_direct,
+    peak_traced,
     shannon_entropy,
 )
 
@@ -441,14 +443,13 @@ class TestSeparableEntropyLattice:
     def test_two_categories_at_top_resolution_stay_linear(self):
         counts, grid = CountVector([3, 6]), GridSpec(32000)
         objective = lattice_entropy_objective(counts, CFG, grid)
-        tracemalloc.start()
-        t0 = time.perf_counter()
-        try:
+
+        def timed():
+            t0 = time.perf_counter()
             iv = grid_extrema(objective, counts, CFG, grid, on_lattice=True)
-            elapsed = time.perf_counter() - t0
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+            return iv, time.perf_counter() - t0
+
+        (iv, elapsed), peak = peak_traced(timed)
         # An (R+1)^2 array would be 8 GB; a few table-sized arrays are ~1 MB.
         assert peak < 4 * 8 * (grid.resolution + 1)
         assert elapsed < 0.5
@@ -620,24 +621,21 @@ class TestMiLatticeReduction:
         assert str(refused.value) == message
 
     def test_grouped_index_keeps_no_cell_columns(self):
-        # The benchmark's 2x3 lattice at R = 40 (1.22 M points): pair ids and
-        # the narrow patterns only, where one uint8 column per cell would
-        # alone take 6 bytes a point.
+        # The benchmark's 2x3 lattice at R = 40 (1.22 M points): uint16 pair
+        # ids and the narrow patterns only, 2.56 bytes a point, where one
+        # uint8 column per cell would alone take 6.
         index = oracle._mi_index(40, 2, 3)
         assert len(index.trailing) >= 2
-        assert _kept_bytes(index) <= 5 * composition_count(40, 6)
+        assert _kept_bytes(index) <= 3 * composition_count(40, 6)
 
     def test_grouped_reduction_stays_small(self):
         # 3x3 at R = 14, 319 770 points, with cold caches: the build and the
         # reduction peaked at 3.9 MB (9.9 MB with one cell column per cell).
         tbl, grid = ContingencyCounts(np.arange(9.0).reshape(3, 3) % 5), GridSpec(14)
         objective = lattice_mi_objective(tbl, CFG, grid)
-        tracemalloc.start()
-        try:
-            grid_extrema(objective, tbl.joint_counts(), CFG, grid, on_lattice=True)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = peak_traced(
+            lambda: grid_extrema(objective, tbl.joint_counts(), CFG, grid, on_lattice=True)
+        )
         assert peak < 4_500_000
 
     @settings(max_examples=150, deadline=None)
@@ -673,12 +671,9 @@ class TestMiLatticeReduction:
         tbl, grid = ContingencyCounts(np.arange(100.0).reshape(10, 10) % 7), GridSpec(2)
         npoints = composition_count(2, 100)
         objective = lattice_mi_objective(tbl, CFG, grid)
-        tracemalloc.start()
-        try:
-            iv = grid_extrema(objective, tbl.joint_counts(), CFG, grid, on_lattice=True)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        iv, peak = peak_traced(
+            lambda: grid_extrema(objective, tbl.joint_counts(), CFG, grid, on_lattice=True)
+        )
         assert peak < 16 * tbl.cells * npoints
         index = oracle._mi_index(2, 10, 10)
         # The index's lattice does not also go into the compositions cache.
@@ -692,34 +687,44 @@ class TestMiLatticeReduction:
     def test_index_build_peak_stays_under_twice_what_it_keeps(self, key):
         # Each level is written once, so the build's peak is the index plus
         # the level below the last, not further copies of the lattice.
-        tracemalloc.start()
-        try:
-            index = oracle._mi_index(*key)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        index, peak = peak_traced(lambda: oracle._mi_index(*key))
         assert peak < 2 * _kept_bytes(index)
 
-    # The split and every array of the index (each group's pattern, sub-run
-    # starts and pair ids, the trailing cells, row and column margins),
-    # recorded from the index grouped by the total of its first cells.
+    # The split, the pair ids' type, and every array of the index (each
+    # group's pattern, sub-run starts and pair ids, the trailing cells, row
+    # and column margins), recorded from the index grouped by the total of
+    # its first cells.  The pair ids are hashed widened to int32, the type
+    # they were recorded in, so the digests also show that narrowing them
+    # kept every id.  (400, 1, 3) has 80 601 margin pairs, above 2**16.
     PINNED = [
-        ((40, 2, 3), (2, 0), "15625cfda8fa1bd842dd58f1328bc581b09c25759303ee92eb50ac94864f6a43"),
-        ((40, 3, 2), (2, 0), "d2a125132d0e3767894b37ed294bdfea7cf59aaa7ab33154ef45d99a52ff4e3b"),
-        ((60, 2, 2), (0, 1), "08e53e5b08df50f7b3a96a5f100596dc2f6394bf2744f1837bd41a9ee8de128f"),
-        ((2, 10, 10), (0, 11), "6017f6f4f24f1dc31154a647ef355570a8364730d9f7c09a57635d624d80da99"),
-        ((260, 1, 3), (0, 1), "50baea9efaaea4db21fde1a7119d75e13838d3fd5e7a197dd97c1ab00a56e284"),
-        ((5, 1, 1), (0, 0), "e4ad34957c737a5f6ea3842c671b39d7a4c05c750cb3eb2a48b2e5ca0c9411e6"),
+        ((40, 2, 3), (2, 0), np.uint16,
+         "15625cfda8fa1bd842dd58f1328bc581b09c25759303ee92eb50ac94864f6a43"),
+        ((40, 3, 2), (2, 0), np.uint16,
+         "d2a125132d0e3767894b37ed294bdfea7cf59aaa7ab33154ef45d99a52ff4e3b"),
+        ((60, 2, 2), (0, 1), np.uint16,
+         "08e53e5b08df50f7b3a96a5f100596dc2f6394bf2744f1837bd41a9ee8de128f"),
+        ((2, 10, 10), (0, 11), np.uint16,
+         "6017f6f4f24f1dc31154a647ef355570a8364730d9f7c09a57635d624d80da99"),
+        ((260, 1, 3), (0, 1), np.uint16,
+         "50baea9efaaea4db21fde1a7119d75e13838d3fd5e7a197dd97c1ab00a56e284"),
+        ((5, 1, 1), (0, 0), np.uint16,
+         "e4ad34957c737a5f6ea3842c671b39d7a4c05c750cb3eb2a48b2e5ca0c9411e6"),
+        ((400, 1, 3), (0, 1), np.int32,
+         "ef7f41163b8166e147e1b8920fe1d3d66b87060f41db523dbb960ad2d4582a12"),
     ]
 
-    @pytest.mark.parametrize("key, split, digest", PINNED, ids=[str(k) for k, _, _ in PINNED])
-    def test_index_bytes_are_pinned(self, key, split, digest):
+    @pytest.mark.parametrize(
+        "key, split, pair_type, digest", PINNED, ids=[str(k) for k, *_ in PINNED]
+    )
+    def test_index_bytes_are_pinned(self, key, split, pair_type, digest):
         index = oracle._mi_index(*key)
         assert (len(index.trailing), index.shared) == split
         narrow = np.uint8 if key[0] < 256 else np.int16
-        dtypes = [narrow, np.intp, np.int32] * len(index.groups) + [narrow] * 3
-        assert [a.dtype for a in _index_arrays(index)] == dtypes
-        assert _lattice_digest(*_index_arrays(index)) == digest
+        dtypes = [narrow, np.intp, pair_type] * len(index.groups) + [narrow] * 3
+        arrays = _index_arrays(index)
+        assert [a.dtype for a in arrays] == dtypes
+        widened = [a.astype(np.int32) if a.dtype == pair_type else a for a in arrays]
+        assert _lattice_digest(*widened) == digest
 
     # sha256 over float.hex of both ends of every case of _mi_interval_corpus,
     # so that a changed bit, the sign of a zero included, shows.
@@ -752,6 +757,100 @@ class TestMiLatticeReduction:
         objective = lattice_mi_objective(tbl, CFG, GridSpec(20))
         with pytest.raises(ValueError):
             grid_extrema(objective, tbl.joint_counts(), CFG, GridSpec(30), on_lattice=True)
+
+
+class TestMiIndexCache:
+    # Kept bytes: (20, 2, 2) 11 KB, (30, 2, 2) 33 KB, (8, 3, 3) 143 KB,
+    # (60, 2, 2) 239 KB, (12, 2, 4) 509 KB, (30, 2, 3) 884 KB.
+    KEYS = [(20, 2, 2), (30, 2, 2), (8, 3, 3), (60, 2, 2), (12, 2, 4), (30, 2, 3)]
+
+    @pytest.mark.parametrize("budget", [0, 400_000, 1_000_000, 1 << 24])
+    def test_holds_the_least_recently_used_indices_that_fit(self, budget, monkeypatch):
+        # A model of the cache: the newest index always, then older ones,
+        # most recently used first, while they fit in the budget.
+        monkeypatch.setattr(oracle._mi_index, "maxbytes", budget)
+        # At 400 KB the hit on the first key makes the third the one to go.
+        order = [0, 2, 3, 0, 1, 4, 5, 2, 1, 3, 3, 0, 4, 2, 5, 0]
+        model = []  # (key, kept bytes), least recently used first
+        for key in (self.KEYS[i] for i in order):
+            index = oracle._mi_index(*key)
+            held = [entry for entry in model if entry[0] == key]
+            if held:
+                model.remove(held[0])
+                model.append(held[0])
+            else:
+                model.append((key, _kept_bytes(index)))
+                while sum(size for _, size in model) > budget and len(model) > 1:
+                    model.pop(0)
+            info = oracle._mi_index.cache_info()
+            assert (info.currsize, info.currbytes) == (len(model), sum(s for _, s in model))
+            assert info.currbytes <= budget + _kept_bytes(index)
+        assert info.hits + info.misses == len(order)
+
+    def test_an_evicted_index_is_rebuilt_to_the_same_arrays(self, monkeypatch):
+        monkeypatch.setattr(oracle._mi_index, "maxbytes", 0)
+        first = oracle._mi_index(30, 2, 3)
+        oracle._mi_index(12, 2, 4)
+        again = oracle._mi_index(30, 2, 3)
+        assert again is not first and oracle._mi_index.cache_info().misses == 3
+        assert (len(again.trailing), again.shared) == (len(first.trailing), first.shared)
+        assert [(g.runs, g.pattern.shape) for g in again.groups] == [
+            (g.runs, g.pattern.shape) for g in first.groups
+        ]
+        assert [(a.dtype, a.shape, a.tobytes()) for a in _index_arrays(again)] == [
+            (a.dtype, a.shape, a.tobytes()) for a in _index_arrays(first)
+        ]
+
+    def test_the_lattice_benchmark_keys_stay_cached(self):
+        # The MI blocks of the lattice workload: set-up reduces one 2x2
+        # table at resolution 60 and one 2x3 table at 40; each round then
+        # 12 2x2 tables and 28 alternating 2x3 and 3x2 ones.
+        warm_up = [(60, 2, 2), (40, 2, 3)]
+        round_keys = [(60, 2, 2)] * 12 + [(40, 2, 3), (40, 3, 2)] * 14
+        for key in warm_up + round_keys:
+            oracle._mi_index(*key)
+        built = oracle._mi_index.cache_info().misses
+        assert built == 3
+        for key in round_keys:
+            oracle._mi_index(*key)
+        info = oracle._mi_index.cache_info()
+        assert (info.misses, info.currsize) == (built, 3)
+        assert info.currbytes <= info.maxbytes
+
+    def test_threads_keep_the_books(self, monkeypatch):
+        # Four threads with a short switch interval share one cache small
+        # enough to evict: a lost update would leave a call uncounted, or
+        # held bytes that are not those of the entries.
+        monkeypatch.setattr(oracle._mi_index, "maxbytes", 400_000)
+        keys, calls, wrong = self.KEYS[:4], 24, []
+
+        def work(offset):
+            for i in range(calls):
+                key = keys[(i + offset) % len(keys)]
+                if oracle._mi_index(*key).row_margins.shape[0] != key[1]:
+                    wrong.append(key)
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads) and not wrong
+        info = oracle._mi_index.cache_info()
+        assert info.hits + info.misses == len(threads) * calls
+        entries = oracle._mi_index._entries.values()
+        assert info.currbytes == sum(_kept_bytes(index) for index, _ in entries)
+        assert info.currbytes <= info.maxbytes or info.currsize == 1
+
+    def test_clear_empties_the_cache(self):
+        oracle._mi_index(20, 2, 2)
+        oracle._mi_index.cache_clear()
+        assert oracle._mi_index.cache_info()[:] == (0, 0, 1 << 24, 0, 0)
 
 
 @st.composite
@@ -876,12 +975,8 @@ class TestProductGrid:
     def test_product_check_memory_stays_bounded(self, shape, resolution, bound):
         tbl = ContingencyCounts(np.arange(math.prod(shape)).reshape(shape) % 5 + 1.0)
         bounds = mi_interval_bounds(tbl, CFG)
-        tracemalloc.start()
-        try:
-            assert product_idm_check(tbl, CFG, bounds, resolution)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        verdict, peak = peak_traced(lambda: product_idm_check(tbl, CFG, bounds, resolution))
+        assert verdict
         assert peak < bound
 
     def test_degenerate_single_point(self):

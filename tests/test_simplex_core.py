@@ -269,9 +269,15 @@ class TestTypes:
         iv = Interval(1.0, 2.0)
         assert iv.width == 1.0
         assert iv.contains(1.5)
+        assert not iv.contains(0.75) and not iv.contains(2.25)
         assert iv.contains_interval(Interval(1.2, 1.8))
         with pytest.raises(ValueError):
             Interval(2.0, 1.0)
+
+    def test_contains_widens_both_ends_by_the_tolerance(self):
+        iv = Interval(1.0, 2.0)
+        assert iv.contains(0.75, 0.25) and iv.contains(2.25, 0.25)
+        assert not iv.contains(0.5, 0.25) and not iv.contains(2.5, 0.25)
 
     def test_immutability(self):
         cv = CountVector([1, 2])

@@ -21,7 +21,7 @@ from idmbounds import (
     kappa_from_alpha,
     trigamma,
 )
-from _helpers import erf_by_quadrature, harmonic_exact, inverse_squares_exact
+from _helpers import erf_by_quadrature, harmonic_exact, inverse_squares_exact, peak_traced
 
 
 def _mp_digamma(x):
@@ -115,8 +115,19 @@ def test_shift_grid_blocks(fn, monkeypatch):
     # Arrays longer than one row block give the same values as one block.
     xs = np.random.default_rng(12).uniform(1e-3, 12.0, 500)
     whole = fn(xs)
-    monkeypatch.setattr(special_fn, "_BLOCK_ROWS", 7)
-    np.testing.assert_array_equal(fn(xs), whole)
+    monkeypatch.setattr(special_fn, "_GRID_ROWS", 7)
+    assert fn(xs).tobytes() == whole.tobytes()
+    assert fn(xs.reshape(20, 25)).tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("orders", [(0,), (1,), (0, 1)])
+def test_shift_grid_transient_is_one_block(orders):
+    # 10^5 arguments below 10, each with its ten-step grid row: whole, the
+    # grid alone is 8 MB (5.2 MB a block of 2^16 rows); a block of 2^12
+    # rows and the series temporaries of one block stay under 1 MB.
+    xs = np.random.default_rng(14).uniform(1e-3, 10.0, 100_000)
+    outs, peak = peak_traced(lambda: special_fn._shift_and_series(xs, orders))
+    assert peak - sum(out.nbytes for out in outs) <= 1 << 20
 
 
 @pytest.mark.parametrize(
@@ -170,7 +181,7 @@ def test_h_prime_fused_pass_is_bit_identical(block_rows, monkeypatch):
     u = np.random.default_rng(13).uniform(0.0, 1.0, 600)
     u[:4] = [0.0, -0.0, 1.0, 9.0 / 37.5]
     if block_rows is not None:
-        monkeypatch.setattr(special_fn, "_BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(special_fn, "_GRID_ROWS", block_rows)
     got = h_prime(u, kernel)
     assert got.tobytes() == _fused_reference(u, kernel).tobytes()
     for x in u[:8]:
@@ -307,6 +318,22 @@ class TestEntropySummand:
             h(-0.1, k)
         with pytest.raises(ValueError):
             h(1.1, k)
+
+    @pytest.mark.parametrize("fn", [h, h_prime])
+    def test_one_element_out_of_range_refuses_the_array(self, fn):
+        with pytest.raises(ValueError, match="u must lie in"):
+            fn(np.array([-0.1, 0.5]), EntropyKernel(10.0))
+        with pytest.raises(ValueError, match="u must lie in"):
+            fn(np.array([0.5, 1.1]), EntropyKernel(10.0))
+
+    def test_slack_past_the_ends_is_clipped_in_arrays(self):
+        k = EntropyKernel(10.0)
+        u = np.array([-1e-13, 0.5, 1.0 + 1e-13])
+        values = h(u, k)
+        assert values[0] == 0.0 and values[2] == 0.0
+        assert values[1] == h(0.5, k)
+        ends = np.array([0.0, 0.5, 1.0])
+        assert h_prime(u, k).tobytes() == h_prime(ends, k).tobytes()
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError, match="u must be finite"):
