@@ -4,17 +4,19 @@ The estimators in this package come with closed-form extrema or
 conservative bounds; this module provides the independent machinery that
 desk-scale tests check them against.  Lattice extremization covers
 *every* composition of the grid resolution (no continuous optimizer, no
-early exit), from one builder that writes each level once, column-major
-in the narrowest integer type, for :func:`compositions` and the MI index
-alike.  The separable entropy lattice is reduced by an exact
-(min,+)/(max,+) convolution of its per-coordinate tables; the mutual
-information lattice visits every point, with its row and column part
-computed once per pair of margin compositions and gathered from a cached
-index.  On large lattices that index groups the points by the total of
-their first cells: every colex run of points that share their last cells
-goes through its group's one pattern of first cells, whose summands are
-gathered once per group and subtracted from all its runs as broadcast
-rows, and the last cells are subtracted once per run.  The MI over the
+early exit), from one builder, for :func:`compositions` and the MI index
+alike.  It keeps each level for every total, column-major in the narrowest
+integer type, and copies each total's compositions from the level below
+as one suffix: O(R) array steps a level.  The separable entropy lattice is
+reduced by an exact (min,+)/(max,+) convolution of its per-coordinate
+tables; the mutual information lattice visits every point, with its row
+and column part computed once per pair of margin compositions and gathered
+from a cached index, whose pair ids take one table lookup per running sum
+of the margins.  On large lattices that index groups the points by the
+total of their first cells: every colex run of points that share their
+last cells goes through its group's one pattern of first cells, whose
+summands are gathered once per group and subtracted from all its runs as
+broadcast rows, and the last cells are subtracted once per run.  The MI over the
 outer-product lattice is reduced from the same objective's row and column
 tables per factor point, and cell summands once per distinct ``k * l`` in
 each block of at most 2**16 pairs.  Every other objective is walked in
@@ -35,8 +37,8 @@ import random
 import threading
 from array import array
 from collections import OrderedDict
-from functools import lru_cache, partial, update_wrapper
-from itertools import chain
+from functools import partial, update_wrapper
+from operator import attrgetter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
@@ -63,6 +65,69 @@ MAX_GRID_POINTS = 20_000_000
 # Most entries one composition build may write, summed over the levels it
 # fills on its way to the requested number of parts.
 _MAX_BUILD_ENTRIES = 1 << 30
+
+#: Bytes each lattice cache keeps between calls, composition arrays and MI
+#: indices alike: the ``lattice`` benchmark's three MI indices (2x2 at
+#: resolution 60, 2x3 and 3x2 at 40) take 6.5 MB, its three composition
+#: arrays (2 and 3 parts at resolution 30, 2 at 150) 6 KB.
+_CACHE_BYTES = 1 << 24
+
+
+class _CacheInfo(NamedTuple):
+    hits: int
+    misses: int
+    maxbytes: int
+    currbytes: int
+    currsize: int
+
+
+class _BytesLru:
+    """A thread-safe LRU cache of ``fn``'s results, bounded by the bytes
+    ``nbytes`` counts for them.
+
+    After a miss the least recently used results are evicted until the rest
+    fit in ``maxbytes``, but the newest result is kept whatever its size: so
+    the cache holds at most ``maxbytes`` plus the newest result.  As with
+    ``lru_cache``, ``fn`` runs outside the lock, and two threads that miss
+    on one key may both build it.
+    """
+
+    def __init__(self, fn: Callable, *, maxbytes: int, nbytes: Callable):
+        update_wrapper(self, fn)
+        self.maxbytes = maxbytes
+        self._fn, self._nbytes = fn, nbytes
+        self._lock = threading.Lock()
+        self._entries = OrderedDict()  # key -> (result, bytes), oldest first
+        self._held = self._hits = self._misses = 0
+
+    def __call__(self, *key):
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._hits += 1
+                self._entries.move_to_end(key)
+                return entry[0]
+            self._misses += 1
+        result = self._fn(*key)
+        size = self._nbytes(result)
+        with self._lock:
+            if key not in self._entries:
+                self._entries[key] = (result, size)
+                self._held += size
+                while self._held > self.maxbytes and len(self._entries) > 1:
+                    self._held -= self._entries.popitem(last=False)[1][1]
+        return result
+
+    def cache_info(self) -> _CacheInfo:
+        with self._lock:
+            return _CacheInfo(
+                self._hits, self._misses, self.maxbytes, self._held, len(self._entries)
+            )
+
+    def cache_clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self._held = self._hits = self._misses = 0
 
 
 class GridOverflowError(ValueError):
@@ -114,8 +179,9 @@ def compositions(total: int, parts: int) -> np.ndarray:
     ascending, ties by the next-to-last, and so on.  The first row is
     ``(total, 0, ..., 0)`` and the last is ``(0, ..., 0, total)``; golden
     tests may reference rows by position.  The returned int16 array is
-    read-only and C-contiguous, one row per composition, and cached with
-    the last 3 keys asked for, the least recently used evicted first.
+    read-only and C-contiguous, one row per composition.  Arrays are cached
+    up to 16 MiB in all, the least recently used evicted first; the newest
+    is kept whatever its size.
 
     The build fills every level below ``parts`` for all totals up to
     ``total``; when that would write more than 2**30 entries,
@@ -126,7 +192,7 @@ def compositions(total: int, parts: int) -> np.ndarray:
     return _compositions(total, parts)
 
 
-@lru_cache(maxsize=3)
+@partial(_BytesLru, maxbytes=_CACHE_BYTES, nbytes=attrgetter("nbytes"))
 def _compositions(total: int, parts: int) -> np.ndarray:
     out = np.ascontiguousarray(_build_compositions(total, parts).T, dtype=np.int16)
     out.flags.writeable = False
@@ -136,29 +202,37 @@ def _compositions(total: int, parts: int) -> np.ndarray:
 def _build_compositions(total: int, parts: int) -> np.ndarray:
     """Compositions of ``total`` into ``parts`` parts as the columns of one
     ``(parts, N)`` array in colex order, uint8 below 256 and int16 from 256.
-    Level ``p`` at total ``t`` writes its block with last part ``k``, level
-    ``p - 1`` at ``t - k``, straight into that block's column slice."""
+
+    Each level below ``parts`` holds the compositions of every total from
+    ``total`` down to 0, in that order.  Level ``p`` at total ``t`` is then
+    the suffix of level ``p - 1`` from total ``t`` down, under a last row
+    of ``t`` minus each column's total there: one slice copy and one
+    repeat per total and level.  The last level is built at ``total``
+    alone."""
     if total < 0 or parts < 1:
         raise ValueError("need total >= 0 and parts >= 1")
     if total > 32000:
         raise ValueError("total above 32000 is not supported")
     _check_build(total, parts)
     dtype = np.uint8 if total < 256 else np.int16
-    level = {t: np.array([[t]], dtype=dtype) for t in range(total + 1)}
+    if parts == 1:
+        return np.full((1, 1), total, dtype=dtype)
+    steps = np.arange(total + 1, dtype=dtype)
+    level = steps[None, ::-1]
+    # sizes[t]: the level's columns of total t; ends[t]: those of totals t..0.
+    sizes = np.ones(total + 1, dtype=np.intp)
     for p in range(2, parts + 1):
-        targets = range(total + 1) if p < parts else (total,)
-        nxt = {}
+        ends = sizes.cumsum()
+        targets = range(total, -1, -1) if p < parts else (total,)
+        out = np.empty((p, sum(int(ends[t]) for t in targets)), dtype=dtype)
+        start, width = 0, level.shape[1]
         for t in targets:
-            out = np.empty((p, composition_count(t, p)), dtype=dtype)
-            stop = 0
-            for last in range(t + 1):
-                sub = level[t - last]
-                start, stop = stop, stop + sub.shape[1]
-                out[:-1, start:stop] = sub
-                out[-1, start:stop] = last
-            nxt[t] = out
-        level = nxt
-    return level[total]
+            stop = start + int(ends[t])
+            out[:-1, start:stop] = level[:, width - (stop - start) :]
+            out[-1, start:stop] = steps[: t + 1].repeat(sizes[t::-1])
+            start = stop
+        level, sizes = out, ends
+    return level
 
 
 def _check_build(total: int, parts: int) -> None:
@@ -415,23 +489,6 @@ def _mi_split(resolution: int, cells: int) -> tuple[int, int]:
     return 0, most_last_cells(64)
 
 
-def _colex_ranks(prefixes, binoms: list) -> np.ndarray:
-    # Position of each composition in :func:`compositions` order, from an
-    # iterable of the running sums S_0, S_1, ... of its parts, index arrays
-    # that broadcast together (the last may be the plain total).  The
-    # compositions before it that agree above part j are those of S_j into
-    # j + 1 parts whose last part is below k_j: C(S_j + j, j) -
-    # C(S_{j-1} + j, j), read from ``binoms[j]``, the table of C(t + j, j).
-    prefixes = iter(prefixes)
-    prev = next(prefixes)
-    ranks = np.zeros(np.shape(prev), dtype=np.intp)
-    for j, cur in enumerate(prefixes, start=1):
-        ranks += binoms[j].take(cur)
-        ranks -= binoms[j].take(prev)
-        prev = cur
-    return ranks
-
-
 def _sub_run_starts(pattern: np.ndarray, shared: int) -> np.ndarray:
     # First column of each colex run of the pattern's last ``shared`` rows,
     # compared in blocks of at most _CHUNK_ROWS columns.
@@ -441,63 +498,6 @@ def _sub_run_starts(pattern: np.ndarray, shared: int) -> np.ndarray:
         block = tail[:, c0 - 1 : c0 + _CHUNK_ROWS]
         found.append(np.flatnonzero((block[:, 1:] != block[:, :-1]).any(axis=0)) + c0)
     return np.concatenate(found)
-
-
-class _CacheInfo(NamedTuple):
-    hits: int
-    misses: int
-    maxbytes: int
-    currbytes: int
-    currsize: int
-
-
-class _BytesLru:
-    """A thread-safe LRU cache of ``fn``'s results, bounded by the bytes
-    ``nbytes`` counts for them.
-
-    After a miss the least recently used results are evicted until the rest
-    fit in ``maxbytes``, but the newest result is kept whatever its size: so
-    the cache holds at most ``maxbytes`` plus the newest result.  As with
-    ``lru_cache``, ``fn`` runs outside the lock, and two threads that miss
-    on one key may both build it.
-    """
-
-    def __init__(self, fn: Callable, *, maxbytes: int, nbytes: Callable):
-        update_wrapper(self, fn)
-        self.maxbytes = maxbytes
-        self._fn, self._nbytes = fn, nbytes
-        self._lock = threading.Lock()
-        self._entries = OrderedDict()  # key -> (result, bytes), oldest first
-        self._held = self._hits = self._misses = 0
-
-    def __call__(self, *key):
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._hits += 1
-                self._entries.move_to_end(key)
-                return entry[0]
-            self._misses += 1
-        result = self._fn(*key)
-        size = self._nbytes(result)
-        with self._lock:
-            if key not in self._entries:
-                self._entries[key] = (result, size)
-                self._held += size
-                while self._held > self.maxbytes and len(self._entries) > 1:
-                    self._held -= self._entries.popitem(last=False)[1][1]
-        return result
-
-    def cache_info(self) -> _CacheInfo:
-        with self._lock:
-            return _CacheInfo(
-                self._hits, self._misses, self.maxbytes, self._held, len(self._entries)
-            )
-
-    def cache_clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._held = self._hits = self._misses = 0
 
 
 def _index_nbytes(index: _MiIndex) -> int:
@@ -512,17 +512,12 @@ def _index_nbytes(index: _MiIndex) -> int:
     return sum(bases.values())
 
 
-#: Bytes of MI indices kept between calls: the ``lattice`` benchmark's three
-#: (2x2 at resolution 60, 2x3 and 3x2 at 40) take 6.5 MB.
-_INDEX_CACHE_BYTES = 1 << 24
-
-
-@partial(_BytesLru, maxbytes=_INDEX_CACHE_BYTES, nbytes=_index_nbytes)
+@partial(_BytesLru, maxbytes=_CACHE_BYTES, nbytes=_index_nbytes)
 def _mi_index(resolution: int, d1: int, d2: int) -> _MiIndex:
     """Margin-pair ids of the ``d1 x d2`` lattice, grouped by the total of its
     first cells (see :func:`_mi_split` for ``t`` and ``a``).  Indices are
-    cached up to ``_INDEX_CACHE_BYTES`` (16 MiB), the least recently used
-    evicted first; the newest is kept whatever its size.
+    cached up to ``_CACHE_BYTES`` (16 MiB), the least recently used evicted
+    first; the newest is kept whatever its size.
 
     In colex order the points that share their last ``t`` cells form a run,
     and a run whose first ``lead = d1*d2 - t`` cells sum to ``r`` goes
@@ -532,7 +527,10 @@ def _mi_index(resolution: int, d1: int, d2: int) -> _MiIndex:
     cells those of one array of ``t + 1`` parts, and each group keeps a
     ``(Q, P)`` matrix of pair ids for its ``Q`` runs by ``P`` pattern
     columns, computed in blocks of at most 2**16 of them: uint16 when there
-    are at most 2**16 pair ids, int32 above.  With ``t = 0``
+    are at most 2**16 pair ids, int32 above.  A running sum of the margins
+    is looked up once per pattern column when it covers first cells only,
+    once per run when it covers all of them, and per point otherwise.
+    With ``t = 0``
     there is one group, one run, and the pattern is the lattice itself.
     Every pair of row- and column-margin compositions is the margin pair of
     some table, so there are ``nr * nc`` pair ids, never more than the
@@ -569,43 +567,56 @@ def _mi_index(resolution: int, d1: int, d2: int) -> _MiIndex:
         lattice = _build_compositions(resolution, cells)
         runs = lattice[:0, :1]
         parts = [(lattice, slice(0, 1))]
-    binoms = [
-        np.array([math.comb(t + j, j) for t in range(resolution + 1)], dtype=np.intp)
-        for j in range(max(d1, d2))
-    ]
-    nc = composition_count(resolution, d2)
-    id_type = np.uint16 if composition_count(resolution, d1) * nc <= 1 << 16 else np.int32
-    # The running sums of the row margins, then of the column margins, as the
-    # cells each adds up; the last of each kind, all cells, is R.  Cells
-    # among the last t are summed once per run, the first cells once per
-    # pattern column, and the two are added in blocks as the ranks take them.
-    rows = [range(i * d2, (i + 1) * d2) for i in range(d1)]
-    cols = [range(j, cells, d2) for j in range(d2)]
-    prefixes = [
-        [c for m in margins[: k + 1] for c in m]
-        for margins in (rows, cols)
-        for k in range(len(margins) - 1)
-    ]
-    firsts = [[c for c in cs if c < lead] for cs in prefixes]
-    lasts = [[c - lead for c in cs if c >= lead] for cs in prefixes]
-    run_sums = [runs[cs].sum(axis=0, dtype=np.intp) for cs in lasts]
+    nr, nc = composition_count(resolution, d1), composition_count(resolution, d2)
+    id_type = np.uint16 if nr * nc <= 1 << 16 else np.int32
+    # The colex rank of a composition into n parts is C(R + n - 1, n - 1) - 1
+    # plus H_j[S_j] over its running sums S_j, j < n - 1 (the last is R),
+    # with H_j[x] = C(x + j, j) - C(x + j + 1, j + 1) = -C(x + j, j + 1):
+    # H_0[x] = -x, and H_j is the running sum of H_{j-1}.  So a pair id, row
+    # rank * nc + column rank, is nr * nc - 1 plus one lookup per running sum
+    # of the row margins, in tables scaled by nc, and of the column margins.
+    falls = [-np.arange(resolution + 1)]
+    for _ in range(2, max(d1, d2)):
+        falls.append(falls[-1].cumsum())
+    lookups = [(nc * falls[k], range((k + 1) * d2)) for k in range(d1 - 1)]
+    lookups += [(falls[k], [c for c in range(cells) if c % d2 <= k]) for k in range(d2 - 1)]
+    # A running sum over first cells only is looked up once per pattern
+    # column.  One over every first cell is R minus the run's last cells
+    # outside it, looked up once per run in its table reversed.  Any other is
+    # gathered per point, from its first cells' and its last cells' sums.
+    by_col, by_run, by_point = [], [], []
+    for table, cs in lookups:
+        firsts = [c for c in cs if c < lead]
+        lasts = [c - lead for c in cs if c >= lead]
+        if not lasts:
+            by_col.append((table, firsts))
+        elif len(firsts) == lead:
+            by_run.append((table[::-1], [c - lead for c in range(lead, cells) if c not in cs]))
+        else:
+            by_point.append((table, firsts, lasts))
+    run_ids = np.full(runs.shape[1], nr * nc - 1, dtype=np.intp)
+    for tab, rows in by_run:
+        run_ids += tab.take(runs[rows].sum(axis=0, dtype=np.intp))
+    run_sums = [runs[rows].sum(axis=0, dtype=np.intp) for _, _, rows in by_point]
     groups = []
     for pattern, group_runs in parts:
         per_run = [sums[group_runs, None] for sums in run_sums]
+        base = run_ids[group_runs, None]
         width = pattern.shape[1]
         pairs = np.empty((group_runs.stop - group_runs.start, width), dtype=id_type)
         span = min(width, _CHUNK_ROWS)
         step = _CHUNK_ROWS // span
         for c0 in range(0, width, span):
-            block = slice(c0, c0 + span)
-            per_col = [pattern[cs, block].sum(axis=0, dtype=np.intp) for cs in firsts]
+            block = pattern[:, c0 : c0 + span]
+            col_ids = np.zeros(block.shape[1], dtype=np.intp)
+            for tab, rows in by_col:
+                col_ids += tab.take(block[rows].sum(axis=0, dtype=np.intp))
+            per_col = [(tab, block[rows].sum(axis=0, dtype=np.intp)) for tab, rows, _ in by_point]
             for q in range(0, pairs.shape[0], step):
-                sums = [(a[q : q + step], b) for a, b in zip(per_run, per_col)]
-                row_ranks, col_ranks = (
-                    _colex_ranks(chain((a + b for a, b in kind), [resolution]), binoms)
-                    for kind in (sums[: d1 - 1], sums[d1 - 1 :])
-                )
-                pairs[q : q + step, block] = row_ranks * nc + col_ranks
+                ids = base[q : q + step] + col_ids
+                for (tab, col), run in zip(per_col, per_run):
+                    ids += tab.take(run[q : q + step] + col)
+                pairs[q : q + step, c0 : c0 + span] = ids
         groups.append(_MiGroup(pattern, _sub_run_starts(pattern, shared), group_runs, pairs))
     return _MiIndex(
         tuple(groups),

@@ -386,8 +386,12 @@ def propagate_product(g: RobustEstimate, h_est: RobustEstimate) -> RobustEstimat
         )
     if g.dim != h_est.dim:
         raise ValueError("mismatched dimensions")
+    # GH(u) - GH(u0) takes d_i(GH) = d_iG H + G d_iH at a point of the
+    # segment from u0 to u, where the certified G and H lie between their
+    # baselines and the baselines plus their largest upper remainders: so
+    # the lower remainders take each factor at its baseline.
     r_ub = g.r_ub_per_i * (h_est.f0 + h_est.r_ub) + (g.f0 + g.r_ub) * h_est.r_ub_per_i
-    r_lb = g.r_lb_per_i * (h_est.f0 + h_est.r_lb) + (g.f0 + g.r_lb) * h_est.r_lb_per_i
+    r_lb = g.r_lb_per_i * h_est.f0 + g.f0 * h_est.r_lb_per_i
     return RobustEstimate(
         g.f0 * h_est.f0,
         r_ub,

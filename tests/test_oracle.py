@@ -6,6 +6,7 @@ import math
 import sys
 import threading
 import time
+from itertools import chain, combinations
 
 import numpy as np
 import pytest
@@ -64,6 +65,29 @@ def _lattice_digest(*arrays) -> str:
         sha.update(f"{arr.dtype.str}{arr.shape}{arr.flags.c_contiguous}".encode())
         sha.update(arr.tobytes())
     return sha.hexdigest()
+
+
+def _colex_reference(total: int, parts: int) -> np.ndarray:
+    """Compositions of ``total`` into ``parts`` parts as the columns of one
+    array, uint8 below 256 and int16 from 256, by stars and bars: the bars
+    ``b_1 < ... < b_{p-1}`` among ``total + parts - 1`` slots.  Taken from
+    the slots in descending order, itertools yields ``(b_{p-1}, ..., b_1)``
+    in descending lexicographic order, which is colex order."""
+    slots = total + parts - 1
+    count = math.comb(slots, parts - 1)
+    flat = chain.from_iterable(combinations(range(slots - 1, -1, -1), parts - 1))
+    # bytes() takes the small slots about twice as fast as fromiter.
+    raw = np.frombuffer(bytes(flat), np.uint8) if slots <= 256 else np.fromiter(flat, np.intp)
+    bars = np.full((count, parts + 1), slots, dtype=np.int16)
+    bars[:, 0] = -1
+    bars[:, parts - 1 : 0 : -1] = raw.reshape(count, parts - 1)
+    parts_of = np.diff(bars, axis=1) - 1
+    return parts_of.T.astype(np.uint8 if total < 256 else np.int16, order="C")
+
+
+def _assert_same_array(got: np.ndarray, expected: np.ndarray) -> None:
+    assert (got.dtype, got.shape) == (expected.dtype, expected.shape)
+    assert got.tobytes() == expected.tobytes()
 
 
 class TestCompositions:
@@ -130,6 +154,29 @@ class TestCompositions:
         monkeypatch.setattr(np, "empty", counting)
         oracle._build_compositions(total, parts)
         assert written == oracle._build_entries(total, parts)
+
+    @pytest.mark.parametrize(
+        "total, parts", [(0, 1), (5, 1), (3, 2), (4, 4), (7, 5), (300, 3), (400, 3), (40, 6)]
+    )
+    def test_build_peak_stays_within_its_entries_and_one_row(self, total, parts):
+        # The count above sees only np.empty.  Besides those entries the
+        # build holds one last row while it writes it, at most the result's
+        # width, and its size tables: three of total + 1 intp entries, and
+        # a few array headers.
+        out, peak = peak_traced(lambda: oracle._build_compositions(total, parts))
+        entries = oracle._build_entries(total, parts) + composition_count(total, parts)
+        assert peak <= out.itemsize * entries + 24 * (total + 1) + 4096
+
+    @pytest.mark.parametrize("parts", range(1, 7))
+    def test_build_equals_stars_and_bars_up_to_41(self, parts):
+        for total in range(42):
+            expected = _colex_reference(total, parts)
+            _assert_same_array(oracle._build_compositions(total, parts), expected)
+
+    @pytest.mark.parametrize("total, parts", [(255, 3), (256, 3), (400, 3), (2000, 2), (2, 100)])
+    def test_build_equals_stars_and_bars(self, total, parts):
+        # Both sides of the uint8/int16 switch at 256, and a wide lattice.
+        _assert_same_array(oracle._build_compositions(total, parts), _colex_reference(total, parts))
 
     def test_lattices_in_use_stay_under_the_build_bound(self):
         # The largest lattice the suite builds, the 2x2 table at the point
@@ -726,6 +773,47 @@ class TestMiLatticeReduction:
         widened = [a.astype(np.int32) if a.dtype == pair_type else a for a in arrays]
         assert _lattice_digest(*widened) == digest
 
+    @pytest.mark.parametrize(
+        "key, split",
+        [((60, 2, 2), None), ((30, 2, 3), None), ((30, 3, 2), None), ((400, 1, 3), None)]
+        + [((6, 2, 3), (t, 0)) for t in range(1, 6)]
+        + [((6, 3, 2), (t, 1)) for t in range(1, 5)],
+    )
+    def test_pair_ids_rank_each_points_margins(self, key, split, monkeypatch):
+        # Each point's pair id is row rank * nc + column rank, the ranks its
+        # margins have in compositions(R, d1) and compositions(R, d2), found
+        # by their digits in base R + 1.  The default splits cover t = 0,
+        # t = 2 and int32 ids; the forced ones every trailing count, with
+        # running sums over first cells only, over all first cells and some
+        # last ones, and over some of each.
+        resolution, d1, d2 = key
+        if split is not None:
+            monkeypatch.setattr(oracle, "_mi_split", lambda resolution, cells: split)
+        index = oracle._mi_index(*key)
+
+        def ranks_of(margins):
+            rows = compositions(resolution, len(margins)).astype(np.int64)
+            digits = (resolution + 1) ** np.arange(len(margins))
+            codes = rows @ digits
+            order = codes.argsort()
+            found = codes[order].searchsorted(digits @ margins)
+            assert (codes[order[found]] == digits @ margins).all()
+            return order[found]
+
+        nc = composition_count(resolution, d2)
+        points = 0
+        for group in index.groups:
+            (lead, width), runs = group.pattern.shape, index.trailing[:, group.runs]
+            shape = (runs.shape[1], width)
+            cells = np.stack(
+                [np.broadcast_to(row, shape) for row in group.pattern]
+                + [np.broadcast_to(row[:, None], shape) for row in runs]
+            ).astype(np.int64).reshape(d1, d2, -1)
+            expected = ranks_of(cells.sum(axis=1)) * nc + ranks_of(cells.sum(axis=0))
+            np.testing.assert_array_equal(group.pairs.ravel(), expected)
+            points += group.pairs.size
+        assert points == composition_count(resolution, d1 * d2)
+
     # sha256 over float.hex of both ends of every case of _mi_interval_corpus,
     # so that a changed bit, the sign of a zero included, shows.
     INTERVALS_DIGEST = "0bbd4492c176495ebae962ab1fb25b2323768a5efb215190eb4d6aeebe2d5eab"
@@ -851,6 +939,43 @@ class TestMiIndexCache:
         oracle._mi_index(20, 2, 2)
         oracle._mi_index.cache_clear()
         assert oracle._mi_index.cache_info()[:] == (0, 0, 1 << 24, 0, 0)
+
+
+class TestCompositionCache:
+    # Array bytes: (20, 2) 84, (30, 2) 124, (150, 2) 604, (8, 4) 1320,
+    # (30, 3) 2976, (12, 4) 3640.
+    KEYS = [(20, 2), (30, 2), (150, 2), (8, 4), (30, 3), (12, 4)]
+
+    @pytest.mark.parametrize("budget", [0, 3000, 5000, 1 << 24])
+    def test_holds_at_most_the_budget_and_the_newest_array(self, budget, monkeypatch):
+        monkeypatch.setattr(oracle._compositions, "maxbytes", budget)
+        for i in [0, 4, 5, 1, 0, 3, 2, 5, 4, 4, 1, 0, 2]:
+            newest = compositions(*self.KEYS[i])
+            info = oracle._compositions.cache_info()
+            held = [rows for rows, _ in oracle._compositions._entries.values()]
+            assert info.currbytes == sum(rows.nbytes for rows in held)
+            assert info.currbytes <= budget + newest.nbytes
+            assert any(rows is newest for rows in held)
+        if budget == 1 << 24:
+            assert (info.misses, info.currsize) == (len(self.KEYS), len(self.KEYS))
+
+    def test_an_evicted_array_is_rebuilt_to_the_same_bytes(self, monkeypatch):
+        monkeypatch.setattr(oracle._compositions, "maxbytes", 0)
+        first = compositions(30, 3)
+        compositions(150, 2)
+        again = compositions(30, 3)
+        assert again is not first and oracle._compositions.cache_info().misses == 3
+        assert not again.flags.writeable and again.flags.c_contiguous
+        _assert_same_array(again, first)
+
+    def test_the_lattice_benchmark_keys_stay_cached(self):
+        # The product checks of the lattice workload: 7 2x2 tables at
+        # resolution 150, then 7 alternating 2x3 and 3x2 ones at 30.
+        round_keys = [(150, 2)] * 14 + [(30, 2), (30, 3)] * 7
+        for key in round_keys * 3:
+            compositions(*key)
+        info = oracle._compositions.cache_info()
+        assert (info.misses, info.currsize) == (3, 3)
 
 
 @st.composite

@@ -46,16 +46,21 @@ def _entropy_estimate(counts=COUNTS, cfg=CFG):
     return concave_remainder_bounds(counts, cfg, entropy_summand(kernel))
 
 
-def _coordinate_estimate(counts, cfg, k):
-    """Robust estimate of the linear functional u -> u_k."""
-    d = counts.dim
+def _linear_estimate(counts, cfg, weights):
+    """Robust estimate of the linear functional u -> weights . u, weights >= 0."""
+    weights = np.asarray(weights, dtype=float)
     provider = DerivativeBoundProvider(
-        fn=lambda u: float(u[k]),
-        upper_i=lambda i: 1.0 if i == k else 0.0,
-        lower_i=lambda i: 1.0 if i == k else 0.0,
+        fn=lambda u: float(u @ weights),
+        upper_i=lambda i: weights[i],
+        lower_i=lambda i: weights[i],
         nonneg=True,
     )
     return approx_interval_general(counts, cfg, provider)
+
+
+def _coordinate_estimate(counts, cfg, k):
+    """Robust estimate of the linear functional u -> u_k."""
+    return _linear_estimate(counts, cfg, np.arange(counts.dim) == k)
 
 
 def _sandwich_holds(est, tol=1e-12):
@@ -411,6 +416,26 @@ class TestPropagateProduct:
         assert oracle.upper <= prod.f0 + prod.r_ub + 1e-12
         assert _sandwich_holds(prod)
         assert prod.nonneg
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.lists(st.integers(0, 30), min_size=2, max_size=3), st.floats(0.05, 20.0), st.data())
+    def test_linear_factors_bound_the_lattice_range_to_second_order(self, counts, s, data):
+        # G = a.u and H = b.u with a, b >= 0 are certified.  On the image
+        # u0 + sigma t of the simplex, GH = (g0 + sigma a.t)(h0 + sigma b.t)
+        # is a product of non-negative affine functions, so its minimum sits
+        # at a vertex, a lattice point.  The conservative ends contain the
+        # lattice range, and pass its ends by at most the second-order terms
+        # sigma^2 a_i b_j of the vertices their remainders come from.
+        weights = st.lists(st.floats(0.0, 2.0), min_size=len(counts), max_size=len(counts))
+        a, b = np.array(data.draw(weights)), np.array(data.draw(weights))
+        cv, cfg = CountVector(counts), IdmConfig(s)
+        prod = propagate_product(_linear_estimate(cv, cfg, a), _linear_estimate(cv, cfg, b))
+        lattice = grid_extrema(lambda u: (u @ a) * (u @ b), cv, cfg, GridSpec(24))
+        cons = prod.conservative_interval()
+        second = prod.sigma**2 * a.max() * b.max()
+        assert cons.lower <= lattice.lower + 1e-12 and lattice.upper <= cons.upper + 1e-12
+        assert lattice.lower - cons.lower <= second + 1e-12
+        assert cons.upper - lattice.upper <= 2 * second + 1e-12
 
     def test_zero_remainders_collapse_to_point(self):
         base = _coordinate_estimate(COUNTS, CFG, 0)
