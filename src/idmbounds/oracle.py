@@ -655,6 +655,11 @@ def _mi_extrema(tables: _Tables, resolution: int) -> Interval:
     nruns = index.trailing.shape[1]
     lows = np.full(nruns, math.inf)
     highs = np.full(nruns, -math.inf)
+    # One buffer takes every block's gathered values: a fresh array per
+    # block lets glibc trim and refault the heap's top pages in some heap
+    # states.  numpy buffers ``take`` into ``out`` unless a ``mode`` is set;
+    # the ids are all in range, so "clip" clips none.
+    buffer = np.empty(min(_CHUNK_ROWS, max(group.pairs.size for group in index.groups)))
     for group in index.groups:
         lead, width = group.pattern.shape
         own = lead - index.shared
@@ -676,7 +681,8 @@ def _mi_extrema(tables: _Tables, resolution: int) -> Interval:
                 segments[0] = 0
             shared = [tables.cells[c].take(pattern[c].take(segments)) for c in range(own, lead)]
             for q in range(0, group.pairs.shape[0], step):
-                vals = pair.take(group.pairs[q : q + step, c0 : c0 + span])
+                ids = group.pairs[q : q + step, c0 : c0 + span]
+                vals = pair.take(ids, out=buffer[: ids.size].reshape(ids.shape), mode="clip")
                 for cell in heads:
                     vals -= cell
                 low = np.minimum.reduceat(vals, segments, axis=1)
