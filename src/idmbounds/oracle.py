@@ -575,11 +575,11 @@ def _mi_index(resolution: int, d1: int, d2: int) -> _MiIndex:
     # H_0[x] = -x, and H_j is the running sum of H_{j-1}.  So a pair id, row
     # rank * nc + column rank, is nr * nc - 1 plus one lookup per running sum
     # of the row margins, in tables scaled by nc, and of the column margins.
-    falls = [-np.arange(resolution + 1)]
+    rank_terms = [-np.arange(resolution + 1)]
     for _ in range(2, max(d1, d2)):
-        falls.append(falls[-1].cumsum())
-    lookups = [(nc * falls[k], range((k + 1) * d2)) for k in range(d1 - 1)]
-    lookups += [(falls[k], [c for c in range(cells) if c % d2 <= k]) for k in range(d2 - 1)]
+        rank_terms.append(rank_terms[-1].cumsum())
+    lookups = [(nc * rank_terms[k], range((k + 1) * d2)) for k in range(d1 - 1)]
+    lookups += [(rank_terms[k], [c for c in range(cells) if c % d2 <= k]) for k in range(d2 - 1)]
     # A running sum over first cells only is looked up once per pattern
     # column.  One over every first cell is R minus the run's last cells
     # outside it, looked up once per run in its table reversed.  Any other is
