@@ -529,12 +529,11 @@ def _mi_index(resolution: int, d1: int, d2: int) -> _MiIndex:
     columns, computed in blocks of at most 2**16 of them: uint16 when there
     are at most 2**16 pair ids, int32 above.  A running sum of the margins
     is looked up once per pattern column when it covers first cells only,
-    once per run when it covers all of them, and per point otherwise.
-    With ``t = 0``
-    there is one group, one run, and the pattern is the lattice itself.
-    Every pair of row- and column-margin compositions is the margin pair of
-    some table, so there are ``nr * nc`` pair ids, never more than the
-    lattice has points.
+    once per run when it covers all of them, and per point otherwise.  With
+    ``t = 0`` there is one group, one run, and the pattern is the lattice
+    itself.  Every pair of row- and column-margin compositions is the margin
+    pair of some table, so there are ``nr * nc`` pair ids, never more than
+    the lattice has points.
 
     For ``N`` points a cached index holds ``2 * N`` bytes of pair ids
     (``4 * N`` above 2**16 pair ids), the ``(lead + 1) * C(R + lead, lead)``
