@@ -529,7 +529,7 @@ def _mi_index(resolution: int, d1: int, d2: int) -> _MiIndex:
     columns, computed in blocks of at most 2**16 of them: uint16 when there
     are at most 2**16 pair ids, int32 above.  A running sum of the margins
     is looked up once per pattern column when it covers first cells only,
-    once per run when it covers all of them, and per point otherwise.  With
+    and per point otherwise.  With
     ``t = 0`` there is one group, one run, and the pattern is the lattice
     itself.  Every pair of row- and column-margin compositions is the margin
     pair of some table, so there are ``nr * nc`` pair ids, never more than
@@ -580,42 +580,41 @@ def _mi_index(resolution: int, d1: int, d2: int) -> _MiIndex:
     lookups = [(nc * rank_terms[k], range((k + 1) * d2)) for k in range(d1 - 1)]
     lookups += [(rank_terms[k], [c for c in range(cells) if c % d2 <= k]) for k in range(d2 - 1)]
     # A running sum over first cells only is looked up once per pattern
-    # column.  One over every first cell is R minus the run's last cells
-    # outside it, looked up once per run in its table reversed.  Any other is
-    # gathered per point, from its first cells' and its last cells' sums.
-    by_col, by_run, by_point = [], [], []
+    # column; any other is gathered per point, from its first cells' and its
+    # last cells' sums.
+    by_col, by_point = [], []
     for table, cs in lookups:
         firsts = [c for c in cs if c < lead]
         lasts = [c - lead for c in cs if c >= lead]
-        if not lasts:
-            by_col.append((table, firsts))
-        elif len(firsts) == lead:
-            by_run.append((table[::-1], [c - lead for c in range(lead, cells) if c not in cs]))
-        else:
+        if lasts:
             by_point.append((table, firsts, lasts))
-    run_ids = np.full(runs.shape[1], nr * nc - 1, dtype=np.intp)
-    for tab, rows in by_run:
-        run_ids += tab.take(runs[rows].sum(axis=0, dtype=np.intp))
+        else:
+            by_col.append((table, firsts))
     run_sums = [runs[rows].sum(axis=0, dtype=np.intp) for _, _, rows in by_point]
     groups = []
     for pattern, group_runs in parts:
         per_run = [sums[group_runs, None] for sums in run_sums]
-        base = run_ids[group_runs, None]
         width = pattern.shape[1]
         pairs = np.empty((group_runs.stop - group_runs.start, width), dtype=id_type)
         span = min(width, _CHUNK_ROWS)
         step = _CHUNK_ROWS // span
         for c0 in range(0, width, span):
             block = pattern[:, c0 : c0 + span]
-            col_ids = np.zeros(block.shape[1], dtype=np.intp)
+            col_ids = np.full(block.shape[1], nr * nc - 1, dtype=np.intp)
             for tab, rows in by_col:
                 col_ids += tab.take(block[rows].sum(axis=0, dtype=np.intp))
             per_col = [(tab, block[rows].sum(axis=0, dtype=np.intp)) for tab, rows, _ in by_point]
             for q in range(0, pairs.shape[0], step):
-                ids = base[q : q + step] + col_ids
+                out = pairs[q : q + step, c0 : c0 + span]
+                ids = np.broadcast_to(col_ids, out.shape).copy()
                 for (tab, col), run in zip(per_col, per_run):
                     ids += tab.take(run[q : q + step] + col)
-                pairs[q : q + step, c0 : c0 + span] = ids
+                # _mi_extrema gathers with mode="clip", which would clamp an
+                # id out of range instead of raising: refuse it here, where
+                # the ids are made.  Read unsigned, a negative id is large.
+                if ids.view(np.uintp).max() >= nr * nc:
+                    raise RuntimeError("MI pair id out of range")
+                out[...] = ids
         groups.append(_MiGroup(pattern, _sub_run_starts(pattern, shared), group_runs, pairs))
     return _MiIndex(
         tuple(groups),
@@ -657,7 +656,7 @@ def _mi_extrema(tables: _Tables, resolution: int) -> Interval:
     # One buffer takes every block's gathered values: a fresh array per
     # block lets glibc trim and refault the heap's top pages in some heap
     # states.  numpy buffers ``take`` into ``out`` unless a ``mode`` is set;
-    # the ids are all in range, so "clip" clips none.
+    # _mi_index checks that every id is in range, so "clip" clips none.
     buffer = np.empty(min(_CHUNK_ROWS, max(group.pairs.size for group in index.groups)))
     for group in index.groups:
         lead, width = group.pattern.shape

@@ -76,8 +76,7 @@ def _colex_reference(total: int, parts: int) -> np.ndarray:
     slots = total + parts - 1
     count = math.comb(slots, parts - 1)
     flat = chain.from_iterable(combinations(range(slots - 1, -1, -1), parts - 1))
-    # bytes() takes the small slots about twice as fast as fromiter.
-    raw = np.frombuffer(bytes(flat), np.uint8) if slots <= 256 else np.fromiter(flat, np.intp)
+    raw = np.fromiter(flat, np.intp)
     bars = np.full((count, parts + 1), slots, dtype=np.int16)
     bars[:, 0] = -1
     bars[:, parts - 1 : 0 : -1] = raw.reshape(count, parts - 1)
@@ -784,8 +783,7 @@ class TestMiLatticeReduction:
         # margins have in compositions(R, d1) and compositions(R, d2), found
         # by their digits in base R + 1.  The default splits cover t = 0,
         # t = 2 and int32 ids; the forced ones every trailing count, with
-        # running sums over first cells only, over all first cells and some
-        # last ones, and over some of each.
+        # running sums over first cells only and over some of each.
         resolution, d1, d2 = key
         if split is not None:
             monkeypatch.setattr(oracle, "_mi_split", lambda resolution, cells: split)
@@ -813,6 +811,17 @@ class TestMiLatticeReduction:
             np.testing.assert_array_equal(group.pairs.ravel(), expected)
             points += group.pairs.size
         assert points == composition_count(resolution, d1 * d2)
+
+    def test_pair_id_past_the_pair_count_is_refused(self, monkeypatch):
+        # The reduction gathers with mode="clip", so the build refuses an id
+        # it would clamp: one row margin fewer makes the last ids too large.
+        count = oracle.composition_count
+        monkeypatch.setattr(oracle, "_mi_split", lambda resolution, cells: (2, 0))
+        monkeypatch.setattr(
+            oracle, "composition_count", lambda total, parts: count(total, parts) - (parts == 2)
+        )
+        with pytest.raises(RuntimeError, match="MI pair id out of range"):
+            oracle._mi_index(6, 2, 3)
 
     # sha256 over float.hex of both ends of every case of _mi_interval_corpus,
     # so that a changed bit, the sign of a zero included, shows.
