@@ -15,13 +15,14 @@ command, ``s`` and ``grid_check`` to the result and writes it.
 
 ``entropy`` and ``sweep`` take every ``h``, ``h'`` and ``psi(T + 1)`` they
 need from one special-function pass per request (per 2^16 points: a long
-sweep takes one pass per block of rows, so its memory stays bounded).  A
-sweep's axis is one ``(rows, d)`` count array: its rows are checked,
-leveled, mapped and summed as a stack, every column (the plug-in entropy
-too) is taken from it with array operations, and only the rounded output
-rows are built row by row; no row builds a count vector, an estimate or an
-interval.  Exact rational endpoints are integer sums over one harmonic
-table, built on the first integral request.
+sweep takes one pass per block of rows, so its memory stays bounded),
+through the pass driver the library's estimators use.  A sweep's axis is
+one ``(rows, d)`` count array: its rows are checked, leveled, mapped and
+summed as a stack, every column (the plug-in entropy too) is taken from it
+with array operations, and only the rounded output rows are built row by
+row; no row builds a count vector, an estimate or an interval.  Exact
+rational endpoints are integer sums over one harmonic table, built on the
+first integral request.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .credible import CredibleSpec, robust_credible_mi_parts
-from .exact_extrema import _stack, _Stack, entropy_interval_rational
+from .exact_extrema import _entropy_rows, _one_row, _Rows, _Stack, entropy_interval_rational
 from .mutual_info import (
     ContingencyCounts,
     _FloatRangeError,
@@ -53,7 +54,7 @@ from .oracle import (
 )
 from .simplex_core import CountVector, IdmConfig, Interval, sigma_of
 from .special_fn import _BLOCK_ROWS
-from .taylor_bounds import _entropy_rows
+from .taylor_bounds import RobustEstimate
 
 SCHEMA = "idmbounds.result/1"
 
@@ -253,8 +254,8 @@ def run_entropy(args) -> tuple[dict, dict]:
     }
     body = {"diagnostics": diagnostics, "intervals": {}}
     checked = {}
-    [record] = _entropy_rows([(_stack([(counts, cfg)]), ())])
-    exact, est, _ = record.row(0)
+    [record] = _entropy_rows([_Rows(_one_row(counts, cfg), counts.total + cfg.s)])
+    exact, est = record.interval(), RobustEstimate(*record.primaries())
     if args.mode in ("exact", "both"):
         checked["exact"] = exact
         body["intervals"]["exact"] = _interval_payload(
@@ -424,7 +425,7 @@ def _plugin_entropies(freq: np.ndarray) -> np.ndarray:
 
 
 def _sweep_stacks(axis: np.ndarray, totals: np.ndarray, cfg: IdmConfig):
-    """The axis as :func:`~idmbounds.taylor_bounds._entropy_rows` items, a
+    """The axis as :func:`~idmbounds.exact_extrema._entropy_rows` items, a
     block of rows at a time.
 
     A row has ``4 d`` entropy points and ``2 d`` extra points, so an item
@@ -435,7 +436,7 @@ def _sweep_stacks(axis: np.ndarray, totals: np.ndarray, cfg: IdmConfig):
     for k in range(0, len(axis), step):
         counts, n = axis[k : k + step], totals[k : k + step]
         stack = _Stack(counts[:, None], n[:, None, None], np.full((len(n), 1, 1), cfg.s))
-        yield stack, _point_groups(counts, n)
+        yield _Rows(stack, n + cfg.s, extras=_point_groups(counts, n))
 
 
 def _sweep_table(xs: np.ndarray, axis: np.ndarray, cfg: IdmConfig) -> np.ndarray:
@@ -443,14 +444,15 @@ def _sweep_table(xs: np.ndarray, axis: np.ndarray, cfg: IdmConfig) -> np.ndarray
 
     The axis is checked, then leveled, mapped and summed as a stack, and
     every column is taken with array operations from the records of
-    :func:`~idmbounds.taylor_bounds._entropy_rows`.  Checked rows cannot
+    :func:`~idmbounds.exact_extrema._entropy_rows`.  Checked rows cannot
     raise there: ``n + s`` is finite and positive, ``n`` is positive (each
     axis row totals at least about 1) and every point lies on [0, 1].
     """
     totals = _checked_totals(xs, axis, cfg)
     parts = [
         (record.lower, record.upper, *record.conservative(), *record.sums)
-        for record in _entropy_rows(_sweep_stacks(axis, totals, cfg))
+        for item in _sweep_stacks(axis, totals, cfg)
+        for record in _entropy_rows([item])
     ]
     columns = [np.concatenate(column) for column in zip(*parts)]
     return np.column_stack([xs, *columns, _plugin_entropies(axis / totals[:, None])])

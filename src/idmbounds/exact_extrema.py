@@ -64,21 +64,13 @@ class ConcaveSummand:
         if np.any(np.diff(d) > slack):
             raise ValueError("declared concave but derivative increases on [0, 1]")
 
-    def _values_and_derivs(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(fn(points), deriv(points))``, each checked to have the points' shape.
-
-        Calls ``deriv`` first, then ``fn``, once each.
-        """
-        derivs = _summand_values(self.deriv, points, "deriv")
-        return _summand_values(self.fn, points, "fn"), derivs
-
 
 @dataclass(frozen=True)
 class _EntropySummand(ConcaveSummand):
     """``h`` on ``kernel``: concave by theorem, so not spot-checked.
 
-    Its remainder terms come from :func:`_row_terms`, with the bits of
-    ``fn`` and ``deriv``, which it does not call.
+    Its remainder terms come from the pass of :func:`_entropy_rows`, with
+    the bits of ``fn`` and ``deriv``, which it does not call.
     """
 
     kernel: EntropyKernel
@@ -143,8 +135,8 @@ def max_concave_sum(counts: CountVector, cfg: IdmConfig, f: ConcaveSummand) -> E
     vertex of the least-observed category.  A summand whose output does not
     match its argument's shape raises ``ValueError``.
     """
-    t, m_star = _leveled_prior(_one_row(counts, cfg))
-    t, m_star = t[0, 0], int(m_star[0])
+    t, candidates = _leveled_prior(_one_row(counts, cfg))
+    t, m_star = t[0, 0], int(candidates.argmin()) + 1
     # Rounding can leave t* at a vertex whatever m* is.
     nonzero = t.nonzero()[0]
     if nonzero.size == 1:
@@ -177,22 +169,15 @@ class _Stack(NamedTuple):
     s: np.ndarray
 
 
-def _stack(pairs) -> _Stack:
-    """The stack of ``(counts, cfg)`` pairs whose count vectors share one dimension."""
-    return _Stack(
-        np.array([counts.counts for counts, _ in pairs])[:, None],
-        np.array([counts.total for counts, _ in pairs])[:, None, None],
-        np.array([cfg.s for _, cfg in pairs])[:, None, None],
-    )
-
-
 def _one_row(counts: CountVector, cfg: IdmConfig) -> _Stack:
     return _Stack(counts.counts[None, None], counts.total, cfg.s)
 
 
 def _leveled_prior(stack: _Stack) -> tuple[np.ndarray, np.ndarray]:
     """The water-filling maximum's prior means ``t*``, shaped like the
-    stack's counts, and each row's leveling count ``m*``.
+    stack's counts, and each row's leveling values ``(s + sum of the m
+    smallest counts) / (m (n+s))`` for ``m = 1..d``, whose first least is
+    at the leveling count ``m*`` less one.
 
     Every edge case is a mask over the rows, so a row's bits do not depend
     on the rows stacked with it.
@@ -211,7 +196,6 @@ def _leveled_prior(stack: _Stack) -> tuple[np.ndarray, np.ndarray]:
         candidates = (s + prefix) / scale
         if scale.max() == np.inf:
             candidates = np.where(np.isinf(scale), (s + prefix) / m / denom, candidates)
-        m_star = candidates.argmin(axis=-1)[:, 0] + 1
         u_vec = np.maximum(u0, candidates.min(axis=-1, keepdims=True))
         # t* = (u* (n+s) - n) / s loses digits when s << n: clip and
         # renormalise so the witness is on the simplex by construction.
@@ -224,12 +208,12 @@ def _leveled_prior(stack: _Stack) -> tuple[np.ndarray, np.ndarray]:
         t[still, 0, n[still, 0].argmin(axis=-1)] = 1.0
         mass[still] = 1.0
     if mass.max() < np.inf:
-        return t / mass, m_star
+        return t / mass, candidates
     # With s near the float maximum the mass can round past it, and t / inf
     # is all zeros; halving first is exact at that scale.
     half = t / 2.0
     finite = np.isfinite(mass)
-    return np.where(finite, t / mass, half / half.sum(axis=-1, keepdims=True)), m_star
+    return np.where(finite, t / mass, half / half.sum(axis=-1, keepdims=True)), candidates
 
 
 def _summand_values(fn: Callable, points: np.ndarray, name: str) -> np.ndarray:
@@ -250,8 +234,9 @@ def _point_set(stack: _Stack, priors) -> np.ndarray:
     return _posterior_means(n, total, s, priors).reshape(n.shape[0], -1)
 
 
-def _point_sets(stack: _Stack) -> np.ndarray:
-    """Each row's extreme set, then its remainder set: ``4 d`` points a row.
+def _point_sets(stack: _Stack, remainder: bool) -> np.ndarray:
+    """Each row's extreme set, then, with ``remainder``, its remainder set:
+    ``2 d`` points a set.
 
     The extreme set is the minimum's and the maximum's posterior means, the
     remainder set the baseline ``u0`` and every vertex coordinate ``(n_k +
@@ -259,10 +244,11 @@ def _point_sets(stack: _Stack) -> np.ndarray:
     means gives both.
     """
     rows, _, d = stack.counts.shape
-    priors = np.zeros((rows, 4, d))
-    priors[np.arange(rows), 0, stack.counts.argmax(axis=-1)[:, 0]] = 1.0
+    priors = np.zeros((rows, 4 if remainder else 2, d))
+    priors[:, 0] = stack.counts.argmax(axis=-1) == np.arange(d)
     priors[:, 1:2] = _leveled_prior(stack)[0]
-    priors[:, 3] = 1.0
+    if remainder:
+        priors[:, 3] = 1.0
     return _point_set(stack, priors)
 
 
@@ -271,56 +257,6 @@ def _remainder_points(stack: _Stack) -> np.ndarray:
     # t = 0 and t = 1 broadcast against the counts: the baseline u0 and every
     # vertex coordinate (n_k + s)/(n + s), in one map.
     return _point_set(stack, np.array([[0.0], [1.0]]))
-
-
-def _row_terms(rows, *, extreme: bool, remainder: bool) -> list:
-    """The entropy terms of each ``(counts, cfg, total)`` row, in at most one pass.
-
-    Per row, ``(extreme_values, values, slopes)``: ``h`` at the extreme set
-    of :func:`_point_sets` on kernel ``counts.total + cfg.s``, and ``h`` and
-    ``h'`` at :func:`_remainder_points` on kernel ``total``, with the bits of
-    separate :func:`~idmbounds.special_fn._entropy_terms` calls.  A set not
-    asked for may be ``None``.
-
-    Each count vector keeps the terms of its last ``(s, total)`` in one
-    entry, stored in a single assignment after the pass succeeds.  Rows whose
-    entry holds what they need take no pass; the others share one.  A row
-    asked for its extreme set takes its remainder set in the same pass (one
-    map), but not the reverse, which would sort the counts.  A row
-    whose two sets would exceed one ``_BLOCK_ROWS`` block, or whose
-    ``total`` is not finite, takes only what it is asked for and stores
-    nothing.
-    """
-    groups, plans = [], []
-    for counts, cfg, total in rows:
-        key = (cfg.s, total)
-        entry = counts.__dict__.get("_terms")
-        if entry is None or entry[0] != key:
-            entry = (key, None, None, None)
-        # A row that may not store never has an entry to read.
-        keep = 4 * counts.counts.size <= _BLOCK_ROWS and math.isfinite(total)
-        take_extreme = extreme and entry[1] is None
-        take_remainder = (remainder or keep) and entry[2] is None
-        if take_extreme:
-            points = _point_sets(_one_row(counts, cfg))[0]
-            groups.append((counts.total + cfg.s, points[: 2 * counts.dim]))
-        if take_remainder:
-            if not take_extreme:
-                points = _remainder_points(_one_row(counts, cfg))[0]
-            # The remainder set is the last 2 d points either way.
-            groups.append((total, points[-2 * counts.dim :]))
-        plans.append((counts, entry, take_extreme, take_remainder, keep))
-    terms = iter(_entropy_terms(groups) if groups else ())
-    out = []
-    for counts, (key, extreme_values, values, slopes), take_extreme, take_remainder, keep in plans:
-        if take_extreme:
-            extreme_values = next(terms)[0]
-        if take_remainder:
-            values, slopes = next(terms)
-        if keep and (take_extreme or take_remainder):
-            object.__setattr__(counts, "_terms", (key, extreme_values, values, slopes))
-        out.append((extreme_values, values, slopes))
-    return out
 
 
 def _extreme_ends(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -337,6 +273,186 @@ def _extreme_ends(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lower, np.where(upper > lower, upper, lower)
 
 
+def _remainder_parts(sigma, derivs: np.ndarray, values: np.ndarray) -> tuple:
+    """The remainder primaries ``(f0, r_ub_per_i, r_lb_per_i, vertex_values)``
+    from finite ``f'`` and ``f`` at :func:`_remainder_points`.
+
+    ``f0`` is a float and the vectors plain arrays, so that callers can
+    combine several parts into one estimate.  For a stack of rows,
+    ``derivs`` and ``values`` are ``(rows, 2 d)`` and ``sigma`` a ``(rows,
+    1)`` column; each primary then has one entry or row per row.  The
+    summand is elementwise, so values taken on both point sets at once are
+    the ones separate calls would give.
+    """
+    d = derivs.shape[-1] // 2
+    deriv_low, deriv_high = derivs[..., :d], derivs[..., d:]
+    # f' is non-increasing; with huge counts and a tiny s, the vertex is an
+    # ulp from u0 and rounding alone can put f' there above f'(u0).
+    deriv_high = np.minimum(deriv_high, deriv_low)
+    f_low, f_high = values[..., :d], values[..., d:]
+    f0 = f_low.sum(axis=-1)
+    # F at the k-th vertex differs from F(u0) only in coordinate k.
+    vertex_values = f0[..., None] - f_low + f_high
+    return f0, sigma * deriv_low, sigma * deriv_high, vertex_values
+
+
+class _Rows(NamedTuple):
+    """One item of :func:`_entropy_rows`: count rows of one dimension, and
+    what is asked of them.
+
+    ``kernel`` is the remainder set's kernel total, a float for a one-row
+    stack whose ``total`` is a float, else one per row; the extreme set's is
+    each row's ``n + s``.  ``extreme`` asks for the exact interval and
+    ``remainder`` for the remainder terms; a row asked for the remainder
+    alone is not sorted.  ``extras`` are further ``(totals, u)`` groups, one
+    kernel total and one row of points per count row, summed per row.
+
+    ``owner`` is the count vector of a one-row item.  It keeps the record of
+    its last ``(s, kernel)``, stored in one assignment after the pass, and a
+    set that record holds takes no points.  A row asked for its extreme set
+    takes its remainder set in the same map; one whose two sets exceed one
+    ``_BLOCK_ROWS`` block, or whose kernel is not finite, takes only what it
+    is asked for and stores nothing.
+    """
+
+    stack: _Stack
+    kernel: object
+    extreme: bool = True
+    remainder: bool = True
+    extras: tuple = ()
+    owner: Optional[CountVector] = None
+
+
+class _EntropyColumns(NamedTuple):
+    """An item's answers, as columns: the exact interval's ends, ``h`` and
+    ``h'`` at the remainder set of the rows of ``stack``, and each extra
+    group's ``h`` sums, one entry or row per count row.  A set the item
+    neither asked for nor had stored is ``None``."""
+
+    lower: Optional[np.ndarray] = None
+    upper: Optional[np.ndarray] = None
+    values: Optional[np.ndarray] = None
+    slopes: Optional[np.ndarray] = None
+    stack: Optional[_Stack] = None
+    sums: tuple = ()
+
+    def interval(self, k: int = 0) -> Interval:
+        return Interval(self.lower[k], self.upper[k])
+
+    def primaries(self, k: int = 0) -> tuple:
+        """Row ``k``'s ``(f0, r_ub_per_i, r_lb_per_i, vertex_values, sigma)``,
+        the fields of its :class:`~idmbounds.taylor_bounds.RobustEstimate`."""
+        sigma = self._sigma()[k, 0]
+        return *_remainder_parts(sigma, self.slopes[k], self.values[k]), sigma
+
+    def conservative(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's conservative ends, ``f0 + r_lb`` and ``f0 + r_ub``: the
+        floats the estimate gives, since its extremes are the components'
+        minimum and maximum."""
+        f0, r_ub, r_lb, _ = _remainder_parts(self._sigma(), self.slopes, self.values)
+        return f0 + r_lb.min(axis=-1), f0 + r_ub.max(axis=-1)
+
+    def _sigma(self) -> np.ndarray:
+        _, total, s = self.stack
+        return np.asarray(_posterior_means(0.0, total, s, 1.0)).reshape(-1, 1)
+
+
+_NOTHING = _EntropyColumns()
+
+
+def _plan(item: _Rows) -> tuple:
+    """``(stored, extreme, remainder, keep)``: the owner's stored record, the
+    sets the pass takes, and whether the owner keeps them (see :class:`_Rows`)."""
+    stored, keep = _NOTHING, False
+    owner = item.owner
+    if owner is not None:
+        entry = owner.__dict__.get("_terms")
+        if entry is not None and entry[0] == (item.stack.s, item.kernel):
+            stored = entry[1]
+        keep = 4 * owner.counts.size <= _BLOCK_ROWS and math.isfinite(item.kernel)
+    extreme = item.extreme and stored.lower is None
+    remainder = (item.remainder or keep) and stored.values is None
+    return stored, extreme, remainder, keep
+
+
+def _entropy_rows(items) -> list:
+    """The one driver of the entropy special-function pass.
+
+    Returns an :class:`_EntropyColumns` for each :class:`_Rows` item, or
+    part of one: per row, the :func:`entropy_interval_exact` interval, the
+    :func:`~idmbounds.taylor_bounds.concave_remainder_bounds` primaries of
+    summand ``h`` on the item's kernel, and the extra groups' ``h`` sums,
+    all with the bits of those calls.  Rows join one pass until the next
+    would take it over ``_BLOCK_ROWS`` points, so a pass's memory stays
+    bounded; a larger row takes a pass alone.  The records keep their
+    passes' terms, so a caller with many rows feeds them a block at a time.
+    """
+    records, block, size = [], [], 0
+    for item in items:
+        _, extreme, remainder, _ = plan = _plan(item)
+        d = item.stack.counts.shape[-1]
+        points = 2 * d * (extreme + remainder)
+        for _, u in item.extras:
+            points += u.shape[-1]
+        rows = len(item.stack.counts)
+        start = 0
+        while start < rows:
+            room = (_BLOCK_ROWS - size) // points if points else rows
+            if block and room <= 0:
+                records += _entropy_pass(block)
+                block, size = [], 0
+                continue
+            stop = min(rows, start + max(room, 1))
+            block.append((item if stop - start == rows else _part(item, start, stop), plan))
+            size += (stop - start) * points
+            start = stop
+    if block:
+        records += _entropy_pass(block)
+    return records
+
+
+def _part(item: _Rows, start: int, stop: int) -> _Rows:
+    part = slice(start, stop)
+    return item._replace(
+        stack=_Stack(*(column[part] for column in item.stack)),
+        kernel=item.kernel[part],
+        extras=tuple((total[part], u[part]) for total, u in item.extras),
+    )
+
+
+def _entropy_pass(block) -> list:
+    """One pass over a block of planned items, whose points, terms and sums
+    are taken with array operations: a few groups an item, not a few a row."""
+    groups = []
+    for item, (_, extreme, remainder, _) in block:
+        stack, d = item.stack, item.stack.counts.shape[-1]
+        if extreme:
+            points = _point_sets(stack, remainder)
+            kernel = stack.total + stack.s
+            # One total per row; a one-row stack's float total stays a float.
+            kernel = kernel.ravel() if isinstance(kernel, np.ndarray) else kernel
+            groups.append((kernel, points[:, : 2 * d]))
+        elif remainder:
+            points = _remainder_points(stack)
+        if remainder:
+            groups.append((item.kernel, points[:, -2 * d :]))
+        groups += item.extras
+    terms = iter(_entropy_terms(groups) if groups else ())
+    records = []
+    for item, (stored, extreme, remainder, keep) in block:
+        lower, upper, values, slopes, _, _ = stored
+        if extreme:
+            lower, upper = _extreme_ends(next(terms)[0])
+        if remainder:
+            values, slopes = next(terms)
+        sums = tuple(next(terms)[0].sum(axis=-1) for _ in item.extras) if item.extras else ()
+        record = _EntropyColumns(lower, upper, values, slopes, item.stack, sums)
+        if keep and (extreme or remainder):
+            object.__setattr__(item.owner, "_terms", ((item.stack.s, item.kernel), record))
+        records.append(record)
+    return records
+
+
 def entropy_interval_exact(counts: CountVector, cfg: IdmConfig) -> Interval:
     """The exact robust interval of the expected entropy.
 
@@ -346,9 +462,9 @@ def entropy_interval_exact(counts: CountVector, cfg: IdmConfig) -> Interval:
     is that of :func:`min_concave_sum` and :func:`max_concave_sum` with
     :func:`entropy_summand`.
     """
-    rows = [(counts, cfg, counts.total + cfg.s)]
-    [(values, _, _)] = _row_terms(rows, extreme=True, remainder=False)
-    return Interval(*_extreme_ends(values))
+    item = _Rows(_one_row(counts, cfg), counts.total + cfg.s, remainder=False, owner=counts)
+    [record] = _entropy_rows([item])
+    return record.interval()
 
 
 def _integral(x: float) -> Optional[int]:

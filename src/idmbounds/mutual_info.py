@@ -25,13 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact_extrema import _extreme_ends, _row_terms
+from .exact_extrema import _entropy_rows, _one_row, _Rows
 from .oracle import GridSpec, lattice_mi_objective, product_grid_extrema
 from .simplex_core import (
-    CountVector, IdmConfig, Interval, SimplexPoint, _count_array, _posterior_means, sigma_of
+    CountVector, IdmConfig, Interval, SimplexPoint, _count_array, _posterior_means
 )
 from .special_fn import EntropyKernel, _entropy_terms
-from .taylor_bounds import RobustEstimate, _remainder_parts
+from .taylor_bounds import RobustEstimate
 
 __all__ = [
     "ContingencyCounts", "MiBounds", "expected_mi", "mi_estimate", "mi_interval_bounds",
@@ -166,12 +166,12 @@ def mi_interval_crude(tbl: ContingencyCounts, cfg: IdmConfig) -> Interval:
     exact entropy machinery applies to rows, columns, and joint cells
     independently; the combination bounds the MI from both sides.  Valid
     but potentially very loose on unbalanced tables.  The three entropy
-    intervals take at most one special-function pass, with the bits of
-    three :func:`entropy_interval_exact` calls; none when the table has
-    already answered at this strength (see :class:`ContingencyCounts`).
+    intervals take one special-function pass (one per block of ``2**16``
+    points on wider tables), with the bits of three
+    :func:`entropy_interval_exact` calls; none when the table has already
+    answered at this strength (see :class:`ContingencyCounts`).
     """
-    rows = _part_rows(tbl, _parts(tbl), cfg)
-    return _crude(_row_terms(rows, extreme=True, remainder=False))
+    return _crude(_part_records(tbl, cfg, extreme=True, remainder=False))
 
 
 def mi_estimate(tbl: ContingencyCounts, cfg: IdmConfig) -> RobustEstimate:
@@ -179,25 +179,25 @@ def mi_estimate(tbl: ContingencyCounts, cfg: IdmConfig) -> RobustEstimate:
 
     The row, column, and cell entropies each get the concave-summand
     remainder bounds of :func:`concave_remainder_bounds`, all with kernel
-    ``n + s``; the three take at most one special-function pass together,
-    none when the table has already answered at this strength.  They
-    combine per cell, over the ``d1*d2`` cells in row-major order, before
-    any aggregation: the result has the bits of ``propagate_sum(
-    propagate_sum(lift(rows, i), lift(cols, j)), negate(cells))``, with
-    ``i`` and ``j`` each cell's row and column, and is the one
-    :class:`RobustEstimate` the call builds.  The vertex values at the
-    extremizing cells are the inner bounds.  The conservative interval is
-    O(sigma^2)-tight when every cell count is positive; a zero cell count
-    makes its lower end O(sigma) (see the module docstring).  A table that
-    has already answered :func:`mi_estimate` or :func:`mi_interval_bounds`
-    at this strength gives the primaries it kept, with the same bits.
+    ``n + s``; the three take one special-function pass together (one per
+    block of ``2**16`` points on wider tables), none when the table has
+    already answered at this strength.  They combine per cell, over the
+    ``d1*d2`` cells in row-major order, before any aggregation: the result
+    has the bits of ``propagate_sum(propagate_sum(lift(rows, i), lift(cols,
+    j)), negate(cells))``, with ``i`` and ``j`` each cell's row and column,
+    and is the one :class:`RobustEstimate` the call builds.  The vertex
+    values at the extremizing cells are the inner bounds.  The conservative
+    interval is O(sigma^2)-tight when every cell count is positive; a zero
+    cell count makes its lower end O(sigma) (see the module docstring).  A
+    table that has already answered :func:`mi_estimate` or
+    :func:`mi_interval_bounds` at this strength gives the primaries it
+    kept, with the same bits.
     """
     entry = tbl.__dict__.get("_mi")
     if entry is not None and entry[0] == cfg.s:
         return RobustEstimate(*entry[1])
-    parts = _parts(tbl)
-    terms = _row_terms(_part_rows(tbl, parts, cfg), extreme=False, remainder=True)
-    return RobustEstimate(*_estimate(tbl, parts, cfg, terms))
+    records = _part_records(tbl, cfg, extreme=False, remainder=True)
+    return RobustEstimate(*_estimate(tbl, cfg, records))
 
 
 def mi_interval_bounds(tbl: ContingencyCounts, cfg: IdmConfig) -> MiBounds:
@@ -205,32 +205,33 @@ def mi_interval_bounds(tbl: ContingencyCounts, cfg: IdmConfig) -> MiBounds:
 
     The remainder and inner bounds are those of :func:`mi_estimate` and the
     crude interval that of :func:`mi_interval_crude`; every value both need
-    takes at most one special-function pass, none when the table has
-    already answered at this strength, and the result is the one estimate
-    the call builds.  The upper witness ``cell1`` is the first row-major
-    cell attaining the float maximum of the per-cell upper remainders, and
-    ``cell2`` the first one attaining the float minimum of the lower
-    remainders.
+    takes one special-function pass (one per block of ``2**16`` points on
+    wider tables), none when the table has already answered at this
+    strength, and the result is the one estimate the call builds.  The
+    upper witness ``cell1`` is the first row-major cell attaining the float
+    maximum of the per-cell upper remainders, and ``cell2`` the first one
+    attaining the float minimum of the lower remainders.
     """
-    parts = _parts(tbl)
-    terms = _row_terms(_part_rows(tbl, parts, cfg), extreme=True, remainder=True)
-    return MiBounds(*_estimate(tbl, parts, cfg, terms), crude=_crude(terms), shape=tbl.shape)
+    records = _part_records(tbl, cfg, extreme=True, remainder=True)
+    return MiBounds(*_estimate(tbl, cfg, records), crude=_crude(records), shape=tbl.shape)
 
 
-def _parts(tbl: ContingencyCounts) -> tuple[CountVector, CountVector, CountVector]:
-    return tbl.row_counts(), tbl.col_counts(), tbl.joint_counts()
+def _part_records(tbl: ContingencyCounts, cfg: IdmConfig, extreme: bool, remainder: bool) -> list:
+    """The pass records of the row, column and cell parts, in that order.
+
+    The kernel of the remainder bounds is the table's ``n + s`` for all
+    three parts, while each part's posterior means and its exact interval's
+    kernel use the part's own total: row and column sums of a fractional
+    table can differ from the table's total by an ulp.
+    """
+    kernel = tbl.total + cfg.s
+    parts = (tbl.row_counts(), tbl.col_counts(), tbl.joint_counts())
+    return _entropy_rows(
+        [_Rows(_one_row(part, cfg), kernel, extreme, remainder, owner=part) for part in parts]
+    )
 
 
-# The kernel of the remainder bounds is the table's n + s for all three
-# parts, while each part's posterior means and its exact interval's kernel
-# use the part's own total: row and column sums of a fractional table can
-# differ from the table's total by an ulp.
-def _part_rows(tbl: ContingencyCounts, parts, cfg: IdmConfig) -> list:
-    total = tbl.total + cfg.s
-    return [(part, cfg, total) for part in parts]
-
-
-def _estimate(tbl: ContingencyCounts, parts, cfg: IdmConfig, terms) -> tuple:
+def _estimate(tbl: ContingencyCounts, cfg: IdmConfig, records) -> tuple:
     """The primaries ``(f0, r_ub_per_i, r_lb_per_i, vertex_values, sigma)`` of the MI.
 
     The row vectors broadcast over the columns, the column vectors over the
@@ -239,10 +240,8 @@ def _estimate(tbl: ContingencyCounts, parts, cfg: IdmConfig, terms) -> tuple:
     point) and builds no estimate on the way.  The table keeps them for
     ``cfg.s`` (see :class:`ContingencyCounts`).
     """
-    sigmas = [sigma_of(part, cfg) for part in parts]
-    (f_r, ub_r, lb_r, v_r), (f_c, ub_c, lb_c, v_c), (f_x, ub_x, lb_x, v_x) = (
-        _remainder_parts(sigma, slopes, values)
-        for sigma, (_, values, slopes) in zip(sigmas, terms)
+    (f_r, ub_r, lb_r, v_r, sigma), (f_c, ub_c, lb_c, v_c, _), (f_x, ub_x, lb_x, v_x, _) = (
+        record.primaries() for record in records
     )
     d1, d2 = tbl.shape
 
@@ -256,14 +255,14 @@ def _estimate(tbl: ContingencyCounts, parts, cfg: IdmConfig, terms) -> tuple:
         per_cell(ub_r, ub_c, lb_x),
         per_cell(lb_r, lb_c, ub_x),
         per_cell(v_r, v_c, v_x),
-        sigmas[0],
+        sigma,
     )
     object.__setattr__(tbl, "_mi", (cfg.s, primaries))
     return primaries
 
 
-def _crude(terms) -> Interval:
-    rows, cols, joint = (Interval(*_extreme_ends(values)) for values, _, _ in terms)
+def _crude(records) -> Interval:
+    rows, cols, joint = (record.interval() for record in records)
     return Interval(
         rows.lower + cols.lower - joint.upper,
         rows.upper + cols.upper - joint.lower,

@@ -118,7 +118,7 @@ def _shift_and_series(x, orders: tuple[int, ...]):
             for m, out in zip(orders, outs):
                 if m == 1:
                     np.square(grid, out=grid)
-                acc = np.sum(grid, axis=1)
+                acc = grid.sum(axis=1)
                 out[block][small] += acc if m == 1 else -acc
     if scalar:
         return [float(out[0]) for out in outs]
@@ -178,7 +178,7 @@ class EntropyKernel:
 def _kernel_total(total) -> float:
     """``total`` as a float, or ``ValueError`` unless it is positive and finite."""
     total = float(total)
-    if not (np.isfinite(total) and total > 0):
+    if not 0.0 < total < np.inf:
         raise ValueError("total must be a positive finite real")
     return total
 
@@ -246,7 +246,7 @@ def _entropy_terms(groups, *, slopes: bool = True) -> list[tuple[np.ndarray, np.
     ``h(u, EntropyKernel(T))`` and ``h_prime`` give.  Returns one
     ``(h, h')`` pair of read-only arrays of ``u``'s shape per group, in
     order, so that a caller may keep them (see
-    :func:`~idmbounds.exact_extrema._row_terms`).  Without ``slopes`` the
+    :func:`~idmbounds.exact_extrema._entropy_rows`).  Without ``slopes`` the
     pass takes ``psi`` alone, which costs about half as much where ``T u``
     is small, and each ``h'`` is ``None``.
     """

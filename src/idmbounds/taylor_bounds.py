@@ -20,16 +20,15 @@ of estimators propagate without losing that tightness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
 from .exact_extrema import (
-    ConcaveSummand, _EntropySummand, _extreme_ends, _one_row, _point_sets, _remainder_points,
-    _row_terms, _Stack,
+    _entropy_rows, _EntropySummand, _one_row, _remainder_parts, _remainder_points, _Rows,
+    _summand_values,
 )
 from .simplex_core import CountVector, IdmConfig, Interval, _posterior_means, sigma_of
-from .special_fn import _BLOCK_ROWS, _entropy_terms
 
 __all__ = [
     "DerivativeBoundProvider", "RobustEstimate", "UnboundedDerivativeError",
@@ -101,8 +100,7 @@ class RobustEstimate:
             "r_lb": float(r_lb[i2]), "inner_upper": float(vertex[i1]),
             "inner_lower": float(vertex[i2]),
         }
-        for name, value in values.items():
-            object.__setattr__(self, name, value)
+        vars(self).update(values)
 
     @property
     def dim(self) -> int:
@@ -170,145 +168,27 @@ def concave_remainder_bounds(counts: CountVector, cfg: IdmConfig, f) -> RobustEs
     with elementwise ``fn`` and ``deriv``, ``f.deriv`` and then ``f.fn`` are
     each called once.  The summand of
     :func:`~idmbounds.exact_extrema.entropy_summand` calls neither: it takes
-    ``h`` and ``h'`` in at most one special-function pass, with the same
-    bits; none when ``counts`` has already answered at this strength and
-    kernel (see :class:`~idmbounds.simplex_core.CountVector`).
+    ``h`` and ``h'`` in at most one special-function pass, the one that
+    :func:`~idmbounds.exact_extrema.entropy_interval_exact` takes, with the
+    same bits; none when ``counts`` has already answered at this strength
+    and kernel (see :class:`~idmbounds.simplex_core.CountVector`).
     """
     if isinstance(f, _EntropySummand):
-        rows = [(counts, cfg, f.kernel.total)]
-        [(_, values, derivs)] = _row_terms(rows, extreme=False, remainder=True)
-    else:
-        points = _remainder_points(_one_row(counts, cfg))[0]
-        values, derivs = ConcaveSummand._values_and_derivs(f, points)
-    return _remainder_estimate(sigma_of(counts, cfg), derivs, values)
-
-
-def _remainder_estimate(sigma: float, derivs: np.ndarray, values: np.ndarray) -> RobustEstimate:
-    """The remainder bounds from ``f'`` and ``f`` at :func:`_remainder_points`.
-
-    The summand is elementwise, so values taken on both point sets at once
-    are the ones separate calls would give.
-    """
-    return RobustEstimate(*_remainder_parts(sigma, derivs, values), sigma)
-
-
-def _remainder_parts(sigma, derivs: np.ndarray, values: np.ndarray):
-    """The primaries of :func:`_remainder_estimate` before any estimate is built.
-
-    ``(f0, r_ub_per_i, r_lb_per_i, vertex_values)``, with ``f0`` a float
-    and the vectors plain arrays, so that callers can combine several parts
-    into one :class:`RobustEstimate`.  For a stack of rows, ``derivs`` and
-    ``values`` are ``(rows, 2 d)`` and ``sigma`` a ``(rows, 1)`` column;
-    each primary then has one entry or row per row.
-    """
-    d = derivs.shape[-1] // 2
-    deriv_low, deriv_high = derivs[..., :d], derivs[..., d:]
-    bad = ~(np.isfinite(deriv_low) & np.isfinite(deriv_high))
+        item = _Rows(_one_row(counts, cfg), f.kernel.total, extreme=False, owner=counts)
+        [record] = _entropy_rows([item])
+        return RobustEstimate(*record.primaries())
+    points = _remainder_points(_one_row(counts, cfg))[0]
+    derivs = _summand_values(f.deriv, points, "deriv")
+    values = _summand_values(f.fn, points, "fn")
+    d = counts.dim
+    bad = ~(np.isfinite(derivs[:d]) & np.isfinite(derivs[d:]))
     if bad.any():
-        # The first row with a bad component, as a row-by-row loop meets it.
-        rows = bad.reshape(-1, d)
         raise UnboundedDerivativeError(
             f"summand derivative is non-finite at baseline component(s) "
-            f"{np.flatnonzero(rows[rows.any(axis=1).argmax()]).tolist()}; "
-            f"the remainder bound would be infinite"
+            f"{np.flatnonzero(bad).tolist()}; the remainder bound would be infinite"
         )
-    # f' is non-increasing; with huge counts and a tiny s, the vertex is an
-    # ulp from u0 and rounding alone can put f' there above f'(u0).
-    deriv_high = np.minimum(deriv_high, deriv_low)
-    f_low, f_high = values[..., :d], values[..., d:]
-    f0 = f_low.sum(axis=-1)
-    # F at the k-th vertex differs from F(u0) only in coordinate k.
-    vertex_values = f0[..., None] - f_low + f_high
-    return f0, sigma * deriv_low, sigma * deriv_high, vertex_values
-
-
-class _EntropyColumns(NamedTuple):
-    """The entropy answers of a stack of count rows, as columns.
-
-    ``lower`` and ``upper`` are the exact interval's ends, and ``f0``,
-    ``r_ub``, ``r_lb``, ``vertex`` and ``sigma`` the primaries of the
-    remainder estimate, with one entry (or, for the per-component arrays,
-    one row) per count row; ``sums`` holds one column per extra group, each
-    row's ``h`` sum over that group.
-    """
-
-    lower: np.ndarray
-    upper: np.ndarray
-    f0: np.ndarray
-    r_ub: np.ndarray
-    r_lb: np.ndarray
-    vertex: np.ndarray
-    sigma: np.ndarray
-    sums: tuple
-
-    def conservative(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each row's conservative ends, ``f0 + r_lb`` and ``f0 + r_ub``: the
-        floats :class:`RobustEstimate` gives, since its extremes are the
-        components' minimum and maximum."""
-        return self.f0 + self.r_lb.min(axis=-1), self.f0 + self.r_ub.max(axis=-1)
-
-    def row(self, k: int) -> tuple[Interval, RobustEstimate, list]:
-        """Row ``k``'s exact interval, remainder estimate and extra sums."""
-        estimate = RobustEstimate(
-            self.f0[k], self.r_ub[k], self.r_lb[k], self.vertex[k], self.sigma[k]
-        )
-        return Interval(self.lower[k], self.upper[k]), estimate, [float(s[k]) for s in self.sums]
-
-
-def _entropy_rows(stacks):
-    """The exact entropy interval and remainder estimate of every row, batched.
-
-    Each item is ``(stack, extras)``: an :class:`~idmbounds.exact_extrema._Stack`
-    of count rows of one dimension and a tuple of further stacked ``(totals,
-    u)`` groups, ``totals`` one kernel total per row and ``u`` one row of
-    points per count row (see :func:`~idmbounds.special_fn._entropy_terms`).
-    Yields :class:`_EntropyColumns`: per row, the
-    :func:`~idmbounds.exact_extrema.entropy_interval_exact` interval, the
-    primaries of the :func:`concave_remainder_bounds` estimate with summand
-    ``h`` on kernel ``n + s``, and the ``h`` sum of each extra group, all
-    with the bits of those calls.  Rows join one special-function pass until
-    the next would take it over ``_BLOCK_ROWS`` points, so memory stays
-    bounded however many rows there are; a larger row takes a pass alone.
-    A pass yields one record per item, or per part of an item, that it
-    takes.
-    """
-    block, size = [], 0
-    for stack, extras in stacks:
-        rows = len(stack.counts)
-        points = 4 * stack.counts.shape[-1] + sum(u.shape[-1] for _, u in extras)
-        start = 0
-        while start < rows:
-            room = (_BLOCK_ROWS - size) // points
-            if block and room <= 0:
-                yield from _entropy_pass(block)
-                block, size = [], 0
-                continue
-            stop = min(rows, start + max(room, 1))
-            part = slice(start, stop)
-            part_extras = tuple((total[part], u[part]) for total, u in extras)
-            block.append((_Stack(*(column[part] for column in stack)), part_extras))
-            size += (stop - start) * points
-            start = stop
-    if block:
-        yield from _entropy_pass(block)
-
-
-def _entropy_pass(block):
-    """One special-function pass over a block of stacks, whose points, terms
-    and sums are taken with array operations: a few groups a stack, not a
-    few a row."""
-    groups = []
-    for stack, extras in block:
-        kernel, points = (stack.total + stack.s).ravel(), _point_sets(stack)
-        d = points.shape[-1] // 4
-        groups += [(kernel, points[:, : 2 * d]), (kernel, points[:, 2 * d :]), *extras]
-    terms = iter(_entropy_terms(groups))
-    for stack, extras in block:
-        (extreme, _), (values, slopes) = next(terms), next(terms)
-        sums = tuple(next(terms)[0].sum(axis=-1) for _ in extras)
-        sigma = _posterior_means(0.0, stack.total[:, 0], stack.s[:, 0], 1.0)
-        f0, r_ub, r_lb, vertex = _remainder_parts(sigma, slopes, values)
-        yield _EntropyColumns(*_extreme_ends(extreme), f0, r_ub, r_lb, vertex, sigma[:, 0], sums)
+    sigma = sigma_of(counts, cfg)
+    return RobustEstimate(*_remainder_parts(sigma, derivs, values), sigma)
 
 
 def approx_interval_general(

@@ -117,6 +117,22 @@ class TestSummandContract:
         with pytest.raises(ValueError, match=r"summand fn returned shape \(10,\)"):
             extremum(CountVector(np.arange(1.0, 13.0)), IdmConfig(1.0), f)
 
+    @pytest.mark.parametrize("rise, accepted", [(1e-7, True), (1e-5, False)])
+    def test_spot_check_slack_grows_with_the_steepest_slope(self, rise, accepted):
+        # f' is about -1000 on the grid, so the slack is 1e-9 * 1000 = 1e-6:
+        # a rise of 1e-7 between two grid points is rounding, one of 1e-5 is not.
+        def deriv(u):
+            return np.where(u > 0.5, -1000.0 + rise, -1000.0)
+
+        def fn(u):
+            return -1000.0 * u + rise * np.maximum(u - 0.5, 0.0)
+
+        if accepted:
+            ConcaveSummand(fn=fn, deriv=deriv)
+        else:
+            with pytest.raises(ValueError, match="concave"):
+                ConcaveSummand(fn=fn, deriv=deriv)
+
     def test_two_init_fields(self):
         assert [f.name for f in dataclasses.fields(ConcaveSummand)] == ["fn", "deriv"]
 

@@ -52,7 +52,7 @@ from idmbounds import (
     robust_credible_mi,
     robust_credible_mi_parts,
 )
-from idmbounds import cli, exact_extrema, mutual_info, special_fn, taylor_bounds
+from idmbounds import cli, exact_extrema, mutual_info, special_fn
 from idmbounds.cli import _point_groups, main
 from _helpers import peak_traced
 
@@ -314,30 +314,42 @@ def test_mi_call_builds_one_estimate(call, monkeypatch):
     assert built == [type(result)]
 
 
-def test_a_tables_second_mi_question_reuses_its_first(monkeypatch):
-    tbl, cfg = ContingencyCounts([[3.25, 1.0, 2.5], [1.0, 4.1, 0.0]]), IdmConfig(1.0)
-    mi_interval_bounds(tbl, cfg)
+def _count_driver_calls(monkeypatch):
+    """Record every call of the pass driver from ``mutual_info``."""
     calls = []
-    for name in ("_row_terms", "_remainder_parts"):
-        original = getattr(mutual_info, name)
-        monkeypatch.setattr(
-            mutual_info, name, lambda *a, _f=original, _n=name, **k: calls.append(_n) or _f(*a, **k)
-        )
+    original = mutual_info._entropy_rows
+    monkeypatch.setattr(
+        mutual_info, "_entropy_rows", lambda items: calls.append(items) or original(items)
+    )
+    return calls
+
+
+def test_a_tables_second_mi_question_reuses_its_first(passes, monkeypatch):
+    tbl, cfg = ContingencyCounts([[3.25, 1.0, 2.5], [1.0, 4.1, 0.0]]), IdmConfig(1.0)
+    calls = _count_driver_calls(monkeypatch)
+    mi_interval_bounds(tbl, cfg)
+    # A renamed or bypassed driver would leave these at zero.
+    assert len(calls) == 1
+    assert len(passes) == 1
+    calls.clear()
+    passes.clear()
 
     def refuse(*args):
         raise AssertionError("a simplex point was built")
 
-    monkeypatch.setattr(SimplexPoint, "__post_init__", refuse)
-    est, variance, interval = robust_credible_mi_parts(tbl, cfg, SPEC)
+    with monkeypatch.context() as patch:
+        patch.setattr(SimplexPoint, "__post_init__", refuse)
+        est, variance, interval = robust_credible_mi_parts(tbl, cfg, SPEC)
     assert calls == []
-    monkeypatch.undo()
+    assert passes == []
     fresh = ContingencyCounts(tbl.table)
     _assert_same((est, variance, interval), _credible_reference(fresh, cfg, SPEC), tbl.table)
     # Another strength computes afresh, and is kept in turn.
-    monkeypatch.setattr(mutual_info, "_row_terms", lambda *a, **k: calls.append(a) or [])
-    with pytest.raises(ValueError):
+    passes.clear()
+    for _ in range(2):
         mi_estimate(tbl, IdmConfig(2.0))
     assert len(calls) == 1
+    assert len(passes) == 1
 
 
 @pytest.mark.parametrize(
@@ -397,9 +409,19 @@ def _extras(counts):
     return _groups(counts) if counts.total > 0 else ()
 
 
+def _stack(pairs):
+    """The stack of ``(counts, cfg)`` pairs whose count vectors share one dimension."""
+    return exact_extrema._Stack(
+        np.array([counts.counts for counts, _ in pairs])[:, None],
+        np.array([counts.total for counts, _ in pairs])[:, None, None],
+        np.array([cfg.s for _, cfg in pairs])[:, None, None],
+    )
+
+
 def _stacks(rows):
     """``(counts, cfg, extras)`` rows as ``_entropy_rows`` items: consecutive
-    rows of one dimension and one shape of extra groups form one stack."""
+    rows of one dimension and one shape of extra groups form one stack, whose
+    remainder kernel is each row's ``n + s``."""
 
     def shape(row):
         counts, _, extras = row
@@ -411,12 +433,21 @@ def _stacks(rows):
             (np.concatenate([total for total, _ in parts]), np.concatenate([u for _, u in parts]))
             for parts in zip(*(extras for _, _, extras in run))
         )
-        yield exact_extrema._stack([(counts, cfg) for counts, cfg, _ in run]), extras
+        stack = _stack([(counts, cfg) for counts, cfg, _ in run])
+        yield exact_extrema._Rows(stack, (stack.total + stack.s).ravel(), extras=extras)
 
 
 def _rows(records):
     """Each row of ``_entropy_rows`` records: its interval, estimate and sums."""
-    return [record.row(k) for record in records for k in range(len(record.f0))]
+    return [
+        (
+            record.interval(k),
+            RobustEstimate(*record.primaries(k)),
+            [float(s[k]) for s in record.sums],
+        )
+        for record in records
+        for k in range(len(record.lower))
+    ]
 
 
 def _row_corpus():
@@ -433,7 +464,7 @@ def _row_corpus():
 
 @pytest.mark.parametrize("block", [special_fn._BLOCK_ROWS, 100])
 def test_batched_rows_are_bit_identical_to_separate_calls(block, monkeypatch):
-    monkeypatch.setattr(taylor_bounds, "_BLOCK_ROWS", block)
+    monkeypatch.setattr(exact_extrema, "_BLOCK_ROWS", block)
     cases = list(_row_corpus())
     values = [counts.counts for counts, _ in cases]
     assert {v.size for v in values} >= {1, 30}
@@ -445,7 +476,7 @@ def test_batched_rows_are_bit_identical_to_separate_calls(block, monkeypatch):
     rows = [(counts, cfg, _extras(counts)) for counts, cfg in cases]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        got = _rows(taylor_bounds._entropy_rows(_stacks(rows)))
+        got = _rows(exact_extrema._entropy_rows(_stacks(rows)))
         want = [_row_reference(counts, cfg) for counts, cfg in cases]
     assert len(got) == len(want)
     for (exact, est, sums), reference, (counts, cfg) in zip(got, want, cases):
@@ -453,7 +484,7 @@ def test_batched_rows_are_bit_identical_to_separate_calls(block, monkeypatch):
 
 
 def test_rows_join_a_pass_until_the_next_would_overflow_it(passes, monkeypatch):
-    monkeypatch.setattr(taylor_bounds, "_BLOCK_ROWS", 40)
+    monkeypatch.setattr(exact_extrema, "_BLOCK_ROWS", 40)
     cfg = IdmConfig(0.5)
     small, wide = CountVector([3.0, 6.0, 1.0]), CountVector(np.arange(12.0))
     # Points per row: 18, 18, 12, 72 and 18, so the passes take 36, 12, 72 and 18.
@@ -464,7 +495,7 @@ def test_rows_join_a_pass_until_the_next_would_overflow_it(passes, monkeypatch):
         (wide, cfg, _groups(wide)),
         (small, cfg, _groups(small)),
     ]
-    list(taylor_bounds._entropy_rows(_stacks(rows)))
+    list(exact_extrema._entropy_rows(_stacks(rows)))
     kernels = [3, 1, 3, 3]  # distinct n + s + 1, n + 1 and n + 2 in each pass
     assert [p.size for p in passes] == [k + size for k, size in zip(kernels, [36, 12, 72, 18])]
 
@@ -535,7 +566,7 @@ def test_sweep_columns_are_bit_identical_to_per_row_calls(argv, block, feed):
     cfg = IdmConfig(args.s)
     _, xs, axis = cli._sweep_axis(args)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(taylor_bounds, "_BLOCK_ROWS", block)
+        patch.setattr(exact_extrema, "_BLOCK_ROWS", block)
         patch.setattr(cli, "_BLOCK_ROWS", feed)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -615,16 +646,17 @@ def test_stacked_edge_rows_are_bit_identical_to_separate_calls(rows):
         patch.setattr(exact_extrema, "_leveled_prior", lambda *a: calls.append(a) or original(*a))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            got = _rows(taylor_bounds._entropy_rows(_stacks((c, cfg, _groups(c)) for c, cfg in rows)))
+            items = _stacks((c, cfg, _groups(c)) for c, cfg in rows)
+            got = _rows(exact_extrema._entropy_rows(items))
     # One stack: every row's prior means were leveled together.
     assert len(calls) == 1
     for (exact, est, sums), (counts, cfg) in zip(got, rows):
         _assert_same((exact, est, *sums), _row_reference(counts, cfg), (counts.counts, cfg.s))
     # The entropy of a total below the normal range rounds to 0 however its
     # points round, so the points themselves are compared too.
-    stacked = exact_extrema._point_sets(exact_extrema._stack(rows))
+    stacked = exact_extrema._point_sets(_stack(rows), True)
     for points, (counts, cfg) in zip(stacked, rows):
-        alone = exact_extrema._point_sets(exact_extrema._one_row(counts, cfg))[0]
+        alone = exact_extrema._point_sets(exact_extrema._one_row(counts, cfg), True)[0]
         assert np.array_equal(points, alone), (counts.counts, cfg.s)
 
 
@@ -641,7 +673,7 @@ def test_a_sweep_levels_once_per_stack_and_passes_once_per_block(passes, monkeyp
     # 18 points a row (12 entropy points and 6 extra): 5 rows a block of 100.
     calls.clear()
     passes.clear()
-    monkeypatch.setattr(taylor_bounds, "_BLOCK_ROWS", 100)
+    monkeypatch.setattr(exact_extrema, "_BLOCK_ROWS", 100)
     with redirect_stdout(out), redirect_stderr(err):
         assert main(["sweep", "--inline", "3,6,1", "--sweep", "n:1:60"]) == 0
     assert [len(stack.counts) for stack, in calls] == [5] * 12
@@ -652,7 +684,7 @@ def test_a_sweep_levels_once_per_stack_and_passes_once_per_block(passes, monkeyp
     cfg = IdmConfig(0.5)
     three, four = CountVector([3.0, 6.0, 1.0]), CountVector([3.0, 6.0, 1.0, 2.0])
     rows = [(three, cfg, ()), (three, cfg, ()), (four, cfg, ()), (three, cfg, ())]
-    list(taylor_bounds._entropy_rows(_stacks(rows)))
+    list(exact_extrema._entropy_rows(_stacks(rows)))
     assert [len(stack.counts) for stack, in calls] == [2, 1, 1]
     assert len(passes) == 1
 
@@ -776,16 +808,42 @@ def test_a_row_wider_than_one_block_stores_nothing(passes):
     assert [p.size for p in passes] == [1 + 4 * (d - 1)]
 
 
+def test_a_row_too_wide_to_store_maps_only_the_set_asked_for(monkeypatch):
+    sizes = []
+    original = exact_extrema._posterior_means
+
+    def counting(*args):
+        out = original(*args)
+        sizes.append(np.size(out))
+        return out
+
+    monkeypatch.setattr(exact_extrema, "_posterior_means", counting)
+    d = special_fn._BLOCK_ROWS // 4 + 1
+    counts, cfg = CountVector(np.arange(d) % 7.0), IdmConfig(1.0)
+    entropy_interval_exact(counts, cfg)
+    # The baseline the leveling reads, then the extreme set alone.
+    assert sizes == [d, 2 * d]
+    sizes.clear()
+    _remainder(counts, cfg, counts.total + cfg.s)
+    assert max(sizes) == 2 * d
+
+
 def test_a_failed_pass_stores_nothing(passes, monkeypatch):
-    def fail(groups):
+    attempts = []
+
+    def fail(x, orders):
+        attempts.append(x)
         raise RuntimeError("the pass failed")
 
     tbl, cfg = ContingencyCounts(_TABLE), IdmConfig(1.0)
     with monkeypatch.context() as patch:
-        patch.setattr(exact_extrema, "_entropy_terms", fail)
+        patch.setattr(special_fn, "_shift_and_series", fail)
         for name, ask in QUESTIONS.items():
+            attempts.clear()
             with pytest.raises(RuntimeError, match="the pass failed"):
                 ask(tbl, cfg, 2, True)
+            # Every question reached the pass.
+            assert len(attempts) == 1, name
     assert passes == []
     taken = []
     for name, ask in QUESTIONS.items():

@@ -3,7 +3,10 @@
 import dataclasses
 import importlib
 import inspect
+import os
 import re
+import subprocess
+import sys
 import types
 import warnings
 from pathlib import Path
@@ -81,3 +84,34 @@ def test_stored_terms_and_cached_parts_leave_the_count_types_alone():
     assert counts != idmbounds.CountVector([3.0, 6.0, 1.0])
     for part in ("joint_counts", "row_counts", "col_counts"):
         assert getattr(tbl, part)() is getattr(tbl, part)()
+
+
+# One request of each subcommand, the lattice checks included, answered in a
+# fresh process; it prints the top-level names of the test-only packages
+# that the package loaded.
+_RUNTIME_PROBE = """
+import io, sys
+from contextlib import redirect_stderr, redirect_stdout
+from idmbounds.cli import main
+requests = [
+    ["entropy", "--inline", "3,6,1,0", "--grid-check", "8"],
+    ["mutinfo", "--inline", "3,1\\n0,2", "--grid-check", "6"],
+    ["credible", "--inline", "3,1\\n1,2", "--alpha", "0.9"],
+    ["sweep", "--inline", "3,6,1", "--sweep", "n:1:5"],
+]
+for argv in requests:
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        assert main(argv) == 0, argv
+test_only = {"scipy", "mpmath", "hypothesis", "pytest"}
+print(sorted({name.split(".")[0] for name in sys.modules} & test_only))
+"""
+
+
+def test_the_package_runs_on_numpy_alone():
+    src = str(Path(idmbounds.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUNTIME_PROBE], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
