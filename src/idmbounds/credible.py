@@ -147,9 +147,9 @@ def robust_credible_mi_parts(
     hyperparameter (it varies with ``t`` only at higher order; a zero cell
     there raises ``ValueError``), and :func:`credible_mi_interval` of both.
     The estimate takes at most one special-function pass, none when the
-    table has already answered at this strength, and then no remainder
-    assembly either (see
-    :class:`~idmbounds.mutual_info.ContingencyCounts`); the variance takes
+    table's parts have stored their answers at this strength; it then reads
+    their remainder primaries and broadcasts them over the cells (see
+    :class:`~idmbounds.mutual_info.ContingencyCounts`).  The variance takes
     none.
     """
     est = mi_estimate(tbl, cfg)

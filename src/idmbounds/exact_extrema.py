@@ -275,14 +275,13 @@ def _extreme_ends(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _remainder_parts(sigma, derivs: np.ndarray, values: np.ndarray) -> tuple:
     """The remainder primaries ``(f0, r_ub_per_i, r_lb_per_i, vertex_values)``
-    from finite ``f'`` and ``f`` at :func:`_remainder_points`.
+    from finite ``f'`` and ``f`` at :func:`_remainder_points`, as arrays.
 
-    ``f0`` is a float and the vectors plain arrays, so that callers can
-    combine several parts into one estimate.  For a stack of rows,
-    ``derivs`` and ``values`` are ``(rows, 2 d)`` and ``sigma`` a ``(rows,
-    1)`` column; each primary then has one entry or row per row.  The
-    summand is elementwise, so values taken on both point sets at once are
-    the ones separate calls would give.
+    For one row, ``derivs`` and ``values`` have ``2 d`` entries and ``sigma``
+    is a float; for a stack, they are ``(rows, 2 d)`` and ``sigma`` a ``(rows,
+    1)`` column, and each primary has one entry or row per row, with the bits
+    of one row at a time.  The summand is elementwise, so values taken on
+    both point sets at once are the ones separate calls would give.
     """
     d = derivs.shape[-1] // 2
     deriv_low, deriv_high = derivs[..., :d], derivs[..., d:]
@@ -303,16 +302,16 @@ class _Rows(NamedTuple):
     ``kernel`` is the remainder set's kernel total, a float for a one-row
     stack whose ``total`` is a float, else one per row; the extreme set's is
     each row's ``n + s``.  ``extreme`` asks for the exact interval and
-    ``remainder`` for the remainder terms; a row asked for the remainder
+    ``remainder`` for the remainder primaries; a row asked for the remainder
     alone is not sorted.  ``extras`` are further ``(totals, u)`` groups, one
     kernel total and one row of points per count row, summed per row.
 
     ``owner`` is the count vector of a one-row item.  It keeps the record of
     its last ``(s, kernel)``, stored in one assignment after the pass, and a
-    set that record holds takes no points.  A row asked for its extreme set
-    takes its remainder set in the same map; one whose two sets exceed one
-    ``_BLOCK_ROWS`` block, or whose kernel is not finite, takes only what it
-    is asked for and stores nothing.
+    set that record holds takes no points and no assembly.  A row asked for
+    its extreme set takes its remainder set in the same map; one whose two
+    sets exceed one ``_BLOCK_ROWS`` block, or whose kernel is not finite,
+    takes only what it is asked for and stores nothing.
     """
 
     stack: _Stack
@@ -324,37 +323,30 @@ class _Rows(NamedTuple):
 
 
 class _EntropyColumns(NamedTuple):
-    """An item's answers, as columns: the exact interval's ends, ``h`` and
-    ``h'`` at the remainder set of the rows of ``stack``, and each extra
-    group's ``h`` sums, one entry or row per count row.  A set the item
-    neither asked for nor had stored is ``None``."""
+    """An item's answers, as columns: the exact interval's ends, the
+    remainder primaries ``(f0, r_ub_per_i, r_lb_per_i, vertex_values,
+    sigma)``, and each extra group's ``h`` sums, one entry or row per count
+    row.  A set the item neither asked for nor had stored is ``None``."""
 
     lower: Optional[np.ndarray] = None
     upper: Optional[np.ndarray] = None
-    values: Optional[np.ndarray] = None
-    slopes: Optional[np.ndarray] = None
-    stack: Optional[_Stack] = None
+    remainder: Optional[tuple] = None
     sums: tuple = ()
 
     def interval(self, k: int = 0) -> Interval:
         return Interval(self.lower[k], self.upper[k])
 
     def primaries(self, k: int = 0) -> tuple:
-        """Row ``k``'s ``(f0, r_ub_per_i, r_lb_per_i, vertex_values, sigma)``,
-        the fields of its :class:`~idmbounds.taylor_bounds.RobustEstimate`."""
-        sigma = self._sigma()[k, 0]
-        return *_remainder_parts(sigma, self.slopes[k], self.values[k]), sigma
+        """Row ``k``'s primaries, the fields of its
+        :class:`~idmbounds.taylor_bounds.RobustEstimate`."""
+        return tuple(column[k] for column in self.remainder)
 
     def conservative(self) -> tuple[np.ndarray, np.ndarray]:
         """Each row's conservative ends, ``f0 + r_lb`` and ``f0 + r_ub``: the
         floats the estimate gives, since its extremes are the components'
         minimum and maximum."""
-        f0, r_ub, r_lb, _ = _remainder_parts(self._sigma(), self.slopes, self.values)
+        f0, r_ub, r_lb, _, _ = self.remainder
         return f0 + r_lb.min(axis=-1), f0 + r_ub.max(axis=-1)
-
-    def _sigma(self) -> np.ndarray:
-        _, total, s = self.stack
-        return np.asarray(_posterior_means(0.0, total, s, 1.0)).reshape(-1, 1)
 
 
 _NOTHING = _EntropyColumns()
@@ -366,12 +358,12 @@ def _plan(item: _Rows) -> tuple:
     stored, keep = _NOTHING, False
     owner = item.owner
     if owner is not None:
-        entry = owner.__dict__.get("_terms")
+        entry = owner.__dict__.get("_record")
         if entry is not None and entry[0] == (item.stack.s, item.kernel):
             stored = entry[1]
         keep = 4 * owner.counts.size <= _BLOCK_ROWS and math.isfinite(item.kernel)
     extreme = item.extreme and stored.lower is None
-    remainder = (item.remainder or keep) and stored.values is None
+    remainder = (item.remainder or keep) and stored.remainder is None
     return stored, extreme, remainder, keep
 
 
@@ -384,8 +376,8 @@ def _entropy_rows(items) -> list:
     summand ``h`` on the item's kernel, and the extra groups' ``h`` sums,
     all with the bits of those calls.  Rows join one pass until the next
     would take it over ``_BLOCK_ROWS`` points, so a pass's memory stays
-    bounded; a larger row takes a pass alone.  The records keep their
-    passes' terms, so a caller with many rows feeds them a block at a time.
+    bounded; a larger row takes a pass alone.  The records hold their
+    rows' answers, so a caller with many rows feeds them a block at a time.
     """
     records, block, size = [], [], 0
     for item in items:
@@ -421,8 +413,8 @@ def _part(item: _Rows, start: int, stop: int) -> _Rows:
 
 
 def _entropy_pass(block) -> list:
-    """One pass over a block of planned items, whose points, terms and sums
-    are taken with array operations: a few groups an item, not a few a row."""
+    """One pass over a block of planned items: its points, terms, sums and
+    primaries take array operations, a few groups an item, not a few a row."""
     groups = []
     for item, (_, extreme, remainder, _) in block:
         stack, d = item.stack, item.stack.counts.shape[-1]
@@ -440,15 +432,18 @@ def _entropy_pass(block) -> list:
     terms = iter(_entropy_terms(groups) if groups else ())
     records = []
     for item, (stored, extreme, remainder, keep) in block:
-        lower, upper, values, slopes, _, _ = stored
+        lower, upper, primaries, _ = stored
         if extreme:
             lower, upper = _extreme_ends(next(terms)[0])
         if remainder:
             values, slopes = next(terms)
+            _, total, s = item.stack
+            sigma = np.asarray(_posterior_means(0.0, total, s, 1.0)).reshape(-1, 1)
+            primaries = (*_remainder_parts(sigma, slopes, values), sigma[:, 0])
         sums = tuple(next(terms)[0].sum(axis=-1) for _ in item.extras) if item.extras else ()
-        record = _EntropyColumns(lower, upper, values, slopes, item.stack, sums)
+        record = _EntropyColumns(lower, upper, primaries, sums)
         if keep and (extreme or remainder):
-            object.__setattr__(item.owner, "_terms", ((item.stack.s, item.kernel), record))
+            object.__setattr__(item.owner, "_record", ((item.stack.s, item.kernel), record))
         records.append(record)
     return records
 

@@ -49,16 +49,15 @@ class ContingencyCounts:
 
     :meth:`row_counts`, :meth:`col_counts` and :meth:`joint_counts` build
     their :class:`CountVector` on first call and return that same object on
-    every later one.  So the entropy terms a part stores (see
+    every later one.  So the answers a part stores (see
     :class:`CountVector`) serve every later question on the table: an
     :func:`~idmbounds.exact_extrema.entropy_interval_exact` of the joint
     counts also serves the cell part of :func:`mi_interval_bounds` when the
-    cells total the table's ``n``.  The table also keeps the MI primaries
-    ``(f0, r_ub_per_i, r_lb_per_i, vertex_values, sigma)`` of its last
-    strength ``s``, stored in one assignment after they are computed, so a
-    later :func:`mi_estimate` at that strength builds its estimate from them
-    alone.  The cached parts and primaries are not dataclass fields:
-    ``repr``, equality and :func:`dataclasses.fields` do not see them.
+    cells total the table's ``n``.  Besides its marginals and total, the
+    table keeps only these three parts, so it holds no more than they do:
+    a part too wide to store its answers takes a pass on every question.
+    The cached parts are not dataclass fields: ``repr``, equality and
+    :func:`dataclasses.fields` do not see them.
     """
 
     table: np.ndarray
@@ -168,8 +167,8 @@ def mi_interval_crude(tbl: ContingencyCounts, cfg: IdmConfig) -> Interval:
     but potentially very loose on unbalanced tables.  The three entropy
     intervals take one special-function pass (one per block of ``2**16``
     points on wider tables), with the bits of three
-    :func:`entropy_interval_exact` calls; none when the table has already
-    answered at this strength (see :class:`ContingencyCounts`).
+    :func:`entropy_interval_exact` calls; none when the parts have stored
+    their answers at this strength (see :class:`ContingencyCounts`).
     """
     return _crude(_part_records(tbl, cfg, extreme=True, remainder=False))
 
@@ -180,24 +179,20 @@ def mi_estimate(tbl: ContingencyCounts, cfg: IdmConfig) -> RobustEstimate:
     The row, column, and cell entropies each get the concave-summand
     remainder bounds of :func:`concave_remainder_bounds`, all with kernel
     ``n + s``; the three take one special-function pass together (one per
-    block of ``2**16`` points on wider tables), none when the table has
-    already answered at this strength.  They combine per cell, over the
+    block of ``2**16`` points on wider tables), none when the parts have
+    stored their answers at this strength.  They combine per cell, over the
     ``d1*d2`` cells in row-major order, before any aggregation: the result
     has the bits of ``propagate_sum(propagate_sum(lift(rows, i), lift(cols,
     j)), negate(cells))``, with ``i`` and ``j`` each cell's row and column,
     and is the one :class:`RobustEstimate` the call builds.  The vertex
     values at the extremizing cells are the inner bounds.  The conservative
     interval is O(sigma^2)-tight when every cell count is positive; a zero
-    cell count makes its lower end O(sigma) (see the module docstring).  A
-    table that has already answered :func:`mi_estimate` or
-    :func:`mi_interval_bounds` at this strength gives the primaries it
-    kept, with the same bits.
+    cell count makes its lower end O(sigma) (see the module docstring).
+    The table keeps no estimate: a later call at the same strength reads the
+    parts' stored primaries and broadcasts them again, with the same bits.
     """
-    entry = tbl.__dict__.get("_mi")
-    if entry is not None and entry[0] == cfg.s:
-        return RobustEstimate(*entry[1])
     records = _part_records(tbl, cfg, extreme=False, remainder=True)
-    return RobustEstimate(*_estimate(tbl, cfg, records))
+    return RobustEstimate(*_estimate(tbl, records))
 
 
 def mi_interval_bounds(tbl: ContingencyCounts, cfg: IdmConfig) -> MiBounds:
@@ -206,14 +201,14 @@ def mi_interval_bounds(tbl: ContingencyCounts, cfg: IdmConfig) -> MiBounds:
     The remainder and inner bounds are those of :func:`mi_estimate` and the
     crude interval that of :func:`mi_interval_crude`; every value both need
     takes one special-function pass (one per block of ``2**16`` points on
-    wider tables), none when the table has already answered at this
+    wider tables), none when the parts have stored their answers at this
     strength, and the result is the one estimate the call builds.  The
     upper witness ``cell1`` is the first row-major cell attaining the float
     maximum of the per-cell upper remainders, and ``cell2`` the first one
     attaining the float minimum of the lower remainders.
     """
     records = _part_records(tbl, cfg, extreme=True, remainder=True)
-    return MiBounds(*_estimate(tbl, cfg, records), crude=_crude(records), shape=tbl.shape)
+    return MiBounds(*_estimate(tbl, records), crude=_crude(records), shape=tbl.shape)
 
 
 def _part_records(tbl: ContingencyCounts, cfg: IdmConfig, extreme: bool, remainder: bool) -> list:
@@ -231,14 +226,14 @@ def _part_records(tbl: ContingencyCounts, cfg: IdmConfig, extreme: bool, remaind
     )
 
 
-def _estimate(tbl: ContingencyCounts, cfg: IdmConfig, records) -> tuple:
+def _estimate(tbl: ContingencyCounts, records) -> tuple:
     """The primaries ``(f0, r_ub_per_i, r_lb_per_i, vertex_values, sigma)`` of the MI.
 
     The row vectors broadcast over the columns, the column vectors over the
     rows, and the cell vectors are subtracted, which has the bits of the
     lift, negate and sum composition (``x - y`` is ``x + (-y)`` in floating
-    point) and builds no estimate on the way.  The table keeps them for
-    ``cfg.s`` (see :class:`ContingencyCounts`).
+    point) and builds no estimate on the way.  Nothing is kept: each call
+    broadcasts the three parts' records afresh.
     """
     (f_r, ub_r, lb_r, v_r, sigma), (f_c, ub_c, lb_c, v_c, _), (f_x, ub_x, lb_x, v_x, _) = (
         record.primaries() for record in records
@@ -250,15 +245,13 @@ def _estimate(tbl: ContingencyCounts, cfg: IdmConfig, records) -> tuple:
         return (row[:, None] + col - cell.reshape(d1, d2)).ravel()
 
     # Negating the cells swaps their upper and lower remainders.
-    primaries = (
+    return (
         f_r + f_c - f_x,
         per_cell(ub_r, ub_c, lb_x),
         per_cell(lb_r, lb_c, ub_x),
         per_cell(v_r, v_c, v_x),
         sigma,
     )
-    object.__setattr__(tbl, "_mi", (cfg.s, primaries))
-    return primaries
 
 
 def _crude(records) -> Interval:

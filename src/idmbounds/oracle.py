@@ -926,7 +926,8 @@ def mc_functional_stats(samples: np.ndarray, functional: Callable) -> McStats:
     """Sample mean, unbiased variance, and standard error of a functional.
 
     ``functional`` must be vectorized: it receives the full ``(N, dim)``
-    sample array and returns ``N`` values.
+    sample array and returns ``N`` values.  A non-finite value or variance
+    raises ``ValueError``.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[0] < 2:
@@ -935,8 +936,12 @@ def mc_functional_stats(samples: np.ndarray, functional: Callable) -> McStats:
     if values.shape != (samples.shape[0],):
         raise ValueError("functional must return one value per sample")
     n = values.size
-    mean = float(values.mean())
-    variance = float(values.var(ddof=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(values.mean())
+        variance = float(values.var(ddof=1))
+    # A non-finite value or an overflowing mean leaves the variance non-finite.
+    if not math.isfinite(variance):
+        raise ValueError("functional values and their variance must be finite")
     return McStats(mean, variance, math.sqrt(variance / n))
 
 
@@ -945,15 +950,19 @@ def jackknife_variance_stderr(values) -> float:
 
     Delete-one variances are recomputed from running sums in O(N); the
     spread of those leave-one-out estimates is the usual jackknife
-    standard error.
+    standard error.  Non-finite values or sums of squares raise ``ValueError``.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size < 3:
         raise ValueError("need at least three values")
     n = values.size
-    t1 = values.sum()
-    t2 = (values * values).sum()
-    loo_t1 = t1 - values
-    loo_t2 = t2 - values * values
-    loo_var = (loo_t2 - loo_t1 * loo_t1 / (n - 1)) / (n - 2)
-    return float(np.sqrt((n - 1) / n * ((loo_var - loo_var.mean()) ** 2).sum()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        t1 = values.sum()
+        t2 = (values * values).sum()
+        loo_t1 = t1 - values
+        loo_t2 = t2 - values * values
+        loo_var = (loo_t2 - loo_t1 * loo_t1 / (n - 1)) / (n - 2)
+        stderr = float(np.sqrt((n - 1) / n * ((loo_var - loo_var.mean()) ** 2).sum()))
+    if not math.isfinite(stderr):
+        raise ValueError("values and their sums of squares must be finite")
+    return stderr

@@ -84,13 +84,13 @@ class CountVector:
     continuously scaled samples use them).  Their finite total ``n`` is
     cached as ``total``; the dimension is implied by the length.
 
-    The entropy estimators keep the special-function terms of their last
-    pass on the vector: one entry, for one strength ``s`` and remainder
-    kernel, so a later question at the same strength takes no pass.  A
-    vector whose extreme and remainder points together exceed one block of
-    ``2**16`` points stores nothing, so its memory stays that of one
-    question.  The entry is not a dataclass field: ``repr``, equality and
-    :func:`dataclasses.fields` do not see it.
+    The entropy estimators keep the answers of their last pass, its
+    interval ends and remainder primaries, in one entry for one strength
+    ``s`` and remainder kernel: a later question at that strength takes no
+    pass and assembles nothing.  A vector whose extreme and remainder points
+    exceed one block of ``2**16`` points stores nothing, so its memory stays
+    that of one question.  The entry is not a dataclass field: ``repr``,
+    equality and :func:`dataclasses.fields` do not see it.
     """
 
     counts: np.ndarray

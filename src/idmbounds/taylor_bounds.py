@@ -170,8 +170,8 @@ def concave_remainder_bounds(counts: CountVector, cfg: IdmConfig, f) -> RobustEs
     :func:`~idmbounds.exact_extrema.entropy_summand` calls neither: it takes
     ``h`` and ``h'`` in at most one special-function pass, the one that
     :func:`~idmbounds.exact_extrema.entropy_interval_exact` takes, with the
-    same bits; none when ``counts`` has already answered at this strength
-    and kernel (see :class:`~idmbounds.simplex_core.CountVector`).
+    same bits; none, and no assembly, when ``counts`` has already answered
+    at this strength and kernel (see :class:`~idmbounds.simplex_core.CountVector`).
     """
     if isinstance(f, _EntropySummand):
         item = _Rows(_one_row(counts, cfg), f.kernel.total, extreme=False, owner=counts)

@@ -3,7 +3,7 @@
 Each fused call is compared with a reference built here from separate
 public calls: the bits of every field, the sign of every zero, and the
 type and message of every error must agree.  A count vector keeps the
-terms of its last pass, so a later question at the same strength takes
+answers of its last pass, so a later question at the same strength takes
 none; its answers are compared with those of fresh objects.  The CLI's
 entropy and sweep requests batch their rows into one pass per block of
 points.  The cost guards count work, never time it: passes, summand calls
@@ -340,15 +340,16 @@ def test_a_tables_second_mi_question_reuses_its_first(passes, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(SimplexPoint, "__post_init__", refuse)
         est, variance, interval = robust_credible_mi_parts(tbl, cfg, SPEC)
-    assert calls == []
+    assert len(calls) == 1
     assert passes == []
     fresh = ContingencyCounts(tbl.table)
     _assert_same((est, variance, interval), _credible_reference(fresh, cfg, SPEC), tbl.table)
     # Another strength computes afresh, and is kept in turn.
+    calls.clear()
     passes.clear()
     for _ in range(2):
         mi_estimate(tbl, IdmConfig(2.0))
-    assert len(calls) == 1
+    assert len(calls) == 2
     assert len(passes) == 1
 
 
@@ -806,6 +807,35 @@ def test_a_row_wider_than_one_block_stores_nothing(passes):
     entropy_interval_exact(narrow, cfg)
     _remainder(narrow, cfg, narrow.total + cfg.s)
     assert [p.size for p in passes] == [1 + 4 * (d - 1)]
+
+
+def test_a_table_keeps_nothing_beyond_its_parts(passes):
+    # The joint part's 16,512 cells exceed a quarter block: it stores nothing.
+    tbl, cfg = ContingencyCounts(np.arange(129 * 128).reshape(129, 128) % 5.0), IdmConfig(1.0)
+    assert tbl.cells > special_fn._BLOCK_ROWS // 4
+    mi_interval_bounds(tbl, cfg)
+    passes.clear()
+    mi_estimate(tbl, cfg)
+    # psi(n + s + 1) and the joint part's remainder set; the margins are stored.
+    assert [p.size for p in passes] == [1 + 2 * tbl.cells]
+
+
+def test_a_stored_hit_assembles_nothing(monkeypatch):
+    assembled = []
+    original = exact_extrema._remainder_parts
+
+    def counting(*args):
+        assembled.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(exact_extrema, "_remainder_parts", counting)
+    counts, cfg = CountVector([3, 6, 1, 0, 0.5]), IdmConfig(1.0)
+    f = entropy_summand(EntropyKernel(counts.total + cfg.s))
+    first = concave_remainder_bounds(counts, cfg, f)
+    assert len(assembled) >= 1
+    assembled.clear()
+    _assert_same(concave_remainder_bounds(counts, cfg, f), first, counts.counts)
+    assert assembled == []
 
 
 def test_a_row_too_wide_to_store_maps_only_the_set_asked_for(monkeypatch):

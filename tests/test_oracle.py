@@ -202,10 +202,21 @@ class TestCompositions:
             "functional must return one value per sample",
         ),
         (lambda: jackknife_variance_stderr([1.0, 2.0]), "need at least three values"),
+        (
+            lambda: mc_functional_stats(np.ones((3, 2)), lambda x: np.full(3, np.nan)),
+            "functional values and their variance must be finite",
+        ),
+        (
+            lambda: mc_functional_stats(np.ones((3, 2)), lambda x: np.array([1e308, -1e308, 1.0])),
+            "functional values and their variance must be finite",
+        ),
+        (lambda: jackknife_variance_stderr([np.nan, 1.0, 2.0]), "sums of squares must be finite"),
+        (lambda: jackknife_variance_stderr([1e308, -1e308, 1.0]), "sums of squares must be finite"),
     ],
     ids=[
         "grid-zero", "seed-2**64", "count-negative-total", "compositions-above-32000",
-        "objective-shape", "functional-shape", "jackknife-two-values",
+        "objective-shape", "functional-shape", "jackknife-two-values", "functional-nan",
+        "functional-overflow", "jackknife-nan", "jackknife-overflow",
     ],
 )
 def test_documented_refusals(call, message):
